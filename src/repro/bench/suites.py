@@ -462,9 +462,11 @@ def _suite_batched(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     Three measurements (docs/PERFORMANCE.md reads from this record):
 
     * **stacked solve** — ``scale.num_slots`` same-shape P2 instances
-      solved sequentially by :class:`InteriorPointBackend` and as one
-      :func:`repro.solvers.batched.solve_batch` call. Bit-identity is
-      gated (``stack_bit_identical``); walls are advisory.
+      solved as a loop of one-lane :class:`InteriorPointBackend` solves
+      (the "sequential" leg) and as one
+      :func:`repro.solvers.batched.solve_batch` call. Both run the same
+      kernel, so the wall ratio is the stacking win alone. Bit-identity
+      is gated (``stack_bit_identical``); walls are advisory.
     * **batched sweep** — ``run_ratio_sweep`` with and without
       ``batch_solves=True`` on the fig2 grid; the stats must match
       exactly (``sweep_stats_match``).
@@ -482,7 +484,7 @@ def _suite_batched(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     from ..solvers.batched import solve_batch
     from ..solvers.interior_point import InteriorPointBackend
 
-    # Stacked solve vs a sequential loop over the same programs.
+    # Stacked solve vs a loop of one-lane solves over the same programs.
     subproblems = _batch_subproblems(scale, max(4, scale.num_slots))
     backend = InteriorPointBackend()
     sequential = []
@@ -564,7 +566,6 @@ def _suite_batched(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         "pickled_growth_8x": pickled_8x / max(pickled_1x, 1),
         "shm_growth_8x": skeleton_8x / max(skeleton_1x, 1),
         "batched_instances": registry.counter("solver.batched.instances").value,
-        "jit_groups": registry.counter("solver.batched.jit_groups").value,
     }
     return {"metrics": metrics, "diagnostics": diagnostics}
 

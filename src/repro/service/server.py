@@ -28,6 +28,12 @@ from ..telemetry.exporters import MetricsEndpoint
 from .protocol import ProtocolError, encode, parse_message
 from .session import AllocationSession
 
+#: Longest accepted message line in bytes, not counting its newline.
+#: asyncio's default stream limit (64 KiB) is below one update of a
+#: 100k-user station vector; a longer line is answered with an error and
+#: skipped.
+LINE_LIMIT = 1 << 24
+
 
 class AllocationServer:
     """Serve one allocation session over newline-delimited JSON on TCP.
@@ -72,7 +78,7 @@ class AllocationServer:
         """Bind the listener (and the metrics endpoint / ticker, if any)."""
         self._lock = asyncio.Lock()
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=LINE_LIMIT
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.metrics_port is not None:
@@ -115,7 +121,18 @@ class AllocationServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader)
+                if line is None:
+                    get_registry().counter("service.protocol.rejected").inc()
+                    await self._reply(
+                        writer,
+                        {
+                            "type": "error",
+                            "error": f"line exceeds {LINE_LIMIT} bytes",
+                            "expected_slot": self.session.expected_slot,
+                        },
+                    )
+                    continue
                 if not line:
                     break
                 if not line.strip():
@@ -189,6 +206,29 @@ class AllocationServer:
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
             pass
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line (``b""`` at EOF), or ``None`` if it overran the limit.
+
+    An over-limit line is discarded through its newline, so the stream
+    stays framed and the connection keeps serving.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 def serve_stdio(

@@ -1,168 +1,78 @@
-"""Batched interior-point solves: many P2 instances, one vectorized barrier.
+"""The structured barrier kernel: one lockstep solve over stacked P2 lanes.
 
-A sweep spends nearly all of its time inside per-slot P2 solves that are
-individually tiny — at fig2 scale each Newton step is a handful of
-microsecond-sized NumPy calls, so the Python dispatch overhead around the
-arithmetic dominates the arithmetic itself. This module stacks B same-shape
-instances into contiguous ``(B, I, J)`` arrays and runs **one** lockstep
-barrier iteration over all of them: every NumPy call now advances B solves,
-and the Woodbury systems become a single batched ``np.linalg.solve`` over a
-``(B, I+J, I+J)`` stack.
+This module holds the repo's only interior-point implementation. A solve of
+B same-shape P2 instances ("lanes") stacks them into contiguous
+``(B, I, J)`` arrays and runs **one** lockstep barrier iteration over all of
+them: every NumPy call advances B solves, and the Woodbury systems become a
+single batched ``np.linalg.solve`` over a ``(B, I+J, I+J)`` stack. At fig2
+scale each Newton step is a handful of microsecond-sized NumPy calls, so
+stacking amortizes the Python dispatch that dominates a lone solve.
+:class:`repro.solvers.interior_point.InteriorPointBackend` is the B = 1 case
+of the same kernel; :func:`solve_batch` is the stacked entry point.
 
-The hard invariant is **bit-identity**: for every instance, the batched path
-performs exactly the floating-point operation sequence of
-:class:`repro.solvers.interior_point.InteriorPointBackend` — same reduction
-orders, same line-search probes, same convergence tests — so the results are
-identical floats, not merely close ones (pinned by
+The hard invariant is **lane independence**: a lane's floats — solution,
+objective, iteration count, duals, partial flag, failure — do not depend on
+its batch-mates, on the batch size, or on when finished lanes are compacted
+away. A lane solved in a batch is therefore bit-identical to the same
+program solved alone through ``InteriorPointBackend`` (pinned by
 ``tests/solvers/test_batched.py``). The reductions this relies on:
 
-* last-axis sums (``(B,I,J).sum(axis=2)`` vs ``(I,J).sum(axis=1)``) use
-  NumPy's pairwise summation per contiguous row — identical per lane;
-* non-last-axis sums (``sum(axis=1)`` vs 2-D ``sum(axis=0)``) accumulate
-  sequentially in index order — identical per lane;
-* full-array sums (``(I,J).sum()``) equal per-lane last-axis sums over the
-  raveled lane (``reshape(B, -1).sum(axis=1)``);
-* masked minima are order-insensitive, so ``where(...)+min`` replaces
-  boolean-mask gathering exactly;
-* the batched ``np.linalg.solve`` runs the same LAPACK ``gesv`` per stacked
-  matrix as the 2-D call.
+* last-axis sums (``(B,I,J).sum(axis=2)``) use NumPy's pairwise summation
+  per contiguous row — the same per lane for any B;
+* non-last-axis sums (``sum(axis=1)``) accumulate sequentially in index
+  order within each lane;
+* full-lane sums reduce the raveled lane (``reshape(B, -1).sum(axis=1)``),
+  one row per lane;
+* masked minima are order-insensitive, so ``where(...)+min`` never mixes
+  lanes;
+* the batched ``np.linalg.solve`` runs the same LAPACK ``gesv`` on each
+  stacked matrix.
 
 Instances converge at different speeds; per-instance **convergence masks**
 drop finished lanes from the stack (compaction by fancy indexing), so late
 stragglers do not pay for the whole batch. Mixed shapes are handled by
 grouping: one lockstep solve per distinct ``(I, J)``.
 
-An optional numba JIT of the SMW assembly kernel sits behind the
-``REPRO_BATCHED_JIT=1`` environment flag. Only assignment/elementwise code
-is jitted (reductions stay in NumPy to preserve the summation orders
-above), and the flag degrades cleanly to the pure-NumPy kernel when numba
-is not importable — there is no hard dependency.
-
 See docs/PERFORMANCE.md for the stacking layout and the measured wins.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..telemetry import TraceContext, current_trace, get_registry
+from ..telemetry import TraceContext, current_trace, get_registry, phase
 from .base import ConvexProgram, SolverError, SolverResult
-from .interior_point import (
-    _ARMIJO_C,
-    _BACKTRACK,
-    _BOUNDARY_FRACTION,
-    _MU_DECAY,
-    _WARM_MU_DISCOUNT,
-)
 
-#: Environment flag enabling the numba JIT of the SMW assembly kernel.
-JIT_ENV_FLAG = "REPRO_BATCHED_JIT"
+#: Fraction-to-boundary rule: never step further than this share of the
+#: distance to the nearest constraint boundary.
+_BOUNDARY_FRACTION = 0.99
+#: Multiplicative decrease of the barrier parameter between outer iterations.
+_MU_DECAY = 0.2
+#: Newton steps allowed per barrier parameter before mu is decreased anyway.
+_MAX_NEWTON_PER_MU = 80
+#: Outer (barrier-parameter) iterations before a solve is declared failed.
+_MAX_OUTER = 60
+#: Barrier parameter discount applied to warm starts: with x0 near the new
+#: optimum the early high-mu centering passes are wasted work, so start the
+#: schedule ~4 outer iterations further down (0.2**4 = 1.6e-3). Newton with
+#: the Armijo line search is globally convergent on the barrier objective,
+#: so a poor warm start costs extra Newton steps, never correctness.
+_WARM_MU_DISCOUNT = 1.6e-3
+#: Armijo sufficient-decrease constant and backtracking factor.
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
 
-#: Backend name reported on batched results. It matches the sequential
-#: backend's name on purpose: the solves are bit-identical, so downstream
-#: consumers (results, certificates) must not be able to tell them apart;
-#: the ``solver.batched.*`` counters record which path actually ran.
+#: Backend name reported on every structured-IPM result, whether it came
+#: from a one-lane :class:`InteriorPointBackend` solve or a stacked
+#: :func:`solve_batch` call — the floats are the same either way, so
+#: downstream consumers (results, certificates) must not be able to tell
+#: them apart; the ``solver.batched.*`` counters record stacked calls.
 BATCHED_BACKEND_NAME = "structured-ipm"
-
-
-def jit_requested() -> bool:
-    """Whether the numba kernel was requested via the environment flag."""
-    return os.environ.get(JIT_ENV_FLAG, "").strip().lower() not in (
-        "",
-        "0",
-        "false",
-        "no",
-    )
-
-
-def _numpy_fill_smw(
-    matrix: np.ndarray,
-    row_diag: np.ndarray,
-    col_diag: np.ndarray,
-    dinv: np.ndarray,
-) -> None:
-    """Fill the stacked Woodbury core matrices in place (pure NumPy)."""
-    batch, num_clouds, num_users = dinv.shape
-    clouds = np.arange(num_clouds)
-    users = np.arange(num_clouds, num_clouds + num_users)
-    matrix[:, clouds, clouds] = row_diag
-    matrix[:, users, users] = col_diag
-    matrix[:, :num_clouds, num_clouds:] = dinv
-    matrix[:, num_clouds:, :num_clouds] = dinv.transpose(0, 2, 1)
-
-
-def _numpy_expand_dx(
-    dinv: np.ndarray, grad: np.ndarray, z: np.ndarray, num_clouds: int
-) -> np.ndarray:
-    """dx = -(dinv * (grad - Uz)) with Uz broadcast from the stacked z."""
-    uz = z[:, :num_clouds, None] + z[:, None, num_clouds:]
-    return -(dinv * (grad - uz))
-
-
-def _build_numba_kernels() -> tuple[Callable, Callable] | None:
-    """Compile the numba variants, or ``None`` when numba is unavailable.
-
-    Only assignments and independent elementwise arithmetic are jitted —
-    each output element is produced by the same operation sequence as the
-    NumPy kernel, so bit-identity is preserved by construction. Reductions
-    (row/column sums, rhs assembly) deliberately stay in NumPy.
-    """
-    try:
-        from numba import njit
-    except Exception:  # pragma: no cover - numba absent in the base image
-        return None
-
-    @njit(cache=True)
-    def fill_smw(matrix, row_diag, col_diag, dinv):  # pragma: no cover
-        batch, num_clouds, num_users = dinv.shape
-        for b in range(batch):
-            for i in range(num_clouds):
-                matrix[b, i, i] = row_diag[b, i]
-                for j in range(num_users):
-                    matrix[b, i, num_clouds + j] = dinv[b, i, j]
-                    matrix[b, num_clouds + j, i] = dinv[b, i, j]
-            for j in range(num_users):
-                matrix[b, num_clouds + j, num_clouds + j] = col_diag[b, j]
-
-    @njit(cache=True)
-    def expand_dx(dinv, grad, z, num_clouds):  # pragma: no cover
-        batch, _, num_users = dinv.shape
-        dx = np.empty_like(dinv)
-        for b in range(batch):
-            for i in range(num_clouds):
-                for j in range(num_users):
-                    uz = z[b, i] + z[b, num_clouds + j]
-                    dx[b, i, j] = -(dinv[b, i, j] * (grad[b, i, j] - uz))
-        return dx
-
-    return fill_smw, expand_dx
-
-
-_KERNELS: tuple[Callable, Callable] | None = None
-_KERNELS_RESOLVED = False
-
-
-def resolve_kernels() -> tuple[Callable, Callable, bool]:
-    """(fill_smw, expand_dx, jitted) honoring the feature flag.
-
-    The numba import and compilation happen at most once per process; a
-    requested-but-unavailable JIT silently falls back to the NumPy kernels
-    (the flag is an optimization hint, never a requirement).
-    """
-    global _KERNELS, _KERNELS_RESOLVED
-    if jit_requested():
-        if not _KERNELS_RESOLVED:
-            _KERNELS = _build_numba_kernels()
-            _KERNELS_RESOLVED = True
-        if _KERNELS is not None:
-            return _KERNELS[0], _KERNELS[1], True
-    return _numpy_fill_smw, _numpy_expand_dx, False
 
 
 # ----- the lockstep group solve ----------------------------------------------
@@ -172,7 +82,6 @@ class _Lane:
     """Per-instance bookkeeping that lives outside the stacked arrays."""
 
     __slots__ = (
-        "index",
         "program",
         "sub",
         "tol",
@@ -185,8 +94,7 @@ class _Lane:
         "final",
     )
 
-    def __init__(self, index, program, sub, tol, registry, trace_ctx=None):
-        self.index = index
+    def __init__(self, program, sub, tol, registry, trace_ctx=None):
         self.program = program
         self.sub = sub
         self.tol = tol
@@ -202,7 +110,7 @@ class _Lane:
         # Telemetry for the finished solve, emitted by solve_batch() in
         # *input* order once every group is done — lanes retire in
         # convergence order, and emitting at retirement would permute the
-        # event stream relative to the sequential path.
+        # event stream relative to solving the programs one at a time.
         self.final: dict | None = None
 
     def emit_telemetry(self) -> None:
@@ -241,23 +149,13 @@ class _Lane:
 class _GroupSolve:
     """One lockstep barrier solve over same-shape instances.
 
-    The stacked state mirrors :class:`interior_point._BarrierSolve` lane by
-    lane; ``active`` holds the indices (into the group) of lanes still
-    iterating, and every stacked array is compacted to the active set, so
-    finished instances stop costing anything.
+    ``lanes`` holds the lanes still iterating, and every stacked array is
+    compacted to them whenever some retire, so finished instances stop
+    costing anything.
     """
 
-    def __init__(
-        self,
-        lanes: list[_Lane],
-        *,
-        max_newton_per_mu: int,
-        max_outer: int,
-        name: str = BATCHED_BACKEND_NAME,
-    ):
+    def __init__(self, lanes: list[_Lane], *, name: str = BATCHED_BACKEND_NAME):
         self.lanes = lanes
-        self.max_newton_per_mu = max_newton_per_mu
-        self.max_outer = max_outer
         self.name = name
         sub = lanes[0].sub
         self.num_clouds = sub.num_clouds
@@ -265,7 +163,6 @@ class _GroupSolve:
         self.n = self.num_clouds * self.num_users
         self.num_constraints = self.n + self.num_users + self.num_clouds
         self._budget_start = time.perf_counter()
-        self._fill_smw, self._expand_dx, self.jitted = resolve_kernels()
 
     # -- stacked constants (built once per group) -----------------------------
 
@@ -332,7 +229,7 @@ class _GroupSolve:
         ):
             setattr(self, attr, getattr(self, attr)[keep])
 
-    # -- stacked replicas of the sequential arithmetic ------------------------
+    # -- stacked barrier arithmetic -------------------------------------------
 
     def _slacks(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         demand = x.sum(axis=1) - self.workloads
@@ -340,7 +237,10 @@ class _GroupSolve:
         return demand, capacity
 
     def _objective(self, x: np.ndarray) -> np.ndarray:
-        """Stacked P2 objective, one value per lane (matches serial bitwise)."""
+        """Stacked P2 objective, one value per lane.
+
+        Matches ``RegularizedSubproblem.objective`` bit for bit.
+        """
         batch = x.shape[0]
         total = (self.prices * x).reshape(batch, -1).sum(axis=1)
         cloud_totals = x.sum(axis=2)
@@ -413,32 +313,35 @@ class _GroupSolve:
         demand_w = mu[:, None] / demand**2
         row_sum = dinv.sum(axis=2)
         col_sum = dinv.sum(axis=1)
-        size = self.num_clouds + self.num_users
-        matrix = np.zeros((batch, size, size))
-        self._fill_smw(
-            matrix, row_sum + 1.0 / cloud_w, col_sum + 1.0 / demand_w, dinv
-        )
+        nc, nu = self.num_clouds, self.num_users
+        clouds = np.arange(nc)
+        users = np.arange(nc, nc + nu)
+        matrix = np.zeros((batch, nc + nu, nc + nu))
+        matrix[:, clouds, clouds] = row_sum + 1.0 / cloud_w
+        matrix[:, users, users] = col_sum + 1.0 / demand_w
+        matrix[:, :nc, nc:] = dinv
+        matrix[:, nc:, :nc] = dinv.transpose(0, 2, 1)
         dg = dinv * grad
         rhs = np.concatenate([dg.sum(axis=2), dg.sum(axis=1)], axis=1)
         singular = np.zeros(batch, dtype=bool)
         try:
             # The explicit trailing axis keeps NumPy >= 2 in "stack of
-            # column vectors" mode; nrhs=1 gesv on each lane is the same
-            # LAPACK call as the sequential 1-D solve, bit for bit.
+            # column vectors" mode: nrhs=1 gesv on each lane, the same
+            # LAPACK call for any batch size.
             z = np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             # One singular lane poisons the whole gufunc call; redo the
             # stack lane by lane (same LAPACK routine on the same memory,
             # so surviving lanes get identical floats) and flag the bad
-            # ones — they fail exactly as the sequential solver would.
+            # ones — they fail exactly as they would alone.
             z = np.zeros_like(rhs)
             for k in range(batch):
                 try:
                     z[k] = np.linalg.solve(matrix[k], rhs[k])
                 except np.linalg.LinAlgError:
                     singular[k] = True
-        dx = self._expand_dx(dinv, grad, z, self.num_clouds)
-        return dx, singular
+        uz = z[:, :nc, None] + z[:, None, nc:]
+        return -(dinv * (grad - uz)), singular
 
     def _max_step(self, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
         batch = x.shape[0]
@@ -463,7 +366,12 @@ class _GroupSolve:
     # -- setup ----------------------------------------------------------------
 
     def _setup(self) -> None:
-        """Per-lane start points and barrier schedules (mirrors serial run())."""
+        """Per-lane start points and barrier schedules.
+
+        An infeasible warm start falls back to the canonical strictly
+        interior point, which then no longer justifies the discounted
+        barrier schedule; any error here fails only its own lane.
+        """
         ready: list[_Lane] = []
         starts: list[np.ndarray] = []
         mus: list[float] = []
@@ -502,6 +410,8 @@ class _GroupSolve:
                         10.0 * gap_target / self.num_constraints,
                     )
                 if warm_requested and not warm:
+                    # Frequent restarts mean the warm-start blending
+                    # upstream is not doing its job.
                     lane.registry.counter("solver.ipm.barrier_restarts").inc()
                 lane.warm = warm
             except Exception as exc:  # noqa: BLE001 - delivered per lane
@@ -534,7 +444,13 @@ class _GroupSolve:
     # -- lane retirement ------------------------------------------------------
 
     def _record_trace(self, positions: np.ndarray) -> None:
-        """Append one outer-iteration trace entry per finishing-mu lane."""
+        """Append one outer-iteration trace entry per finishing-mu lane.
+
+        The (mu, cumulative Newton steps, final decrement) series is the
+        solver's convergence fingerprint, persisted to the manifest so
+        behavioural regressions show even when wall time does not
+        (docs/DIAGNOSTICS.md). Lanes only keep it under a real registry.
+        """
         for pos in positions:
             lane = self.lanes[pos]
             if lane.trace is not None:
@@ -547,7 +463,12 @@ class _GroupSolve:
                 )
 
     def _finish_lane(self, pos: int) -> None:
-        """Build the lane's SolverResult exactly as the sequential run() does."""
+        """Build the lane's SolverResult from its stacked state.
+
+        Barrier iterates are strictly interior by construction, so a
+        budget-truncated (partial) x is always feasible — degraded in cost,
+        never in constraints (Theorem 1 survives the cutoff).
+        """
         lane = self.lanes[pos]
         x = self.x[pos].copy()
         mu = float(self.mu[pos])
@@ -562,6 +483,10 @@ class _GroupSolve:
         }
         demand = x.sum(axis=0) - self.workloads[pos]
         capacity = self.capacities[pos] - x.sum(axis=1)
+        # The barrier's implicit multipliers: mu over the respective slack.
+        # "nonnegativity" pairs with the x >= 0 bounds elementwise, so the
+        # diagnostics layer can evaluate KKT residuals and a duality-gap
+        # certificate without re-deriving anything.
         duals = {
             "demand": mu / demand,
             "capacity": mu / capacity,
@@ -607,11 +532,13 @@ class _GroupSolve:
             self._macro_step()
 
     def _budget_fired(self) -> np.ndarray:
-        """Per-lane budget check (top of every Newton iteration, like serial).
+        """Per-lane budget check, at the top of every Newton step.
 
-        Wall-clock budgets share the batch's clock — a deadline measures
-        real time, and lanes progress together in real time — while
-        iteration budgets count each lane's own Newton steps exactly.
+        A fired budget turns the lane into a partial result instead of an
+        error (docs/SERVING.md). Wall-clock budgets share the batch's
+        clock — a deadline measures real time, and lanes progress together
+        in real time — while iteration budgets count each lane's own Newton
+        steps exactly.
         """
         batch = len(self.lanes)
         fired = np.zeros(batch, dtype=bool)
@@ -627,7 +554,14 @@ class _GroupSolve:
         return fired
 
     def _macro_step(self) -> None:
-        """One Newton attempt for every active lane, then lane transitions."""
+        """One Newton attempt for every active lane, then lane transitions.
+
+        The ``phase`` blocks are the profiling plane's phase timers
+        (docs/OBSERVABILITY.md §12): free no-op context managers unless a
+        profile is active, and purely observational either way — the
+        floating-point operation sequence is identical with profiling on
+        or off.
+        """
         batch = len(self.lanes)
         # after_newton: lanes whose inner Newton loop ends this step.
         after_newton = self._budget_fired()
@@ -635,58 +569,63 @@ class _GroupSolve:
         failed: dict[int, Exception] = {}
         stepping = ~after_newton
         if stepping.any():
-            grad = self._barrier_gradient(self.x, self.mu)
-            dx, singular = self._newton_direction(self.x, grad, self.mu)
-            for pos in np.nonzero(singular & stepping)[0]:
-                failed[int(pos)] = SolverError(
-                    f"{self.name}: Woodbury system singular"
+            with phase("ipm.assemble"):
+                grad = self._barrier_gradient(self.x, self.mu)
+            with phase("ipm.factorize_smw"):
+                dx, singular = self._newton_direction(self.x, grad, self.mu)
+                for pos in np.nonzero(singular & stepping)[0]:
+                    failed[int(pos)] = SolverError(
+                        f"{self.name}: Woodbury system singular"
+                    )
+                    stepping[pos] = False
+                    after_newton[pos] = False
+            with phase("ipm.convergence_check"):
+                directional = (grad * dx).reshape(batch, -1).sum(axis=1)
+                decrement = -directional
+                self.last_decrement = np.where(
+                    stepping, decrement, self.last_decrement
                 )
-                stepping[pos] = False
-                after_newton[pos] = False
-            directional = (grad * dx).reshape(batch, -1).sum(axis=1)
-            decrement = -directional
-            self.last_decrement = np.where(
-                stepping, decrement, self.last_decrement
-            )
-            converged = stepping & (
-                (decrement <= 0)
-                | (decrement * 0.5 <= 1e-10 * np.maximum(1.0, self.mu))
-            )
-            after_newton |= converged
-            stepping &= ~converged
+                converged = stepping & (
+                    (decrement <= 0)
+                    | (decrement * 0.5 <= 1e-10 * np.maximum(1.0, self.mu))
+                )
+                after_newton |= converged
+                stepping &= ~converged
         if stepping.any():
-            alpha = np.minimum(1.0, self._max_step(self.x, dx))
-            value = self._barrier_value(self.x, self.mu)
-            accepted = np.zeros(batch, dtype=bool)
-            candidate = self.x
-            # The sequential `while alpha > 1e-14` guard runs before the
-            # first probe too: a lane whose capped step is already tiny
-            # exits the Newton loop without evaluating any candidate.
-            dry = stepping & (alpha <= 1e-14)
-            after_newton |= dry
-            pending = stepping & ~dry
-            while pending.any():
-                candidate = np.where(
-                    pending[:, None, None], self.x + alpha[:, None, None] * dx,
-                    candidate,
-                )
-                new_value = self._barrier_value(candidate, self.mu)
-                ok = pending & (
-                    new_value <= value + (_ARMIJO_C * alpha) * directional
-                )
-                accepted |= ok
-                pending &= ~ok
-                alpha = np.where(pending, alpha * _BACKTRACK, alpha)
-                exhausted = pending & (alpha <= 1e-14)
-                # Line search ran dry: the sequential code breaks the Newton
-                # loop without moving x.
-                after_newton |= exhausted
-                pending &= ~exhausted
+            with phase("ipm.line_search"):
+                alpha = np.minimum(1.0, self._max_step(self.x, dx))
+                value = self._barrier_value(self.x, self.mu)
+                accepted = np.zeros(batch, dtype=bool)
+                candidate = self.x
+                # The `alpha > 1e-14` guard runs before the first probe
+                # too: a lane whose capped step is already tiny exits the
+                # Newton loop without evaluating any candidate.
+                dry = stepping & (alpha <= 1e-14)
+                after_newton |= dry
+                pending = stepping & ~dry
+                while pending.any():
+                    candidate = np.where(
+                        pending[:, None, None],
+                        self.x + alpha[:, None, None] * dx,
+                        candidate,
+                    )
+                    new_value = self._barrier_value(candidate, self.mu)
+                    ok = pending & (
+                        new_value <= value + (_ARMIJO_C * alpha) * directional
+                    )
+                    accepted |= ok
+                    pending &= ~ok
+                    alpha = np.where(pending, alpha * _BACKTRACK, alpha)
+                    exhausted = pending & (alpha <= 1e-14)
+                    # Line search ran dry: the lane's Newton loop ends
+                    # without moving x.
+                    after_newton |= exhausted
+                    pending &= ~exhausted
             if accepted.any():
                 self.x = np.where(accepted[:, None, None], candidate, self.x)
                 self.iterations = self.iterations + accepted
                 self.newton_count = self.newton_count + accepted
-                hit_cap = accepted & (self.newton_count >= self.max_newton_per_mu)
+                hit_cap = accepted & (self.newton_count >= _MAX_NEWTON_PER_MU)
                 after_newton |= hit_cap
         # Outer-loop transitions for every lane whose Newton loop ended.
         if after_newton.any():
@@ -698,7 +637,7 @@ class _GroupSolve:
             )
             continuing = after_newton & ~finished
             self.outer_count = self.outer_count + after_newton
-            ran_out = continuing & (self.outer_count >= self.max_outer)
+            ran_out = continuing & (self.outer_count >= _MAX_OUTER)
             for pos in np.nonzero(ran_out)[0]:
                 failed[int(pos)] = SolverError(
                     f"{self.name}: barrier loop did not converge"
@@ -721,22 +660,20 @@ def solve_batch(
     tol: float | Sequence[float] = 1e-8,
     registries: Sequence | None = None,
     traces: "Sequence[TraceContext | None] | None" = None,
-    max_newton_per_mu: int = 80,
-    max_outer: int = 60,
 ) -> list[SolverResult | Exception]:
     """Solve many P2 programs with the lockstep batched barrier method.
 
     Programs are grouped by ``(I, J)`` shape; each group runs as one
     stacked solve with per-instance convergence masks. Every instance's
-    result — including failures — is **bit-identical** to what
-    :class:`InteriorPointBackend` would produce sequentially.
+    result — including failures — is **bit-identical** to what a one-lane
+    :class:`InteriorPointBackend` solve of it produces.
 
     Args:
         programs: programs carrying ``RegularizedSubproblem`` structure.
         tol: one tolerance for all, or one per program.
         registries: optional per-program telemetry registries (the batched
             sweep runner passes each requesting cell's registry so solver
-            counters aggregate exactly as on the sequential path); defaults
+            counters aggregate exactly as one solve at a time); defaults
             to the active registry.
         traces: optional per-program distributed-trace contexts (the
             coordinator passes each submitter's context so deferred
@@ -745,7 +682,7 @@ def solve_batch(
 
     Returns:
         One entry per program, in order: a :class:`SolverResult`, or the
-        exception the sequential solve of that program would have raised
+        exception a solve of that program alone would have raised
         (callers re-raise or fall back per instance — never batch-wide).
     """
     programs = list(programs)
@@ -767,41 +704,26 @@ def solve_batch(
     batch_registry = get_registry()
     lanes: list[_Lane] = []
     groups: dict[tuple[int, int], list[_Lane]] = {}
-    for index, program in enumerate(programs):
+    for program, lane_tol, registry, trace in zip(programs, tols, registries, traces):
         sub = program.structure
-        lane_registry = registries[index]
+        lane = _Lane(program, sub, lane_tol, registry, trace)
+        lanes.append(lane)
         if sub is None or not hasattr(sub, "hessian_factors"):
-            lane = _Lane(
-                index, program, None, tols[index], lane_registry,
-                traces[index],
-            )
             lane.outcome = SolverError(
                 f"{BATCHED_BACKEND_NAME} requires a program with "
                 "RegularizedSubproblem structure"
             )
-            lanes.append(lane)
-            continue
-        lane = _Lane(
-            index, program, sub, tols[index], lane_registry, traces[index]
-        )
-        lanes.append(lane)
-        groups.setdefault((sub.num_clouds, sub.num_users), []).append(lane)
+        else:
+            groups.setdefault((sub.num_clouds, sub.num_users), []).append(lane)
 
     batch_registry.counter("solver.batched.calls").inc()
     batch_registry.counter("solver.batched.instances").inc(len(programs))
     batch_registry.counter("solver.batched.groups").inc(len(groups))
-    for shape, group in groups.items():
+    for group in groups.values():
         batch_registry.histogram("solver.batched.batch_size").observe(
             len(group)
         )
-        solver = _GroupSolve(
-            group,
-            max_newton_per_mu=max_newton_per_mu,
-            max_outer=max_outer,
-        )
-        solver.run()
-        if solver.jitted:
-            batch_registry.counter("solver.batched.jit_groups").inc()
+        _GroupSolve(group).run()
 
     outcomes: list[SolverResult | Exception] = []
     for lane in lanes:

@@ -16,32 +16,19 @@ merge with the objective's cloud dyads), so Newton directions come from a
 Sherman-Morrison-Woodbury solve with a dense system of size (I + J) instead
 of factoring an (I*J) x (I*J) matrix. All dyad inner products reduce to row
 sums, column sums, and single entries of an (I, J) table.
+
+The barrier kernel itself lives in :mod:`repro.solvers.batched`; a solve
+here is the one-lane case of that lockstep kernel, so a program solved
+alone and the same program solved in a stacked batch give identical floats.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..telemetry import current_trace, get_registry, phase
+from ..telemetry import current_trace, get_registry
 from .base import ConvexProgram, SolverError, SolverResult
-
-#: Fraction-to-boundary rule: never step further than this share of the
-#: distance to the nearest constraint boundary.
-_BOUNDARY_FRACTION = 0.99
-#: Multiplicative decrease of the barrier parameter between outer iterations.
-_MU_DECAY = 0.2
-#: Barrier parameter discount applied to warm starts: with x0 near the new
-#: optimum the early high-mu centering passes are wasted work, so start the
-#: schedule ~4 outer iterations further down (0.2**4 = 1.6e-3). Newton with
-#: the Armijo line search is globally convergent on the barrier objective,
-#: so a poor warm start costs extra Newton steps, never correctness.
-_WARM_MU_DISCOUNT = 1.6e-3
-#: Armijo sufficient-decrease constant and backtracking factor.
-_ARMIJO_C = 1e-4
-_BACKTRACK = 0.5
+from .batched import BATCHED_BACKEND_NAME, _GroupSolve, _Lane
 
 
 @dataclass(frozen=True)
@@ -54,9 +41,7 @@ class InteriorPointBackend:
     generic SciPy backend).
     """
 
-    max_newton_per_mu: int = 80
-    max_outer: int = 60
-    name: str = "structured-ipm"
+    name: str = BATCHED_BACKEND_NAME
 
     def solve(self, program: ConvexProgram, *, tol: float = 1e-8) -> SolverResult:
         """Run the barrier method to duality gap ~ tol * max(1, |f|)."""
@@ -65,280 +50,11 @@ class InteriorPointBackend:
             raise SolverError(
                 f"{self.name} requires a program with RegularizedSubproblem structure"
             )
-        solver = _BarrierSolve(program, structure, tol, self)
-        return solver.run()
-
-
-class _BarrierSolve:
-    """One barrier solve: state and the Newton machinery."""
-
-    def __init__(self, program, subproblem, tol: float, config: InteriorPointBackend):
-        self.program = program
-        self.sub = subproblem
-        self.tol = tol
-        self.config = config
-        self.num_clouds = subproblem.num_clouds
-        self.num_users = subproblem.num_users
-        self.n = self.num_clouds * self.num_users
-        self.workloads = np.asarray(subproblem.workloads, dtype=float)
-        self.capacities = np.asarray(subproblem.capacities, dtype=float)
-        self.num_constraints = self.n + self.num_users + self.num_clouds
-        self.iterations = 0
-        self.last_decrement = 0.0
-        # Deadline budgets (docs/SERVING.md): checked between Newton
-        # iterations; a fired budget turns the solve into a partial
-        # result instead of an error. ``budget is None`` skips every
-        # check, keeping unbudgeted solves bit-identical.
-        self.budget = program.budget
-        self.partial = False
-        self._budget_start = time.perf_counter() if self.budget is not None else 0.0
-
-    def _out_of_budget(self) -> bool:
-        if self.budget is None:
-            return False
-        return self.budget.exhausted(
-            elapsed_s=time.perf_counter() - self._budget_start,
-            iterations=self.iterations,
-        )
-
-    # ----- constraint slacks (all computed from the (I, J) table) ------------
-
-    def slacks(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(demand slack (J,), capacity slack (I,)) at x shaped (I, J)."""
-        demand = x.sum(axis=0) - self.workloads
-        capacity = self.capacities - x.sum(axis=1)
-        return demand, capacity
-
-    def strictly_feasible(self, x: np.ndarray) -> bool:
-        demand, capacity = self.slacks(x)
-        return x.min() > 0 and demand.min() > 0 and capacity.min() > 0
-
-    def barrier_value(self, x: np.ndarray, mu: float) -> float:
-        demand, capacity = self.slacks(x)
-        if x.min() <= 0 or demand.min() <= 0 or capacity.min() <= 0:
-            return np.inf
-        value = self.program.objective(x.ravel())
-        value -= mu * float(
-            np.log(x).sum() + np.log(demand).sum() + np.log(capacity).sum()
-        )
-        return value
-
-    def barrier_gradient(self, x: np.ndarray, mu: float) -> np.ndarray:
-        """Gradient of the barrier objective, shaped (I, J)."""
-        demand, capacity = self.slacks(x)
-        grad = self.program.gradient(x.ravel()).reshape(x.shape)
-        grad = grad - mu / x
-        grad = grad - (mu / demand)[None, :]
-        grad = grad + (mu / capacity)[:, None]
-        return grad
-
-    # ----- Newton direction via Woodbury --------------------------------------
-
-    def newton_direction(self, x: np.ndarray, grad: np.ndarray, mu: float) -> np.ndarray:
-        """Solve H dx = -grad with H = diag(d) + U diag(w) U^T.
-
-        U's columns are per-cloud indicators (objective entropy blocks merged
-        with capacity barriers) and per-user indicators (demand barriers).
-        """
-        demand, capacity = self.slacks(x)
-        f_diag, cloud_scale = self.sub.hessian_factors(x.ravel())
-        d = f_diag.reshape(x.shape) + mu / x**2  # (I, J), strictly positive
-        dinv = 1.0 / d
-
-        cloud_w = cloud_scale + mu / capacity**2  # > 0 always
-        demand_w = mu / demand**2
-
-        row_sum = dinv.sum(axis=1)  # S_i
-        col_sum = dinv.sum(axis=0)  # T_j
-
-        nc, nu = self.num_clouds, self.num_users
-        matrix = np.zeros((nc + nu, nc + nu))
-        matrix[:nc, :nc] = np.diag(row_sum + 1.0 / cloud_w)
-        matrix[nc:, nc:] = np.diag(col_sum + 1.0 / demand_w)
-        matrix[:nc, nc:] = dinv
-        matrix[nc:, :nc] = dinv.T
-
-        dg = dinv * grad
-        rhs = np.concatenate([dg.sum(axis=1), dg.sum(axis=0)])
-        try:
-            z = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"{self.config.name}: Woodbury system singular") from exc
-
-        uz = z[:nc][:, None] + z[nc:][None, :]
-        return -(dinv * (grad - uz))
-
-    # ----- line search ---------------------------------------------------------
-
-    def max_step(self, x: np.ndarray, dx: np.ndarray) -> float:
-        """Largest step keeping all slacks strictly positive."""
-        alpha = 1.0 / _BOUNDARY_FRACTION
-        neg = dx < 0
-        if np.any(neg):
-            alpha = min(alpha, float((x[neg] / -dx[neg]).min()))
-        demand, capacity = self.slacks(x)
-        d_demand = dx.sum(axis=0)
-        neg = d_demand < 0
-        if np.any(neg):
-            alpha = min(alpha, float((demand[neg] / -d_demand[neg]).min()))
-        d_capacity = -dx.sum(axis=1)
-        neg = d_capacity < 0
-        if np.any(neg):
-            alpha = min(alpha, float((capacity[neg] / -d_capacity[neg]).min()))
-        return _BOUNDARY_FRACTION * alpha
-
-    # ----- main loop -----------------------------------------------------------
-
-    def run(self) -> SolverResult:
-        telemetry = get_registry()
-        warm_requested = bool(self.program.warm_start) and self.program.x0 is not None
-        warm = bool(self.program.warm_start)
-        if self.program.x0 is None:
-            x = None
-            warm = False
-        else:
-            x = np.asarray(self.program.x0, dtype=float).reshape(
-                self.num_clouds, self.num_users
-            )
-            if not self.strictly_feasible(x):
-                x = None
-        if x is None:
-            # Fall back to the canonical strictly interior point (also the
-            # recovery path for an infeasible warm start — which then no
-            # longer justifies the discounted barrier schedule).
-            warm = False
-            x = self.sub.interior_point().reshape(self.num_clouds, self.num_users)
-            if not self.strictly_feasible(x):
-                raise SolverError(f"{self.config.name}: no strictly feasible start")
-
-        scale = max(1.0, abs(self.program.objective(x.ravel())))
-        gap_target = max(self.tol, 1e-10) * scale
-        mu = max(scale / self.num_constraints, 10.0 * gap_target / self.num_constraints)
-        if warm:
-            mu = max(mu * _WARM_MU_DISCOUNT, 10.0 * gap_target / self.num_constraints)
-
-        if warm_requested and not warm:
-            # The warm start was rejected (not strictly feasible) and the
-            # barrier schedule restarted cold from the canonical interior
-            # point — worth counting: frequent restarts mean the blending
-            # upstream is not doing its job.
-            telemetry.counter("solver.ipm.barrier_restarts").inc()
-
-        # Per-outer-iteration residual series (mu, cumulative Newton steps,
-        # final Newton decrement) — the solver's convergence fingerprint,
-        # persisted to the manifest so behavioural regressions are visible
-        # even when wall time is not (docs/DIAGNOSTICS.md). Only built when
-        # a real registry is active.
-        trace: list[dict] | None = [] if telemetry.enabled else None
-        for _ in range(self.config.max_outer):
-            x = self._newton_loop(x, mu)
-            if trace is not None:
-                trace.append(
-                    {
-                        "mu": mu,
-                        "iterations": self.iterations,
-                        "decrement": self.last_decrement,
-                    }
-                )
-            if self.partial:
-                break
-            if mu * self.num_constraints <= gap_target:
-                break
-            mu *= _MU_DECAY
-        else:
-            raise SolverError(f"{self.config.name}: barrier loop did not converge")
-
-        telemetry.counter("solver.ipm.solves").inc()
-        telemetry.counter("solver.iterations").inc(self.iterations)
-        telemetry.histogram("solver.ipm.iterations").observe(self.iterations)
-        if warm:
-            telemetry.counter("solver.ipm.warm_start_hits").inc()
-        if self.partial:
-            # Barrier iterates are strictly interior by construction, so
-            # a budget-truncated x is always feasible — degraded in cost,
-            # never in constraints (Theorem 1 survives the cutoff).
-            telemetry.counter("solver.ipm.budget_exhausted").inc()
-        if trace is not None:
-            # When a distributed-trace context is active, link the event to
-            # its originating span — the same linkage the batched lanes
-            # emit, so sequential and batched traces attribute identically.
-            linkage = {}
-            ctx = current_trace()
-            if ctx is not None:
-                linkage = {
-                    "trace_id": ctx.trace_id,
-                    "parent_span_id": ctx.span_id,
-                }
-            telemetry.event(
-                "solver.ipm.trace",
-                backend=self.config.name,
-                iterations=self.iterations,
-                warm=warm,
-                mu_final=mu,
-                gap_target=gap_target,
-                trace=trace,
-                **linkage,
-            )
-
-        demand, capacity = self.slacks(x)
-        # The barrier's implicit multipliers: mu over the respective slack.
-        # "nonnegativity" pairs with the x >= 0 bounds elementwise, so the
-        # diagnostics layer can evaluate KKT residuals and a duality-gap
-        # certificate without re-deriving anything.
-        duals = {
-            "demand": mu / demand,
-            "capacity": mu / capacity,
-            "nonnegativity": (mu / x).ravel(),
-            "mu": mu,
-        }
-        flat = x.ravel()
-        return SolverResult(
-            x=flat,
-            objective=float(self.program.objective(flat)),
-            iterations=self.iterations,
-            backend=self.config.name,
-            duals=duals,
-            partial=self.partial,
-        )
-
-    def _newton_loop(self, x: np.ndarray, mu: float) -> np.ndarray:
-        """Minimize the barrier objective for a fixed mu.
-
-        The ``phase`` blocks are the profiling plane's phase timers
-        (docs/OBSERVABILITY.md §12): free no-op context managers unless a
-        profile is active, and purely observational either way — the
-        floating-point operation sequence is identical with profiling on
-        or off.
-        """
-        for _ in range(self.config.max_newton_per_mu):
-            if self._out_of_budget():
-                self.partial = True
-                break
-            with phase("ipm.assemble"):
-                grad = self.barrier_gradient(x, mu)
-            with phase("ipm.factorize_smw"):
-                dx = self.newton_direction(x, grad, mu)
-            with phase("ipm.convergence_check"):
-                decrement = float(-(grad * dx).sum())
-                self.last_decrement = decrement
-            if decrement <= 0:
-                break
-            if decrement * 0.5 <= 1e-10 * max(1.0, mu):
-                break
-            with phase("ipm.line_search"):
-                alpha = min(1.0, self.max_step(x, dx))
-                value = self.barrier_value(x, mu)
-                directional = float((grad * dx).sum())
-                found = False
-                while alpha > 1e-14:
-                    candidate = x + alpha * dx
-                    new_value = self.barrier_value(candidate, mu)
-                    if new_value <= value + _ARMIJO_C * alpha * directional:
-                        found = True
-                        break
-                    alpha *= _BACKTRACK
-            if not found:
-                break
-            x = x + alpha * dx
-            self.iterations += 1
-        return x
+        # A one-lane lockstep solve, deliberately not routed through
+        # solve_batch(): the solver.batched.* counters count stacked calls.
+        lane = _Lane(program, structure, tol, get_registry(), current_trace())
+        _GroupSolve([lane], name=self.name).run()
+        lane.emit_telemetry()
+        if isinstance(lane.outcome, Exception):
+            raise lane.outcome
+        return lane.outcome

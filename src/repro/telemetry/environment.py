@@ -68,8 +68,8 @@ def environment_fingerprint() -> dict:
     """The identifying facts of this process's build, as a JSON-able dict.
 
     The ``repro_flags`` entry holds every ``REPRO_*`` environment
-    variable currently set (e.g. ``REPRO_BATCHED_JIT``), so recorded
-    artifacts distinguish flag-on from flag-off runs.
+    variable currently set (e.g. ``REPRO_BENCH_USERS``), so recorded
+    artifacts distinguish runs made under different settings.
     """
     return {
         "python": platform.python_version(),

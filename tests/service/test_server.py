@@ -16,6 +16,8 @@ from repro.service import (
     observation_to_update,
     serve_stdio,
 )
+from repro.service import server as server_module
+from repro.telemetry import telemetry_session
 
 
 async def _send(reader, writer, message: dict) -> dict:
@@ -96,6 +98,70 @@ class TestTcpServer:
                 await server.stop()
 
         asyncio.run(scenario())
+
+    def test_over_limit_line_is_rejected_and_the_connection_survives(
+        self, tiny_stream, monkeypatch
+    ):
+        system, observations = tiny_stream
+        update = observation_to_update(observations[0])
+        limit = 2 * len(encode(update))
+        monkeypatch.setattr(server_module, "LINE_LIMIT", limit)
+        # Both overrun shapes: a line asyncio buffers whole before it finds
+        # the newline past the limit, and one far longer than the buffer.
+        oversized = [
+            encode({"type": "update", "pad": "x" * limit}),
+            encode({"type": "update", "pad": "x" * (20 * limit)}),
+        ]
+
+        async def scenario():
+            server = AllocationServer(
+                AllocationSession(system, ServiceConfig())
+            )
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                for line in oversized:
+                    writer.write(line)
+                    await writer.drain()
+                    error = json.loads(await reader.readline())
+                    assert error["type"] == "error"
+                    assert str(limit) in error["error"]
+                    assert error["expected_slot"] == 0
+                reply = await _send(reader, writer, update)
+                assert reply["type"] == "slot_result" and reply["slot"] == 0
+                writer.close()
+            finally:
+                await server.stop()
+
+        with telemetry_session() as registry:
+            asyncio.run(scenario())
+        assert registry.counter("service.protocol.rejected").value == 2
+
+    def test_line_under_the_limit_is_served(self, tiny_stream, monkeypatch):
+        system, observations = tiny_stream
+        update = observation_to_update(observations[0])
+        monkeypatch.setattr(server_module, "LINE_LIMIT", len(encode(update)) + 1)
+
+        async def scenario():
+            server = AllocationServer(
+                AllocationSession(system, ServiceConfig())
+            )
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                reply = await _send(reader, writer, update)
+                assert reply["type"] == "slot_result" and reply["slot"] == 0
+                writer.close()
+            finally:
+                await server.stop()
+
+        with telemetry_session() as registry:
+            asyncio.run(scenario())
+        assert registry.counter("service.protocol.rejected").value == 0
 
     def test_metrics_endpoint_serves_openmetrics(self, tiny_stream):
         system, _ = tiny_stream

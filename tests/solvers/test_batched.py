@@ -1,12 +1,14 @@
-"""Bit-identity of the batched barrier solver vs the sequential IPM.
+"""Lane independence of the one barrier kernel.
 
-The contract of :mod:`repro.solvers.batched` is not "numerically close":
-every instance of a batch must produce the *identical floats* the
-sequential :class:`InteriorPointBackend` produces — solution, objective,
-iteration count, duals, partial flag — across instance shapes (including a
-single-instance batch and mixed-shape batches), warm starts, and
-budget-truncated solves. These properties pin the reduction-order analysis
-in the module docstring.
+:class:`InteriorPointBackend` solves a program as a one-lane lockstep
+solve; :func:`solve_batch` stacks many programs into the same kernel. The
+contract is not "numerically close": a lane's floats — solution,
+objective, iteration count, duals, partial flag, failure — must not depend
+on its batch-mates or on when finished lanes are compacted away, so every
+instance of a batch matches its solve alone bit for bit. The cases cover
+single-instance and mixed-shape batches, warm starts (including rejected
+ones), failing lanes, and budget-truncated lanes next to unbudgeted ones.
+They pin the reduction-order analysis in the kernel's module docstring.
 """
 
 import threading
@@ -18,14 +20,9 @@ from hypothesis import strategies as st
 
 from repro.core.subproblem import RegularizedSubproblem
 from repro.solvers.base import ConvexProgram, SolveBudget, SolverError
-from repro.solvers.batched import (
-    BatchCoordinator,
-    DeferringBackend,
-    resolve_kernels,
-    solve_batch,
-)
+from repro.solvers.batched import BatchCoordinator, DeferringBackend, solve_batch
 from repro.solvers.interior_point import InteriorPointBackend
-from repro.telemetry import MetricsRegistry, telemetry_session
+from repro.telemetry import MetricsRegistry, profiling_session, telemetry_session
 
 
 def random_subproblem(
@@ -253,6 +250,29 @@ class TestTelemetryParity:
             assert snap["counters"]["solver.ipm.solves"] == 1
 
 
+class TestPhaseTimers:
+    PHASES = (
+        "ipm.assemble",
+        "ipm.factorize_smw",
+        "ipm.convergence_check",
+        "ipm.line_search",
+    )
+
+    def test_one_lane_solve_credits_every_phase(self):
+        program = random_subproblem(4, 3, 4).build_program()
+        with profiling_session(hz=0.0, emit=False) as handle:
+            InteriorPointBackend().solve(program, tol=1e-8)
+        for name in self.PHASES:
+            assert handle.phase_folded.get(name, 0.0) > 0.0, name
+
+    def test_stacked_solve_credits_every_phase(self):
+        programs = [random_subproblem(k, 3, 4).build_program() for k in range(3)]
+        with profiling_session(hz=0.0, emit=False) as handle:
+            solve_batch(programs, tol=1e-8)
+        for name in self.PHASES:
+            assert handle.phase_folded.get(name, 0.0) > 0.0, name
+
+
 class TestCoordinator:
     def test_threads_get_sequential_results(self):
         programs = [
@@ -300,28 +320,3 @@ class TestCoordinator:
         with pytest.raises(SolverError, match="structure"):
             deferring.solve(bad, tol=1e-8)
 
-
-class TestJitFlag:
-    def test_flag_off_uses_numpy_kernels(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCHED_JIT", raising=False)
-        _, _, jitted = resolve_kernels()
-        assert not jitted
-
-    def test_flag_without_numba_falls_back_cleanly(self, monkeypatch):
-        # The container image deliberately has no numba: requesting the JIT
-        # must degrade to the NumPy kernels and still solve bit-identically.
-        import repro.solvers.batched as batched_module
-
-        monkeypatch.setenv("REPRO_BATCHED_JIT", "1")
-        monkeypatch.setattr(batched_module, "_KERNELS_RESOLVED", False)
-        monkeypatch.setattr(batched_module, "_KERNELS", None)
-        fill, expand, jitted = resolve_kernels()
-        try:
-            import numba  # noqa: F401
-
-            assert jitted
-        except ImportError:
-            assert not jitted
-            assert fill is batched_module._numpy_fill_smw
-        program = random_subproblem(9, 3, 4).build_program()
-        solve_both([program])
