@@ -4,7 +4,7 @@ One process, two threads, the full streaming stack:
 
 * a worker thread runs a three-algorithm comparison inside
   :func:`repro.telemetry.streaming_manifest_session` — every slot event
-  is appended to the manifest file as it happens, the default watchdog
+  is appended to the manifest file as it happens, the default alert
   rules scan the stream for anomalies, and nothing accumulates in
   memory (``max_events=0``);
 * the main thread tails the growing file with the same machinery behind
@@ -53,7 +53,7 @@ def run_comparison(path: Path) -> None:
         path,
         config={"example": "live_watch"},
         flush_interval_s=0.05,  # tight flushes so the tail sees slots early
-        watchdog_rules=default_rules(),
+        rules=default_rules(),
     ):
         compare_algorithms(
             [OfflineOptimal(), OnlineGreedy(), OnlineRegularizedAllocator()],

@@ -5,7 +5,7 @@ it:
 
 1. serve a small stream through the live service with a 1-iteration
    budget (every solve is truncated → every slot misses its deadline →
-   the watchdog's deadline-miss rule and the SLO burn plane both fire);
+   the deadline-miss storm rule and the deadline-miss SLO both fire);
 2. assert the session's flight recorder dumped at least one incident
    bundle into the incident directory;
 3. replay every bundle through ``repro-edge incident replay`` and
@@ -16,8 +16,13 @@ it:
 5. tear the bundle's tail off and require the strict reader and the
    replay gate to refuse it, while ``strict=False`` still salvages the
    intact prefix;
-6. run the same storm with the recorder disabled and require zero
-   recorder side effects (no snapshots, no bundles, no new files).
+6. run the same storm with the recorder and SLOs disabled and require
+   zero side effects (no snapshots, no bundles, no new files, and no
+   ``slo.*`` event in its telemetry manifest);
+7. run the storm again with telemetry enabled and require its manifest
+   to hold the ``deadline-miss`` and ``slo:deadline-miss`` alerts and
+   one ``slo.burn`` firing record, and ``repro-edge watch M --once
+   --strict`` to exit 1 on it.
 
 Exit code 0 on success, 1 with a diagnostic on any mismatch.
 
@@ -60,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         SystemDescription,
         observations_from_instance,
     )
-    from repro.telemetry import read_bundle
+    from repro.telemetry import read_bundle, read_manifest, streaming_manifest_session
 
     instance = Scenario(
         num_users=args.users, num_slots=args.slots
@@ -69,6 +74,7 @@ def main(argv: list[str] | None = None) -> int:
     observations = observations_from_instance(instance)
 
     incident_dir = Path(tempfile.mkdtemp(prefix="incident_smoke_"))
+    manifest_dir = Path(tempfile.mkdtemp(prefix="incident_smoke_manifests_"))
     failures: list[str] = []
 
     # Leg 1-2: the storm must dump bundles.
@@ -147,15 +153,17 @@ def main(argv: list[str] | None = None) -> int:
                 "torn bundle"
             )
 
-    # Leg 6: recorder off → zero side effects.
+    # Leg 6: recorder and SLOs off → zero side effects.
     before = sorted(incident_dir.iterdir())
-    off_report = run_loadgen(
-        system,
-        observations,
-        ServiceConfig(max_iterations=1),
-        speed=0,
-        batch_reference=False,
-    )
+    off_manifest = manifest_dir / "off.jsonl"
+    with streaming_manifest_session(off_manifest):
+        off_report = run_loadgen(
+            system,
+            observations,
+            ServiceConfig(max_iterations=1),
+            speed=0,
+            batch_reference=False,
+        )
     if off_report.flight_snapshots or off_report.incident_bundles:
         failures.append(
             "recorder-off run reports recorder activity: "
@@ -164,6 +172,45 @@ def main(argv: list[str] | None = None) -> int:
         )
     if sorted(incident_dir.iterdir()) != before:
         failures.append("recorder-off run wrote files into the incident dir")
+    stray = [
+        event["type"]
+        for event in read_manifest(off_manifest).events
+        if str(event.get("type", "")).startswith("slo.")
+    ]
+    if stray:
+        failures.append(f"SLO-off run emitted {len(stray)} slo.* event(s)")
+
+    # Leg 7: telemetry on → the storm's alerts and burn land in the manifest.
+    manifest = manifest_dir / "storm.jsonl"
+    with streaming_manifest_session(manifest):
+        run_loadgen(
+            system,
+            observations,
+            ServiceConfig(
+                max_iterations=1,
+                flight_slots=6,
+                incident_dir=str(manifest_dir / "bundles"),
+                slo=True,
+            ),
+            speed=0,
+            batch_reference=False,
+        )
+    record = read_manifest(manifest)
+    rules = [alert.get("rule") for alert in record.events_of_type("alert")]
+    for rule in ("deadline-miss", "slo:deadline-miss"):
+        if rule not in rules:
+            failures.append(f"manifest lacks the {rule} alert (alerts: {rules})")
+    firing = [
+        burn for burn in record.events_of_type("slo.burn")
+        if burn.get("state") == "firing"
+    ]
+    if len(firing) != 1:
+        failures.append(
+            f"manifest holds {len(firing)} slo.burn firing record(s), expected 1"
+        )
+    code = cli(["watch", str(manifest), "--once", "--strict"])
+    if code != 1:
+        failures.append(f"watch --strict exited {code} on the storm manifest")
 
     print(
         f"incident smoke: {report.slots} slots, {report.deadline_misses} "
@@ -174,6 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         f"replay gate: {len(bundles)} bundle(s) reproduced bit-for-bit; "
         "tamper and truncation both refused"
     )
+    print(f"manifest: {len(rules)} alert(s), {len(firing)} SLO firing")
     if failures:
         for failure in failures:
             print(f"FAIL {failure}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Runs the same seeded comparison twice — once under the zero-overhead
 :class:`repro.telemetry.NullRegistry` default, once inside a
-:func:`repro.telemetry.streaming_manifest_session` with the watchdog
-enabled and ``max_events=0`` (the memory-bounded live mode) — and
+:func:`repro.telemetry.streaming_manifest_session` with the default
+alert rules enabled and ``max_events=0`` (the memory-bounded live mode) — and
 enforces the observe-only contract:
 
 * every algorithm's total cost is identical across the two runs to
@@ -26,7 +26,7 @@ sampling profiler) and extends the contract:
 
 A fourth **recorded** leg re-runs the streamed comparison with the
 incident flight recorder and the SLO burn-rate plane armed
-(:mod:`repro.telemetry.flight` / :mod:`repro.telemetry.slo`):
+(:mod:`repro.telemetry.flight` / :mod:`repro.telemetry.alerting`):
 
 * recorded costs stay identical to the bare run to the same 1e-9 (the
   recorder snapshots solve inputs, it never perturbs the solve);
@@ -77,6 +77,7 @@ def run_once(
     from repro.telemetry import (
         FlightRecorder,
         default_rules,
+        default_slos,
         flight_session,
         profiling_session,
         streaming_manifest_session,
@@ -91,8 +92,7 @@ def run_once(
         with streaming_manifest_session(
             stream_path,
             config={"check": "telemetry_overhead"},
-            watchdog_rules=default_rules(),
-            slo=True if record_flights else None,
+            rules=default_rules() + (default_slos() if record_flights else ()),
             recorder=recorder,
         ):
             scope = (

@@ -137,9 +137,11 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--watchdog",
         action="store_true",
-        help="evaluate the default watchdog rules (solver stall, fallback "
-        "storm, certificate gap, ratio over bound) live over the telemetry "
-        "stream; alerts land in the manifest as 'alert' events",
+        help="evaluate the default alert rules (solver stall, fallback "
+        "storm, certificate gap, ratio over bound, deadline-miss storm) live "
+        "over the telemetry stream; alerts land in the manifest as 'alert' "
+        "events. serve/loadgen with --flight or --slo evaluate them in the "
+        "session instead, once per slot",
     )
     parser.add_argument(
         "--metrics-summary",
@@ -176,8 +178,8 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="K",
-        help="arm the incident flight recorder over the last K slots: a "
-        "watchdog or SLO alert dumps the full solve input state as a "
+        help="arm the incident flight recorder over the last K slots: an "
+        "alert (rule or SLO) dumps the full solve input state as a "
         "deterministically replayable incident bundle ('repro-edge "
         "incident replay BUNDLE'); implies --watchdog, observes only — "
         "results are bit-identical (docs/OBSERVABILITY.md)",
@@ -194,8 +196,10 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="evaluate the default SLO objectives (latency p99, deadline-"
         "miss ratio, fallback rate, ratio-vs-bound) with fast/slow "
-        "burn-rate windows; transitions land in the manifest as "
-        "'slo.burn' events and firing objectives raise slo:<name> alerts",
+        "burn-rate windows, alongside the --watchdog rules it implies; "
+        "transitions land in the manifest as 'slo.burn' events, firing "
+        "objectives raise slo:<name> alerts, and the burn rates are "
+        "slo.burn.fast.*/slo.burn.slow.* gauges (serve/loadgen included)",
     )
 
 
@@ -980,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch_p.add_argument(
         "--strict",
         action="store_true",
-        help="exit nonzero when any watchdog alert fired (recorded in the "
+        help="exit nonzero when any alert fired (recorded in the "
         "manifest or re-derived from the event stream)",
     )
     watch_p.add_argument(
@@ -1124,29 +1128,35 @@ def main(argv: list[str] | None = None) -> int:
     want_summary = getattr(args, "metrics_summary", False)
     stream = getattr(args, "stream", False)
     ring = getattr(args, "ring_events", None)
-    want_watchdog = getattr(args, "watchdog", False)
     if stream and manifest_path is None:
         parser.error("--stream requires --telemetry PATH (the file to stream to)")
-    # serve/loadgen own their incident plane through ServiceConfig (the
-    # session records and evaluates SLOs itself); every other command gets
-    # the global recorder + SLO plane on the telemetry sink chain.
-    service_command = args.command in ("serve", "loadgen")
-    want_slo = getattr(args, "slo", False) and not service_command
+    # One alert evaluator per process. serve/loadgen arm theirs in the
+    # session (ServiceConfig.flight_slots/slo), which evaluates its own slot
+    # stream; every other command hosts the recorder and the rules on the
+    # telemetry sink chain. --flight and --slo imply --watchdog.
+    want_watchdog = getattr(args, "watchdog", False)
+    want_slo = getattr(args, "slo", False)
+    flight = getattr(args, "flight", None)
     recorder = None
-    if not service_command and getattr(args, "flight", None):
+    if args.command in ("serve", "loadgen"):
+        want_watchdog = want_watchdog and not (flight or want_slo)
+        want_slo = False
+    elif flight:
         from .telemetry import FlightRecorder
 
         recorder = FlightRecorder(
-            args.flight, incident_dir=getattr(args, "incident_dir", None)
+            flight, incident_dir=getattr(args, "incident_dir", None)
         )
-        # A recorder without an alert source never auto-dumps.
-        want_watchdog = True
+    rules = ()
+    if want_watchdog or want_slo or recorder is not None:
+        from .telemetry import default_rules, default_slos
+
+        rules = default_rules() + (default_slos() if want_slo else ())
     wants_telemetry = (
         manifest_path is not None
         or want_summary
         or ring is not None
-        or want_watchdog
-        or want_slo
+        or rules
         or getattr(args, "trace_context", False)
         or getattr(args, "profile", False)
     )
@@ -1171,47 +1181,20 @@ def main(argv: list[str] | None = None) -> int:
         else contextlib.nullcontext()
     )
     if stream:
-        from .telemetry import default_rules, streaming_manifest_session
+        from .telemetry import streaming_manifest_session
 
         with streaming_manifest_session(
             manifest_path,
             config=config,
             max_events=ring if ring is not None else 0,
-            watchdog_rules=default_rules() if want_watchdog else None,
-            slo=True if want_slo else None,
+            rules=rules,
             recorder=recorder,
         ) as registry, flight_scope:
             output = _run_command(args)
     else:
-        from .telemetry import (
-            MetricsRegistry,
-            NullSink,
-            default_rules,
-            telemetry_session,
-            write_manifest,
-        )
-        from .telemetry.watchdog import WatchdogSink
+        from .telemetry import alerting_registry, telemetry_session, write_manifest
 
-        sink = None
-        watchdog_sink = None
-        if want_watchdog or want_slo:
-            # Buffered path: alerts go into the event buffer (and thus the
-            # manifest) via the registry; the inner sink is a no-op.
-            watchdog_sink = WatchdogSink(
-                NullSink(),
-                rules=default_rules() if want_watchdog else None,
-                slo=True if want_slo else None,
-            )
-            sink = watchdog_sink
-        if recorder is not None:
-            from .telemetry import FlightRecorderSink
-
-            sink = FlightRecorderSink(
-                sink if sink is not None else NullSink(), recorder
-            )
-        registry = MetricsRegistry(sink=sink, max_events=ring)
-        if watchdog_sink is not None:
-            watchdog_sink.bind(registry)
+        registry = alerting_registry(rules=rules, recorder=recorder, max_events=ring)
         with telemetry_session(registry), flight_scope:
             output = _run_command(args)
         if manifest_path is not None:

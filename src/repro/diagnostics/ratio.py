@@ -145,8 +145,8 @@ def record_ratio_trace(trace: RatioTrace, registry=None, *, stream: bool = False
 
     With ``stream=True`` every prefix additionally emits one
     ``diag.ratio.point`` event (``slot``/``ratio``/``bound``) — the live
-    ratio feed that ``repro-edge watch`` renders and the watchdog's
-    :class:`repro.telemetry.watchdog.RatioBoundRule` checks as the
+    ratio feed that ``repro-edge watch`` renders and the alerting
+    ``ratio-over-bound`` rule (:mod:`repro.telemetry.alerting`) checks as the
     manifest streams.
     """
     registry = registry if registry is not None else get_registry()

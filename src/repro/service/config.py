@@ -49,12 +49,13 @@ class ServiceConfig:
             stay replayable; 0 (the default) disables the recorder
             entirely, leaving the serving path byte-identical to pre-
             recorder behavior.
-        incident_dir: directory incident bundles are dumped into when a
-            watchdog alert fires mid-serve. ``None`` keeps the ring in
-            memory only (explicit ``dump(path)`` still works).
+        incident_dir: directory incident bundles are dumped into when an
+            alert fires mid-serve. ``None`` keeps the ring in memory only
+            (explicit ``dump(path)`` still works).
         slo: evaluate the default SLO objectives
-            (:func:`repro.telemetry.slo.default_slos`) over the session's
-            slot stream with burn-rate alerting.
+            (:func:`repro.telemetry.alerting.default_slos`) over the
+            session's slot stream with burn-rate alerting, alongside the
+            default alert rules a recorder also arms.
     """
 
     deadline_s: float | None = None

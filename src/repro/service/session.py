@@ -18,8 +18,15 @@ Each processed slot is measured and classified: a **deadline miss** is a
 slot whose solve was budget-truncated (any partial solve) or whose wall
 latency exceeded the configured deadline. Misses are counted
 (``service.deadline.misses``), recorded as ``service.deadline.miss``
-events (the :class:`~repro.telemetry.watchdog.DeadlineMissRule` watches
-those), and surfaced in every ``slot_result`` reply.
+events, and surfaced in every ``slot_result`` reply.
+
+With the incident plane armed (``flight_slots`` or ``slo``), the session
+feeds its real ``service.deadline.miss``/``service.slot`` records to one
+:class:`~repro.telemetry.alerting.AlertEvaluator` — the default rules
+(whose ``deadline-miss`` storm watches those misses) plus, with ``slo``,
+the burn-rate objectives. What it raises reaches the flight recorder and,
+when telemetry is enabled, the registry: ``alert`` and ``slo.burn``
+records in the manifest, ``slo.burn.*`` gauges on ``/metrics``.
 """
 
 from __future__ import annotations
@@ -36,11 +43,9 @@ from ..simulation.spine import SlotStepper
 from ..solvers.registry import get_backend
 from ..solvers.registry import reset_session as reset_backend_session
 from ..telemetry import (
-    Alert,
+    AlertEvaluator,
     FlightRecorder,
-    SloTracker,
     TraceContext,
-    Watchdog,
     default_rules,
     default_slos,
     get_registry,
@@ -129,27 +134,22 @@ class AllocationSession:
         self.results: list[ServiceSlotResult] = []
         self._deadline_misses = 0
         # Incident plane: the flight recorder snapshots the last K slots
-        # (config.flight_slots), a session-local watchdog classifies the
-        # slot stream so alerts trigger bundle dumps even when global
-        # telemetry is off, and the SLO tracker keeps burn-rate state.
-        # All three are None when disabled — the serving path is then
-        # exactly the pre-recorder code.
+        # (config.flight_slots) and the alert evaluator classifies the
+        # slot stream, so alerts trigger bundle dumps even when global
+        # telemetry is off. Both are None when disabled — the serving
+        # path is then exactly the pre-recorder code.
         self.recorder: FlightRecorder | None = None
-        self._watchdog: Watchdog | None = None
         if config.flight_slots > 0:
             self.recorder = FlightRecorder(
                 config.flight_slots, incident_dir=config.incident_dir
             )
-            self._watchdog = Watchdog(default_rules())
-        self.slo: SloTracker | None = None
-        if config.slo:
-            self.slo = SloTracker(
-                default_slos(
-                    deadline_ms=None
-                    if config.deadline_s is None
-                    else config.deadline_s * 1000.0
-                )
+        self.alerts: AlertEvaluator | None = None
+        if self.recorder is not None or config.slo:
+            deadline_ms = (
+                None if config.deadline_s is None else config.deadline_s * 1000.0
             )
+            slos = default_slos(deadline_ms=deadline_ms) if config.slo else ()
+            self.alerts = AlertEvaluator(default_rules() + slos)
         self._start_stepper()
 
     def _start_stepper(self) -> None:
@@ -246,20 +246,24 @@ class AllocationSession:
             telemetry.counter("service.deadline.misses").inc()
             if partial:
                 telemetry.counter("service.deadline.partial_solves").inc()
-            if telemetry.enabled:
-                telemetry.event(
-                    "service.deadline.miss",
-                    slot=result.slot,
-                    latency_ms=result.latency_ms,
-                    deadline_ms=(
-                        None
-                        if self.config.deadline_s is None
-                        else self.config.deadline_s * 1000.0
-                    ),
-                    partial=partial,
+        if telemetry.enabled or self.alerts is not None:
+            records = []
+            if miss:
+                records.append(
+                    {
+                        "type": "service.deadline.miss",
+                        "slot": result.slot,
+                        "latency_ms": result.latency_ms,
+                        "deadline_ms": (
+                            None
+                            if self.config.deadline_s is None
+                            else self.config.deadline_s * 1000.0
+                        ),
+                        "partial": partial,
+                    }
                 )
-        if telemetry.enabled:
-            payload = {
+            record = {
+                "type": "service.slot",
                 "slot": result.slot,
                 "latency_ms": result.latency_ms,
                 "partial": partial,
@@ -267,69 +271,33 @@ class AllocationSession:
                 "total_cost": result.total_cost,
             }
             if result.trace_id is not None:
-                payload["trace_id"] = result.trace_id
-            telemetry.event("service.slot", **payload)
-            telemetry.maybe_flush()
-        self._observe_locally(result)
+                record["trace_id"] = result.trace_id
+            records.append(record)
+            if self.alerts is not None:
+                records = self._raise_alerts(records, telemetry)
+            if telemetry.enabled:
+                for record in records:
+                    payload = dict(record)
+                    telemetry.event(payload.pop("type"), **payload)
+                telemetry.maybe_flush()
         self._trim_history()
         return result
 
-    def _observe_locally(self, result: ServiceSlotResult) -> None:
-        """Feed the incident plane, independent of global telemetry.
+    def _raise_alerts(self, records: list[dict], telemetry) -> list[dict]:
+        """Evaluate the slot's records; return them with what they raised.
 
-        The session synthesizes the same ``slot`` / ``service.slot`` /
-        ``service.deadline.miss`` records the telemetry plane would emit
-        and runs them through its own watchdog and SLO tracker, so a
-        deadline-miss storm dumps an incident bundle even on a server
-        started without ``--telemetry``. Pure observation — no solver or
-        accounting state is touched.
+        Raised ``alert``/``slo.burn`` records follow the record that
+        raised them. The flight recorder observes the whole sequence, so
+        an alert dumps a bundle whether or not telemetry is enabled.
         """
-        if self.recorder is None and self.slo is None:
-            return
-        records = [
-            {"type": "slot", "slot": result.slot, "wall_ms": result.latency_ms},
-            {
-                "type": "service.slot",
-                "slot": result.slot,
-                "latency_ms": result.latency_ms,
-                "partial": result.partial,
-                "deadline_miss": result.deadline_miss,
-            },
-        ]
-        if result.deadline_miss:
-            records.append(
-                {
-                    "type": "service.deadline.miss",
-                    "slot": result.slot,
-                    "latency_ms": result.latency_ms,
-                    "partial": result.partial,
-                }
-            )
+        out = []
         for record in records:
-            alerts = (
-                [] if self._watchdog is None else self._watchdog.observe(record)
-            )
-            if self.slo is not None:
-                for transition in self.slo.observe(record):
-                    if transition["state"] != "firing":
-                        continue
-                    alerts.append(
-                        Alert(
-                            rule=f"slo:{transition['objective']}",
-                            message=(
-                                f"SLO {transition['objective']} burning at "
-                                f"{transition['fast_burn']:.1f}x fast / "
-                                f"{transition['slow_burn']:.1f}x slow"
-                            ),
-                            slot=result.slot,
-                            value=float(transition["fast_burn"]),
-                            threshold=float(transition["fast_threshold"]),
-                        )
-                    )
-            if self.recorder is not None:
+            out.append(record)
+            out += self.alerts.observe(record, telemetry)
+        if self.recorder is not None:
+            for record in out:
                 self.recorder.observe_event(record)
-                for alert in alerts:
-                    self.recorder.observe_event(alert.as_event())
+        return out
 
     # ----- message dispatch ---------------------------------------------------
 
@@ -415,16 +383,15 @@ class AllocationSession:
             # Stale snapshots would replay fine (bundles are self-
             # contained) but describe the previous horizon; start clean.
             self.recorder.snapshots.clear()
-            self._watchdog = Watchdog(default_rules())
-        if self.slo is not None:
-            self.slo = SloTracker(self.slo.objectives)
+        if self.alerts is not None:
+            self.alerts = AlertEvaluator(self.alerts.rules)
         self._start_stepper()
 
     def stats(self) -> dict:
         """Session statistics: slots, costs, misses, latency percentiles.
 
         Always includes the incident-plane counters (zeros / empty when
-        the recorder and SLO tracker are disabled), so operators can see
+        the recorder and alert evaluator are disabled), so operators can see
         at a glance whether the plane is armed and what it has captured.
         """
         latencies = [r.latency_ms for r in self.results]
@@ -442,5 +409,5 @@ class AllocationSession:
                 [] if recorder is None
                 else [str(path) for path in recorder.bundles_written]
             ),
-            "slo_active": [] if self.slo is None else list(self.slo.active),
+            "slo_active": [] if self.alerts is None else list(self.alerts.active),
         }

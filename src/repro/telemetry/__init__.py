@@ -19,9 +19,11 @@ The pieces (docs/OBSERVABILITY.md):
   (:func:`streaming_manifest_session` wires it up in one call);
 * **exporters** (:mod:`repro.telemetry.exporters`) — span trees to
   Chrome ``trace_event`` JSON, metric snapshots to OpenMetrics text;
-* the **watchdog** (:mod:`repro.telemetry.watchdog`) — declarative rules
-  (solver stall, fallback storm, certificate gap, ratio over bound)
-  evaluated over the live event stream, alerts emitted back into it;
+* **alerting** (:mod:`repro.telemetry.alerting`) — one windowed rule
+  type for point alerts (solver stall, certificate gap, ratio over
+  bound), storms (fallbacks, deadline misses) and two-window SLO burn
+  rates, evaluated once over the live event stream, alerts emitted back
+  into it;
 * the **watch view** (:mod:`repro.telemetry.watch`) — tail a streaming
   manifest and render a refreshing dashboard (``repro-edge watch``);
 * **tracing** (:mod:`repro.telemetry.tracing`) — ``TraceContext``
@@ -32,11 +34,8 @@ The pieces (docs/OBSERVABILITY.md):
   output exportable to speedscope/collapsed formats;
 * the **flight recorder** (:mod:`repro.telemetry.flight`) — a bounded
   ring of replayable slot snapshots dumped as ``repro.incident/1``
-  bundles on watchdog alerts, with bit-for-bit offline replay
+  bundles on alerts, with bit-for-bit offline replay
   (``repro-edge incident replay``);
-* **SLO objectives** (:mod:`repro.telemetry.slo`) — declarative error
-  budgets (deadline-miss ratio, latency, fallback rate, ratio vs the
-  Theorem 2 bound) with fast/slow burn-rate alerting;
 * the **environment fingerprint** (:mod:`repro.telemetry.environment`) —
   python/numpy/scipy/BLAS versions and ``REPRO_*`` flags stamped into
   every manifest and incident bundle.
@@ -49,6 +48,15 @@ deterministically on join, so metric aggregates are identical at any
 worker count.
 """
 
+from .alerting import (
+    Alert,
+    AlertEvaluator,
+    AlertSink,
+    Rule,
+    alerting_registry,
+    default_rules,
+    default_slos,
+)
 from .exporters import (
     MetricsEndpoint,
     chrome_trace,
@@ -106,7 +114,6 @@ from .sinks import (
     StreamingManifestWriter,
     streaming_manifest_session,
 )
-from .slo import SLO_SIGNALS, SloObjective, SloTracker, default_slos
 from .tracing import (
     TraceContext,
     current_trace,
@@ -117,31 +124,17 @@ from .tracing import (
 )
 from .spans import render_spans, span_durations, walk_spans
 from .watch import ManifestTail, WatchState, watch
-from .watchdog import (
-    Alert,
-    CertificateGapRule,
-    DeadlineMissRule,
-    FallbackStormRule,
-    RatioBoundRule,
-    SolverStallRule,
-    Watchdog,
-    WatchdogRule,
-    WatchdogSink,
-    default_rules,
-)
 
 __all__ = [
     "INCIDENT_FORMAT",
     "MANIFEST_FORMAT",
     "MAX_SPAN_CHILDREN",
     "NULL_REGISTRY",
-    "SLO_SIGNALS",
     "Alert",
-    "CertificateGapRule",
+    "AlertEvaluator",
+    "AlertSink",
     "Counter",
-    "DeadlineMissRule",
     "EventSink",
-    "FallbackStormRule",
     "FlightRecorder",
     "FlightRecorderSink",
     "Gauge",
@@ -154,24 +147,19 @@ __all__ = [
     "NullSink",
     "PhaseAccumulator",
     "ProfileHandle",
-    "RatioBoundRule",
     "ReplayDiff",
     "ReplayReport",
     "RingSink",
+    "Rule",
     "RunRecord",
     "SamplingProfiler",
-    "SloObjective",
-    "SloTracker",
     "SlotSnapshot",
-    "SolverStallRule",
     "StreamingManifestWriter",
     "TraceContext",
-    "Watchdog",
-    "WatchdogRule",
-    "WatchdogSink",
     "WatchState",
     "active_profile",
     "active_recorder",
+    "alerting_registry",
     "chrome_trace",
     "current_trace",
     "default_rules",

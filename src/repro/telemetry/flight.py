@@ -1,6 +1,6 @@
 """Incident flight recorder: replayable snapshots of the last K slots.
 
-The watchdog (:mod:`repro.telemetry.watchdog`) tells you *that* a live
+Alerting (:mod:`repro.telemetry.alerting`) tells you *that* a live
 run went wrong; this module captures *what the solver actually saw* so
 the offending slots can be re-run offline, deterministically. A
 :class:`FlightRecorder` keeps a bounded ring of the last K slots' full
@@ -8,7 +8,7 @@ solve input state — the :class:`~repro.simulation.observations.SlotObservation
 the controller state carried into the slot (x*_{t-1} and warm caches,
 via the spine's checkpoint machinery), the solver/aggregation
 configuration and budget, the active trace ids, and an environment
-fingerprint (:mod:`repro.telemetry.environment`). On any watchdog alert
+fingerprint (:mod:`repro.telemetry.environment`). On any alert
 — or an explicit :meth:`FlightRecorder.dump` — it writes an **incident
 bundle**: a JSON-lines file in the ``repro.incident/1`` schema holding
 the triggering alert, the K snapshots, and the surrounding event window.
@@ -493,7 +493,7 @@ class FlightRecorderSink(EventSink):
     Records pass through to ``inner`` untouched; the recorder keeps its
     context window and auto-dumps on ``alert`` records. Place it
     *outermost* in a sink chain (closest to the registry) so alerts the
-    inner :class:`~repro.telemetry.watchdog.WatchdogSink` re-emits
+    inner :class:`~repro.telemetry.alerting.AlertSink` re-emits
     through the registry are seen too.
     """
 

@@ -284,7 +284,7 @@ class MetricsRegistry:
         is evicted (and counted) once the ring is full; a sink attached to
         the registry receives every record regardless of the bound. The
         record is buffered before it is streamed, so a sink that emits
-        follow-up events re-entrantly (the watchdog's ``alert`` records)
+        follow-up events re-entrantly (the alerting host's ``alert`` records)
         keeps stream order and buffer order identical.
         """
         record = {"type": kind, **self._context, **payload}

@@ -14,8 +14,8 @@ with ``sink=...`` forwards every event to the sink *at emission time*, so
 * :class:`RingSink` keeps only the newest N records in memory with a
   dropped-record counter — the bounded companion for ad-hoc consumers;
 * :class:`NullSink` discards records — the attachment point for pure
-  event *observers* such as the watchdog
-  (:class:`repro.telemetry.watchdog.WatchdogSink`).
+  event *observers* such as the alerting host
+  (:class:`repro.telemetry.alerting.AlertSink`).
 
 Combined with ``MetricsRegistry(max_events=0)`` and the spine's
 ``keep_schedule=False`` mode, a streaming run is memory-bounded end to
@@ -69,7 +69,7 @@ class NullSink(EventSink):
     """A sink that discards every record.
 
     Useful as the inner sink of a wrapper that only *observes* the stream
-    (e.g. a watchdog evaluating rules without writing a manifest).
+    (e.g. an alerting host evaluating rules without writing a manifest).
     """
 
     def emit(self, record: dict) -> None:
@@ -249,8 +249,7 @@ def streaming_manifest_session(
     max_events: int = 0,
     flush_every: int = DEFAULT_FLUSH_EVERY,
     flush_interval_s: float = DEFAULT_FLUSH_INTERVAL_S,
-    watchdog_rules: "Sequence | None" = None,
-    slo=None,
+    rules: "Sequence" = (),
     recorder=None,
 ) -> Iterator[MetricsRegistry]:
     """Run a block under a registry that streams its events to a manifest.
@@ -262,11 +261,11 @@ def streaming_manifest_session(
 
     A fresh registry is installed as the active one (like
     :func:`repro.telemetry.telemetry_session`); its events stream through
-    a :class:`StreamingManifestWriter` — optionally wrapped in a
-    :class:`repro.telemetry.watchdog.WatchdogSink` when ``watchdog_rules``
-    is given, so rule alerts land in the manifest as ``alert`` events.
-    The manifest is finalized on exit (exceptions included: a crashed
-    block still leaves every streamed event on disk).
+    a :class:`StreamingManifestWriter` on the alerting sink chain of
+    :func:`repro.telemetry.alerting.alerting_registry`, so rule alerts and
+    ``slo.burn`` transitions land in the manifest next to the events that
+    raised them. The manifest is finalized on exit (exceptions included:
+    a crashed block still leaves every streamed event on disk).
 
     Args:
         path: the manifest file to stream into.
@@ -276,35 +275,24 @@ def streaming_manifest_session(
             memory-bounded mode. Pass ``None`` to also keep every event
             in memory.
         flush_every, flush_interval_s: the writer's flush policy.
-        watchdog_rules: optional rule instances for a live watchdog.
-        slo: optional SLO plane for the watchdog sink — a
-            :class:`repro.telemetry.slo.SloTracker`, ``True`` (defaults),
-            or objectives (see :class:`repro.telemetry.watchdog.WatchdogSink`).
-            Implies a watchdog sink even without ``watchdog_rules``.
+        rules: alerting rules evaluated live over the stream
+            (:class:`repro.telemetry.alerting.Rule`; e.g.
+            ``default_rules() + default_slos()``); empty evaluates none.
         recorder: optional :class:`repro.telemetry.flight.FlightRecorder`
-            — the stream is teed into it (outermost, so re-emitted
-            watchdog/SLO alerts trigger incident dumps).
+            — the stream is teed into it (outermost, so emitted alerts
+            trigger incident dumps).
     """
+    from .alerting import alerting_registry  # lazy: alerting builds on sinks
+
     writer = StreamingManifestWriter(
         path,
         config=config,
         flush_every=flush_every,
         flush_interval_s=flush_interval_s,
     )
-    sink: EventSink = writer
-    watchdog_sink = None
-    if watchdog_rules is not None or slo is not None:
-        from .watchdog import WatchdogSink  # lazy: watchdog builds on sinks
-
-        watchdog_sink = WatchdogSink(writer, rules=watchdog_rules, slo=slo)
-        sink = watchdog_sink
-    if recorder is not None:
-        from .flight import FlightRecorderSink  # lazy: flight builds on sinks
-
-        sink = FlightRecorderSink(sink, recorder)
-    registry = MetricsRegistry(sink=sink, max_events=max_events)
-    if watchdog_sink is not None:
-        watchdog_sink.bind(registry)
+    registry = alerting_registry(
+        writer, rules=rules, recorder=recorder, max_events=max_events
+    )
     try:
         with telemetry_session(registry):
             yield registry

@@ -9,12 +9,12 @@ line — folds every record into a :class:`WatchState`, and renders a
 refreshing terminal dashboard: slots done, per-slot wall p50/p95, the
 running four-component cost, solver iterations and fallback/circuit
 state, the empirical competitive ratio against the certified ``1+γ|I|``
-bound, and watchdog alerts.
+bound, and alerts.
 
-The watch runs its own :class:`repro.telemetry.watchdog.Watchdog` over
-the tailed events, so rules fire even for manifests recorded *without*
-an in-process watchdog; alerts already present in the file are merged in
-(deduplicated by rule and slot). ``watch(..., strict=True)`` — the CLI's
+The watch runs its own :class:`repro.telemetry.alerting.AlertEvaluator`
+over the tailed events, so rules fire even for manifests recorded
+*without* in-process alerting; alerts already present in the file are
+merged in (deduplicated by rule and slot). ``watch(..., strict=True)`` — the CLI's
 ``--strict`` — turns any alert into a nonzero exit code, which makes the
 watcher usable as a CI canary over a long-running job.
 """
@@ -26,8 +26,8 @@ import sys
 import time
 from pathlib import Path
 
+from .alerting import Alert, AlertEvaluator, Rule, default_rules
 from .metrics import Histogram
-from .watchdog import Alert, Watchdog, WatchdogRule
 
 #: ANSI sequence that clears the screen and homes the cursor.
 CLEAR_SCREEN = "\x1b[2J\x1b[H"
@@ -97,15 +97,13 @@ class WatchState:
     """Everything the dashboard shows, folded incrementally from records.
 
     Feed records via :meth:`update` (in file order); read the rendered
-    dashboard from :meth:`render`. The embedded watchdog re-evaluates the
-    rule set over the stream, and ``alert`` records already present in
+    dashboard from :meth:`render`. The embedded evaluator re-evaluates
+    the rule set over the stream, and ``alert`` records already present in
     the manifest are merged in, deduplicated by ``(rule, slot)``.
     """
 
-    def __init__(
-        self, rules: "tuple[WatchdogRule, ...] | list | None" = None
-    ) -> None:
-        """Create an empty state with a watchdog over ``rules``."""
+    def __init__(self, rules: "tuple[Rule, ...] | list | None" = None) -> None:
+        """Create an empty state evaluating ``rules`` (default set if None)."""
         self.config: dict = {}
         self.started = False
         self.done = False
@@ -129,7 +127,7 @@ class WatchState:
         self.service_misses = 0
         self.service_latency = Histogram("service.slot_latency_ms")
         self.phase_latency: dict[str, Histogram] = {}
-        self.watchdog = Watchdog(rules)
+        self.evaluator = AlertEvaluator(default_rules() if rules is None else rules)
         self.alerts: list[Alert] = []
         self._alert_keys: set[tuple] = set()
         self.slo_burn: dict[str, dict] = {}
@@ -222,7 +220,9 @@ class WatchState:
                     threshold=record.get("threshold"),
                 )
             )
-        for alert in self.watchdog.observe(record):
+        fired = len(self.evaluator.alerts)
+        self.evaluator.observe(record)
+        for alert in self.evaluator.alerts[fired:]:
             self._add_alert(alert)
 
     def update_all(self, records) -> None:
@@ -400,7 +400,7 @@ def watch(
     follow: bool = True,
     strict: bool = False,
     timeout: float | None = None,
-    rules: "tuple[WatchdogRule, ...] | list | None" = None,
+    rules: "tuple[Rule, ...] | list | None" = None,
     stream=None,
 ) -> int:
     """Tail a manifest and render the live dashboard until the run ends.
@@ -412,10 +412,10 @@ def watch(
         follow: keep polling until ``manifest_end`` arrives (or timeout /
             Ctrl-C); ``False`` renders the current state once and returns
             (the CLI's ``--once``).
-        strict: exit nonzero when any watchdog alert fired.
+        strict: exit nonzero when any alert fired.
         timeout: give up following after this many seconds.
-        rules: watchdog rules to evaluate over the stream (default set
-            when ``None``).
+        rules: alerting rules to evaluate over the stream
+            (:func:`~repro.telemetry.alerting.default_rules` when ``None``).
         stream: output text stream (defaults to ``sys.stdout``); frames
             are preceded by an ANSI clear when it is a TTY and separated
             by a blank line otherwise.

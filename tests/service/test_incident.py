@@ -2,8 +2,10 @@
 
 A deadline-miss storm on a serving session must leave a replayable
 incident bundle behind without any global telemetry session — the
-session synthesizes its own watchdog/SLO feed — and the recorder/SLO
-counters must travel through ``stats`` replies into the loadgen report.
+session feeds its slot records to its alert evaluator — and the
+recorder/SLO counters must travel through ``stats`` replies into the
+loadgen report. With telemetry enabled, the alerts and ``slo.burn``
+transitions also reach the manifest.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class TestSessionIncidentPlane:
         session = AllocationSession(system, ServiceConfig())
         session.step(observations[0])
         assert session.recorder is None
-        assert session.slo is None
+        assert session.alerts is None
         stats = session.stats()
         assert stats["flight_snapshots"] == 0
         assert stats["incident_bundles"] == []
@@ -80,7 +82,7 @@ class TestSessionIncidentPlane:
             session.step(observation)
         session.reset_session()
         assert len(session.recorder.snapshots) == 0
-        assert session.slo.active == ()
+        assert session.alerts.active == ()
         # The session accepts slot 0 again and keeps recording.
         session.step(observations[0])
         assert len(session.recorder.snapshots) == 1

@@ -1,49 +1,51 @@
-"""DeadlineMissRule: alert on clustered serving deadline misses."""
+"""The deadline-miss storm rule: alert on clustered serving deadline misses."""
 
-from repro.telemetry import DeadlineMissRule, Watchdog, default_rules
+from dataclasses import replace
+
+from repro.telemetry import AlertEvaluator, default_rules
+from tests.telemetry.alert_streams import miss, slots
+
+MISS_RULE = {rule.name: rule for rule in default_rules()}["deadline-miss"]
 
 
-def _slot(index: int) -> dict:
-    return {"type": "slot", "slot": index, "wall_ms": 1.0}
+def _evaluator(**changes) -> AlertEvaluator:
+    return AlertEvaluator([replace(MISS_RULE, **changes)])
 
 
-def _miss(slot: int) -> dict:
-    return {"type": "service.deadline.miss", "slot": slot, "latency_ms": 9.0}
+def _fired(evaluator: AlertEvaluator, record: dict):
+    before = len(evaluator.alerts)
+    evaluator.observe(record)
+    return evaluator.alerts[before:]
 
 
 class TestDeadlineMissRule:
     def test_fires_once_when_the_threshold_is_reached(self):
-        dog = Watchdog([DeadlineMissRule(threshold=2, window=5)])
-        assert dog.observe(_slot(0)) == []
-        assert dog.observe(_miss(0)) == []
-        assert dog.observe(_slot(1)) == []
-        fired = dog.observe(_miss(1))
+        dog = _evaluator(count=2, window=5)
+        assert _fired(dog, slots(1)[0]) == []
+        assert _fired(dog, miss(0)) == []
+        assert _fired(dog, slots(1, start=1)[0]) == []
+        fired = _fired(dog, miss(1))
         assert [a.rule for a in fired] == ["deadline-miss"]
         assert fired[0].slot == 1
         assert "2 deadline misses" in fired[0].message
         # A third miss in the same storm does not re-fire.
-        assert dog.observe(_miss(1)) == []
+        assert _fired(dog, miss(1)) == []
 
     def test_old_misses_age_out_of_the_window(self):
-        dog = Watchdog([DeadlineMissRule(threshold=2, window=3)])
-        dog.observe(_miss(0))
-        for index in range(5):
-            dog.observe(_slot(index))
+        dog = _evaluator(count=2, window=3)
+        dog.observe(miss(0))
+        for record in slots(5):
+            dog.observe(record)
         # The first miss is now outside the window: one fresh miss is fine.
-        assert dog.observe(_miss(5)) == []
+        assert _fired(dog, miss(5)) == []
 
     def test_threshold_one_alerts_on_every_storm(self):
-        dog = Watchdog([DeadlineMissRule(threshold=1, window=2)])
-        assert len(dog.observe(_miss(0))) == 1
-        for index in range(4):
-            dog.observe(_slot(index))
-        assert len(dog.observe(_miss(4))) == 1
+        dog = _evaluator(count=1, window=2)
+        assert len(_fired(dog, miss(0))) == 1
+        for record in slots(4):
+            dog.observe(record)
+        assert len(_fired(dog, miss(4))) == 1
 
     def test_part_of_the_default_rule_set(self):
-        names = [rule.name for rule in default_rules()]
-        assert "deadline-miss" in names
-
-    def test_state_counts_misses(self):
-        dog = Watchdog([DeadlineMissRule()])
-        dog.observe_all([_slot(0), _miss(0), _slot(1), _miss(1)])
-        assert dog.state.deadline_misses == 2
+        assert MISS_RULE.signal == "service.deadline.miss"
+        assert (MISS_RULE.window, MISS_RULE.count) == (25, 3)

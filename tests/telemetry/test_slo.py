@@ -1,70 +1,69 @@
-"""SLO objectives and the multi-window burn-rate tracker.
+"""Burn-rate rules: the SLO half of the alerting engine.
 
 Pins the alerting contract: an objective fires only when the fast AND
 slow windows both burn past their thresholds, resolves when the fast
 window recovers, and every transition payload carries enough context
-(rates, thresholds, budget) to be rendered without the tracker.
+(rates, thresholds, budget) to be rendered without the evaluator. The
+class names follow the SLO classes these tests first pinned; the full
+transition sequences are goldens in ``test_alert_goldens.py``.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.telemetry import SloObjective, SloTracker, default_slos
+from repro.telemetry import AlertEvaluator, Rule, default_slos
+from tests.telemetry.alert_streams import FALLBACK, service_slots, slots
 
-
-def _service_slots(count, *, miss=False, latency_ms=1.0, start=0):
-    return [
-        {
-            "type": "service.slot",
-            "slot": start + index,
-            "latency_ms": latency_ms,
-            "deadline_miss": miss,
-            "partial": miss,
-        }
-        for index in range(count)
-    ]
+SMALL = dict(budget=0.5, window=4, slow_window=8, fast_burn=1.5, slow_burn=1.0,
+             min_samples=2)
 
 
 def _miss_objective(**overrides):
-    kwargs = dict(
-        name="deadline-miss",
-        signal="deadline-miss",
-        budget=0.1,
-        fast_window=8,
-        slow_window=16,
-        fast_burn=5.0,
-        slow_burn=2.0,
-        min_samples=4,
+    return replace(
+        Rule(
+            "deadline-miss",
+            "deadline-miss",
+            budget=0.1,
+            window=8,
+            slow_window=16,
+            fast_burn=5.0,
+            slow_burn=2.0,
+            min_samples=4,
+        ),
+        **overrides,
     )
-    kwargs.update(overrides)
-    return SloObjective(**kwargs)
+
+
+def _transitions(evaluator: AlertEvaluator, records) -> list[dict]:
+    return [
+        raised
+        for record in records
+        for raised in evaluator.observe(record)
+        if raised["type"] == "slo.burn"
+    ]
 
 
 class TestSloObjective:
     def test_rejects_unknown_signals(self):
-        with pytest.raises(ValueError, match="unknown SLO signal"):
-            SloObjective(name="x", signal="throughput", budget=0.01)
+        with pytest.raises(ValueError, match="unknown signal"):
+            Rule("x", "throughput", budget=0.01)
 
     def test_rejects_out_of_range_budgets(self):
         with pytest.raises(ValueError, match="budget"):
-            SloObjective(name="x", signal="deadline-miss", budget=0.0)
+            Rule("x", "deadline-miss", budget=0.0)
         with pytest.raises(ValueError, match="budget"):
-            SloObjective(name="x", signal="deadline-miss", budget=1.5)
+            Rule("x", "deadline-miss", budget=1.5)
 
     def test_rejects_inverted_windows(self):
         with pytest.raises(ValueError, match="windows"):
-            SloObjective(
-                name="x",
-                signal="deadline-miss",
-                budget=0.01,
-                fast_window=64,
-                slow_window=32,
-            )
+            Rule("x", "deadline-miss", budget=0.01, window=64, slow_window=32)
 
     def test_latency_requires_a_threshold(self):
-        with pytest.raises(ValueError, match="threshold_ms"):
-            SloObjective(name="x", signal="latency", budget=0.01)
+        with pytest.raises(ValueError, match="requires a limit"):
+            Rule("x", "latency", budget=0.01)
 
     def test_default_slos_cover_the_serving_story(self):
         objectives = default_slos()
@@ -74,121 +73,97 @@ class TestSloObjective:
             "fallback-rate",
             "ratio-bound",
         ]
-        assert all(o.signal in ("latency", "deadline-miss", "fallback", "ratio-bound") for o in objectives)
+        assert [o.signal for o in objectives] == [
+            "latency", "deadline-miss", "fallback", "ratio-bound",
+        ]
+        assert all(o.budget is not None for o in objectives)
 
     def test_default_latency_threshold_follows_the_deadline(self):
-        latency = default_slos(deadline_ms=40.0)[0]
-        assert latency.threshold_ms == 40.0
-        assert default_slos()[0].threshold_ms == 250.0
+        assert default_slos(deadline_ms=40.0)[0].limit == 40.0
+        assert default_slos()[0].limit == 250.0
 
 
 class TestBurnRateAlerting:
     def test_all_good_slots_never_fire(self):
-        tracker = SloTracker((_miss_objective(),))
-        for record in _service_slots(100):
-            assert tracker.observe(record) == []
-        assert tracker.active == ()
-        rates = tracker.burn_rates()["deadline-miss"]
+        evaluator = AlertEvaluator((_miss_objective(),))
+        assert _transitions(evaluator, service_slots(100)) == []
+        assert evaluator.active == ()
+        rates = evaluator.burn_rates()["deadline-miss"]
         assert rates["fast"] == 0.0 and rates["slow"] == 0.0
 
     def test_storm_fires_once_and_resolves_on_recovery(self):
-        tracker = SloTracker((_miss_objective(),))
-        transitions = []
-        for record in _service_slots(8, miss=True):
-            transitions += tracker.observe(record)
-        assert [t["state"] for t in transitions] == ["firing"]
-        firing = transitions[0]
+        evaluator = AlertEvaluator((_miss_objective(),))
+        raised = [
+            out
+            for record in service_slots(8, miss=True)
+            for out in evaluator.observe(record)
+        ]
+        assert [r["type"] for r in raised] == ["slo.burn", "alert"]
+        firing, alert = raised
+        assert firing["state"] == "firing"
         assert firing["objective"] == "deadline-miss"
         assert firing["fast_burn"] >= firing["fast_threshold"]
         assert firing["slow_burn"] >= firing["slow_threshold"]
         assert firing["budget"] == 0.1
         assert "slot" in firing
-        assert tracker.active == ("deadline-miss",)
+        assert alert["rule"] == "slo:deadline-miss"
+        assert alert["slot"] == firing["slot"]
+        assert evaluator.active == ("deadline-miss",)
         # Steady burn is silent; recovery resolves exactly once.
-        transitions = []
-        for record in _service_slots(16, miss=False, start=8):
-            transitions += tracker.observe(record)
+        transitions = _transitions(
+            evaluator, service_slots(16, miss=False, start=8)
+        )
         assert [t["state"] for t in transitions] == ["resolved"]
-        assert tracker.active == ()
-        assert tracker.transitions == 2
+        assert evaluator.active == ()
 
     def test_short_blip_below_min_samples_is_silent(self):
-        tracker = SloTracker((_miss_objective(min_samples=6),))
-        transitions = []
-        for record in _service_slots(3, miss=True):
-            transitions += tracker.observe(record)
-        assert transitions == []
+        evaluator = AlertEvaluator((_miss_objective(min_samples=6),))
+        assert _transitions(evaluator, service_slots(3, miss=True)) == []
 
     def test_slow_window_gates_a_fresh_storm(self):
         # fast window saturates immediately but the slow window holds the
         # long good history, so a brief storm after a long healthy run
         # must clear the slow threshold too before firing.
-        objective = _miss_objective(slow_burn=6.0)
-        tracker = SloTracker((objective,))
-        for record in _service_slots(16):
-            tracker.observe(record)
-        transitions = []
-        for record in _service_slots(8, miss=True, start=16):
-            transitions += tracker.observe(record)
+        evaluator = AlertEvaluator((_miss_objective(slow_burn=6.0),))
+        _transitions(evaluator, service_slots(16))
         # 8 bad of 16 slow samples = 0.5/0.1 = 5x < 6x: not firing.
-        assert transitions == []
-        assert tracker.active == ()
+        assert _transitions(
+            evaluator, service_slots(8, miss=True, start=16)
+        ) == []
+        assert evaluator.active == ()
 
 
 class TestSignalSampling:
     def test_latency_signal_classifies_against_threshold(self):
-        objective = SloObjective(
-            name="latency",
-            signal="latency",
-            budget=0.5,
-            threshold_ms=10.0,
-            fast_window=4,
-            slow_window=8,
-            fast_burn=1.5,
-            slow_burn=1.0,
-            min_samples=2,
-        )
-        tracker = SloTracker((objective,))
-        for record in _service_slots(4, latency_ms=50.0):
-            tracker.observe(record)
-        assert tracker.active == ("latency",)
+        evaluator = AlertEvaluator((Rule("latency", "latency", limit=10.0, **SMALL),))
+        _transitions(evaluator, service_slots(4, latency_ms=50.0))
+        assert evaluator.active == ("latency",)
 
     def test_fallback_signal_pairs_fallback_events_with_slots(self):
-        objective = SloObjective(
-            name="fallback",
-            signal="fallback",
-            budget=0.5,
-            fast_window=4,
-            slow_window=8,
-            fast_burn=1.5,
-            slow_burn=1.0,
-            min_samples=2,
-        )
-        tracker = SloTracker((objective,))
-        for slot in range(4):
-            tracker.observe({"type": "solver.fallback", "primary": "ipm"})
-            tracker.observe({"type": "slot", "slot": slot, "wall_ms": 1.0})
-        assert tracker.active == ("fallback",)
-        rates = tracker.burn_rates()["fallback"]
-        assert rates["fast"] == pytest.approx(2.0)
+        evaluator = AlertEvaluator((Rule("fallback", "fallback", **SMALL),))
+        for record in slots(4):
+            evaluator.observe(FALLBACK)
+            evaluator.observe(record)
+        assert evaluator.active == ("fallback",)
+        assert evaluator.burn_rates()["fallback"]["fast"] == pytest.approx(2.0)
 
     def test_fallback_flag_clears_after_its_slot(self):
-        tracker = SloTracker((default_slos()[2],))
-        tracker.observe({"type": "solver.fallback", "primary": "ipm"})
-        tracker.observe({"type": "slot", "slot": 0, "wall_ms": 1.0})
-        tracker.observe({"type": "slot", "slot": 1, "wall_ms": 1.0})
-        state = tracker._states["fallback-rate"]
-        assert list(state.fast) == [True, False]
+        evaluator = AlertEvaluator((default_slos()[2],))
+        for record in [FALLBACK, *slots(2)]:
+            evaluator.observe(record)
+        # One bad slot of two sampled: 0.5 / the 1% budget.
+        assert evaluator.burn_rates()["fallback-rate"]["fast"] == pytest.approx(50.0)
 
     def test_ratio_bound_signal_burns_on_violation(self):
-        tracker = SloTracker((default_slos()[3],))
-        transitions = tracker.observe(
-            {"type": "diag.ratio.point", "slot": 3, "ratio": 1.4, "bound": 1.3}
+        evaluator = AlertEvaluator((default_slos()[3],))
+        transitions = _transitions(
+            evaluator,
+            [{"type": "diag.ratio.point", "slot": 3, "ratio": 1.4, "bound": 1.3}],
         )
         assert [t["state"] for t in transitions] == ["firing"]
 
     def test_unknown_records_are_ignored(self):
-        tracker = SloTracker()
-        assert tracker.observe({"type": "spans"}) == []
-        assert tracker.observe({}) == []
-        assert tracker.burn_rates() == {}
+        evaluator = AlertEvaluator(default_slos())
+        assert evaluator.observe({"type": "spans"}) == []
+        assert evaluator.observe({}) == []
+        assert evaluator.burn_rates() == {}

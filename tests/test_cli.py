@@ -184,13 +184,13 @@ class TestTelemetryModes:
         self, tmp_path, capsys, monkeypatch
     ):
         import repro.telemetry as telemetry_pkg
-        from repro.telemetry import CertificateGapRule, read_manifest
+        from repro.telemetry import Rule, read_manifest
 
         # Arm a certificate rule that trips on everything, so the tiny
         # buffered run provably evaluates rules and persists the alerts.
         monkeypatch.setattr(
             telemetry_pkg, "default_rules",
-            lambda: (CertificateGapRule(tol=-1.0),),
+            lambda: (Rule("certificate-gap", "diag.certificate", limit=-1.0),),
         )
         path = tmp_path / "run.jsonl"
         argv = ["certify", "--users", "3", "--slots", "2", "--seed", "4",
