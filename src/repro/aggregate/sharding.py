@@ -430,7 +430,7 @@ def solve_sharded(
     With ``batch_solves=True`` (and a backend whose fast path is the
     structured IPM) the shard solves run as **one stacked batched-IPM
     call** in-process instead of fanning across worker processes —
-    bit-identical results, one barrier iteration driving every shard
+    bit-identical results, one interior-point iteration driving every shard
     (docs/PERFORMANCE.md). Unbatchable backends fall back to the
     executor path unchanged.
 

@@ -1,6 +1,6 @@
 """Dual prices from the online algorithm's subproblem solves.
 
-The structured interior-point backend returns barrier dual estimates for
+The structured interior-point backend returns its primal-dual multipliers for
 every P2 solve: ``theta_j`` (the marginal cost of user j's demand — what a
 market-based operator would charge the user) and ``rho_i`` (the congestion
 rent of cloud i's capacity — positive exactly when the cloud is full).

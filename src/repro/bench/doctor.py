@@ -159,15 +159,15 @@ def _convergence(record: RunRecord) -> list[str]:
         return ["  no interior-point traces recorded"]
     lines = [
         f"  {summary.solves} solves, "
-        f"{summary.total_iterations} Newton iterations "
+        f"{summary.total_iterations} predictor-corrector iterations "
         f"(max {summary.max_iterations}, mean {summary.mean_iterations:.1f})",
-        f"  terminal barrier mu <= {summary.max_final_mu:.3e}, "
-        f"terminal decrement <= {summary.max_final_decrement:.3e}",
+        f"  terminal complementarity <= {summary.max_final_mu:.3e}, "
+        f"terminal certified gap <= {summary.max_final_gap:.3e}",
     ]
-    if summary.non_decreasing_mu:
+    if summary.uncertified:
         lines.append(
-            f"  WARNING: {summary.non_decreasing_mu} solve(s) with a "
-            "non-decreasing barrier schedule"
+            f"  WARNING: {summary.uncertified} solve(s) returned with a "
+            "certified gap above the certificate tolerance"
         )
     return lines
 

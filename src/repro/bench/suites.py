@@ -36,6 +36,8 @@ from .records import BenchMetric, BenchRecord, current_git_commit
 
 #: Hour cases used by the sweep-based suites (a subset keeps them fast).
 SUITE_HOURS = ("3pm", "4pm")
+#: The service suite's anytime curve covers iteration budgets 1..this.
+ANYTIME_BUDGETS = 10
 
 
 def _time_metric(seconds: float) -> BenchMetric:
@@ -95,6 +97,13 @@ def _suite_smoke(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         "worst_relative_gap": _cost_metric(
             worst.relative_gap if worst else 0.0, unit="gap"
         ),
+        "worst_solver_relative_gap": _cost_metric(
+            max(
+                (c.solver_gap or 0.0 for c in algorithm.last_certificates),
+                default=0.0,
+            ),
+            unit="gap",
+        ),
     }
     diagnostics = {
         "ratio_bound": trace.bound,
@@ -109,12 +118,14 @@ def _suite_smoke(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
 
 
 def _suite_solver(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
-    """Solver-focused measurements: Hessian assembly + warm-start value.
+    """Solver-focused measurements: Hessian assembly + warm vs cold runs.
 
     Wraps ``benchmarks/bench_hessian.py`` (sparse assembly wall time at a
     fixed operating point) and the warm-vs-cold leg of
-    ``benchmarks/bench_parallel.py`` (iteration reduction on the fig2
-    instance, identical trajectory cost).
+    ``benchmarks/bench_parallel.py`` on the fig2 instance. The structured
+    IPM cold-starts every solve, so the allocator's warm ``x0`` hint must
+    leave iterations and cost unchanged (``iteration_reduction_pct`` 0);
+    ``*_newton_per_solve`` records the kernel's steps per P2 solve.
     """
     import numpy as np
 
@@ -149,6 +160,8 @@ def _suite_solver(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         runs[label] = {
             "cost": total_cost(schedule, fig2_instance),
             "iterations": algorithm.total_solver_iterations,
+            "per_solve": algorithm.total_solver_iterations
+            / max(1, len(algorithm.last_solves)),
             "wall_s": elapsed,
         }
     metrics = {
@@ -156,6 +169,8 @@ def _suite_solver(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         "hessian_nnz": _count_metric(hessian.nnz, unit="nonzeros"),
         "cold_iterations": _count_metric(runs["cold"]["iterations"]),
         "warm_iterations": _count_metric(runs["warm"]["iterations"]),
+        "cold_newton_per_solve": _count_metric(runs["cold"]["per_solve"]),
+        "warm_newton_per_solve": _count_metric(runs["warm"]["per_solve"]),
         "warm_run_wall_s": _time_metric(runs["warm"]["wall_s"]),
         "online_cost": _cost_metric(runs["warm"]["cost"]),
     }
@@ -369,17 +384,18 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
 def _suite_service(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     """The live service loop: fig2-scale replay through the TCP server.
 
-    Two replays of the same observation stream (as fast as possible, so
+    Replays of the same observation stream (as fast as possible, so
     latency percentiles measure the *service*, not the pacing):
 
     * **generous budget** (30 s deadline, never fires) — must match the
       unbudgeted batch run to solver precision with zero deadline misses;
       the gated invariant behind ``repro-edge loadgen --require-zero-misses
       --max-cost-delta 1e-9`` in CI's service-smoke job.
-    * **tight iteration budget** — every solve truncated, the degradation
-      ladder engaged on every slot; gates that the budget machinery stays
-      deterministic (partial counts) while the realized cost stays
-      bounded (``budget_cost_ratio`` in diagnostics).
+    * **anytime-quality curve** — one replay per iteration budget from 1
+      to ``ANYTIME_BUDGETS``: the realized cost over the unbudgeted batch
+      cost (``budget_cost_ratio_iNN``, gated as ``cost``) and the slots
+      the budget truncated (``budget_partial_slots_iNN``, gated as
+      ``count``), so "cheaper under a deadline" is a measured curve.
 
     Latency percentiles are wall-clock and therefore advisory.
     """
@@ -396,11 +412,6 @@ def _suite_service(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     generous = ServiceConfig(deadline_s=30.0, eps1=scale.eps, eps2=scale.eps)
     report = run_loadgen(system, observations, generous, speed=0)
 
-    tight = ServiceConfig(max_iterations=3, eps1=scale.eps, eps2=scale.eps)
-    degraded = run_loadgen(
-        system, observations, tight, speed=0, batch_reference=False
-    )
-
     metrics = {
         "replay_wall_s": _time_metric(report.wall_s),
         "latency_p50_ms": BenchMetric(report.latency_p50_ms, "ms", "time"),
@@ -410,18 +421,19 @@ def _suite_service(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         "partial_slots": _count_metric(report.partial_slots, unit="slots"),
         "streamed_cost": _cost_metric(report.streamed_cost),
         "cost_delta_abs": _cost_metric(abs(report.cost_delta), unit="delta"),
-        "budget_partial_slots": _count_metric(
+    }
+    for budget in range(1, ANYTIME_BUDGETS + 1):
+        tight = ServiceConfig(max_iterations=budget, eps1=scale.eps, eps2=scale.eps)
+        degraded = run_loadgen(
+            system, observations, tight, speed=0, batch_reference=False
+        )
+        metrics[f"budget_cost_ratio_i{budget:02d}"] = _cost_metric(
+            degraded.streamed_cost / max(report.batch_cost, 1e-9), unit="ratio"
+        )
+        metrics[f"budget_partial_slots_i{budget:02d}"] = _count_metric(
             degraded.partial_slots, unit="slots"
-        ),
-    }
-    diagnostics = {
-        "slots": report.slots,
-        "batch_cost": report.batch_cost,
-        "budget_streamed_cost": degraded.streamed_cost,
-        "budget_cost_ratio": degraded.streamed_cost
-        / max(report.batch_cost, 1e-9),
-        "budget_deadline_misses": degraded.deadline_misses,
-    }
+        )
+    diagnostics = {"slots": report.slots, "batch_cost": report.batch_cost}
     return {"metrics": metrics, "diagnostics": diagnostics}
 
 

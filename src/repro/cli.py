@@ -89,7 +89,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         "--batch-solves",
         action="store_true",
         help="stack concurrent cells' per-slot P2 solves into lockstep "
-        "batched barrier iterations (docs/PERFORMANCE.md); results are "
+        "batched interior-point iterations (docs/PERFORMANCE.md); results are "
         "bit-identical to the sequential solves",
     )
     parser.add_argument(

@@ -257,8 +257,8 @@ def recover_slot_duals(
     allocation, evaluates the gradient at the trajectory's decision, and
     fits the stationarity system ``grad_ij = theta_j - rho_i`` by least
     squares over the support (x_ij > tol), with rho pinned to zero at
-    clouds whose capacity is slack. This is far more robust than barrier
-    dual estimates at tiny slacks.
+    clouds whose capacity is slack. Unlike solver multipliers it needs only
+    the primal trajectory.
 
     Returns:
         (theta, rho) with shapes (T, J) and (T, I), clipped to >= 0.

@@ -70,9 +70,11 @@ class OnlineRegularizedAllocator:
         eps2: regularizer parameter for the migration term.
         backend: convex backend used to solve P2 (default: registry default).
         tol: optimizer tolerance per subproblem.
-        warm_start: start each solve from the previous slot's solution
-            (projected into the interior) instead of the canonical interior
-            point; identical optima, usually fewer iterations.
+        warm_start: hand each solve the previous slot's solution (projected
+            into the interior) as ``x0`` instead of the canonical interior
+            point. Only generic backends (the SciPy fallback) start from
+            ``x0``; the structured IPM always cold-starts, so its floats
+            are identical either way.
         certify: compute a per-slot optimality certificate (KKT residual +
             duality-gap bound, see :mod:`repro.diagnostics.certificates`)
             after every solve, record it into the active telemetry
@@ -87,7 +89,7 @@ class OnlineRegularizedAllocator:
             users. ``None`` (the default) keeps the exact per-user solve.
         budget: optional per-solve :class:`SolveBudget` (deadline and/or
             iteration cap) for live serving. When the budget fires the
-            backend returns its last strictly feasible barrier iterate;
+            backend returns its last strictly feasible iterate;
             :meth:`step` then repairs it and takes the cheaper of that
             iterate and the attached-cloud allocation — the degradation
             ladder of docs/SERVING.md. ``None`` (the default) is
@@ -177,7 +179,7 @@ class OnlineRegularizedAllocator:
     ) -> np.ndarray:
         """The degradation ladder for budget-truncated solves.
 
-        A partial barrier iterate is always feasible but can be far from
+        A partial iterate is always feasible but can be far from
         the optimum when the budget fires early. The attached-cloud
         allocation (every user's whole workload at its current station)
         is the natural "no optimization at all" reference, so take

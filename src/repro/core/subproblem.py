@@ -290,19 +290,14 @@ class RegularizedSubproblem:
         x = margin * share[:, None] * np.asarray(self.workloads, dtype=float)[None, :]
         return x.ravel()
 
-    def build_program(
-        self, x0: np.ndarray | None = None, *, warm_start: bool | None = None
-    ) -> ConvexProgram:
+    def build_program(self, x0: np.ndarray | None = None) -> ConvexProgram:
         """Package the subproblem for a :class:`ConvexBackend`.
 
-        An explicit ``x0`` is treated as a warm start (believed near the
-        optimum) unless ``warm_start`` says otherwise; backends may then
-        shorten their schedule but must return the same optimum.
+        ``x0`` (default: :meth:`interior_point`) is where generic backends
+        start; the structured IPM always starts from the interior point.
         """
         matrix, lower = self.constraint_matrices()
         n = self.num_clouds * self.num_users
-        if warm_start is None:
-            warm_start = x0 is not None
         return ConvexProgram(
             objective=self.objective,
             gradient=self.gradient,
@@ -312,7 +307,6 @@ class RegularizedSubproblem:
             x_lower=np.zeros(n),
             x0=self.interior_point() if x0 is None else np.asarray(x0, dtype=float),
             structure=self,
-            warm_start=bool(warm_start),
         )
 
     # ----- optimality diagnostics ---------------------------------------------

@@ -29,8 +29,9 @@ keeps whichever bound is tightest:
 
 1. ``"solver"`` — the backend's own duals (the structured IPM and the
    SciPy backend both report the demand/capacity families, see
-   ``SolverResult.duals``); barrier duals at near-zero slacks carry
-   elementwise noise that the bound amplifies by the capacities;
+   ``SolverResult.duals``); the structured IPM's primal-dual
+   multipliers are the ones its own stop rule certified, so this source
+   normally wins;
 2. ``"recovered"`` — a least-squares fit of the stationarity system over
    the support, the same construction Lemma 2's dual argument uses;
 3. ``"lp"`` — the exact duals of the *linearized* subproblem
@@ -85,6 +86,9 @@ class SlotCertificate:
         source: where the multipliers came from — ``"solver"`` (backend
             duals), ``"recovered"`` (least-squares fit from the primal),
             or ``"lp"`` (exact duals of the linearized subproblem).
+        solver_gap: the relative gap certified by the backend's own duals
+            alone (``None`` when the result carries none) — whether the
+            solver's stop rule certified its point, whichever source won.
     """
 
     slot: int
@@ -95,6 +99,7 @@ class SlotCertificate:
     fd_residual: float | None = None
     backend: str = ""
     source: str = "solver"
+    solver_gap: float | None = None
 
     def ok(self, tol: float = DEFAULT_GAP_TOL) -> bool:
         """Whether the relative duality gap is within ``tol``."""
@@ -290,6 +295,9 @@ def certify_solution(
         (duality_gap_bound(subproblem, flat, th, rh), th, rh, src)
         for th, rh, src in candidates
     ]
+    solver_gap = next(
+        (entry[0] / scale for entry in scored if entry[3] == "solver"), None
+    )
     gap, theta, rho, source = min(scored, key=lambda entry: entry[0])
     if gap > DEFAULT_GAP_TOL * scale:
         theta_lp, rho_lp = lp_multipliers(subproblem, flat)
@@ -311,6 +319,7 @@ def certify_solution(
         ),
         backend=backend,
         source=source,
+        solver_gap=solver_gap,
     )
 
 

@@ -1,20 +1,24 @@
 """Solver convergence trajectories, read back from telemetry.
 
 The structured IPM emits one ``solver.ipm.trace`` event per solve when
-telemetry is active (see ``repro.solvers.interior_point``): the barrier
-parameter, cumulative Newton iterations, and final Newton decrement of
-every outer iteration. Wall time alone cannot distinguish "the machine was
-busy" from "the solver started struggling"; these series can. This module
-summarizes them — from a live registry, a list of events, or a loaded
-manifest — so benchmark records and the ``doctor`` report can gate on
-*behavioural* regressions (iteration blow-ups, non-decreasing barrier
-schedules) deterministically.
+telemetry is active (see ``repro.solvers.batched``): per predictor-corrector
+step the centring target ``mu``, the average ``complementarity``, the
+``dual_residual`` and the ``step`` length, plus the terminal
+complementarity (``mu_final``) and the certified relative duality gap at
+the returned point (``gap_final``). Wall time alone cannot distinguish "the
+machine was busy" from "the solver started struggling"; these series can.
+This module summarizes them — from a live registry, a list of events, or a
+loaded manifest — so benchmark records and the ``doctor`` report can gate
+on *behavioural* regressions (iteration blow-ups, uncertified terminal
+points) deterministically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
+
+from .certificates import DEFAULT_GAP_TOL
 
 
 @dataclass(frozen=True)
@@ -23,16 +27,17 @@ class ConvergenceSummary:
 
     Attributes:
         solves: number of ``solver.ipm.trace`` events seen.
-        total_iterations: summed Newton iterations across solves.
-        max_iterations: Newton iterations of the heaviest solve.
-        mean_iterations: mean Newton iterations per solve (0 when empty).
-        max_final_mu: largest terminal barrier parameter (how "unfinished"
-            the loosest solve was).
-        max_final_decrement: largest terminal Newton decrement — should be
-            ~0 at convergence; persistent large values flag stalls.
-        non_decreasing_mu: solves whose barrier parameter failed to
-            strictly decrease between outer iterations (0 for a healthy
-            barrier schedule).
+        total_iterations: summed iterations across solves.
+        max_iterations: iterations of the heaviest solve.
+        mean_iterations: mean iterations per solve (0 when empty).
+        max_final_mu: largest terminal average complementarity (how
+            "unfinished" the loosest solve was).
+        max_final_gap: largest terminal certified relative duality gap —
+            ~0.1 * tol at convergence; budget-truncated solves report how
+            far from optimal their partial point was left.
+        uncertified: solves whose terminal certified gap exceeds the
+            certificate tolerance (``DEFAULT_GAP_TOL``) — 0 unless budgets
+            truncated solves or the solver stalled.
     """
 
     solves: int
@@ -40,8 +45,8 @@ class ConvergenceSummary:
     max_iterations: int
     mean_iterations: float
     max_final_mu: float
-    max_final_decrement: float
-    non_decreasing_mu: int
+    max_final_gap: float
+    uncertified: int
 
     def as_dict(self) -> dict:
         """Plain-dict form for bench records and manifest events."""
@@ -51,8 +56,8 @@ class ConvergenceSummary:
             "max_iterations": self.max_iterations,
             "mean_iterations": self.mean_iterations,
             "max_final_mu": self.max_final_mu,
-            "max_final_decrement": self.max_final_decrement,
-            "non_decreasing_mu": self.non_decreasing_mu,
+            "max_final_gap": self.max_final_gap,
+            "uncertified": self.uncertified,
         }
 
 
@@ -73,17 +78,8 @@ def summarize_convergence(source) -> ConvergenceSummary:
     """Summarize every interior-point solve recorded in ``source``."""
     events = trace_events(source)
     iterations = [int(e.get("iterations", 0)) for e in events]
-    final_mu = []
-    final_decrement = []
-    non_decreasing = 0
-    for event in events:
-        series = event.get("trace") or []
-        if series:
-            final_mu.append(float(series[-1].get("mu", 0.0)))
-            final_decrement.append(float(series[-1].get("decrement", 0.0)))
-            mus = [float(step.get("mu", 0.0)) for step in series]
-            if any(b >= a for a, b in zip(mus, mus[1:])):
-                non_decreasing += 1
+    final_mu = [float(e.get("mu_final", 0.0)) for e in events]
+    final_gap = [float(e.get("gap_final", 0.0)) for e in events]
     return ConvergenceSummary(
         solves=len(events),
         total_iterations=sum(iterations),
@@ -92,11 +88,11 @@ def summarize_convergence(source) -> ConvergenceSummary:
             sum(iterations) / len(iterations) if iterations else 0.0
         ),
         max_final_mu=max(final_mu, default=0.0),
-        max_final_decrement=max(final_decrement, default=0.0),
-        non_decreasing_mu=non_decreasing,
+        max_final_gap=max(final_gap, default=0.0),
+        uncertified=sum(gap > DEFAULT_GAP_TOL for gap in final_gap),
     )
 
 
 def iteration_series(source) -> list[int]:
-    """Newton iterations per solve, in recorded order."""
+    """Iterations per solve, in recorded order."""
     return [int(e.get("iterations", 0)) for e in trace_events(source)]

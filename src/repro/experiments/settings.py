@@ -56,7 +56,7 @@ class ExperimentScale:
     lambda_buckets: int | None = 8
     shards: int = 1
     #: Stack concurrent cells' per-slot P2 solves into lockstep batched
-    #: barrier iterations (docs/PERFORMANCE.md); results are bit-identical.
+    #: interior-point iterations (docs/PERFORMANCE.md); results are bit-identical.
     batch_solves: bool = False
     #: Ship work to pool workers through a shared-memory arena instead of
     #: pickling, so dispatch cost stops scaling with instance size.

@@ -9,7 +9,7 @@ stdio), with optional wall-clock slot ticks and a live OpenMetrics
 ``/metrics`` endpoint; :func:`run_loadgen` replays traces at a chosen
 speed and reports latency percentiles plus the realized-vs-batch cost
 delta. Solves run under a :class:`repro.solvers.SolveBudget` — when the
-deadline fires, the last strictly feasible barrier iterate is repaired
+deadline fires, the last strictly feasible iterate is repaired
 and served, degradation recorded as ``service.deadline.*`` telemetry.
 
 Entry points: ``repro-edge serve`` / ``repro-edge loadgen``; the full

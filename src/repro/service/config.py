@@ -26,9 +26,9 @@ class ServiceConfig:
     Attributes:
         deadline_s: per-slot solve deadline in seconds. When the solver
             is still iterating at the deadline it returns its last
-            (strictly feasible) barrier iterate and the slot is counted
+            (strictly feasible) iterate and the slot is counted
             as a deadline miss. ``None`` disables the wall-clock budget.
-        max_iterations: per-slot Newton-iteration cap — the deterministic
+        max_iterations: per-slot solver-iteration cap — the deterministic
             twin of ``deadline_s``, used by tests and the bench suite to
             engage the degradation ladder reproducibly. ``None`` disables
             the cap.

@@ -6,7 +6,7 @@ the NumPy arithmetic dominates. This runner executes a group of cells as
 *threads* whose regularized allocators route their structured-IPM solves
 through one :class:`~repro.solvers.batched.BatchCoordinator`: whenever
 every live cell is blocked on (or done with) its current solve, the whole
-pending set runs as **one** stacked barrier solve
+pending set runs as **one** stacked interior-point solve
 (:func:`repro.solvers.batched.solve_batch`).
 
 Everything else about a cell is untouched — warm starts, feasibility

@@ -38,7 +38,7 @@ class FallbackBackend:
     """Try a fast specialized backend, fall back to a robust one.
 
     The structured interior-point method requires programs carrying the P2
-    structure and can (rarely) hit numerically hard barrier subproblems; the
+    structure and can (rarely) hit numerically hard subproblems; the
     SciPy backend is slower but general. This wrapper gives the best of
     both and is the project default.
 

@@ -25,7 +25,11 @@ class TestSmokeSuite:
             "online_cost": "cost",
             "final_ratio": "cost",
             "worst_relative_gap": "cost",
+            "worst_solver_relative_gap": "cost",
         }
+
+    def test_solver_duals_certify_every_slot(self, smoke_record):
+        assert smoke_record.metrics["worst_solver_relative_gap"].value <= 1e-6
 
     def test_diagnostics_capture_algorithm_quality(self, smoke_record):
         diagnostics = smoke_record.diagnostics

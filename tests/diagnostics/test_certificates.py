@@ -50,12 +50,16 @@ class TestCertifySolution:
         assert certificate.kkt_residual < 1e-4
         assert certificate.source in ("solver", "recovered")
         assert certificate.backend == algorithm.last_solves[0].backend
+        # The solver's own multipliers certify its point at the stop rule.
+        assert certificate.solver_gap is not None
+        assert certificate.solver_gap <= 1e-9
 
     def test_bare_point_uses_recovered_multipliers(self, small_run):
         instance, _, schedule = small_run
         subproblem = _subproblem(instance)
         certificate = certify_solution(subproblem, schedule.x[0].ravel())
         assert certificate.source == "recovered"
+        assert certificate.solver_gap is None
         assert certificate.ok()
 
     def test_suboptimal_point_gets_a_large_gap(self, small_run):

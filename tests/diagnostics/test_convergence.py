@@ -33,9 +33,17 @@ class TestTraceEmission:
         for event in events:
             assert event["iterations"] > 0
             series = event["trace"]
-            assert series, "expected a per-outer-iteration series"
-            mus = [step["mu"] for step in series]
-            assert all(b < a for a, b in zip(mus, mus[1:]))  # strictly down
+            assert len(series) == event["iterations"]  # one entry per step
+            for step in series:
+                assert set(step) == {
+                    "mu", "complementarity", "dual_residual", "step"
+                }
+                assert 0.0 < step["step"] <= 1.0
+            # The dual residual falls with every step ...
+            residual = [step["dual_residual"] for step in series]
+            assert all(b < a for a, b in zip(residual, residual[1:]))
+            # ... and the returned point is certified at the stop target.
+            assert 0.0 <= event["gap_final"] <= 1e-9
 
     def test_no_events_without_telemetry(self):
         instance = Scenario(num_users=5, num_slots=2).build(seed=6)
@@ -55,7 +63,8 @@ class TestSummaries:
         assert summary.max_iterations <= summary.total_iterations
         assert summary.mean_iterations > 0
         assert summary.max_final_mu < 1e-6
-        assert summary.non_decreasing_mu == 0
+        assert summary.max_final_gap <= 1e-9
+        assert summary.uncertified == 0
         as_dict = summary.as_dict()
         assert as_dict["solves"] == summary.solves
 

@@ -99,11 +99,7 @@ class TestTelemetryParity:
         ser = serial_registry.snapshot()
         bat = batched_registry.snapshot()
         assert ser["counters"]["sweep.cells"] == bat["counters"]["sweep.cells"]
-        for name in (
-            "solver.ipm.solves",
-            "solver.iterations",
-            "solver.ipm.warm_start_hits",
-        ):
+        for name in ("solver.ipm.solves", "solver.iterations"):
             assert bat["counters"].get(name) == ser["counters"].get(name), name
         # The batched path additionally records what it batched.
         assert bat["counters"]["solver.batched.instances"] > 0

@@ -1,17 +1,19 @@
 """Property-based cross-validation of the P2 solver backends.
 
 Hypothesis generates small random subproblems (shapes, prices, epsilons,
-previous allocations); the structured IPM and SciPy trust-constr must agree
-on the optimal objective, and the IPM solution must satisfy constraints
-and first-order optimality.
+previous allocations). The structured IPM must never do worse than SciPy
+trust-constr, and its point must be feasible and certified optimal — by
+its own multipliers and by the exact duals of the linearized subproblem,
+a reference that does not depend on trust-constr's convergence.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.subproblem import RegularizedSubproblem
+from repro.diagnostics.certificates import duality_gap_bound, lp_multipliers
 from repro.solvers.interior_point import InteriorPointBackend
 from repro.solvers.scipy_backend import ScipyTrustConstrBackend
 
@@ -45,6 +47,8 @@ def random_subproblem(
     eps=st.sampled_from([0.05, 0.5, 2.0, 20.0]),
 )
 @settings(max_examples=15, deadline=None)
+# trust-constr stops 6% above the optimum here (5.355 vs 5.043).
+@example(seed=615, num_clouds=2, num_users=2, eps=0.05)
 def test_backends_agree_on_random_subproblems(seed, num_clouds, num_users, eps):
     sub = random_subproblem(seed, num_clouds, num_users, eps, eps)
     program = sub.build_program()
@@ -53,8 +57,31 @@ def test_backends_agree_on_random_subproblems(seed, num_clouds, num_users, eps):
     scale = max(1.0, abs(scipy_result.objective))
     # The IPM never does worse than trust-constr (tight one-sided check) …
     assert ipm.objective <= scipy_result.objective + 1e-5 * scale
-    # … and they agree up to trust-constr's own convergence slack.
-    assert abs(ipm.objective - scipy_result.objective) <= 5e-4 * scale
+    # … and its point is feasible and optimal by the linearized-LP duals,
+    # whose bound is the Frank-Wolfe gap of the returned point.
+    assert program.max_violation(ipm.x) <= 1e-9
+    theta, rho = lp_multipliers(sub, ipm.x)
+    gap = duality_gap_bound(sub, ipm.x, theta, rho)
+    assert gap <= 1e-6 * max(1.0, abs(ipm.objective))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    num_clouds=st.integers(min_value=2, max_value=4),
+    num_users=st.integers(min_value=2, max_value=5),
+    eps=st.sampled_from([0.05, 0.5, 2.0, 20.0]),
+    tol=st.sampled_from([1e-8, 1e-9, 1e-10]),
+)
+@settings(max_examples=25, deadline=None)
+def test_solver_duals_certify_every_solve(seed, num_clouds, num_users, eps, tol):
+    """The IPM's own multipliers certify its point: the stop rule's bound."""
+    sub = random_subproblem(seed, num_clouds, num_users, eps, eps)
+    result = InteriorPointBackend().solve(sub.build_program(), tol=tol)
+    assert not result.partial
+    gap = duality_gap_bound(
+        sub, result.x, result.duals["demand"], result.duals["capacity"]
+    )
+    assert gap <= 1e-6 * max(1.0, abs(result.objective))
 
 
 @given(

@@ -1,11 +1,11 @@
-"""Warm-started P2 solves: same optimum, measurably fewer iterations.
+"""Starting points for P2 solves: who uses ``x0`` and who ignores it.
 
-The regularizer keeps consecutive per-slot optima close (that is the whole
-point of the entropic terms), so seeding slot t's solve with slot t-1's
-solution lets the structured IPM start its barrier schedule lower. These
-tests pin the contract: identical optima (to tolerance), strictly fewer
-iterations over a multi-slot run, and graceful recovery from an infeasible
-warm start.
+The allocator can hand each slot's solve the previous slot's solution as
+``x0``. The structured primal-dual IPM always cold-starts from the
+subproblem's canonical interior point (a warm primal start with fresh
+central-path duals measured no cheaper), so its floats must not depend on
+``x0`` at all. The generic SciPy backend does start from ``x0``. Every
+backend must recover, not crash, when ``x0`` is infeasible.
 """
 
 from __future__ import annotations
@@ -35,32 +35,32 @@ def subproblem(instance):
     )
 
 
+def assert_same_result(left, right):
+    assert np.array_equal(left.x, right.x)
+    assert left.objective == right.objective
+    assert left.iterations == right.iterations
+
+
 class TestWarmStartContract:
-    def test_same_optimum_fewer_iterations_on_three_slots(self, instance):
-        """Warm-started online run: same total cost, strictly fewer IPM
-        iterations than cold-starting every slot."""
+    def test_warm_allocator_matches_cold_bit_for_bit(self, instance):
+        """The allocator's x0 hint leaves the IPM trajectory unchanged."""
         cold = OnlineRegularizedAllocator(backend=get_backend("ipm"), warm_start=False)
         warm = OnlineRegularizedAllocator(backend=get_backend("ipm"), warm_start=True)
-        cold_cost = total_cost(cold.run(instance), instance)
-        warm_cost = total_cost(warm.run(instance), instance)
-        assert warm_cost == pytest.approx(cold_cost, rel=1e-6)
-        assert warm.total_solver_iterations < cold.total_solver_iterations
-        # Slot 0 has no previous solution, so both start cold there; the
-        # reduction must come from the genuinely warm-started slots.
-        assert warm.last_solves[0].iterations == cold.last_solves[0].iterations
-        for warm_solve, cold_solve in zip(warm.last_solves[1:], cold.last_solves[1:]):
-            assert warm_solve.iterations < cold_solve.iterations
+        cold_schedule = cold.run(instance)
+        warm_schedule = warm.run(instance)
+        assert total_cost(warm_schedule, instance) == total_cost(
+            cold_schedule, instance
+        )
+        for warm_solve, cold_solve in zip(warm.last_solves, cold.last_solves):
+            assert_same_result(warm_solve, cold_solve)
 
     def test_warm_program_same_objective_per_solve(self, subproblem):
-        """One-shot check at the subproblem level for both backends."""
+        """One-shot check at the subproblem level: x0 is not a start."""
         ipm = get_backend("ipm")
         cold = ipm.solve(subproblem.build_program(), tol=1e-8)
-        # Perturb the optimum slightly so the warm start is near, not at,
-        # the solution (the realistic consecutive-slot situation).
         x_warm = 0.9 * cold.x + 0.1 * subproblem.interior_point()
         warm = ipm.solve(subproblem.build_program(x0=x_warm), tol=1e-8)
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-7)
-        assert warm.iterations < cold.iterations
+        assert_same_result(warm, cold)
 
     def test_scipy_backend_accepts_warm_start(self, subproblem):
         scipy_backend = get_backend("scipy")
@@ -130,10 +130,8 @@ class TestOptionalX0:
         )
         assert np.array_equal(starting_point(program), np.ones(2))
 
-    def test_build_program_flags_warm_start(self, subproblem):
-        assert subproblem.build_program().warm_start is False
-        x0 = subproblem.interior_point()
-        assert subproblem.build_program(x0=x0).warm_start is True
-        assert (
-            subproblem.build_program(x0=x0, warm_start=False).warm_start is False
-        )
+    def test_build_program_defaults_x0_to_interior_point(self, subproblem):
+        interior = subproblem.interior_point()
+        assert np.array_equal(subproblem.build_program().x0, interior)
+        x0 = interior * 1.01
+        assert np.array_equal(subproblem.build_program(x0=x0).x0, x0)
