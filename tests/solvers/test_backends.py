@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.subproblem import RegularizedSubproblem
+from repro.diagnostics.certificates import duality_gap_bound
 from repro.solvers.base import ConvexProgram, SolverError
 from repro.solvers.interior_point import InteriorPointBackend
 from repro.solvers.scipy_backend import ScipyTrustConstrBackend
@@ -97,6 +98,38 @@ class TestIpmBehaviour:
         result = InteriorPointBackend().solve(sub.build_program(), tol=1e-8)
         assert result.iterations > 0
         assert result.backend == "structured-ipm"
+
+    @pytest.mark.parametrize("seed", [2, 22])
+    def test_large_workloads_at_the_tolerance_floor(self, seed):
+        """Workloads in the thousands at tol=1e-10: the binding slacks
+        reach float64 rounding before the 0.1*tol stop rule certifies; the
+        solve must still return a strictly interior, certified point."""
+        rng = np.random.default_rng(seed)
+        num_clouds, num_users = 15, 120
+        workloads = rng.integers(1, 6, size=num_users) * 1000.0
+        capacities = 0.3 + rng.dirichlet(np.ones(num_clouds))
+        capacities *= 3.0 * workloads.sum() / capacities.sum()
+        sub = RegularizedSubproblem(
+            static_prices=rng.uniform(0.05, 2.0, size=(num_clouds, num_users)),
+            reconfig_prices=rng.uniform(0.1, 2.0, size=num_clouds),
+            migration_prices=rng.uniform(0.1, 2.0, size=num_clouds),
+            capacities=capacities,
+            workloads=workloads,
+            x_prev=rng.uniform(0.0, 1.0, size=(num_clouds, num_users))
+            * workloads
+            / num_clouds,
+            eps1=1e3,
+            eps2=1e3,
+        )
+        result = InteriorPointBackend().solve(sub.build_program(), tol=1e-10)
+        x = result.x.reshape(num_clouds, num_users)
+        assert x.min() > 0
+        assert (x.sum(axis=0) - workloads).min() > 0
+        assert (capacities - x.sum(axis=1)).min() > 0
+        gap = duality_gap_bound(
+            sub, result.x, result.duals["demand"], result.duals["capacity"]
+        )
+        assert gap <= 1e-6 * max(1.0, abs(result.objective))
 
 
 class TestScipyBackend:
