@@ -38,12 +38,8 @@ def solve_static_slot(
     x = builder.add_block("x", num_clouds, num_users)
     x_idx = x.indices()
     builder.set_cost(x_idx, np.asarray(prices, dtype=float))
-    workloads = np.asarray(instance.workloads, dtype=float)
-    capacities = np.asarray(instance.capacities, dtype=float)
-    for j in range(num_users):
-        builder.add_ge(x_idx[:, j], 1.0, float(workloads[j]))
-    for i in range(num_clouds):
-        builder.add_le(x_idx[i, :], 1.0, float(capacities[i]))
+    builder.add_ge_rows(x_idx.T, 1.0, np.asarray(instance.workloads, dtype=float))
+    builder.add_le_rows(x_idx, 1.0, np.asarray(instance.capacities, dtype=float))
     result = builder.solve()
     return result.x[x_idx].reshape(num_clouds, num_users)
 

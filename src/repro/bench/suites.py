@@ -118,14 +118,12 @@ def _suite_smoke(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
 
 
 def _suite_solver(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
-    """Solver-focused measurements: Hessian assembly + warm vs cold runs.
+    """Solver-focused measurements: Hessian assembly + one online run.
 
     Wraps ``benchmarks/bench_hessian.py`` (sparse assembly wall time at a
-    fixed operating point) and the warm-vs-cold leg of
-    ``benchmarks/bench_parallel.py`` on the fig2 instance. The structured
-    IPM cold-starts every solve, so the allocator's warm ``x0`` hint must
-    leave iterations and cost unchanged (``iteration_reduction_pct`` 0);
-    ``*_newton_per_solve`` records the kernel's steps per P2 solve.
+    fixed operating point) and one interior-point run of the online
+    allocator on the fig2 instance; ``newton_per_solve`` records the
+    kernel's steps per P2 solve.
     """
     import numpy as np
 
@@ -146,44 +144,22 @@ def _suite_solver(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     hessian = subproblem.hessian(flat)
     hessian_s = time.perf_counter() - start
 
-    # Warm vs cold interior-point solves on the fig2 instance.
     fig2_instance = fig2_scenario(scale).build(seed=scale.seed)
-    backend = get_backend("ipm")
-    runs = {}
-    for label, warm in (("cold", False), ("warm", True)):
-        algorithm = OnlineRegularizedAllocator(
-            eps1=scale.eps, eps2=scale.eps, backend=backend, warm_start=warm
-        )
-        start = time.perf_counter()
-        schedule = algorithm.run(fig2_instance)
-        elapsed = time.perf_counter() - start
-        runs[label] = {
-            "cost": total_cost(schedule, fig2_instance),
-            "iterations": algorithm.total_solver_iterations,
-            "per_solve": algorithm.total_solver_iterations
-            / max(1, len(algorithm.last_solves)),
-            "wall_s": elapsed,
-        }
+    algorithm = OnlineRegularizedAllocator(
+        eps1=scale.eps, eps2=scale.eps, backend=get_backend("ipm")
+    )
+    schedule = algorithm.run(fig2_instance)
+    iterations = algorithm.total_solver_iterations
     metrics = {
         "hessian_assembly_s": _time_metric(hessian_s),
         "hessian_nnz": _count_metric(hessian.nnz, unit="nonzeros"),
-        "cold_iterations": _count_metric(runs["cold"]["iterations"]),
-        "warm_iterations": _count_metric(runs["warm"]["iterations"]),
-        "cold_newton_per_solve": _count_metric(runs["cold"]["per_solve"]),
-        "warm_newton_per_solve": _count_metric(runs["warm"]["per_solve"]),
-        "warm_run_wall_s": _time_metric(runs["warm"]["wall_s"]),
-        "online_cost": _cost_metric(runs["warm"]["cost"]),
-    }
-    diagnostics = {
-        "hessian_users": num_users,
-        "warm_cost_matches_cold": bool(
-            abs(runs["warm"]["cost"] - runs["cold"]["cost"])
-            <= 1e-6 * max(1.0, abs(runs["cold"]["cost"]))
+        "iterations": _count_metric(iterations),
+        "newton_per_solve": _count_metric(
+            iterations / max(1, len(algorithm.last_solves))
         ),
-        "iteration_reduction_pct": 100.0
-        * (1.0 - runs["warm"]["iterations"] / max(1, runs["cold"]["iterations"])),
+        "online_cost": _cost_metric(total_cost(schedule, fig2_instance)),
     }
-    return {"metrics": metrics, "diagnostics": diagnostics}
+    return {"metrics": metrics, "diagnostics": {"hessian_users": num_users}}
 
 
 def _suite_fig2(scale: ExperimentScale, registry: MetricsRegistry) -> dict:

@@ -150,11 +150,13 @@ def lp_multipliers(
 
     Solves the transportation-style LP over the feasible set (one HiGHS
     call at I x J size) and reads the constraint marginals back as
-    ``(theta, rho)``. Plugged into :func:`duality_gap_bound`, these
-    multipliers realize the Frank-Wolfe gap ``grad·x - min_y grad·y`` —
-    the tightest bound obtainable from one gradient evaluation — at the
-    price of the LP solve, so :func:`certify_solution` only escalates to
-    them when the cheaper multiplier sources stay loose.
+    ``(theta, rho)``; they are HiGHS's row duals, taken straight from the
+    solver, so they are always present. Plugged into
+    :func:`duality_gap_bound`, these multipliers realize the Frank-Wolfe
+    gap ``grad·x - min_y grad·y`` — the tightest bound obtainable from one
+    gradient evaluation — at the price of the LP solve, so
+    :func:`certify_solution` only escalates to them when the cheaper
+    multiplier sources stay loose.
     """
     from ..solvers.linear import LinearProgramBuilder
 
@@ -169,10 +171,7 @@ def lp_multipliers(
     builder.add_ge_rows(
         indices.T, 1.0, np.asarray(subproblem.workloads, dtype=float)
     )
-    result = builder.solve()
-    marginals = result.duals.get("inequality")
-    if marginals is None:  # ancient scipy without marginals: no candidate
-        return np.zeros(num_users), np.zeros(num_clouds)
+    marginals = builder.solve().duals["inequality"]
     # Row order: capacity (<=) rows first, then the negated demand rows;
     # HiGHS marginals are <= 0 for both, so negate into the dual cone.
     rho = np.maximum(-marginals[:num_clouds], 0.0)

@@ -1,10 +1,19 @@
-"""Sparse linear-program construction and solution via SciPy HiGHS.
+"""Sparse linear-program construction and solution with HiGHS.
 
 This is the substrate the paper obtained from GLPK: the offline optimum,
 the online greedy step, and the atomistic baselines are all linear programs
 once the (x)+ terms are linearized with auxiliary variables. The
 :class:`LinearProgramBuilder` keeps that linearization code readable: named
 variable blocks, constraints assembled in sparse triplet form.
+
+:meth:`LinearProgramBuilder.solve` hands the assembled arrays straight to
+the HiGHS binding that SciPy bundles (``scipy.optimize._highspy``), with
+the option set ``linprog(method="highs")`` uses, and applies the same
+input and solution checks. The results are bit-identical to ``linprog``'s;
+what is skipped is its per-call wrapping (input cleaning, option
+validation and a Python loop over every column for bound marginals),
+which cost several times the HiGHS solve on the paper's small LPs. This
+is the only module that touches the private binding.
 """
 
 from __future__ import annotations
@@ -13,9 +22,35 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+from scipy.optimize._highspy._core import simplex_constants
 
 from .base import SolverError, SolverResult
+
+
+def _highs_options() -> _core.HighsOptions:
+    """The options ``linprog(method="highs")`` sets; the rest stay default."""
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return options
+
+
+_OPTIONS = _highs_options()
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """``min cost·v  s.t.  a_ub v <= b_ub,  lower <= v <= upper`` as arrays."""
+
+    cost: np.ndarray
+    a_ub: sparse.csc_matrix
+    b_ub: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,8 +88,8 @@ class LinearProgramBuilder:
         self._vals: list[np.ndarray] = []
         self._rhs: list[float] = []
         self._num_rows = 0
-        self._upper: dict[int, float] = {}
-        self._free: set[int] = set()
+        self._upper: list[tuple[np.ndarray, np.ndarray]] = []
+        self._free: list[np.ndarray] = []
 
     def add_block(self, name: str, *shape: int) -> VariableBlock:
         """Declare a new nonnegative variable block."""
@@ -93,8 +128,9 @@ class LinearProgramBuilder:
             upper = np.full(indices.size, float(upper[0]))
         elif upper.size != indices.size:
             raise ValueError(f"upper size {upper.size} != indices size {indices.size}")
-        for idx, ub in zip(indices, upper):
-            self._upper[int(idx)] = float(ub)
+        if np.isnan(upper).any():
+            raise ValueError("upper bounds must not be NaN")
+        self._upper.append((indices, upper))
 
     def set_free(self, indices: np.ndarray) -> None:
         """Lift the default nonnegativity: these variables range over R.
@@ -102,8 +138,7 @@ class LinearProgramBuilder:
         Needed for relaxation variables like P3's reconfiguration term,
         whose lower bound is a constraint (u >= Delta X) rather than zero.
         """
-        for idx in np.asarray(indices).ravel():
-            self._free.add(int(idx))
+        self._free.append(np.asarray(indices).ravel())
 
     def add_le(self, indices: np.ndarray, coefficients: np.ndarray, rhs: float) -> None:
         """Add one constraint  sum coefficients * v[indices] <= rhs."""
@@ -170,39 +205,100 @@ class LinearProgramBuilder:
     def num_constraints(self) -> int:
         return self._num_rows
 
-    def solve(self, *, method: str = "highs") -> SolverResult:
-        """Run HiGHS and return the solution; raise SolverError if not optimal."""
-        cost = np.zeros(self._num_vars)
-        for indices, coefficients in self._cost_entries:
-            np.add.at(cost, indices, coefficients)
+    def model(self) -> LinearProgram:
+        """The assembled program; later bounds on a variable override earlier."""
+        n = self._num_vars
+        if self._cost_entries:
+            indices, coefficients = zip(*self._cost_entries)
+            cost = np.bincount(
+                np.concatenate(indices), np.concatenate(coefficients), minlength=n
+            )
+        else:
+            cost = np.zeros(n)
         if self._num_rows:
             a_ub = sparse.coo_matrix(
                 (
                     np.concatenate(self._vals),
                     (np.concatenate(self._rows), np.concatenate(self._cols)),
                 ),
-                shape=(self._num_rows, self._num_vars),
-            ).tocsr()
-            b_ub = np.asarray(self._rhs)
+                shape=(self._num_rows, n),
+            ).tocsc()
         else:
-            a_ub = None
-            b_ub = None
-        bounds = [
-            (None if i in self._free else 0.0, self._upper.get(i))
-            for i in range(self._num_vars)
-        ]
-        result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method=method)
-        if not result.success:
-            raise SolverError(f"linprog failed: status={result.status} {result.message}")
-        duals = {}
-        ineqlin = getattr(result, "ineqlin", None)
-        if ineqlin is not None and getattr(ineqlin, "marginals", None) is not None:
-            # HiGHS marginals are <= 0 for A_ub v <= b_ub rows, in row order.
-            duals["inequality"] = np.asarray(ineqlin.marginals, dtype=float)
+            a_ub = sparse.csc_matrix((0, n))
+        lower = np.zeros(n)
+        for indices in self._free:
+            lower[indices] = -np.inf
+        upper = np.full(n, np.inf)
+        for indices, values in self._upper:
+            upper[indices] = values
+        b_ub = np.asarray(self._rhs, dtype=float)
+        return LinearProgram(cost, a_ub, b_ub, lower, upper)
+
+    def solve(self) -> SolverResult:
+        """Run HiGHS and return the solution; raise SolverError if not optimal.
+
+        Raises ValueError before HiGHS runs when the cost, the constraint
+        matrix or a right-hand side holds NaN or inf, as ``linprog`` does.
+        The returned solution passes ``linprog``'s own check: no NaN, and
+        bounds and rows hold to ``10 * sqrt(1e-9)``.
+        """
+        program = self.model()
+        cost, a_ub, b_ub = program.cost, program.a_ub, program.b_ub
+        if cost.size == 0:
+            raise ValueError("a linear program needs at least one variable")
+        for name, values in (("cost", cost), ("A_ub", a_ub.data), ("b_ub", b_ub)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must not contain inf or NaN")
+        num_rows, num_cols = a_ub.shape
+        highs = _core._Highs()
+        highs.passOptions(_OPTIONS)
+        status = highs.passModel(
+            num_cols,
+            num_rows,
+            a_ub.nnz,
+            _core.MatrixFormat.kColwise,
+            _core.ObjSense.kMinimize,
+            0.0,  # objective offset
+            cost,
+            # Absent bounds become HiGHS's own infinity.
+            np.clip(program.lower, -_core.kHighsInf, _core.kHighsInf),
+            np.clip(program.upper, -_core.kHighsInf, _core.kHighsInf),
+            np.full(num_rows, -_core.kHighsInf),
+            b_ub,
+            a_ub.indptr,
+            a_ub.indices,
+            a_ub.data,
+            np.zeros(num_cols, dtype=np.int32),  # every column continuous
+        )
+        if status == _core.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the model")
+        highs.run()
+        status = highs.getModelStatus()
+        if status != _core.HighsModelStatus.kOptimal:
+            raise SolverError(f"HiGHS failed: {highs.modelStatusToString(status)}")
+        solution = highs.getSolution()
+        info = highs.getInfo()
+        x = np.array(solution.col_value)
+        objective = float(info.objective_function_value)
+        slack = b_ub - np.array(solution.row_value)
+        tol = 10 * np.sqrt(1e-9)
+        if (
+            np.isnan(x).any()
+            or np.isnan(objective)
+            or np.isnan(slack).any()
+            or (x < program.lower - tol).any()
+            or (x > program.upper + tol).any()
+            or (slack < -tol).any()
+        ):
+            raise SolverError(
+                "HiGHS reported optimal but the solution violates the bounds "
+                f"or constraints by more than {tol:.2e}"
+            )
         return SolverResult(
-            x=np.asarray(result.x),
-            objective=float(result.fun),
-            iterations=int(getattr(result, "nit", 0) or 0),
-            backend=f"linprog-{method}",
-            duals=duals,
+            x=x,
+            objective=objective,
+            iterations=int(info.simplex_iteration_count or info.ipm_iteration_count),
+            backend="linprog-highs",
+            # HiGHS row duals are <= 0 for A_ub v <= b_ub rows, in row order.
+            duals={"inequality": np.array(solution.row_dual)},
         )

@@ -87,12 +87,13 @@ class TestAggregateSuite:
 
 
 class TestSolverSuite:
-    def test_solver_suite_runs_and_reports_warm_start(self):
+    def test_solver_suite_runs_and_reports_newton_steps(self):
         record = run_suite("solver", TINY)
-        assert record.metrics["warm_iterations"].value <= (
-            record.metrics["cold_iterations"].value
-        )
-        assert record.diagnostics["warm_cost_matches_cold"] is True
+        metrics = record.metrics
+        assert metrics["iterations"].value > 0
+        # The predictor-corrector kernel certifies P2 in about 10 steps.
+        assert 0 < metrics["newton_per_solve"].value <= 30
+        assert metrics["online_cost"].value > 0
 
 
 class TestRegistryOfSuites:
