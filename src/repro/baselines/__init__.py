@@ -1,7 +1,7 @@
 """Comparison algorithms: the atomistic and holistic groups of Section V-B."""
 
 from .atomistic import OperOpt, PerfOpt, StatOpt, solve_static_slot
-from .base import AllocationAlgorithm, run_per_slot, weighted_static_prices
+from .base import AllocationAlgorithm, weighted_static_prices, windowed_p0_lp
 from .greedy import GreedyController, OnlineGreedy
 from .lookahead import RecedingHorizon
 from .offline import OfflineOptimal
@@ -19,7 +19,7 @@ __all__ = [
     "RecedingHorizon",
     "StatOpt",
     "StaticAllocation",
-    "run_per_slot",
     "solve_static_slot",
     "weighted_static_prices",
+    "windowed_p0_lp",
 ]

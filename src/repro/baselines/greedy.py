@@ -5,12 +5,11 @@
     outcome of the previous time slot, but considers no future
     possibilities."
 
-Each slot solves a small LP: static cost of the current slot plus the
-dynamic (reconfiguration + migration) cost of transitioning from the
-previous decision, with the same auxiliary-variable linearization as the
-offline LP. Section II-E shows why this is suboptimal: it can be both too
-aggressive (migrating for any instantaneous gain) and too conservative
-(never migrating when a one-slot gain looks too small).
+Each slot solves the linearized P0 over a one-slot window from the previous
+decision: a lookahead of one (:class:`RecedingHorizon` with ``window=1``).
+Section II-E shows why this is suboptimal: it can be both too aggressive
+(migrating for any instantaneous gain) and too conservative (never
+migrating when a one-slot gain looks too small).
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from ..simulation.observations import (
     SystemDescription,
     single_slot_instance,
 )
-from ..simulation.spine import run_on_spine
-from ..solvers.linear import LinearProgramBuilder
-from .base import weighted_static_prices
+from ..simulation.spine import PerSlotController, run_on_spine
+from .lookahead import RecedingHorizon
 
 
 @dataclass(frozen=True)
@@ -43,96 +41,29 @@ class OnlineGreedy:
         assert result.schedule is not None
         return result.schedule
 
-    def as_controller(self, system: SystemDescription) -> "GreedyController":
+    def as_controller(self, system: SystemDescription) -> PerSlotController:
         """The causal (streaming) form of this algorithm."""
-        return GreedyController(system=system)
+        return GreedyController(system)
 
     @staticmethod
     def solve_slot(
         instance: ProblemInstance, slot: int, x_prev: np.ndarray
     ) -> np.ndarray:
         """Minimize this slot's static + transition cost from ``x_prev``."""
-        num_clouds, num_users = instance.num_clouds, instance.num_users
-        w_dyn = instance.weights.dynamic
-        x_prev = np.asarray(x_prev, dtype=float)
-        prev_totals = x_prev.sum(axis=1)
-
-        builder = LinearProgramBuilder()
-        x = builder.add_block("x", num_clouds, num_users)
-        u = builder.add_block("u", num_clouds)
-        m_in = builder.add_block("m_in", num_clouds, num_users)
-        m_out = builder.add_block("m_out", num_clouds, num_users)
-        x_idx = x.indices()
-        u_idx = u.indices()
-        m_in_idx = m_in.indices()
-        m_out_idx = m_out.indices()
-
-        builder.set_cost(x_idx, weighted_static_prices(instance, slot))
-        builder.set_cost(u_idx, w_dyn * np.asarray(instance.reconfig_prices, dtype=float))
-        b_out = np.asarray(instance.migration_prices.out, dtype=float)
-        b_in = np.asarray(instance.migration_prices.into, dtype=float)
-        builder.set_cost(m_out_idx, w_dyn * np.broadcast_to(b_out[:, None], (num_clouds, num_users)))
-        builder.set_cost(m_in_idx, w_dyn * np.broadcast_to(b_in[:, None], (num_clouds, num_users)))
-
-        workloads = np.asarray(instance.workloads, dtype=float)
-        capacities = np.asarray(instance.capacities, dtype=float)
-        # Demand (per user) and capacity (per cloud).
-        builder.add_ge_rows(x_idx.T, 1.0, workloads)
-        builder.add_le_rows(x_idx, 1.0, capacities)
-        # Reconfiguration: u_i >= sum_j x_ij - sum_j x_prev_ij.
-        builder.add_le_rows(
-            np.concatenate([x_idx, u_idx[:, None]], axis=1),
-            np.concatenate(
-                [np.ones((num_clouds, num_users)), -np.ones((num_clouds, 1))], axis=1
-            ),
-            prev_totals,
-        )
-        # Migration: m_in >= x - x_prev; m_out >= x_prev - x.
-        builder.add_le_rows(
-            np.stack([x_idx.ravel(), m_in_idx.ravel()], axis=1),
-            np.array([1.0, -1.0]),
-            x_prev.ravel(),
-        )
-        builder.add_le_rows(
-            np.stack([x_idx.ravel(), m_out_idx.ravel()], axis=1),
-            np.array([-1.0, -1.0]),
-            -x_prev.ravel(),
-        )
-        result = builder.solve()
-        return result.x[x_idx].reshape(num_clouds, num_users)
+        return RecedingHorizon(window=1).solve_window(instance, slot, x_prev)[0]
 
 
-@dataclass
-class GreedyController:
-    """Streaming form of :class:`OnlineGreedy`.
+def GreedyController(system: SystemDescription) -> PerSlotController:
+    """Streaming form of :class:`OnlineGreedy`: one slot LP per observation.
 
-    Carries x*_{t-1} as internal state; each observation triggers one slot
-    LP. Decisions are identical to the batch algorithm by construction —
-    the batch ``run()`` *is* this controller driven over the instance's
-    observation stream.
+    The batch ``run()`` *is* this controller driven over the instance's
+    observation stream, so the two decide identically by construction.
     """
 
-    system: SystemDescription
-    name: str = "online-greedy (streaming)"
+    def solve(observation: SlotObservation, x_prev: np.ndarray) -> np.ndarray:
+        instance = single_slot_instance(system, observation)
+        return OnlineGreedy.solve_slot(instance, 0, x_prev)
 
-    def __post_init__(self) -> None:
-        self._x_prev = self.system.zero_allocation()
-
-    def observe(self, observation: SlotObservation) -> np.ndarray:
-        """Solve the greedy slot LP and advance the internal state."""
-        instance = single_slot_instance(self.system, observation)
-        x_opt = OnlineGreedy.solve_slot(instance, 0, self._x_prev)
-        self._x_prev = x_opt
-        return x_opt
-
-    def reset(self) -> None:
-        """Drop state: the next observation starts a fresh horizon."""
-        self._x_prev = self.system.zero_allocation()
-
-    def get_state(self) -> np.ndarray:
-        """Snapshot x*_{t-1}."""
-        return self._x_prev.copy()
-
-    def set_state(self, state: object) -> None:
-        """Restore a snapshot produced by :meth:`get_state`."""
-        self._x_prev = np.asarray(state, dtype=float).copy()
+    return PerSlotController(
+        system=system, solve=solve, name="online-greedy (streaming)"
+    )

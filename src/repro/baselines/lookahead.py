@@ -9,8 +9,11 @@ allocation, commits only the first slot, and rolls forward.
 
 It interpolates between the paper's comparison points:
 
-* ``window = 1``  — identical decisions to online-greedy;
-* ``window = T``  — identical decisions to offline-opt.
+* ``window = 1``  — online-greedy, whose slot LP is this one-slot window;
+* ``window = T``  — offline-opt, whose LP is the first window, from slot 0.
+
+All three build their LP with :func:`repro.baselines.base.windowed_p0_lp`,
+so both identities hold by construction.
 
 The lookahead ablation (``benchmarks/bench_lookahead.py``) measures how
 much *perfect* prediction buys over the prediction-free online-approx,
@@ -27,8 +30,7 @@ from ..core.allocation import AllocationSchedule
 from ..core.problem import ProblemInstance
 from ..simulation.observations import SystemDescription
 from ..simulation.spine import PerSlotController, run_on_spine
-from ..solvers.linear import LinearProgramBuilder
-from .base import weighted_static_prices
+from .base import windowed_p0_lp
 
 
 @dataclass(frozen=True)
@@ -73,87 +75,11 @@ class RecedingHorizon:
     ) -> np.ndarray:
         """Optimal allocations for slots [start, start+window) given x_prev.
 
-        Returns the (W, I, J) window plan; callers commit plan[0].
+        Returns the (W, I, J) window plan; callers commit plan[0]. The
+        window is clipped at the end of the horizon.
         """
         stop = min(start + self.window, instance.num_slots)
-        horizon = stop - start
-        num_clouds, num_users = instance.num_clouds, instance.num_users
-        w_dyn = instance.weights.dynamic
-        x_prev = np.asarray(x_prev, dtype=float)
-
-        builder = LinearProgramBuilder()
-        x = builder.add_block("x", horizon, num_clouds, num_users)
-        u = builder.add_block("u", horizon, num_clouds)
-        m_in = builder.add_block("m_in", horizon, num_clouds, num_users)
-        m_out = builder.add_block("m_out", horizon, num_clouds, num_users)
-        x_idx, u_idx = x.indices(), u.indices()
-        m_in_idx, m_out_idx = m_in.indices(), m_out.indices()
-
-        reconfig = np.asarray(instance.reconfig_prices, dtype=float)
-        b_out = np.asarray(instance.migration_prices.out, dtype=float)
-        b_in = np.asarray(instance.migration_prices.into, dtype=float)
-        workloads = np.asarray(instance.workloads, dtype=float)
-        capacities = np.asarray(instance.capacities, dtype=float)
-        prev_totals = x_prev.sum(axis=1)
-
-        n = num_clouds * num_users
-        zeros_n = np.zeros(n)
-        ones_block = np.ones((num_clouds, num_users))
-        for w in range(horizon):
-            slot = start + w
-            builder.set_cost(x_idx[w], weighted_static_prices(instance, slot))
-            builder.set_cost(u_idx[w], w_dyn * reconfig)
-            builder.set_cost(
-                m_out_idx[w],
-                w_dyn * np.broadcast_to(b_out[:, None], (num_clouds, num_users)),
-            )
-            builder.set_cost(
-                m_in_idx[w],
-                w_dyn * np.broadcast_to(b_in[:, None], (num_clouds, num_users)),
-            )
-            builder.add_ge_rows(x_idx[w].T, 1.0, workloads)
-            builder.add_le_rows(x_idx[w], 1.0, capacities)
-            if w == 0:
-                builder.add_le_rows(
-                    np.concatenate([x_idx[w], u_idx[w][:, None]], axis=1),
-                    np.concatenate([ones_block, -np.ones((num_clouds, 1))], axis=1),
-                    prev_totals,
-                )
-                builder.add_le_rows(
-                    np.stack([x_idx[w].ravel(), m_in_idx[w].ravel()], axis=1),
-                    np.array([1.0, -1.0]),
-                    x_prev.ravel(),
-                )
-                builder.add_le_rows(
-                    np.stack([x_idx[w].ravel(), m_out_idx[w].ravel()], axis=1),
-                    np.array([-1.0, -1.0]),
-                    -x_prev.ravel(),
-                )
-            else:
-                builder.add_le_rows(
-                    np.concatenate(
-                        [x_idx[w], x_idx[w - 1], u_idx[w][:, None]], axis=1
-                    ),
-                    np.concatenate(
-                        [ones_block, -ones_block, -np.ones((num_clouds, 1))], axis=1
-                    ),
-                    np.zeros(num_clouds),
-                )
-                builder.add_le_rows(
-                    np.stack(
-                        [x_idx[w].ravel(), x_idx[w - 1].ravel(), m_in_idx[w].ravel()],
-                        axis=1,
-                    ),
-                    np.array([1.0, -1.0, -1.0]),
-                    zeros_n,
-                )
-                builder.add_le_rows(
-                    np.stack(
-                        [x_idx[w - 1].ravel(), x_idx[w].ravel(), m_out_idx[w].ravel()],
-                        axis=1,
-                    ),
-                    np.array([1.0, -1.0, -1.0]),
-                    zeros_n,
-                )
+        builder = windowed_p0_lp(instance, start, stop - start, x_prev)
         result = builder.solve()
-        return result.x[x_idx].reshape(horizon, num_clouds, num_users)
+        x_block = builder.block("x")
+        return result.x[x_block.indices()].reshape(x_block.shape)

@@ -4,12 +4,11 @@
     the time slots in advance. This is considered impractical and only
     serves as a baseline."
 
-P0 is linear once the (.)+ terms are rewritten with auxiliary variables:
-``u_{i,t}`` for the per-cloud workload increase (reconfiguration) and
-``m^in/m^out_{i,j,t}`` for per-user migration volumes. Because all prices
-are nonnegative, the auxiliaries equal the positive parts at any optimum,
-so the LP optimum equals the P0 optimum. Every algorithm in the paper is
-normalized by this value (the "empirical competitive ratio").
+P0 is linear once the (.)+ terms are rewritten with auxiliary variables
+(:func:`repro.baselines.base.windowed_p0_lp`); offline-opt solves that LP
+once over the whole horizon from the zero allocation, so the LP optimum is
+the P0 optimum. Every algorithm in the paper is normalized by this value
+(the "empirical competitive ratio").
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from ..core.allocation import AllocationSchedule
 from ..core.problem import ProblemInstance
 from ..simulation.spine import ScheduleController, run_on_spine
 from ..solvers.linear import LinearProgramBuilder
-from .base import weighted_static_prices
+from .base import windowed_p0_lp
 
 
 @dataclass(frozen=True)
@@ -60,81 +59,11 @@ class OfflineOptimal:
 
     @staticmethod
     def build_lp(instance: ProblemInstance) -> LinearProgramBuilder:
-        """Assemble the linearized P0 over all slots.
+        """The linearized P0 over all slots, starting from zero allocation.
 
         The objective excludes the allocation-independent access-delay
         constant (add it back via ``access_delay_constant`` when reporting
         absolute costs).
         """
-        num_slots = instance.num_slots
-        num_clouds = instance.num_clouds
-        num_users = instance.num_users
-        w_dyn = instance.weights.dynamic
-
-        builder = LinearProgramBuilder()
-        x = builder.add_block("x", num_slots, num_clouds, num_users)
-        u = builder.add_block("u", num_slots, num_clouds)
-        m_in = builder.add_block("m_in", num_slots, num_clouds, num_users)
-        m_out = builder.add_block("m_out", num_slots, num_clouds, num_users)
-        x_idx = x.indices()
-        u_idx = u.indices()
-        m_in_idx = m_in.indices()
-        m_out_idx = m_out.indices()
-
-        reconfig = np.asarray(instance.reconfig_prices, dtype=float)
-        b_out = np.asarray(instance.migration_prices.out, dtype=float)
-        b_in = np.asarray(instance.migration_prices.into, dtype=float)
-        workloads = np.asarray(instance.workloads, dtype=float)
-        capacities = np.asarray(instance.capacities, dtype=float)
-
-        n = num_clouds * num_users
-        zeros_i = np.zeros(num_clouds)
-        zeros_n = np.zeros(n)
-        for t in range(num_slots):
-            prices = weighted_static_prices(instance, t)  # (I, J)
-            builder.set_cost(x_idx[t], prices)
-            builder.set_cost(u_idx[t], w_dyn * reconfig)
-            builder.set_cost(m_out_idx[t], w_dyn * np.broadcast_to(b_out[:, None], (num_clouds, num_users)))
-            builder.set_cost(m_in_idx[t], w_dyn * np.broadcast_to(b_in[:, None], (num_clouds, num_users)))
-
-            # Demand: sum_i x_{i,j,t} >= lambda_j (one row per user).
-            builder.add_ge_rows(x_idx[t].T, 1.0, workloads)
-            # Capacity: sum_j x_{i,j,t} <= C_i (one row per cloud).
-            builder.add_le_rows(x_idx[t], 1.0, capacities)
-            # Reconfiguration: u_{i,t} >= sum_j x_{i,j,t} - sum_j x_{i,j,t-1}.
-            if t == 0:
-                columns = np.concatenate([x_idx[t], u_idx[t][:, None]], axis=1)
-                coefficients = np.concatenate(
-                    [np.ones((num_clouds, num_users)), -np.ones((num_clouds, 1))],
-                    axis=1,
-                )
-            else:
-                columns = np.concatenate(
-                    [x_idx[t], x_idx[t - 1], u_idx[t][:, None]], axis=1
-                )
-                coefficients = np.concatenate(
-                    [
-                        np.ones((num_clouds, num_users)),
-                        -np.ones((num_clouds, num_users)),
-                        -np.ones((num_clouds, 1)),
-                    ],
-                    axis=1,
-                )
-            builder.add_le_rows(columns, coefficients, zeros_i)
-            # Migration: m_in >= x_t - x_{t-1}; m_out >= x_{t-1} - x_t.
-            if t == 0:
-                columns = np.stack([x_idx[t].ravel(), m_in_idx[t].ravel()], axis=1)
-                builder.add_le_rows(columns, np.array([1.0, -1.0]), zeros_n)
-                # m_out >= -x_t is vacuous (m_out >= 0 suffices).
-            else:
-                columns = np.stack(
-                    [x_idx[t].ravel(), x_idx[t - 1].ravel(), m_in_idx[t].ravel()],
-                    axis=1,
-                )
-                builder.add_le_rows(columns, np.array([1.0, -1.0, -1.0]), zeros_n)
-                columns = np.stack(
-                    [x_idx[t - 1].ravel(), x_idx[t].ravel(), m_out_idx[t].ravel()],
-                    axis=1,
-                )
-                builder.add_le_rows(columns, np.array([1.0, -1.0, -1.0]), zeros_n)
-        return builder
+        x_prev = np.zeros((instance.num_clouds, instance.num_users))
+        return windowed_p0_lp(instance, 0, instance.num_slots, x_prev)

@@ -385,8 +385,8 @@ class PerSlotController:
     """Adapter: a per-slot decision function becomes a controller.
 
     ``solve(observation, x_prev)`` returns the (I, J) decision; the adapter
-    carries x*_{t-1} (zeros before the first slot) — the exact contract of
-    the old ``run_per_slot`` batch loop, now expressed on the spine.
+    carries x*_{t-1} (zeros before the first slot). online-greedy, the
+    lookahead baseline and the atomistic baselines are all this adapter.
     """
 
     system: SystemDescription

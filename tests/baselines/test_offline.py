@@ -76,3 +76,6 @@ class TestOfflineOptimal:
         )
         # x + u + m_in + m_out variable blocks.
         assert builder.num_variables == t * i * j * 3 + t * i
+        # Per slot: demand, capacity, reconfiguration, m_in and m_out rows
+        # (slot 0's m_out >= 0 - x rows are vacuous but present).
+        assert builder.num_constraints == t * (j + 2 * i + 2 * i * j)
