@@ -5,8 +5,7 @@ A fig2-style (hour x repetition) grid executed serially vs. across a
 asserted on every run. The speedup is hardware-bound: on a single-CPU
 container the pool cannot beat serial (the report records the visible CPU
 count next to the number); on >= 4 CPUs the grid is embarrassingly
-parallel and ~Nx is expected. (Warm vs cold per-slot solves are recorded
-by ``repro-edge bench --suite solver``.)
+parallel and ~Nx is expected.
 
 Results land in benchmarks/results/parallel.txt.
 """

@@ -3,8 +3,8 @@
 Runs a small three-algorithm comparison inside a telemetry session, then
 shows the three things the session recorded (docs/OBSERVABILITY.md):
 
-1. the metrics summary — solver iterations, warm-start hits, per-slot
-   wall time, accumulated cost components;
+1. the metrics summary — solver iterations, per-slot wall time,
+   accumulated cost components;
 2. the span tree — the nested `run` / `simulate` timings per algorithm;
 3. a JSON-lines run manifest — written, read back, and cross-checked
    (each run's per-slot cost events must sum to its reported breakdown).

@@ -22,7 +22,9 @@ it:
 7. run the storm again with telemetry enabled and require its manifest
    to hold the ``deadline-miss`` and ``slo:deadline-miss`` alerts and
    one ``slo.burn`` firing record, and ``repro-edge watch M --once
-   --strict`` to exit 1 on it.
+   --strict`` to exit 1 on it;
+8. run the storm through the cohort-aggregated controller and require
+   it to dump bundles that all replay bit-for-bit as well.
 
 Exit code 0 on success, 1 with a diagnostic on any mismatch.
 
@@ -60,6 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro import Scenario
+    from repro.aggregate import AggregationConfig
     from repro.service import ServiceConfig, run_loadgen
     from repro.simulation.observations import (
         SystemDescription,
@@ -212,6 +215,29 @@ def main(argv: list[str] | None = None) -> int:
     if code != 1:
         failures.append(f"watch --strict exited {code} on the storm manifest")
 
+    # Leg 8: the aggregated recorder's bundles replay bit-for-bit too.
+    aggregated_dir = incident_dir / "aggregated"
+    aggregated = run_loadgen(
+        system,
+        observations,
+        ServiceConfig(
+            aggregation=AggregationConfig(),
+            max_iterations=1,
+            flight_slots=6,
+            incident_dir=str(aggregated_dir),
+            slo=True,
+        ),
+        speed=0,
+        batch_reference=False,
+    )
+    aggregated_bundles = [Path(p) for p in aggregated.incident_bundles]
+    if not aggregated_bundles:
+        failures.append("the aggregated miss storm wrote no incident bundle")
+    for bundle in aggregated_bundles:
+        code = cli(["incident", "replay", str(bundle)])
+        if code != 0:
+            failures.append(f"replay gate failed on {bundle} (exit {code})")
+
     print(
         f"incident smoke: {report.slots} slots, {report.deadline_misses} "
         f"misses, {len(bundles)} bundle(s), SLOs firing: "
@@ -222,6 +248,10 @@ def main(argv: list[str] | None = None) -> int:
         "tamper and truncation both refused"
     )
     print(f"manifest: {len(rules)} alert(s), {len(firing)} SLO firing")
+    print(
+        f"aggregated storm: {len(aggregated_bundles)} bundle(s) "
+        "reproduced bit-for-bit"
+    )
     if failures:
         for failure in failures:
             print(f"FAIL {failure}", file=sys.stderr)

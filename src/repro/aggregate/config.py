@@ -34,10 +34,6 @@ class AggregationConfig:
             split, gated by the previous capacity duals;
             ``"proportional"`` keeps the workload-proportional slices.
             Irrelevant at ``shards=1``. See docs/SCALING.md.
-        warm_cohorts: reuse the previous slot's *reduced* solution as the
-            warm-start point whenever the cohort map is unchanged
-            (invalidated automatically on churn); observation-only — the
-            solves converge to the same optima either way.
         batch_solves: solve a slot's shards as one stacked batched-IPM
             call in-process instead of fanning them across ``workers``
             processes. Bit-identical to the serial shard loop
@@ -50,7 +46,6 @@ class AggregationConfig:
     workers: int | None = 1
     backend: str = "auto"
     shard_slicing: str = "price"
-    warm_cohorts: bool = True
     batch_solves: bool = False
 
     def __post_init__(self) -> None:

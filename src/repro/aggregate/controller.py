@@ -58,8 +58,6 @@ class SlotAggregationReport:
         iterations: summed solver iterations across shards.
         partial_solves: shard solves truncated by a deadline budget this
             slot (0 without budgets; docs/SERVING.md).
-        warm_cohort_hit: whether the previous slot's reduced solution
-            seeded this slot's solve (cohort map unchanged).
     """
 
     slot: int
@@ -71,7 +69,6 @@ class SlotAggregationReport:
     disagg_error: float | None
     iterations: int
     partial_solves: int = 0
-    warm_cohort_hit: bool = False
 
     @property
     def reduction_ratio(self) -> float:
@@ -135,27 +132,7 @@ class AggregatedController:
         self._x_prev = self.system.zero_allocation()
         self._slots_seen = 0
         self._min_op_price = float("inf")
-        self._clear_solve_caches()
-
-    def _clear_solve_caches(self) -> None:
-        """Drop cross-slot solve acceleration state (never affects optima)."""
-        self._warm_y: np.ndarray | None = None
-        self._warm_signature: tuple | None = None
         self._prev_capacity_duals: np.ndarray | None = None
-
-    @staticmethod
-    def _cohort_signature(cohorts: CohortMap) -> tuple:
-        """A churn-sensitive key for the cohort map.
-
-        Two slots share a signature exactly when they produce the same
-        (station, workload, size) cohort columns — the condition under
-        which the previous reduced solution is a meaningful start point.
-        """
-        return (
-            np.asarray(cohorts.stations).tobytes(),
-            np.asarray(cohorts.workloads).tobytes(),
-            np.asarray(cohorts.sizes).tobytes(),
-        )
 
     def observe(self, observation: SlotObservation) -> np.ndarray:
         """Solve the reduced P2 for one slot; return the (I, J) split."""
@@ -171,22 +148,12 @@ class AggregatedController:
             eps2=self.algorithm.eps2,
         )
         shards = max(1, min(self.config.shards, cohorts.num_cohorts))
-        signature = self._cohort_signature(cohorts)
-        warm_hint = None
-        if (
-            self.config.warm_cohorts
-            and self._warm_y is not None
-            and signature == self._warm_signature
-        ):
-            warm_hint = self._warm_y
         solve = solve_sharded(
             subproblem,
             shards=shards,
             workers=self.config.workers,
             backend=self.config.backend,
             tol=self.algorithm.tol,
-            warm=self.algorithm.warm_start and self._slots_seen > 0,
-            warm_hint=warm_hint,
             capacity_duals=self._prev_capacity_duals,
             slicing=self.config.shard_slicing,
             budget=self.algorithm.budget,
@@ -195,9 +162,6 @@ class AggregatedController:
         y, iterations = solve.x, solve.iterations
         y = _repair_cohort_feasibility(y, cohorts)
         x_users = cohorts.disaggregate(y)
-        if self.config.warm_cohorts:
-            self._warm_y = np.array(y, dtype=float)
-            self._warm_signature = signature
         self._prev_capacity_duals = solve.capacity_duals
 
         spread = cohorts.spread(workloads)
@@ -220,7 +184,6 @@ class AggregatedController:
             disagg_error=disagg_error,
             iterations=iterations,
             partial_solves=solve.partial_solves,
-            warm_cohort_hit=warm_hint is not None,
         )
         self.last_reports.append(report)
         self._record(report)
@@ -263,8 +226,6 @@ class AggregatedController:
         registry.counter("aggregate.slots").inc()
         registry.gauge("aggregate.reduction_ratio").set(report.reduction_ratio)
         registry.histogram("aggregate.cohorts").observe(float(report.cohorts))
-        if report.warm_cohort_hit:
-            registry.counter("aggregate.warm_cohort_hits").inc()
         if report.partial_solves:
             registry.counter("aggregate.partial_solves").inc(
                 report.partial_solves
@@ -285,7 +246,6 @@ class AggregatedController:
             disagg_error=report.disagg_error,
             iterations=report.iterations,
             partials=report.partial_solves,
-            warm_cohort=report.warm_cohort_hit,
         )
 
     def reset(self) -> None:
@@ -294,7 +254,7 @@ class AggregatedController:
         self._slots_seen = 0
         self._min_op_price = float("inf")
         self.last_reports = []
-        self._clear_solve_caches()
+        self._prev_capacity_duals = None
         # Same per-run circuit-breaker scoping as RegularizedController.
         reset_circuit = getattr(
             get_backend(self.config.backend), "reset_circuit", None
@@ -303,19 +263,15 @@ class AggregatedController:
             reset_circuit()
 
     def get_state(self) -> tuple:
-        """Snapshot the carried decision plus the solve-acceleration caches.
+        """Snapshot ``(x*_{t-1}, slots seen, min op price, capacity duals)``.
 
-        The warm-cohort iterate and previous capacity duals are included
-        so a resumed run replays the *same* solver start points as the
-        uninterrupted one (resume stays bit-comparable, not just
-        cost-comparable).
+        The duals seed the next slot's price-aware shard slices, so a
+        resumed run stays bit-identical to the uninterrupted one.
         """
         return (
             self._x_prev.copy(),
             self._slots_seen,
             self._min_op_price,
-            None if self._warm_y is None else self._warm_y.copy(),
-            self._warm_signature,
             None
             if self._prev_capacity_duals is None
             else self._prev_capacity_duals.copy(),
@@ -324,23 +280,15 @@ class AggregatedController:
     def set_state(self, state: object) -> None:
         """Restore a snapshot produced by :meth:`get_state`.
 
-        Legacy three-element snapshots (pre warm-cohort caches) restore
-        with cold caches — correct, just without the acceleration.
+        Older releases' 3-element (no duals) and 6-element (two retired
+        cache entries before the duals) snapshots restore the same way.
         """
         state = tuple(state)  # type: ignore[arg-type]
         x_prev, slots_seen, min_op_price = state[:3]
+        prev_duals = state[-1] if len(state) > 3 else None
         self._x_prev = np.asarray(x_prev, dtype=float).copy()
         self._slots_seen = int(slots_seen)
         self._min_op_price = float(min_op_price)
-        self._clear_solve_caches()
-        if len(state) >= 6:
-            warm_y, warm_signature, prev_duals = state[3:6]
-            self._warm_y = (
-                None if warm_y is None else np.asarray(warm_y, dtype=float).copy()
-            )
-            self._warm_signature = warm_signature
-            self._prev_capacity_duals = (
-                None
-                if prev_duals is None
-                else np.asarray(prev_duals, dtype=float).copy()
-            )
+        self._prev_capacity_duals = (
+            None if prev_duals is None else np.asarray(prev_duals, dtype=float).copy()
+        )

@@ -44,13 +44,6 @@ from ..solvers.interior_point import InteriorPointBackend
 from ..solvers.registry import FallbackBackend, get_backend
 from ..telemetry import MetricsRegistry, get_registry
 
-#: Relative slack required of a warm-start point before it is trusted.
-_WARM_SLACK = 1e-9
-
-#: Warm-start blend weight toward the previous optimum (rest goes to the
-#: canonical interior point), matching OnlineRegularizedAllocator.
-_WARM_BLEND = 0.9
-
 #: Per-cloud ceiling on the price-aware blend weight: even a fully
 #: binding cloud keeps 5% of its proportional slice, so no shard's
 #: capacity on any cloud can be zeroed out by a degenerate usage split.
@@ -82,11 +75,6 @@ class ShardTask:
     eps1: float
     tol: float
     backend: str
-    warm: bool
-    #: Optional explicit warm-start point for this block (e.g. the cached
-    #: reduced solution of the previous slot under an unchanged cohort
-    #: map); takes precedence over the ``x_prev`` blend when usable.
-    warm_point: np.ndarray | None = None
     #: Optional per-shard solve budget (live serving; docs/SERVING.md).
     deadline_s: float | None = None
     max_iterations: int | None = None
@@ -113,34 +101,12 @@ class ShardedSolve:
         yield self.iterations
 
 
-def _warm_start_point(
-    subproblem: RegularizedSubproblem, x_prev: np.ndarray
-) -> np.ndarray | None:
-    """The allocator's interior blend, or ``None`` when it is not usable.
-
-    The shard's capacity slice may cut below what the previous aggregate
-    decision put on a cloud, in which case the blend is infeasible for the
-    shard and the solve must start cold. The check is deterministic, so
-    serial and pooled shard solves make the same choice.
-    """
-    interior = subproblem.interior_point()
-    blend = _WARM_BLEND * np.asarray(x_prev, dtype=float).ravel() + (
-        1.0 - _WARM_BLEND
-    ) * interior
-    x = blend.reshape(subproblem.num_clouds, subproblem.num_users)
-    workloads = np.asarray(subproblem.workloads, dtype=float)
-    capacities = np.asarray(subproblem.capacities, dtype=float)
-    demand_ok = np.all(x.sum(axis=0) >= workloads * (1.0 + _WARM_SLACK))
-    capacity_ok = np.all(x.sum(axis=1) <= capacities * (1.0 - _WARM_SLACK))
-    return blend if (demand_ok and capacity_ok) else None
-
-
 def _shard_program(task: ShardTask):
     """Build the shard's subproblem and program exactly as the solve does.
 
     Shared by the sequential path (:func:`_solve_shard`) and the batched
     path (:func:`_solve_shards_batched`) so both solve literally the same
-    program object shape — same warm-start decision, same budget.
+    program object shape — same budget.
     """
     subproblem = RegularizedSubproblem(
         static_prices=task.static_prices,
@@ -152,12 +118,7 @@ def _shard_program(task: ShardTask):
         eps1=task.eps1,
         eps2=task.eps2,
     )
-    x0 = None
-    if task.warm_point is not None:
-        x0 = _warm_start_point(subproblem, task.warm_point)
-    if x0 is None and task.warm:
-        x0 = _warm_start_point(subproblem, task.x_prev)
-    program = subproblem.build_program(x0=x0)
+    program = subproblem.build_program()
     if task.deadline_s is not None or task.max_iterations is not None:
         program.budget = SolveBudget(
             deadline_s=task.deadline_s, max_iterations=task.max_iterations
@@ -353,8 +314,6 @@ def make_shard_tasks(
     *,
     backend: str = "auto",
     tol: float = 1e-8,
-    warm: bool = False,
-    warm_hint: np.ndarray | None = None,
     capacity_duals: np.ndarray | None = None,
     slicing: str = "price",
     budget: SolveBudget | None = None,
@@ -362,8 +321,7 @@ def make_shard_tasks(
     """Partition a reduced subproblem into contiguous shard tasks.
 
     A supplied ``budget`` is divided evenly across the shards (the shard
-    solves of one slot share the slot's deadline); ``warm_hint`` is an
-    (I, G) explicit start point sliced per block.
+    solves of one slot share the slot's deadline).
     """
     num_cols = subproblem.num_users
     shards = max(1, min(int(shards), num_cols))
@@ -385,7 +343,6 @@ def make_shard_tasks(
             deadline_s = budget.deadline_s / len(blocks)
         if budget.max_iterations is not None:
             max_iterations = max(1, budget.max_iterations // len(blocks))
-    hint = None if warm_hint is None else np.asarray(warm_hint, dtype=float)
     tasks = []
     for k, block in enumerate(blocks):
         tasks.append(
@@ -402,8 +359,6 @@ def make_shard_tasks(
                 eps1=subproblem.eps1,
                 tol=tol,
                 backend=backend,
-                warm=warm,
-                warm_point=None if hint is None else hint[:, block],
                 deadline_s=deadline_s,
                 max_iterations=max_iterations,
             )
@@ -418,8 +373,6 @@ def solve_sharded(
     workers: int | None = 1,
     backend: str = "auto",
     tol: float = 1e-8,
-    warm: bool = False,
-    warm_hint: np.ndarray | None = None,
     capacity_duals: np.ndarray | None = None,
     slicing: str = "price",
     budget: SolveBudget | None = None,
@@ -450,8 +403,6 @@ def solve_sharded(
         shards,
         backend=backend,
         tol=tol,
-        warm=warm,
-        warm_hint=warm_hint,
         capacity_duals=capacity_duals,
         slicing=slicing,
         budget=budget,

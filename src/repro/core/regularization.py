@@ -70,11 +70,6 @@ class OnlineRegularizedAllocator:
         eps2: regularizer parameter for the migration term.
         backend: convex backend used to solve P2 (default: registry default).
         tol: optimizer tolerance per subproblem.
-        warm_start: hand each solve the previous slot's solution (projected
-            into the interior) as ``x0`` instead of the canonical interior
-            point. Only generic backends (the SciPy fallback) start from
-            ``x0``; the structured IPM always cold-starts, so its floats
-            are identical either way.
         certify: compute a per-slot optimality certificate (KKT residual +
             duality-gap bound, see :mod:`repro.diagnostics.certificates`)
             after every solve, record it into the active telemetry
@@ -100,7 +95,6 @@ class OnlineRegularizedAllocator:
     eps2: float = DEFAULT_EPSILON
     backend: ConvexBackend | None = None
     tol: float = 1e-8
-    warm_start: bool = True
     certify: bool = False
     aggregation: "AggregationConfig | None" = None
     budget: SolveBudget | None = None
@@ -121,12 +115,7 @@ class OnlineRegularizedAllocator:
         return self.backend if self.backend is not None else default_backend()
 
     def step(
-        self,
-        instance: ProblemInstance,
-        slot: int,
-        x_prev: np.ndarray,
-        *,
-        warm: bool | None = None,
+        self, instance: ProblemInstance, slot: int, x_prev: np.ndarray
     ) -> tuple[np.ndarray, SolverResult]:
         """Solve P2 for one slot; returns (x*_t as (I, J), solver result).
 
@@ -135,18 +124,11 @@ class OnlineRegularizedAllocator:
                 observation).
             slot: which slot of ``instance`` to solve.
             x_prev: the previous slot's decision x*_{t-1}.
-            warm: override for warm starting. By default slot 0 starts cold
-                and later slots warm-start (when ``self.warm_start``); a
-                streaming controller always solves slot 0 of a one-slot
-                instance, so it passes the trajectory position explicitly.
         """
         subproblem = RegularizedSubproblem.from_instance(
             instance, slot, x_prev, eps1=self.eps1, eps2=self.eps2
         )
-        if warm is None:
-            warm = self.warm_start and slot > 0
-        x0 = self._warm_start_point(subproblem, x_prev) if warm else None
-        program = subproblem.build_program(x0=x0)
+        program = subproblem.build_program()
         if self.budget is not None:
             program.budget = self.budget
         result = self._resolve_backend().solve(program, tol=self.tol)
@@ -233,17 +215,3 @@ class OnlineRegularizedAllocator:
         if self.aggregation is not None:
             return controller.aggregated(self.aggregation)
         return controller
-
-    @staticmethod
-    def _warm_start_point(
-        subproblem: RegularizedSubproblem, x_prev: np.ndarray
-    ) -> np.ndarray:
-        """Blend the previous optimum with the canonical interior point.
-
-        x_prev is feasible (Theorem 1) but may sit on the boundary (zero
-        entries, tight demand rows); a small convex combination with the
-        strictly interior point restores strict feasibility.
-        """
-        interior = subproblem.interior_point()
-        blend = 0.9 * np.asarray(x_prev, dtype=float).ravel() + 0.1 * interior
-        return blend

@@ -290,11 +290,11 @@ class RegularizedSubproblem:
         x = margin * share[:, None] * np.asarray(self.workloads, dtype=float)[None, :]
         return x.ravel()
 
-    def build_program(self, x0: np.ndarray | None = None) -> ConvexProgram:
+    def build_program(self) -> ConvexProgram:
         """Package the subproblem for a :class:`ConvexBackend`.
 
-        ``x0`` (default: :meth:`interior_point`) is where generic backends
-        start; the structured IPM always starts from the interior point.
+        The program carries no ``x0``: every backend starts a P2 solve
+        from :meth:`interior_point` (see :func:`repro.solvers.base.starting_point`).
         """
         matrix, lower = self.constraint_matrices()
         n = self.num_clouds * self.num_users
@@ -305,7 +305,6 @@ class RegularizedSubproblem:
             constraint_matrix=matrix,
             constraint_lower=lower,
             x_lower=np.zeros(n),
-            x0=self.interior_point() if x0 is None else np.asarray(x0, dtype=float),
             structure=self,
         )
 

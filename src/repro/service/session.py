@@ -371,7 +371,7 @@ class AllocationSession:
         """Start a fresh horizon: slot 0, cold caches, closed circuits.
 
         Clears *every* layer of cross-slot state: the controller's carried
-        decision and warm caches (``controller.reset``), the backend's
+        decision and capacity duals (``controller.reset``), the backend's
         circuit-breaker/session state
         (:func:`repro.solvers.registry.reset_session`), and the stepper's
         accumulator/residuals (a fresh :class:`SlotStepper`).

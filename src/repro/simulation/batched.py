@@ -9,9 +9,9 @@ every live cell is blocked on (or done with) its current solve, the whole
 pending set runs as **one** stacked interior-point solve
 (:func:`repro.solvers.batched.solve_batch`).
 
-Everything else about a cell is untouched — warm starts, feasibility
-repair, the circuit breaker, SciPy fallback, telemetry tagging — because
-the only swap is the allocator's *backend*: each cell gets a private
+Everything else about a cell is untouched — feasibility repair, the
+circuit breaker, SciPy fallback, telemetry tagging — because the only
+swap is the allocator's *backend*: each cell gets a private
 ``FallbackBackend(DeferringBackend(coordinator), ScipyTrustConstrBackend())``
 whose primary defers into the shared batch and whose failure semantics are
 exactly the sequential ones (a failed lane raises in the requesting

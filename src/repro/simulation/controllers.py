@@ -25,9 +25,8 @@ class RegularizedController:
     solve. Identical decisions to the batch algorithm by construction (P2
     for slot t depends only on slot-t observations and x*_{t-1}) — indeed
     the batch ``run()`` *is* this controller driven over the instance's
-    observation stream. Warm starting engages from the second observed
-    slot onward, exactly as in the batch loop, and every solve is appended
-    to ``algorithm.last_solves`` so solver diagnostics (dual prices,
+    observation stream. Every solve is appended to
+    ``algorithm.last_solves`` so solver diagnostics (dual prices,
     iteration counts) keep working on streamed runs.
     """
 
@@ -46,12 +45,7 @@ class RegularizedController:
     def observe(self, observation: SlotObservation) -> np.ndarray:
         """Solve P2 for the observed slot and advance the internal state."""
         instance = single_slot_instance(self.system, observation)
-        x_opt, result = self.algorithm.step(
-            instance,
-            0,
-            self._x_prev,
-            warm=self.algorithm.warm_start and self._slots_seen > 0,
-        )
+        x_opt, result = self.algorithm.step(instance, 0, self._x_prev)
         self.algorithm.last_solves.append(result)
         self.last_result = result
         self._x_prev = x_opt

@@ -184,7 +184,7 @@ class SlotStepper:
         for hook in self.hooks:
             hook.on_slot_start(observation)
         # The flight recorder snapshots the *pre-solve* state (x*_{t-1},
-        # warm caches, accumulator totals) before the timed window, so
+        # capacity duals, accumulator totals) before the timed window, so
         # slot.wall_ms keeps meaning "solve + accounting" exactly.
         if recorder is not None:
             recorder.begin_slot(self, observation)

@@ -875,8 +875,8 @@ class DeferringBackend:
     """A :class:`ConvexBackend` that routes solves through a coordinator.
 
     Swapped in as the *primary* of a per-cell ``FallbackBackend`` by the
-    batched sweep runner: the cell's code path (warm starts, repair,
-    certificates, circuit breaker, SciPy fallback) is untouched — only the
+    batched sweep runner: the cell's code path (repair, certificates,
+    circuit breaker, SciPy fallback) is untouched — only the
     structured-IPM solve itself is deferred into the shared batch. A
     deferred solve that fails raises here, in the requesting thread, so the
     fallback semantics are exactly the sequential ones.

@@ -48,7 +48,7 @@ class ScipyTrustConstrBackend:
         if program.hessian is not None:
             kwargs["hess"] = program.hessian
         # trust-constr tolerates infeasible starts (it restores feasibility
-        # itself), so a warm start needs no projection here.
+        # itself), so a caller's x0 needs no projection here.
         result = minimize(
             program.objective,
             starting_point(program),

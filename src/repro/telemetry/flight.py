@@ -5,8 +5,8 @@ run went wrong; this module captures *what the solver actually saw* so
 the offending slots can be re-run offline, deterministically. A
 :class:`FlightRecorder` keeps a bounded ring of the last K slots' full
 solve input state — the :class:`~repro.simulation.observations.SlotObservation`,
-the controller state carried into the slot (x*_{t-1} and warm caches,
-via the spine's checkpoint machinery), the solver/aggregation
+the controller state carried into the slot (x*_{t-1} and capacity
+duals, via the spine's checkpoint machinery), the solver/aggregation
 configuration and budget, the active trace ids, and an environment
 fingerprint (:mod:`repro.telemetry.environment`). On any alert
 — or an explicit :meth:`FlightRecorder.dump` — it writes an **incident
@@ -34,7 +34,7 @@ import json
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -85,7 +85,7 @@ def encode_state(value):
         return value.item()
     if isinstance(value, np.ndarray):
         return {_ND_TAG: value.tolist(), "dtype": str(value.dtype)}
-    if isinstance(value, bytes):  # e.g. warm-cohort signature digests
+    if isinstance(value, bytes):  # only old bundles' states hold bytes
         return {_BYTES_TAG: value.hex()}
     if isinstance(value, tuple):
         return {_TUPLE_TAG: [encode_state(item) for item in value]}
@@ -187,7 +187,6 @@ def _describe_controller(controller) -> dict:
         "eps1": float(algorithm.eps1),
         "eps2": float(algorithm.eps2),
         "tol": float(algorithm.tol),
-        "warm_start": bool(algorithm.warm_start),
         "backend": _backend_name(backend),
         "budget": None
         if budget is None
@@ -206,7 +205,6 @@ def _describe_controller(controller) -> dict:
             "workers": config.workers,
             "backend": str(config.backend),
             "shard_slicing": str(config.shard_slicing),
-            "warm_cohorts": bool(config.warm_cohorts),
             "batch_solves": bool(config.batch_solves),
         }
     return info
@@ -235,7 +233,7 @@ class SlotSnapshot:
         slot: the observed slot index.
         observation: the slot's observation (arrays copied at capture).
         checkpoint: the spine checkpoint taken *before* the solve — the
-            controller state (x*_{t-1}, warm caches), accumulator state,
+            controller state (x*_{t-1}, capacity duals), accumulator state,
             and residual maxima that make the slot reproducible.
         costs: the four paper costs plus the weighted total the slot paid.
         iterations: solver Newton iterations the slot's solve performed.
@@ -742,9 +740,25 @@ def _replay_budget(controller_info: dict, snapshot: dict):
     return None
 
 
+#: Aggregation keys older bundles record that no longer exist; replay drops them.
+_RETIRED_AGGREGATION_KEYS = ("warm_cohorts",)
+
+
+def _aggregation_config(recorded: dict):
+    """The bundle's ``AggregationConfig``; ``ValueError`` names unknown keys."""
+    from ..aggregate.config import AggregationConfig
+
+    settings = {
+        k: v for k, v in recorded.items() if k not in _RETIRED_AGGREGATION_KEYS
+    }
+    unknown = sorted(set(settings) - {f.name for f in fields(AggregationConfig)})
+    if unknown:
+        raise ValueError(f"bundle records unknown aggregation keys: {unknown}")
+    return AggregationConfig(**settings)
+
+
 def _replay_snapshot(system, controller_info: dict, snapshot: dict) -> dict:
     """Re-run one snapshot; returns the replayed (costs, iterations, partial)."""
-    from ..aggregate.config import AggregationConfig
     from ..core.regularization import OnlineRegularizedAllocator
     from ..simulation.accounting import AccumulatorState
     from ..simulation.observations import SlotObservation
@@ -765,9 +779,8 @@ def _replay_snapshot(system, controller_info: dict, snapshot: dict) -> dict:
         eps1=float(controller_info["eps1"]),
         eps2=float(controller_info["eps2"]),
         tol=float(controller_info["tol"]),
-        warm_start=bool(controller_info.get("warm_start", True)),
         backend=backend,
-        aggregation=None if aggregation is None else AggregationConfig(**aggregation),
+        aggregation=None if aggregation is None else _aggregation_config(aggregation),
         budget=_replay_budget(controller_info, snapshot),
     )
     accumulator = snapshot["accumulator_state"]

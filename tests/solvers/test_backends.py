@@ -5,6 +5,8 @@ trust-constr on objective value and solution, across instance shapes,
 epsilon scales, and previous-allocation patterns.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,9 @@ class TestIpmBehaviour:
 
     def test_infeasible_start_falls_back_to_interior(self):
         sub = subproblem_case(9)
-        program = sub.build_program(x0=np.zeros(sub.num_clouds * sub.num_users))
+        program = replace(
+            sub.build_program(), x0=np.zeros(sub.num_clouds * sub.num_users)
+        )
         result = InteriorPointBackend().solve(program, tol=1e-9)
         assert program.max_violation(result.x) <= 1e-8
 

@@ -13,6 +13,7 @@ They pin the reduction-order analysis in the kernel's module docstring.
 """
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,9 +57,10 @@ def random_subproblem(
     )
 
 
-def build_program(sub: RegularizedSubproblem, *, warm: bool, seed: int):
-    if not warm:
-        return sub.build_program()
+def build_program(sub: RegularizedSubproblem, *, hinted: bool, seed: int):
+    program = sub.build_program()
+    if not hinted:
+        return program
     interior = sub.interior_point()
     rng = np.random.default_rng(seed + 77)
     prev = np.asarray(sub.x_prev, dtype=float).ravel()
@@ -67,7 +69,7 @@ def build_program(sub: RegularizedSubproblem, *, warm: bool, seed: int):
         # Occasionally hand in a boundary point; the kernel cold-starts every
         # lane, so neither hint may change a lane's floats in either solver.
         x0 = prev
-    return sub.build_program(x0=x0)
+    return replace(program, x0=x0)
 
 
 def assert_identical(batched, sequential):
@@ -106,19 +108,19 @@ class TestBitIdentity:
         num_clouds=st.integers(min_value=2, max_value=4),
         num_users=st.integers(min_value=2, max_value=5),
         batch=st.integers(min_value=1, max_value=4),
-        warm=st.booleans(),
+        hinted=st.booleans(),
         eps_vector=st.booleans(),
     )
     @settings(max_examples=15, deadline=None)
     def test_same_shape_batches(
-        self, seed, num_clouds, num_users, batch, warm, eps_vector
+        self, seed, num_clouds, num_users, batch, hinted, eps_vector
     ):
         programs = [
             build_program(
                 random_subproblem(
                     seed + k, num_clouds, num_users, eps_vector=eps_vector
                 ),
-                warm=warm,
+                hinted=hinted,
                 seed=seed + k,
             )
             for k in range(batch)
@@ -132,7 +134,7 @@ class TestBitIdentity:
         programs = [
             build_program(
                 random_subproblem(seed + k, clouds, users),
-                warm=bool(k % 2),
+                hinted=bool(k % 2),
                 seed=seed + k,
             )
             for k, (clouds, users) in enumerate(shapes)
@@ -218,7 +220,7 @@ class TestBitIdentity:
 class TestTelemetryParity:
     def test_solver_counters_match_sequential(self):
         programs = [
-            build_program(random_subproblem(k, 3, 4), warm=k > 0, seed=k)
+            build_program(random_subproblem(k, 3, 4), hinted=k > 0, seed=k)
             for k in range(4)
         ]
         with telemetry_session() as sequential_registry:
@@ -275,7 +277,7 @@ class TestPhaseTimers:
 class TestCoordinator:
     def test_threads_get_sequential_results(self):
         programs = [
-            build_program(random_subproblem(k, 3, 4), warm=k % 2 == 1, seed=k)
+            build_program(random_subproblem(k, 3, 4), hinted=k % 2 == 1, seed=k)
             for k in range(5)
         ]
         backend = InteriorPointBackend()

@@ -1,21 +1,22 @@
-"""Starting points for P2 solves: who uses ``x0`` and who ignores it.
+"""Starting points: who uses ``x0`` and who ignores it.
 
-The allocator can hand each slot's solve the previous slot's solution as
-``x0``. The structured primal-dual IPM always cold-starts from the
-subproblem's canonical interior point (a warm primal start with fresh
-central-path duals measured no cheaper), so its floats must not depend on
-``x0`` at all. The generic SciPy backend does start from ``x0``. Every
-backend must recover, not crash, when ``x0`` is infeasible.
+P2 programs carry no ``x0``; every backend starts them from the
+subproblem's canonical interior point. Generic programs may still carry
+one. The structured primal-dual IPM always cold-starts from the interior
+point (a warm primal start with fresh central-path duals measured no
+cheaper), so its floats must not depend on ``x0`` at all. The generic
+SciPy backend does start from ``x0``. Every backend must recover, not
+crash, when ``x0`` is infeasible.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.costs import total_cost
-from repro.core.regularization import OnlineRegularizedAllocator
 from repro.core.subproblem import RegularizedSubproblem
 from repro.simulation.scenario import Scenario
 from repro.solvers.base import ConvexProgram, starting_point
@@ -41,33 +42,24 @@ def assert_same_result(left, right):
     assert left.iterations == right.iterations
 
 
-class TestWarmStartContract:
-    def test_warm_allocator_matches_cold_bit_for_bit(self, instance):
-        """The allocator's x0 hint leaves the IPM trajectory unchanged."""
-        cold = OnlineRegularizedAllocator(backend=get_backend("ipm"), warm_start=False)
-        warm = OnlineRegularizedAllocator(backend=get_backend("ipm"), warm_start=True)
-        cold_schedule = cold.run(instance)
-        warm_schedule = warm.run(instance)
-        assert total_cost(warm_schedule, instance) == total_cost(
-            cold_schedule, instance
-        )
-        for warm_solve, cold_solve in zip(warm.last_solves, cold.last_solves):
-            assert_same_result(warm_solve, cold_solve)
+def with_x0(subproblem, x0):
+    """The subproblem's program carrying an explicit starting point."""
+    return replace(subproblem.build_program(), x0=x0)
 
+
+class TestWarmStartContract:
     def test_warm_program_same_objective_per_solve(self, subproblem):
         """One-shot check at the subproblem level: x0 is not a start."""
         ipm = get_backend("ipm")
         cold = ipm.solve(subproblem.build_program(), tol=1e-8)
         x_warm = 0.9 * cold.x + 0.1 * subproblem.interior_point()
-        warm = ipm.solve(subproblem.build_program(x0=x_warm), tol=1e-8)
+        warm = ipm.solve(with_x0(subproblem, x_warm), tol=1e-8)
         assert_same_result(warm, cold)
 
     def test_scipy_backend_accepts_warm_start(self, subproblem):
         scipy_backend = get_backend("scipy")
         cold = scipy_backend.solve(subproblem.build_program(), tol=1e-8)
-        warm = scipy_backend.solve(
-            subproblem.build_program(x0=cold.x), tol=1e-8
-        )
+        warm = scipy_backend.solve(with_x0(subproblem, cold.x), tol=1e-8)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
 
 
@@ -78,7 +70,7 @@ class TestInfeasibleWarmStart:
         n = subproblem.num_clouds * subproblem.num_users
         cold = get_backend("ipm").solve(subproblem.build_program(), tol=1e-8)
         degenerate = get_backend("ipm").solve(
-            subproblem.build_program(x0=np.zeros(n)), tol=1e-8
+            with_x0(subproblem, np.zeros(n)), tol=1e-8
         )
         assert degenerate.objective == pytest.approx(cold.objective, rel=1e-7)
 
@@ -86,14 +78,14 @@ class TestInfeasibleWarmStart:
         n = subproblem.num_clouds * subproblem.num_users
         cold = get_backend("scipy").solve(subproblem.build_program(), tol=1e-8)
         degenerate = get_backend("scipy").solve(
-            subproblem.build_program(x0=np.zeros(n)), tol=1e-8
+            with_x0(subproblem, np.zeros(n)), tol=1e-8
         )
         assert degenerate.objective == pytest.approx(cold.objective, rel=1e-5)
 
     def test_auto_recovers_from_infeasible_x0(self, subproblem):
         n = subproblem.num_clouds * subproblem.num_users
         result = get_backend("auto").solve(
-            subproblem.build_program(x0=np.zeros(n)), tol=1e-8
+            with_x0(subproblem, np.zeros(n)), tol=1e-8
         )
         assert np.isfinite(result.objective)
 
@@ -112,12 +104,10 @@ class TestOptionalX0:
 
     def test_starting_point_prefers_x0(self, subproblem):
         x0 = subproblem.interior_point() * 1.01
-        program = subproblem.build_program(x0=x0)
-        assert np.array_equal(starting_point(program), x0)
+        assert np.array_equal(starting_point(with_x0(subproblem, x0)), x0)
 
     def test_starting_point_uses_structure_interior(self, subproblem):
         program = subproblem.build_program()
-        program.x0 = None
         assert np.array_equal(starting_point(program), subproblem.interior_point())
 
     def test_starting_point_falls_back_to_lower_bounds(self):
@@ -131,7 +121,6 @@ class TestOptionalX0:
         assert np.array_equal(starting_point(program), np.ones(2))
 
     def test_build_program_defaults_x0_to_interior_point(self, subproblem):
-        interior = subproblem.interior_point()
-        assert np.array_equal(subproblem.build_program().x0, interior)
-        x0 = interior * 1.01
-        assert np.array_equal(subproblem.build_program(x0=x0).x0, x0)
+        """P2 programs leave ``x0`` unset, so every backend starts them at
+        the structure's interior point (see the test above)."""
+        assert subproblem.build_program().x0 is None

@@ -10,6 +10,7 @@ over.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,12 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregate import AggregationConfig
+from repro.cli import main
 from repro.core.regularization import OnlineRegularizedAllocator
 from repro.simulation.observations import (
     SystemDescription,
     observations_from_instance,
 )
-from repro.simulation.spine import SlotStepper
+from repro.simulation.spine import SlotStepper, simulate
 from repro.solvers.base import SolveBudget
 from repro.telemetry import (
     FlightRecorder,
@@ -37,16 +40,22 @@ from repro.telemetry.flight import decode_state, encode_state
 from tests.conftest import make_tiny_instance
 
 
-def _tiny_setup(num_slots: int = 5, budget: SolveBudget | None = None):
+def _tiny_setup(
+    num_slots: int = 5,
+    budget: SolveBudget | None = None,
+    aggregation: AggregationConfig | None = None,
+):
     instance = make_tiny_instance(num_slots=num_slots)
     system = SystemDescription.from_instance(instance)
     observations = observations_from_instance(instance)
-    allocator = OnlineRegularizedAllocator(budget=budget)
+    allocator = OnlineRegularizedAllocator(budget=budget, aggregation=aggregation)
     return system, observations, allocator.as_controller(system)
 
 
-def _record_run(recorder: FlightRecorder, num_slots: int = 5, budget=None):
-    system, observations, controller = _tiny_setup(num_slots, budget)
+def _record_run(
+    recorder: FlightRecorder, num_slots: int = 5, budget=None, aggregation=None
+):
+    system, observations, controller = _tiny_setup(num_slots, budget, aggregation)
     stepper = SlotStepper(
         controller, system, keep_schedule=False, recorder=recorder
     )
@@ -339,3 +348,95 @@ class TestReplay:
         path = recorder.dump()
         with pytest.raises(ValueError, match="not replayable"):
             replay_bundle(path)
+
+
+def _rewrite_bundle(source, target, edit) -> None:
+    """Copy a bundle line by line, letting ``edit`` mutate each record."""
+    lines = []
+    for line in source.read_text().splitlines():
+        record = json.loads(line)
+        edit(record)
+        lines.append(json.dumps(record))
+    target.write_text("\n".join(lines) + "\n")
+
+
+def _as_older_release(record: dict) -> None:
+    """Give a fresh record the layout older releases wrote.
+
+    Those releases recorded ``warm_start`` and ``aggregation.warm_cohorts``,
+    and the aggregated controller state was a 6-tuple: the two entries
+    before the capacity duals held the previous reduced solution (I, G)
+    and the cohort-map signature (a tuple of bytes).
+    """
+    if record["type"] == "incident_start":
+        record["controller"]["warm_start"] = True
+        record["controller"]["aggregation"]["warm_cohorts"] = True
+    elif record["type"] == "snapshot":
+        x_prev, slots_seen, min_op_price, duals = decode_state(
+            record["controller_state"]
+        )
+        signature = (b"\x00\x01", b"\x02", b"\xff")
+        retired = (np.full((x_prev.shape[0], 2), 0.5), signature)
+        record["controller_state"] = encode_state(
+            (x_prev, slots_seen, min_op_price, *retired, duals)
+        )
+
+
+class TestAggregatedReplay:
+    AGGREGATION = AggregationConfig(shards=2)
+
+    def _bundle(self, tmp_path):
+        recorder = FlightRecorder(4, incident_dir=tmp_path)
+        _record_run(recorder, aggregation=self.AGGREGATION)
+        return recorder.dump()
+
+    def test_sharded_run_reproduces_bit_for_bit(self, tmp_path):
+        bundle = read_bundle(self._bundle(tmp_path))
+        assert bundle.controller["kind"] == "aggregated"
+        report = replay_bundle(bundle)
+        assert report.ok, report.render()
+        assert report.slots == 4
+
+    def test_older_release_bundle_reproduces_bit_for_bit(self, tmp_path):
+        older = tmp_path / "older.jsonl"
+        _rewrite_bundle(self._bundle(tmp_path), older, _as_older_release)
+        bundle = read_bundle(older)
+        assert all(
+            len(decode_state(s["controller_state"])) == 6 for s in bundle.snapshots
+        )
+        report = replay_bundle(bundle)
+        assert report.ok, report.render()
+
+    def test_unknown_aggregation_key_is_refused_by_name(self, tmp_path, capsys):
+        def add_knob(record):
+            if record["type"] == "incident_start":
+                record["controller"]["aggregation"]["future_knob"] = 3
+
+        future = tmp_path / "future.jsonl"
+        _rewrite_bundle(self._bundle(tmp_path), future, add_knob)
+        with pytest.raises(ValueError, match="future_knob"):
+            replay_bundle(future)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["incident", "replay", str(future)])
+        assert str(exit_info.value.code).startswith("incident: ")
+        assert "future_knob" in str(exit_info.value.code)
+
+    def test_resume_from_a_mid_run_checkpoint_matches_the_uninterrupted_run(self):
+        system, observations, _ = _tiny_setup(aggregation=self.AGGREGATION)
+
+        def controller():
+            return _tiny_setup(aggregation=self.AGGREGATION)[2]
+
+        reference = simulate(controller(), observations, system)
+        first = simulate(controller(), observations, system, max_slots=2)
+        checkpoint = decode_state(
+            json.loads(json.dumps(encode_state(first.checkpoint.controller_state)))
+        )
+        resumed = simulate(
+            controller(),
+            observations[2:],
+            system,
+            resume_from=replace(first.checkpoint, controller_state=checkpoint),
+        )
+        assert resumed.schedule.x.tobytes() == reference.schedule.x[2:].tobytes()
+        assert resumed.total_cost == reference.total_cost
