@@ -1,11 +1,11 @@
-"""Batched P2 solves + zero-copy fan-out on the Figure 2 sweep.
+"""Batched P2 solves on the Figure 2 sweep, in one process and on a pool.
 
 The same sweep three ways — plain serial, lockstep-batched in one
-process, and batched across a shared-memory process pool — verifying the
-mean ratios are *identical* (not merely close) and printing the wall
-clocks and the batching telemetry. The equivalent CLI invocation is:
+process, and batched across a process pool — verifying the mean ratios
+are *identical* (not merely close) and printing the wall clocks and the
+batching telemetry. The equivalent CLI invocation is:
 
-    repro-edge fig2 --batch-solves --shm --workers 4
+    repro-edge fig2 --batch-solves --workers 4
 
 See docs/PERFORMANCE.md for how the batching works and what it buys.
 
@@ -48,13 +48,13 @@ def main() -> None:
         dataclasses.replace(base, batch_solves=True), "batched (one process)"
     )
     pooled = run(
-        dataclasses.replace(base, batch_solves=True, use_shm=True, workers=4),
-        "batched + shm pool (x4)",
+        dataclasses.replace(base, batch_solves=True, workers=4),
+        "batched + pool (x4)",
     )
 
     # The accelerated paths are bit-identical, so the ratio statistics
     # must match exactly — no tolerance.
-    for fast, label in ((batched, "batched"), (pooled, "batched+shm")):
+    for fast, label in ((batched, "batched"), (pooled, "batched+pool")):
         assert all(
             p.label == q.label and p.stats == q.stats
             for p, q in zip(plain, fast)

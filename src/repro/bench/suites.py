@@ -445,9 +445,9 @@ def _batch_subproblems(scale: ExperimentScale, count: int):
 
 
 def _suite_batched(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
-    """Batched P2 solves and zero-copy dispatch vs their serial twins.
+    """Batched P2 solves vs their serial twins.
 
-    Three measurements (docs/PERFORMANCE.md reads from this record):
+    Two measurements (docs/PERFORMANCE.md reads from this record):
 
     * **stacked solve** — ``scale.num_slots`` same-shape P2 instances
       solved as a loop of one-lane :class:`InteriorPointBackend` solves
@@ -458,17 +458,9 @@ def _suite_batched(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     * **batched sweep** — ``run_ratio_sweep`` with and without
       ``batch_solves=True`` on the fig2 grid; the stats must match
       exactly (``sweep_stats_match``).
-    * **dispatch bytes** — what actually crosses the worker pipe for a
-      sweep-cell-sized item, pickled wholesale vs the shared-memory
-      skeleton, at 1x and 8x the suite's user count. Byte counts are
-      deterministic, so CI gates that the shm skeleton stays flat while
-      the pickled payload grows with the instance.
     """
-    import pickle
-
     import numpy as np
 
-    from ..parallel import shm
     from ..solvers.batched import solve_batch
     from ..solvers.interior_point import InteriorPointBackend
 
@@ -511,25 +503,6 @@ def _suite_batched(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         for ser, bat in zip(plain, lockstep)
     )
 
-    # Dispatch bytes: full pickle vs the shm skeleton, two instance sizes.
-    def _dispatch_bytes(num_users: int) -> tuple[int, int]:
-        rng = np.random.default_rng(scale.seed)
-        item = (
-            rng.uniform(size=(6, num_users)),
-            rng.uniform(size=(6, num_users)),
-            rng.uniform(size=num_users),
-        )
-        pickled = len(pickle.dumps(item, protocol=5))
-        arena = shm.encode_items([item])
-        try:
-            skeleton = len(arena.refs[0].payload)
-        finally:
-            arena.close()
-        return pickled, skeleton
-
-    pickled_1x, skeleton_1x = _dispatch_bytes(scale.num_users)
-    pickled_8x, skeleton_8x = _dispatch_bytes(8 * scale.num_users)
-
     metrics = {
         "stack_sequential_wall_s": _time_metric(sequential_s),
         "stack_batched_wall_s": _time_metric(batched_s),
@@ -540,10 +513,6 @@ def _suite_batched(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         "sweep_plain_wall_s": _time_metric(sweep_plain_s),
         "sweep_batched_wall_s": _time_metric(sweep_batched_s),
         "sweep_stats_match": _count_metric(int(stats_match), unit="bool"),
-        "pipe_bytes_pickled_1x": _count_metric(pickled_1x, unit="bytes"),
-        "pipe_bytes_pickled_8x": _count_metric(pickled_8x, unit="bytes"),
-        "pipe_bytes_shm_1x": _count_metric(skeleton_1x, unit="bytes"),
-        "pipe_bytes_shm_8x": _count_metric(skeleton_8x, unit="bytes"),
     }
     diagnostics = {
         "stack_instances": len(subproblems),
@@ -551,8 +520,6 @@ def _suite_batched(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         "sweep_speedup": (
             sweep_plain_s / sweep_batched_s if sweep_batched_s > 0 else 0.0
         ),
-        "pickled_growth_8x": pickled_8x / max(pickled_1x, 1),
-        "shm_growth_8x": skeleton_8x / max(skeleton_1x, 1),
         "batched_instances": registry.counter("solver.batched.instances").value,
     }
     return {"metrics": metrics, "diagnostics": diagnostics}

@@ -47,17 +47,47 @@ from .experiments import (
 )
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type=`` that rejects integers below ``minimum``.
+
+    Out-of-range values exit 2 with a usage message instead of being
+    reinterpreted or failing later with a traceback.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--users", type=int, default=None, help="number of users J")
-    parser.add_argument("--slots", type=int, default=None, help="number of time slots T")
     parser.add_argument(
-        "--repetitions", type=int, default=None, help="seeded repetitions per point"
+        "--users", type=_positive_int, default=None, help="number of users J"
+    )
+    parser.add_argument(
+        "--slots", type=_positive_int, default=None, help="number of time slots T"
+    )
+    parser.add_argument(
+        "--repetitions",
+        type=_positive_int,
+        default=None,
+        help="seeded repetitions per point",
     )
     parser.add_argument("--seed", type=int, default=None, help="base random seed")
     parser.add_argument("--eps", type=float, default=None, help="eps1 = eps2 value")
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="processes for the sweep grid (default 1 = serial, 0 = all CPUs; "
         "results are identical at any worker count)",
@@ -71,7 +101,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--lambda-buckets",
-        type=int,
+        type=_non_negative_int,
         default=None,
         metavar="B",
         help="workload buckets per station for --aggregate (default 8; "
@@ -79,7 +109,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="K",
         help="split each aggregated solve into K cohort blocks "
@@ -91,13 +121,6 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         help="stack concurrent cells' per-slot P2 solves into lockstep "
         "batched interior-point iterations (docs/PERFORMANCE.md); results are "
         "bit-identical to the sequential solves",
-    )
-    parser.add_argument(
-        "--shm",
-        action="store_true",
-        help="ship work to pool workers through a shared-memory arena "
-        "instead of pickling (zero-copy dispatch; needs --workers > 1); "
-        "results are bit-identical",
     )
     parser.add_argument(
         "--paper-scale",
@@ -218,24 +241,20 @@ def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
         overrides["eps"] = args.eps
     if args.workers is not None:
         # 0 = all CPUs, which ExperimentScale spells as None.
-        overrides["workers"] = args.workers if args.workers > 0 else None
+        overrides["workers"] = args.workers or None
     if args.drop_schedules:
         overrides["keep_schedules"] = False
     if getattr(args, "aggregate", False):
         overrides["aggregate"] = True
     if getattr(args, "lambda_buckets", None) is not None:
         # 0 = exact-value buckets, which AggregationConfig spells as None.
-        overrides["lambda_buckets"] = (
-            args.lambda_buckets if args.lambda_buckets > 0 else None
-        )
+        overrides["lambda_buckets"] = args.lambda_buckets or None
         overrides["aggregate"] = True
     if getattr(args, "shards", None) is not None:
         overrides["shards"] = args.shards
         overrides["aggregate"] = True
     if getattr(args, "batch_solves", False):
         overrides["batch_solves"] = True
-    if getattr(args, "shm", False):
-        overrides["use_shm"] = True
     if overrides:
         scale = ExperimentScale(**{**scale.__dict__, **overrides})
     return scale

@@ -49,7 +49,6 @@ def run_fig2(
         workers=scale.workers,
         keep_schedules=scale.keep_schedules,
         batch_solves=scale.batch_solves,
-        use_shm=scale.use_shm,
     )
 
 

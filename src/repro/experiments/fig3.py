@@ -43,7 +43,6 @@ def run_fig3(
         workers=scale.workers,
         keep_schedules=scale.keep_schedules,
         batch_solves=scale.batch_solves,
-        use_shm=scale.use_shm,
     )
 
 

@@ -60,7 +60,6 @@ def run_eps_sweep(
         workers=scale.workers,
         keep_schedules=scale.keep_schedules,
         batch_solves=scale.batch_solves,
-        use_shm=scale.use_shm,
     )
 
 
@@ -94,7 +93,6 @@ def run_mu_sweep(
         workers=scale.workers,
         keep_schedules=scale.keep_schedules,
         batch_solves=scale.batch_solves,
-        use_shm=scale.use_shm,
     )
 
 

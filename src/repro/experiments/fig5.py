@@ -68,7 +68,6 @@ def run_fig5(
         workers=scale.workers,
         keep_schedules=scale.keep_schedules,
         batch_solves=scale.batch_solves,
-        use_shm=scale.use_shm,
     )
 
 

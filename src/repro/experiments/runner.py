@@ -55,7 +55,6 @@ def run_ratio_sweep(
     workers: int | None = 1,
     keep_schedules: bool = True,
     batch_solves: bool = False,
-    use_shm: bool = False,
 ) -> list[RatioPoint]:
     """Run a whole sweep grid, optionally in parallel.
 
@@ -72,8 +71,6 @@ def run_ratio_sweep(
             memory on long horizons.
         batch_solves: run the cells' per-slot P2 solves as stacked batches
             (:mod:`repro.simulation.batched`); results stay bit-identical.
-        use_shm: ship work to pool workers through the shared-memory arena
-            transport instead of pickling (:mod:`repro.parallel.shm`).
 
     Returns:
         One aggregated :class:`RatioPoint` per case, in case order.
@@ -92,11 +89,9 @@ def run_ratio_sweep(
     if batch_solves:
         from ..simulation.batched import run_cells_batched
 
-        results = run_cells_batched(cells, workers=workers, use_shm=use_shm)
+        results = run_cells_batched(cells, workers=workers)
     else:
-        results = SweepExecutor(max_workers=workers, use_shm=use_shm).run_cells(
-            cells
-        )
+        results = SweepExecutor(max_workers=workers).run_cells(cells)
     comparisons = comparisons_or_raise(results)
     points = []
     for index, (label, _, _, _) in enumerate(cases):
@@ -119,7 +114,6 @@ def run_ratio_point(
     workers: int | None = 1,
     keep_schedules: bool = True,
     batch_solves: bool = False,
-    use_shm: bool = False,
 ) -> RatioPoint:
     """Run ``repetitions`` seeded instances of a scenario and aggregate."""
     (point,) = run_ratio_sweep(
@@ -128,7 +122,6 @@ def run_ratio_point(
         workers=workers,
         keep_schedules=keep_schedules,
         batch_solves=batch_solves,
-        use_shm=use_shm,
     )
     return point
 

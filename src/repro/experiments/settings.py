@@ -58,9 +58,6 @@ class ExperimentScale:
     #: Stack concurrent cells' per-slot P2 solves into lockstep batched
     #: interior-point iterations (docs/PERFORMANCE.md); results are bit-identical.
     batch_solves: bool = False
-    #: Ship work to pool workers through a shared-memory arena instead of
-    #: pickling, so dispatch cost stops scaling with instance size.
-    use_shm: bool = False
 
     @classmethod
     def paper(cls) -> "ExperimentScale":

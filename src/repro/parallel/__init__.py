@@ -17,19 +17,13 @@ from .executor import (
     comparisons_or_raise,
     resolve_workers,
 )
-from .shm import ItemRef, ResultArena, WorkArena, decode_item, encode_items
 
 __all__ = [
     "CellResult",
-    "ItemRef",
-    "ResultArena",
     "SweepCell",
     "SweepError",
     "SweepExecutor",
-    "WorkArena",
     "comparisons_or_raise",
-    "decode_item",
-    "encode_items",
     "resolve_workers",
 ]
 

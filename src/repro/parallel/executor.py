@@ -11,10 +11,6 @@ Design goals (docs/PARALLEL.md):
   not pickle) fall back to the same inline path, announced by a one-time
   ``RuntimeWarning`` and a ``parallel.fallback.inline`` telemetry event so
   degraded fan-out is visible in ``doctor``/``watch``.
-* **Zero-copy dispatch** — ``use_shm=True`` ships work items through a
-  ``multiprocessing.shared_memory`` arena (serialized once, workers attach
-  zero-copy; results return via preallocated slots), so dispatch cost no
-  longer scales with instance size (:mod:`repro.parallel.shm`).
 * **Structured failure** — a cell that raises is captured as a
   :class:`CellResult` carrying the error string and traceback instead of
   poisoning the whole sweep or hanging the pool.
@@ -50,7 +46,6 @@ from ..telemetry import (
     trace_scope,
     trace_span,
 )
-from . import shm as shm_transport
 
 if TYPE_CHECKING:  # type-only: the simulation layer builds on this leaf
     from ..simulation.results import Comparison
@@ -168,34 +163,6 @@ def _execute_cell(cell: Any) -> Any:
     return cell.execute()
 
 
-def _execute_one_shm(
-    work: Callable[[Any], Any],
-    key: Any,
-    arena_name: str | None,
-    ref: "shm_transport.ItemRef",
-    telemetry: bool,
-    result_name: str,
-    slot_bytes: int,
-    slot_index: int,
-    trace: "TraceContext | None" = None,
-) -> CellResult | None:
-    """Pool target for the shared-memory path.
-
-    Decodes the item zero-copy from the work arena, runs the ordinary
-    :func:`_execute_one` (identical semantics to every other path), and
-    ships the result home through the preallocated slot — returning
-    ``None`` through the pipe. A result too big for its slot rides the
-    pipe instead, exactly like the classic pool path. The trace context
-    (a tiny frozen dataclass of strings) rides the pickled call, not the
-    arena — dispatch stays zero-copy for the array bytes.
-    """
-    item = shm_transport.decode_item(arena_name, ref)
-    result = _execute_one(work, key, item, telemetry, trace)
-    if shm_transport.write_result(result_name, slot_bytes, slot_index, result):
-        return None
-    return result
-
-
 def _wrap_cell_spans(
     result: CellResult, trace: "TraceContext | None" = None
 ) -> dict:
@@ -269,15 +236,9 @@ class SweepExecutor:
 
     Attributes:
         max_workers: worker processes (1 = inline serial execution).
-        use_shm: ship work items through a shared-memory arena instead of
-            pickling them into the pool pipe (:mod:`repro.parallel.shm`).
-            Dispatch cost stops scaling with instance size; results are
-            bit-identical. Ignored on the serial path; degrades to the
-            classic pickled pool if the platform lacks shared memory.
     """
 
     max_workers: int | None = 1
-    use_shm: bool = False
 
     @property
     def workers(self) -> int:
@@ -333,8 +294,6 @@ class SweepExecutor:
                 _execute_one(work, key, item, telemetry, trace)
                 for key, item, trace in zip(keys, items, traces)
             ]
-        elif self.use_shm:
-            results = self._map_pool_shm(work, items, keys, telemetry, traces)
         else:
             results = self._map_pool(work, items, keys, telemetry, traces)
         if telemetry:
@@ -397,70 +356,6 @@ class SweepExecutor:
                 _execute_one(work, key, item, telemetry, trace)
                 for key, item, trace in zip(keys, items, traces)
             ]
-
-    def _map_pool_shm(
-        self,
-        work: Callable[[Any], Any],
-        items: Sequence[Any],
-        keys: Sequence[Any],
-        telemetry: bool = False,
-        traces: "Sequence[TraceContext | None] | None" = None,
-    ) -> list[CellResult]:
-        """Pool fan-out with shared-memory transport for items and results.
-
-        Work items are serialized once into a read-only arena that workers
-        attach zero-copy; results land in preallocated per-item slots. Any
-        failure to *create* the arenas degrades to the classic pickled
-        pool; transport-or-pool failure after that degrades inline like
-        :meth:`_map_pool`.
-        """
-        if traces is None:
-            traces = [None] * len(items)
-        try:
-            arena = shm_transport.encode_items(items)
-        except Exception:  # noqa: BLE001 - no /dev/shm, unpicklable items, ...
-            return self._map_pool(work, items, keys, telemetry, traces)
-        result_arena = None
-        try:
-            result_arena = shm_transport.ResultArena(slots=len(items))
-            with ProcessPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
-                futures = [
-                    pool.submit(
-                        _execute_one_shm,
-                        work,
-                        key,
-                        arena.name,
-                        ref,
-                        telemetry,
-                        result_arena.name,
-                        result_arena.slot_bytes,
-                        index,
-                        traces[index],
-                    )
-                    for index, (key, ref) in enumerate(zip(keys, arena.refs))
-                ]
-                piped = [future.result() for future in futures]
-            results = []
-            for index, via_pipe in enumerate(piped):
-                result = (
-                    via_pipe
-                    if via_pipe is not None
-                    else result_arena.read_slot(index)
-                )
-                if result is None:  # worker died before writing its slot
-                    raise SweepError(f"cell {keys[index]!r} returned no result")
-                results.append(result)
-            return results
-        except Exception as exc:  # noqa: BLE001
-            _note_inline_fallback(exc, cells=len(items), workers=self.workers)
-            return [
-                _execute_one(work, key, item, telemetry, trace)
-                for key, item, trace in zip(keys, items, traces)
-            ]
-        finally:
-            arena.close()
-            if result_arena is not None:
-                result_arena.close()
 
 
 def comparisons_or_raise(results: Sequence[CellResult]) -> "list[Comparison]":

@@ -19,12 +19,11 @@ thread). Results are therefore bit-identical to the serial sweep, pinned
 by ``tests/simulation/test_batched_sweep.py``.
 
 With ``workers > 1`` the cells are split into contiguous groups, one
-group per worker process (fanned out via the executor's pool machinery,
-including the optional shared-memory transport); each group runs its own
-in-process lockstep rendezvous. Per-cell telemetry snapshots are merged
-into the caller's registry in input order, exactly like
-:meth:`repro.parallel.SweepExecutor.map`, so metric aggregates match the
-classic paths at any worker count.
+group per worker process (fanned out via the executor's pool
+machinery); each group runs its own in-process lockstep rendezvous.
+Per-cell telemetry snapshots are merged into the caller's registry in
+input order, exactly like :meth:`repro.parallel.SweepExecutor.map`, so
+metric aggregates match the classic paths at any worker count.
 """
 
 from __future__ import annotations
@@ -209,7 +208,6 @@ def run_cells_batched(
     cells: Iterable[Any],
     *,
     workers: int | None = 1,
-    use_shm: bool = False,
 ) -> list[CellResult]:
     """Run sweep cells with lockstep-batched P2 solves.
 
@@ -225,8 +223,6 @@ def run_cells_batched(
         workers: worker processes; 1 runs one in-process thread group,
             ``None``/``0`` uses all visible CPUs. Each worker receives one
             contiguous group of cells and batches within it.
-        use_shm: ship the cell groups to workers through the shared-memory
-            arena transport (:mod:`repro.parallel.shm`).
     """
     cells = list(cells)
     if not cells:
@@ -242,15 +238,14 @@ def run_cells_batched(
         ):
             dispatch = current_trace()
             contexts = [dispatch.child() for _ in cells]
-            return _run_batched(cells, telemetry, resolved, use_shm, contexts)
-    return _run_batched(cells, telemetry, resolved, use_shm, None)
+            return _run_batched(cells, telemetry, resolved, contexts)
+    return _run_batched(cells, telemetry, resolved, None)
 
 
 def _run_batched(
     cells: list[Any],
     telemetry: bool,
     resolved: int,
-    use_shm: bool,
     contexts: Sequence[TraceContext] | None,
 ) -> list[CellResult]:
     traces: Sequence[TraceContext | None] = (
@@ -263,20 +258,14 @@ def _run_batched(
         # _split_groups is deterministic in the input length, so slicing
         # the trace list with it keeps contexts aligned with their cells.
         trace_groups = _split_groups(list(traces), resolved)
-        executor = SweepExecutor(max_workers=len(groups), use_shm=use_shm)
+        executor = SweepExecutor(max_workers=len(groups))
         items = [
             (group, telemetry, group_traces)
             for group, group_traces in zip(groups, trace_groups)
         ]
-        keys = list(range(len(groups)))
-        if use_shm:
-            group_results = executor._map_pool_shm(  # noqa: SLF001
-                _run_group_item, items, keys, False
-            )
-        else:
-            group_results = executor._map_pool(  # noqa: SLF001
-                _run_group_item, items, keys, False
-            )
+        group_results = executor._map_pool(  # noqa: SLF001
+            _run_group_item, items, list(range(len(groups))), False
+        )
         results = []
         for group_result in group_results:
             if not group_result.ok:

@@ -10,9 +10,8 @@ request**. The propagation rules (docs/OBSERVABILITY.md §11):
   ``--trace-context`` is passed — one trace per invocation;
 * :class:`~repro.parallel.executor.SweepExecutor` mints one **child
   context per cell at the dispatch site** and ships it with the work item
-  (pickled pool and shared-memory skeleton alike: a context is a tiny
-  frozen dataclass of strings, so it rides the pickle skeleton without
-  touching the array arena). The worker activates it for the duration of
+  (a context is a tiny frozen dataclass of strings, so it rides the
+  pickled pool call). The worker activates it for the duration of
   the cell, and at merge time the parent stamps the same ids onto the
   wrapped ``"cell"`` span root — both sides agree without shipping ids
   back through the result pipe;

@@ -61,16 +61,15 @@ class TestBitIdentity:
         batched = run_cells_batched(cells, workers=1)
         assert_sweeps_identical(serial, batched)
 
-    def test_batched_pool_matches_serial(self):
-        cells = _cells([7, 19, 23, 5])
+    @pytest.mark.parametrize(
+        "seeds",
+        [[7, 19, 23, 5], [31, 8, 15, 16]],
+        ids=lambda seeds: "-".join(map(str, seeds)),
+    )
+    def test_batched_pool_matches_serial(self, seeds):
+        cells = _cells(seeds)
         serial = SweepExecutor(max_workers=1).run_cells(cells)
         batched = run_cells_batched(cells, workers=2)
-        assert_sweeps_identical(serial, batched)
-
-    def test_batched_shm_pool_matches_serial(self):
-        cells = _cells([31, 8, 15, 16])
-        serial = SweepExecutor(max_workers=1).run_cells(cells)
-        batched = run_cells_batched(cells, workers=2, use_shm=True)
         assert_sweeps_identical(serial, batched)
 
     def test_dropped_schedules(self):
@@ -159,17 +158,16 @@ class TestScaleWiring:
     def test_experiment_scale_flags(self):
         from repro.experiments.settings import ExperimentScale
 
-        scale = ExperimentScale(batch_solves=True, use_shm=True)
-        assert scale.batch_solves and scale.use_shm
+        scale = ExperimentScale(batch_solves=True)
+        assert scale.batch_solves
         assert not ExperimentScale().batch_solves
 
     def test_cli_flags_reach_scale(self):
         from repro.cli import build_parser
 
         parser = build_parser()
-        args = parser.parse_args(["fig2", "--batch-solves", "--shm"])
+        args = parser.parse_args(["fig2", "--batch-solves"])
         from repro.cli import _scale_from_args
 
         scale = _scale_from_args(args)
         assert scale.batch_solves
-        assert scale.use_shm

@@ -48,6 +48,23 @@ class TestParser:
         assert args.lambda_buckets is None
         assert args.shards is None
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "-3"),
+            ("--lambda-buckets", "-2"),
+            ("--repetitions", "0"),
+            ("--users", "0"),
+            ("--slots", "0"),
+            ("--shards", "0"),
+        ],
+    )
+    def test_out_of_range_scale_argument_exits_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["fig2", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
 
 class TestAggregationScale:
     def _scale(self, argv):

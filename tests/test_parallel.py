@@ -144,118 +144,6 @@ class TestGracefulFallback:
             SweepExecutor(max_workers=1).map(abs, [-1], keys=["a", "b"])
 
 
-class TestSharedMemoryTransport:
-    """The zero-copy arena path must be indistinguishable from pickling."""
-
-    def test_encode_decode_round_trip_is_exact(self):
-        import numpy as np
-
-        from repro.parallel import decode_item, encode_items
-
-        rng = np.random.default_rng(0)
-        items = [
-            {"a": rng.normal(size=(7, 5)), "b": rng.integers(0, 9, size=13)},
-            {"scalar": 3, "empty": np.empty(0)},
-            "no arrays at all",
-        ]
-        arena = encode_items(items)
-        try:
-            for item, ref in zip(items, arena.refs):
-                decoded = decode_item(arena.name, ref)
-                if isinstance(item, dict):
-                    for key, value in item.items():
-                        got = decoded[key]
-                        if isinstance(value, np.ndarray):
-                            assert got.dtype == value.dtype
-                            assert got.shape == value.shape
-                            assert np.array_equal(got, value)
-                        else:
-                            assert got == value
-                        del got
-                else:
-                    assert decoded == item
-                # Decoded arrays alias the shared mapping; they must be
-                # gone before the segment can close.
-                del decoded
-        finally:
-            from repro.parallel.shm import detach_all
-
-            detach_all()
-            arena.close()
-
-    def test_arena_arrays_are_read_only(self):
-        import numpy as np
-
-        from repro.parallel import decode_item, encode_items
-        from repro.parallel.shm import detach_all
-
-        arena = encode_items([np.arange(8.0)])
-        try:
-            decoded = decode_item(arena.name, arena.refs[0])
-            assert not decoded.flags.writeable
-            with pytest.raises((ValueError, RuntimeError)):
-                decoded[0] = 1.0
-            del decoded
-        finally:
-            detach_all()
-            arena.close()
-
-    def test_arrayless_items_skip_the_arena(self):
-        from repro.parallel import decode_item, encode_items
-
-        arena = encode_items(["just", "strings", 42])
-        assert arena.segment is None
-        assert decode_item(arena.name, arena.refs[2]) == 42
-        arena.close()
-
-    def test_shm_sweep_is_bit_identical_to_serial_and_pickled(self):
-        cells = _cells([101, 17, 56], num_users=5)
-        serial = SweepExecutor(max_workers=1).run_cells(cells)
-        pickled = SweepExecutor(max_workers=2).run_cells(cells)
-        shm = SweepExecutor(max_workers=2, use_shm=True).run_cells(cells)
-        for ser, pick, zc in zip(serial, pickled, shm):
-            assert ser.key == pick.key == zc.key
-            assert ser.error is None and pick.error is None and zc.error is None
-            for other in (pick, zc):
-                for name, ser_run in ser.value.results.items():
-                    ser_totals = ser_run.breakdown.totals()
-                    other_totals = other.value.results[name].breakdown.totals()
-                    assert ser_totals == other_totals, name
-
-    def test_shm_failures_are_structured(self):
-        scenario = Scenario(num_users=3, num_slots=2)
-        bad = SweepCell(
-            key="bad",
-            scenario=scenario,
-            algorithms=(OfflineOptimal(), FailingAlgorithm()),
-            seed=5,
-        )
-        good = SweepCell(
-            key="good",
-            scenario=scenario,
-            algorithms=(OfflineOptimal(), OnlineGreedy()),
-            seed=5,
-        )
-        results = SweepExecutor(max_workers=2, use_shm=True).run_cells([bad, good])
-        assert not results[0].ok
-        assert "RuntimeError: injected failure" in results[0].error
-        assert results[1].ok
-
-    def test_oversized_result_falls_back_to_pipe(self):
-        from repro.parallel.shm import ResultArena, write_result
-        from repro.parallel.shm import detach_all
-
-        arena = ResultArena(slots=1, slot_bytes=64)
-        try:
-            assert not write_result(arena.name, 64, 0, b"x" * 1000)
-            assert arena.read_slot(0) is None
-            assert write_result(arena.name, 64, 0, "ok")
-            assert arena.read_slot(0) == "ok"
-        finally:
-            detach_all()
-            arena.close()
-
-
 class TestInlineFallbackVisibility:
     def test_fallback_emits_event_and_counter(self, monkeypatch):
         import repro.parallel.executor as executor_module
