@@ -22,7 +22,11 @@ it:
 7. run the storm again with telemetry enabled and require its manifest
    to hold the ``deadline-miss`` and ``slo:deadline-miss`` alerts and
    one ``slo.burn`` firing record, and ``repro-edge watch M --once
-   --strict`` to exit 1 on it;
+   --strict`` to exit 1 on it; then copy one of its incident bundles
+   next to the manifest (newer than it) and require ``repro-edge doctor
+   DIR`` to still diagnose the manifest — exit 0, naming it, showing
+   ``FIRING [deadline-miss]`` and the ``deadline-miss`` alert — and
+   ``repro-edge doctor BUNDLE`` to exit 2 (a bundle is not a manifest);
 8. run the storm through the cohort-aggregated controller and require
    it to dump bundles that all replay bit-for-bit as well.
 
@@ -34,7 +38,11 @@ Run:  python scripts/incident_smoke.py [--users N] [--slots T]
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -214,6 +222,31 @@ def main(argv: list[str] | None = None) -> int:
     code = cli(["watch", str(manifest), "--once", "--strict"])
     if code != 1:
         failures.append(f"watch --strict exited {code} on the storm manifest")
+    storm_bundles = sorted((manifest_dir / "bundles").glob("incident-*.jsonl"))
+    if not storm_bundles:
+        failures.append("the telemetry storm wrote no incident bundle")
+    else:
+        beside = manifest_dir / storm_bundles[0].name
+        shutil.copyfile(storm_bundles[0], beside)
+        newer = manifest.stat().st_mtime + 10
+        os.utime(beside, (newer, newer))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli(["doctor", str(manifest_dir)])
+        doctored = out.getvalue()
+        if code != 0 or f"Run post-mortem - {manifest}" not in doctored:
+            failures.append(
+                f"doctor DIR exited {code} without diagnosing {manifest.name} "
+                "(a bundle beside it must not win)"
+            )
+        for expected in ("FIRING [deadline-miss]", "deadline-miss: ",
+                         "  [deadline-miss] (slot "):
+            if expected not in doctored:
+                failures.append(f"doctor DIR report lacks {expected!r}")
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli(["doctor", str(beside)])
+        if code != 2:
+            failures.append(f"doctor exited {code} on an incident bundle, expected 2")
 
     # Leg 8: the aggregated recorder's bundles replay bit-for-bit too.
     aggregated_dir = incident_dir / "aggregated"

@@ -24,7 +24,7 @@ from .compare import (
     MetricDelta,
     compare_records,
 )
-from .doctor import doctor_report, load_for_doctor, resolve_manifest_path
+from .doctor import doctor_report, resolve_manifest_path
 from .records import (
     BENCH_FORMAT,
     BenchMetric,
@@ -48,7 +48,6 @@ __all__ = [
     "compare_records",
     "current_git_commit",
     "doctor_report",
-    "load_for_doctor",
     "read_record",
     "resolve_manifest_path",
     "run_suite",

@@ -1180,7 +1180,14 @@ def main(argv: list[str] | None = None) -> int:
         or getattr(args, "profile", False)
     )
     if not wants_telemetry:
-        print(args.func(args))
+        try:
+            print(args.func(args))
+        except (OSError, ValueError) as error:
+            if args.command not in ("doctor", "export", "watch"):
+                raise
+            # An unreadable or non-manifest input: one line, exit 2.
+            print(f"{args.command}: {error}", file=sys.stderr)
+            return 2
         return 0
 
     config = {

@@ -15,50 +15,9 @@ points) deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .certificates import DEFAULT_GAP_TOL
-
-
-@dataclass(frozen=True)
-class ConvergenceSummary:
-    """Aggregate view of every recorded interior-point solve.
-
-    Attributes:
-        solves: number of ``solver.ipm.trace`` events seen.
-        total_iterations: summed iterations across solves.
-        max_iterations: iterations of the heaviest solve.
-        mean_iterations: mean iterations per solve (0 when empty).
-        max_final_mu: largest terminal average complementarity (how
-            "unfinished" the loosest solve was).
-        max_final_gap: largest terminal certified relative duality gap —
-            ~0.1 * tol at convergence; budget-truncated solves report how
-            far from optimal their partial point was left.
-        uncertified: solves whose terminal certified gap exceeds the
-            certificate tolerance (``DEFAULT_GAP_TOL``) — 0 unless budgets
-            truncated solves or the solver stalled.
-    """
-
-    solves: int
-    total_iterations: int
-    max_iterations: int
-    mean_iterations: float
-    max_final_mu: float
-    max_final_gap: float
-    uncertified: int
-
-    def as_dict(self) -> dict:
-        """Plain-dict form for bench records and manifest events."""
-        return {
-            "solves": self.solves,
-            "total_iterations": self.total_iterations,
-            "max_iterations": self.max_iterations,
-            "mean_iterations": self.mean_iterations,
-            "max_final_mu": self.max_final_mu,
-            "max_final_gap": self.max_final_gap,
-            "uncertified": self.uncertified,
-        }
+from ..telemetry.watch import ConvergenceSummary
 
 
 def trace_events(source) -> list[dict]:
@@ -68,29 +27,20 @@ def trace_events(source) -> list[dict]:
     a live :class:`repro.telemetry.MetricsRegistry`, or a plain iterable
     of event dicts.
     """
-    if hasattr(source, "events_of_type"):  # RunRecord
-        return source.events_of_type("solver.ipm.trace")
     events: Iterable[dict] = getattr(source, "events", source)
     return [e for e in events if e.get("type") == "solver.ipm.trace"]
 
 
 def summarize_convergence(source) -> ConvergenceSummary:
-    """Summarize every interior-point solve recorded in ``source``."""
-    events = trace_events(source)
-    iterations = [int(e.get("iterations", 0)) for e in events]
-    final_mu = [float(e.get("mu_final", 0.0)) for e in events]
-    final_gap = [float(e.get("gap_final", 0.0)) for e in events]
-    return ConvergenceSummary(
-        solves=len(events),
-        total_iterations=sum(iterations),
-        max_iterations=max(iterations, default=0),
-        mean_iterations=(
-            sum(iterations) / len(iterations) if iterations else 0.0
-        ),
-        max_final_mu=max(final_mu, default=0.0),
-        max_final_gap=max(final_gap, default=0.0),
-        uncertified=sum(gap > DEFAULT_GAP_TOL for gap in final_gap),
-    )
+    """Summarize every interior-point solve recorded in ``source``.
+
+    Computed by the manifest fold's accumulator, so ``doctor`` and
+    ``watch`` report the same numbers.
+    """
+    summary = ConvergenceSummary()
+    for event in trace_events(source):
+        summary.add(event)
+    return summary
 
 
 def iteration_series(source) -> list[int]:

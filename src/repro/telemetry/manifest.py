@@ -21,11 +21,9 @@ docs/OBSERVABILITY.md for the full schema):
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .environment import environment_fingerprint
 from .metrics import MetricsRegistry
 
 #: Format tag written into every manifest (bump on breaking change).
@@ -92,6 +90,10 @@ def write_manifest(
 ) -> Path:
     """Write one session's telemetry as a JSON-lines manifest.
 
+    The buffered form of :class:`repro.telemetry.sinks.StreamingManifestWriter`:
+    the registry's retained events are written through that writer after
+    the run, and its ``manifest_start`` carries ``"streaming": false``.
+
     Args:
         path: destination file (created or truncated).
         registry: the session registry to persist (typically the one a
@@ -102,42 +104,22 @@ def write_manifest(
     Returns:
         The path written.
     """
-    path = Path(path)
-    snap = registry.snapshot()
-    with path.open("w", encoding="utf-8") as handle:
+    from .sinks import StreamingManifestWriter  # lazy: sinks build on this module
 
-        def emit(record: dict) -> None:
-            handle.write(json.dumps(record, default=_jsonify) + "\n")
-
-        emit(
-            {
-                "type": "manifest_start",
-                "format": MANIFEST_FORMAT,
-                "created_unix": time.time(),
-                "config": config or {},
-                "environment": environment_fingerprint(),
-            }
-        )
-        for event in snap["events"]:
-            emit(event)
-        emit(
-            {
-                "type": "metrics",
-                "counters": snap["counters"],
-                "gauges": snap["gauges"],
-                "histograms": snap["histograms"],
-            }
-        )
-        emit({"type": "spans", "spans": snap["spans"]})
-        emit({"type": "manifest_end", "events": len(snap["events"])})
-    return path
+    writer = StreamingManifestWriter(path, config=config, streaming=False)
+    for event in registry.events:
+        writer.emit(event)
+    return writer.finalize(registry)
 
 
 def read_manifest(path: str | Path, *, strict: bool = True) -> RunRecord:
     """Load a manifest written by :func:`write_manifest`.
 
-    Raises ``ValueError`` on an unknown format tag or a truncated file
-    (missing or inconsistent ``manifest_end``). With ``strict=False``
+    Raises ``ValueError`` naming the file when it is not a run manifest
+    (its first complete record is not ``manifest_start`` — an incident
+    bundle, an empty file, unparseable text), on an unknown format tag,
+    and on a truncated file (missing or inconsistent ``manifest_end``);
+    the first check applies in both modes. With ``strict=False``
     truncation is tolerated instead: a torn trailing line is dropped, every
     complete record before it is kept, and the returned record carries
     ``truncated=True`` — for post-mortem tooling (``repro-edge doctor``)
@@ -152,8 +134,8 @@ def read_manifest(path: str | Path, *, strict: bool = True) -> RunRecord:
     gauges: dict = {}
     histograms: dict = {}
     spans: list = []
-    ended = False
-    with path.open("r", encoding="utf-8") as handle:
+    started = ended = False
+    with path.open("r", encoding="utf-8", errors="replace") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -161,13 +143,21 @@ def read_manifest(path: str | Path, *, strict: bool = True) -> RunRecord:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                if strict:
+                record = None
+            if not isinstance(record, dict):
+                if strict or not started:
                     raise ValueError(
                         f"{path}: unparseable manifest line {line_number}"
-                    ) from None
+                    )
                 break  # torn tail of an interrupted write
             kind = record.get("type")
+            if not started and kind != "manifest_start":
+                raise ValueError(
+                    f"{path}: not a run manifest (first record is {kind!r}, "
+                    "not 'manifest_start')"
+                )
             if kind == "manifest_start":
+                started = True
                 if record.get("format") != MANIFEST_FORMAT:
                     raise ValueError(
                         f"{path}: unknown manifest format {record.get('format')!r}"
@@ -190,6 +180,8 @@ def read_manifest(path: str | Path, *, strict: bool = True) -> RunRecord:
                     )
             else:
                 events.append(record)
+    if not started:
+        raise ValueError(f"{path}: not a run manifest (no manifest_start record)")
     if not ended and strict:
         raise ValueError(f"{path}: truncated manifest (no manifest_end record)")
     return RunRecord(

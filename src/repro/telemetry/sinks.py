@@ -134,8 +134,14 @@ class StreamingManifestWriter(EventSink):
         config: dict | None = None,
         flush_every: int = DEFAULT_FLUSH_EVERY,
         flush_interval_s: float = DEFAULT_FLUSH_INTERVAL_S,
+        streaming: bool = True,
     ) -> None:
-        """Open (truncate) ``path`` and write the ``manifest_start`` line."""
+        """Open (truncate) ``path`` and write the ``manifest_start`` line.
+
+        ``streaming`` is recorded in that line: ``False`` when
+        :func:`repro.telemetry.manifest.write_manifest` writes a finished
+        run's buffered events in one go.
+        """
         if flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
         self.path = Path(path)
@@ -153,7 +159,7 @@ class StreamingManifestWriter(EventSink):
                 "created_unix": time.time(),
                 "config": config or {},
                 "environment": environment_fingerprint(),
-                "streaming": True,
+                "streaming": streaming,
             }
         )
         self.flush()

@@ -1,4 +1,4 @@
-"""``repro-edge watch``: tail a streaming manifest, render live run state.
+"""``repro-edge watch``, and the manifest fold it shares with ``doctor``.
 
 A run started with a :class:`repro.telemetry.sinks.StreamingManifestWriter`
 (e.g. ``repro-edge fig2 --telemetry run.jsonl --stream``) appends one
@@ -10,6 +10,13 @@ refreshing terminal dashboard: slots done, per-slot wall p50/p95, the
 running four-component cost, solver iterations and fallback/circuit
 state, the empirical competitive ratio against the certified ``1+γ|I|``
 bound, and alerts.
+
+:class:`ManifestSummary` is the fold itself: the one reader that knows
+what each manifest record kind means. ``WatchState`` is that fold plus
+an alert evaluator and the dashboard renderer; ``repro-edge doctor``
+(:mod:`repro.bench.doctor`) renders its post-mortem from the same fold,
+and :func:`repro.diagnostics.summarize_convergence` computes through its
+:class:`ConvergenceSummary`.
 
 The watch runs its own :class:`repro.telemetry.alerting.AlertEvaluator`
 over the tailed events, so rules fire even for manifests recorded
@@ -24,9 +31,11 @@ from __future__ import annotations
 import json
 import sys
 import time
+from bisect import insort
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .alerting import Alert, AlertEvaluator, Rule, default_rules
+from .alerting import DEFAULT_GAP_TOL, Alert, AlertEvaluator, Rule, default_rules
 from .metrics import Histogram
 
 #: ANSI sequence that clears the screen and homes the cursor.
@@ -35,6 +44,9 @@ CLEAR_SCREEN = "\x1b[2J\x1b[H"
 #: How many alerts and runs the dashboard lists before eliding.
 MAX_LISTED = 6
 
+#: How many worst offenders (or first occurrences) the fold keeps per list.
+TOP_N = 5
+
 
 class ManifestTail:
     """Incrementally read new complete JSON lines from a growing file.
@@ -42,21 +54,26 @@ class ManifestTail:
     Each :meth:`poll` picks up where the previous one stopped. A trailing
     line without a newline (a write in progress) is buffered until its
     remainder arrives, so torn writes never surface as parse errors; a
-    *complete* line that still fails to parse is counted in
-    ``corrupt_lines`` and skipped.
+    *complete* line that still fails to parse as a JSON object is counted
+    in ``corrupt_lines`` and skipped.
+
+    Attributes:
+        is_manifest: ``None`` until the first complete line arrives, then
+            whether that line was a ``manifest_start`` record.
     """
 
     def __init__(self, path: str | Path) -> None:
         """Tail ``path`` (which may not exist yet) from its beginning."""
         self.path = Path(path)
         self.corrupt_lines = 0
+        self.is_manifest: bool | None = None
         self._position = 0
         self._partial = ""
 
     def poll(self) -> list[dict]:
         """Return every complete record appended since the last poll."""
         try:
-            with self.path.open("r", encoding="utf-8") as handle:
+            with self.path.open("r", encoding="utf-8", errors="replace") as handle:
                 handle.seek(self._position)
                 chunk = handle.read()
                 self._position = handle.tell()
@@ -72,10 +89,90 @@ class ManifestTail:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError:
+                record = None
+            if self.is_manifest is None:
+                self.is_manifest = (
+                    isinstance(record, dict)
+                    and record.get("type") == "manifest_start"
+                )
+            if isinstance(record, dict):
+                records.append(record)
+            else:
                 self.corrupt_lines += 1
         return records
+
+
+@dataclass
+class ConvergenceSummary:
+    """Aggregate view of every recorded interior-point solve.
+
+    Folded one ``solver.ipm.trace`` event at a time by :meth:`add`: the one
+    copy of the IPM-trace arithmetic, read by the doctor's convergence
+    section, the watch's solver line and
+    :func:`repro.diagnostics.summarize_convergence`.
+
+    Attributes:
+        solves: number of ``solver.ipm.trace`` events seen.
+        total_iterations: summed iterations across solves.
+        max_iterations: iterations of the heaviest solve.
+        mean_iterations: mean iterations per solve (0 when empty).
+        max_final_mu: largest terminal average complementarity (how
+            "unfinished" the loosest solve was).
+        max_final_gap: largest terminal certified relative duality gap —
+            ~0.1 * tol at convergence; budget-truncated solves report how
+            far from optimal their partial point was left.
+        uncertified: solves whose terminal certified gap exceeds the
+            certificate tolerance (``DEFAULT_GAP_TOL``) — 0 unless budgets
+            truncated solves or the solver stalled.
+    """
+
+    solves: int = 0
+    total_iterations: int = 0
+    max_iterations: int = 0
+    mean_iterations: float = 0.0
+    max_final_mu: float = 0.0
+    max_final_gap: float = 0.0
+    uncertified: int = 0
+
+    def add(self, event: dict) -> None:
+        """Fold one ``solver.ipm.trace`` event."""
+        iterations = int(event.get("iterations", 0))
+        gap = float(event.get("gap_final", 0.0))
+        self.solves += 1
+        self.total_iterations += iterations
+        self.mean_iterations = self.total_iterations / self.solves
+        self.max_iterations = max(self.max_iterations, iterations)
+        self.max_final_mu = max(self.max_final_mu, float(event.get("mu_final", 0.0)))
+        self.max_final_gap = max(self.max_final_gap, gap)
+        self.uncertified += gap > DEFAULT_GAP_TOL
+
+    def as_dict(self) -> dict:
+        """Plain-dict form for bench records and manifest events."""
+        return asdict(self)
+
+
+class TopN:
+    """The first ``size`` items offered or, with a ``key``, the ``size``
+    ranking highest: exactly ``sorted(items, key=key, reverse=True)[:size]``,
+    ties in arrival order. ``count`` is how many items were offered."""
+
+    def __init__(self, size: int = TOP_N, key=None) -> None:
+        """Keep ``size`` items, ranked by ``key`` unless it is None."""
+        self.size = size
+        self.key = key
+        self.items: list = []
+        self.count = 0
+
+    def add(self, item) -> None:
+        """Offer one item."""
+        self.count += 1
+        if self.key is None:
+            self.items.append(item)
+        else:
+            insort(self.items, item, key=lambda kept: -self.key(kept))
+        del self.items[self.size:]
 
 
 class _RunView:
@@ -93,104 +190,111 @@ class _RunView:
             self.costs[key] += float(record.get(key, 0.0))
 
 
-class WatchState:
-    """Everything the dashboard shows, folded incrementally from records.
+class ManifestSummary:
+    """What a manifest says, folded record by record.
 
-    Feed records via :meth:`update` (in file order); read the rendered
-    dashboard from :meth:`render`. The embedded evaluator re-evaluates
-    the rule set over the stream, and ``alert`` records already present in
-    the manifest are merged in, deduplicated by ``(rule, slot)``.
+    The one place that knows what each manifest record kind means. Feed
+    records in file order via :meth:`update` — ``manifest_start``, the
+    events, the trailing ``metrics`` snapshot, ``manifest_end`` — and read
+    the totals off the attributes. State does not grow with the number of
+    slots: counters, histograms, per-run and per-name maps, and
+    :class:`TopN` lists of the worst offenders and first occurrences.
+    Unknown kinds count as events and are otherwise ignored.
     """
 
-    def __init__(self, rules: "tuple[Rule, ...] | list | None" = None) -> None:
-        """Create an empty state evaluating ``rules`` (default set if None)."""
+    def __init__(self, gap_tol: float = DEFAULT_GAP_TOL) -> None:
+        """Create an empty fold; ``gap_tol`` flags certificate violations."""
+        self.gap_tol = gap_tol
         self.config: dict = {}
+        self.environment: dict = {}
         self.started = False
         self.done = False
+        self.counters: dict = {}
+        self.gauges: dict = {}
+        self.histograms: dict = {}
         self.events = 0
-        self.wall = Histogram("slot.wall_ms")
         self.runs: dict[tuple, _RunView] = {}
-        self.solver_solves = 0
-        self.solver_iterations = 0
-        self.fallbacks = 0
-        self.circuit_opens = 0
+        self.run_ends = 0
+        self.wall = Histogram("slot.wall_ms")
+        self.slowest_slots = TopN(key=lambda e: float(e["wall_ms"]))
+        self.convergence = ConvergenceSummary()
+        self.fallbacks = TopN()
+        self.circuit_opens = TopN()
+        self.certificates = TopN(key=lambda e: float(e.get("relative_gap", 0.0)))
+        self.certificate_violations = 0
         self.ratio: float | None = None
         self.ratio_bound: float | None = None
         self.ratio_worst: float | None = None
         self.ratio_certified: bool | None = None
+        self.ratio_traces: list[dict] = []
+        self.ratio_violations = TopN()
         self.agg_slots = 0
         self.agg_cohorts = 0
         self.agg_reduction: float | None = None
-        self.agg_bound: float | None = None
-        self.agg_error_worst: float | None = None
-        self.service_slots = 0
+        self.agg_sizes = Histogram("aggregate.cohorts")
+        self.agg_reductions = Histogram("aggregate.reduction")
+        self.agg_spreads = Histogram("aggregate.spread")
+        self.agg_bounds = Histogram("aggregate.bound")
+        self.agg_errors = Histogram("aggregate.disagg_error")
         self.service_misses = 0
         self.service_latency = Histogram("service.slot_latency_ms")
+        self.deadline_misses = TopN()
+        self.profiles = TopN(3, key=lambda e: float(e.get("wall_ms", 0.0)))
+        self.profiled_ms = 0.0
         self.phase_latency: dict[str, Histogram] = {}
-        self.evaluator = AlertEvaluator(default_rules() if rules is None else rules)
-        self.alerts: list[Alert] = []
-        self._alert_keys: set[tuple] = set()
+        self.inline_fallbacks = TopN()
         self.slo_burn: dict[str, dict] = {}
         self.slo_firing: set[str] = set()
-        self.incidents: list[str] = []
+        self.slo_transitions = 0
+        self.slo_resolved = 0
+        self.bundles: dict[str, str] = {}
+        self.recorded_alerts = TopN()
+        self.alert_rules: dict[str, int] = {}
 
     # ----- folding ------------------------------------------------------------
 
-    def update(self, record: dict) -> None:
-        """Fold one manifest record into the state."""
+    def update(self, record: dict) -> bool:
+        """Fold one manifest record; return whether it was a run event.
+
+        The framing records (``manifest_start``, ``metrics``, ``spans``,
+        ``manifest_end``) return ``False``; every other record, unknown
+        kinds included, counts as an event.
+        """
         kind = record.get("type")
         if kind == "manifest_start":
             self.started = True
             self.config = record.get("config", {})
-            return
+            self.environment = record.get("environment", {})
+            return False
+        if kind == "metrics":
+            self.counters = record.get("counters", {})
+            self.gauges = record.get("gauges", {})
+            self.histograms = record.get("histograms", {})
+            return False
         if kind == "manifest_end":
             self.done = True
-            return
-        if kind in ("metrics", "spans"):
-            return
+            return False
+        if kind == "spans":
+            return False
         self.events += 1
         if kind == "slot":
-            self._on_slot(record)
+            if "wall_ms" in record:
+                self.wall.observe(float(record["wall_ms"]))
+                self.slowest_slots.add(record)
+            self._run(record).add_slot(record)
         elif kind == "run_end":
-            key = self._run_key(record)
-            view = self.runs.get(key)
-            if view is None:
-                view = self.runs[key] = _RunView(str(record.get("algorithm", "?")))
-            view.finished = True
+            self.run_ends += 1
+            self._run(record).finished = True
         elif kind == "solver.ipm.trace":
-            self.solver_solves += 1
-            self.solver_iterations += int(record.get("iterations", 0))
+            self.convergence.add(record)
         elif kind == "solver.fallback":
-            self.fallbacks += 1
+            self.fallbacks.add(record)
         elif kind == "solver.circuit_open":
-            self.circuit_opens += 1
-        elif kind == "aggregate.slot":
-            self.agg_slots += 1
-            self.agg_cohorts = int(record.get("cohorts", 0))
-            self.agg_reduction = float(record.get("reduction", 1.0))
-            # Worst-over-run, matching the doctor's Aggregation section
-            # (a last-slot bound next to a worst-gap reads inconsistently).
-            bound = float(record.get("bound", 0.0))
-            if self.agg_bound is None or bound > self.agg_bound:
-                self.agg_bound = bound
-            error = record.get("disagg_error")
-            if error is not None:
-                error = float(error)
-                if self.agg_error_worst is None or error > self.agg_error_worst:
-                    self.agg_error_worst = error
-        elif kind == "service.slot":
-            self.service_slots += 1
-            self.service_latency.observe(float(record.get("latency_ms", 0.0)))
-            if record.get("deadline_miss"):
-                self.service_misses += 1
-        elif kind == "prof.phases":
-            for name, ms in (record.get("phases") or {}).items():
-                histogram = self.phase_latency.get(str(name))
-                if histogram is None:
-                    histogram = self.phase_latency[str(name)] = Histogram(
-                        f"prof.phase_ms.{name}"
-                    )
-                histogram.observe(float(ms))
+            self.circuit_opens.add(record)
+        elif kind == "diag.certificate":
+            self.certificates.add(record)
+            gap = float(record.get("relative_gap", 0.0))
+            self.certificate_violations += gap > self.gap_tol
         elif kind == "diag.ratio.point":
             self.ratio = float(record.get("ratio", 0.0))
             self.ratio_bound = float(record.get("bound", 0.0))
@@ -199,19 +303,36 @@ class WatchState:
             self.ratio_bound = float(record.get("bound", 0.0))
             self.ratio_worst = float(record.get("worst_ratio", 0.0))
             self.ratio_certified = bool(record.get("certified", False))
+            self.ratio_traces.append(record)
+        elif kind == "diag.ratio.violation":
+            self.ratio_violations.add(record)
+        elif kind == "aggregate.slot":
+            self._on_aggregate(record)
+        elif kind == "service.slot":
+            self.service_latency.observe(float(record.get("latency_ms", 0.0)))
+            self.service_misses += bool(record.get("deadline_miss"))
+        elif kind == "service.deadline.miss":
+            self.deadline_misses.add(record)
+        elif kind == "prof.phases":
+            self._on_profile(record)
+        elif kind == "parallel.fallback.inline":
+            self.inline_fallbacks.add(record)
         elif kind == "slo.burn":
             name = str(record.get("objective", "?"))
-            self.slo_burn[name] = dict(record)
+            self.slo_burn[name] = record
+            self.slo_transitions += 1
+            self.slo_resolved += record.get("state") == "resolved"
             if record.get("state") == "firing":
                 self.slo_firing.add(name)
             else:
                 self.slo_firing.discard(name)
         elif kind == "incident.written":
-            path = str(record.get("path", "?"))
-            if path not in self.incidents:
-                self.incidents.append(path)
+            self.bundles.setdefault(
+                str(record.get("path", "?")),
+                str(record.get("rule") or record.get("reason", "?")),
+            )
         elif kind == "alert":
-            self._add_alert(
+            self._recorded(
                 Alert(
                     rule=str(record.get("rule", "?")),
                     message=str(record.get("message", "")),
@@ -220,38 +341,49 @@ class WatchState:
                     threshold=record.get("threshold"),
                 )
             )
-        fired = len(self.evaluator.alerts)
-        self.evaluator.observe(record)
-        for alert in self.evaluator.alerts[fired:]:
-            self._add_alert(alert)
+        return True
 
     def update_all(self, records) -> None:
         """Fold many records (a :meth:`ManifestTail.poll` batch)."""
         for record in records:
             self.update(record)
 
-    def _on_slot(self, record: dict) -> None:
-        if "wall_ms" in record:
-            self.wall.observe(float(record["wall_ms"]))
-        key = self._run_key(record)
-        view = self.runs.get(key)
-        if view is None:
-            view = self.runs[key] = _RunView(str(record.get("algorithm", "?")))
-        view.add_slot(record)
-
-    @staticmethod
-    def _run_key(record: dict) -> tuple:
+    def _run(self, record: dict) -> _RunView:
         cell = record.get("cell")
         if isinstance(cell, list):  # JSON round-trips tuples as lists
             cell = tuple(cell)
-        return (cell, record.get("run"))
+        key = (cell, record.get("run"))
+        view = self.runs.get(key)
+        if view is None:
+            view = self.runs[key] = _RunView(str(record.get("algorithm", "?")))
+        return view
 
-    def _add_alert(self, alert: Alert) -> None:
-        key = (alert.rule, alert.slot)
-        if key in self._alert_keys:
-            return
-        self._alert_keys.add(key)
-        self.alerts.append(alert)
+    def _on_aggregate(self, record: dict) -> None:
+        self.agg_slots += 1
+        self.agg_cohorts = int(record.get("cohorts", 0))
+        self.agg_reduction = float(record.get("reduction", 1.0))
+        self.agg_sizes.observe(self.agg_cohorts)
+        self.agg_reductions.observe(self.agg_reduction)
+        self.agg_spreads.observe(float(record.get("spread", 0.0)))
+        self.agg_bounds.observe(float(record.get("bound", 0.0)))
+        if record.get("disagg_error") is not None:
+            self.agg_errors.observe(float(record["disagg_error"]))
+
+    def _on_profile(self, record: dict) -> None:
+        self.profiles.add(record)
+        self.profiled_ms += float(record.get("wall_ms", 0.0))
+        for name, ms in (record.get("phases") or {}).items():
+            histogram = self.phase_latency.get(str(name))
+            if histogram is None:
+                histogram = self.phase_latency[str(name)] = Histogram(
+                    f"prof.phase_ms.{name}"
+                )
+            histogram.observe(float(ms))
+
+    def _recorded(self, alert: Alert) -> None:
+        """Count one ``alert`` record found in the manifest."""
+        self.recorded_alerts.add(alert)
+        self.alert_rules[alert.rule] = self.alert_rules.get(alert.rule, 0) + 1
 
     # ----- derived ------------------------------------------------------------
 
@@ -268,6 +400,54 @@ class WatchState:
             for key, value in view.costs.items():
                 totals[key] += value
         return totals
+
+    @property
+    def service_slots(self) -> int:
+        """``service.slot`` events folded so far."""
+        return self.service_latency.count
+
+    @property
+    def incidents(self) -> list[str]:
+        """Incident bundle paths written, each listed once, in file order."""
+        return list(self.bundles)
+
+
+class WatchState(ManifestSummary):
+    """The dashboard: the manifest fold, live alerting, and a renderer.
+
+    Feed records via :meth:`update` (in file order); read the rendered
+    dashboard from :meth:`render`. The embedded evaluator re-evaluates
+    the rule set over the stream, and ``alert`` records already present in
+    the manifest are merged in, deduplicated by ``(rule, slot)``.
+    """
+
+    def __init__(self, rules: "tuple[Rule, ...] | list | None" = None) -> None:
+        """Create an empty state evaluating ``rules`` (default set if None)."""
+        super().__init__()
+        self.evaluator = AlertEvaluator(default_rules() if rules is None else rules)
+        self.alerts: list[Alert] = []
+        self._alert_keys: set[tuple] = set()
+
+    def update(self, record: dict) -> bool:
+        """Fold one record, then run it past the evaluator if it is an event."""
+        if not super().update(record):
+            return False
+        fired = len(self.evaluator.alerts)
+        self.evaluator.observe(record)
+        for alert in self.evaluator.alerts[fired:]:
+            self._add_alert(alert)
+        return True
+
+    def _recorded(self, alert: Alert) -> None:
+        super()._recorded(alert)
+        self._add_alert(alert)
+
+    def _add_alert(self, alert: Alert) -> None:
+        key = (alert.rule, alert.slot)
+        if key in self._alert_keys:
+            return
+        self._alert_keys.add(key)
+        self.alerts.append(alert)
 
     # ----- rendering ----------------------------------------------------------
 
@@ -303,9 +483,10 @@ class WatchState:
         )
         lines.append(
             "  solver : "
-            f"{self.solver_iterations} iterations / {self.solver_solves} solves, "
-            f"{self.fallbacks} fallback(s), "
-            f"{self.circuit_opens} circuit-open(s)"
+            f"{self.convergence.total_iterations} iterations / "
+            f"{self.convergence.solves} solves, "
+            f"{self.fallbacks.count} fallback(s), "
+            f"{self.circuit_opens.count} circuit-open(s)"
         )
         if self.ratio is not None and self.ratio_bound is not None:
             certified = (
@@ -326,15 +507,15 @@ class WatchState:
             lines.append("  ratio  : (no diag.ratio feed in this manifest)")
         if self.agg_slots:
             error = (
-                ""
-                if self.agg_error_worst is None
-                else f"  worst gap {self.agg_error_worst:.2e}"
+                f"  worst gap {self.agg_errors.maximum:.2e}"
+                if self.agg_errors.count
+                else ""
             )
             lines.append(
                 f"  agg    : {self.agg_slots} slot(s), "
                 f"{self.agg_cohorts} cohorts "
                 f"({self.agg_reduction:.1f}x reduction), "
-                f"error bound {self.agg_bound:.3f}{error}"
+                f"error bound {self.agg_bounds.maximum:.3f}{error}"
             )
         if self.service_slots:
             lines.append(
@@ -369,8 +550,8 @@ class WatchState:
                     f"{float(burn.get('slow_burn', 0.0)):.1f}x  "
                     f"(budget {float(burn.get('budget', 0.0)):g})"
                 )
-        if self.incidents:
-            lines.append(f"  incid  : {len(self.incidents)} bundle(s) written")
+        if self.bundles:
+            lines.append(f"  incid  : {len(self.bundles)} bundle(s) written")
             for path in self.incidents[:MAX_LISTED]:
                 lines.append(f"    {path}")
         if self.alerts:
@@ -422,6 +603,12 @@ def watch(
 
     Returns:
         Process exit code: 1 when ``strict`` and alerts fired, else 0.
+
+    Raises:
+        ValueError: the file's first complete line is not a
+            ``manifest_start`` record (an incident bundle, say) — such a
+            file would never reach ``manifest_end``. A missing or still
+            empty file is waited for instead.
     """
     out = stream if stream is not None else sys.stdout
     tail = ManifestTail(path)
@@ -431,7 +618,13 @@ def watch(
     first_frame = True
     try:
         while True:
-            state.update_all(tail.poll())
+            records = tail.poll()
+            if tail.is_manifest is False:
+                raise ValueError(
+                    f"{path}: not a run manifest "
+                    "(its first record is not manifest_start)"
+                )
+            state.update_all(records)
             prefix = CLEAR_SCREEN if is_tty else ("" if first_frame else "\n")
             out.write(prefix + state.render(title=str(path)) + "\n")
             out.flush()

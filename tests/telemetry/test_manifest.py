@@ -170,3 +170,55 @@ class TestNonStrictLoad:
         assert [e["slot"] for e in record.slot_events] == [0, 1, 2]
         assert record.counters == {}  # metrics section not written yet
         writer.finalize(None)
+
+
+class TestNotAManifest:
+    """A file whose first record is not ``manifest_start`` is refused."""
+
+    BUNDLE = (
+        '{"type": "incident_start", "format": "repro.incident/1"}\n'
+        '{"type": "incident_end", "snapshots": 0}\n'
+    )
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "text", [BUNDLE, "not json at all\n", "[1, 2]\n", "", "\n\n"],
+        ids=["bundle", "garbage", "json-array", "empty", "blank"],
+    )
+    def test_refused_in_both_modes(self, tmp_path, strict, text):
+        path = tmp_path / "other.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="other.jsonl"):
+            read_manifest(path, strict=strict)
+
+    def test_first_record_kind_is_named(self, tmp_path):
+        path = tmp_path / "bundle.jsonl"
+        path.write_text(self.BUNDLE)
+        with pytest.raises(ValueError, match="not a run manifest.*incident_start"):
+            read_manifest(path, strict=False)
+
+
+class TestOneWriter:
+    """``write_manifest`` writes through the streaming writer's layout."""
+
+    def test_buffered_manifest_marks_itself_not_streaming(self, tmp_path):
+        path = write_manifest(tmp_path / "run.jsonl", _recorded_registry())
+        first = json.loads(path.read_text().splitlines()[0])
+        assert first["streaming"] is False
+
+    def test_buffered_and_streamed_layouts_match(self, tmp_path):
+        from repro.telemetry import streaming_manifest_session
+
+        registry = _recorded_registry()
+        buffered = write_manifest(tmp_path / "buffered.jsonl", registry)
+        streamed = tmp_path / "streamed.jsonl"
+        with streaming_manifest_session(streamed, max_events=None) as live:
+            for event in registry.events:
+                fields = {k: v for k, v in event.items() if k != "type"}
+                live.event(event["type"], **fields)
+
+        def kinds(path):
+            return [json.loads(line)["type"] for line in path.read_text().splitlines()]
+
+        assert kinds(buffered) == kinds(streamed)
+        assert read_manifest(buffered).events == read_manifest(streamed).events

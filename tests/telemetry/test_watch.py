@@ -13,6 +13,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.telemetry import (
@@ -25,6 +27,7 @@ from repro.telemetry import (
     write_manifest,
 )
 from repro.telemetry.sinks import StreamingManifestWriter
+from repro.telemetry.watch import TopN
 
 
 def _write_line(path, record) -> None:
@@ -66,6 +69,22 @@ class TestManifestTail:
             handle.write(json.dumps({"type": "slot", "slot": 1}) + "\n")
         assert [r["slot"] for r in tail.poll()] == [1]
         assert tail.corrupt_lines == 1
+
+
+class TestTopN:
+    @given(st.lists(st.integers(0, 4), max_size=40), st.integers(1, 6))
+    def test_holds_exactly_the_sorted_prefix(self, values, size):
+        items = list(enumerate(values))  # (file position, rank)
+        ranked = TopN(size, key=lambda item: item[1])
+        first = TopN(size)
+        for item in items:
+            ranked.add(item)
+            first.add(item)
+        assert ranked.items == sorted(
+            items, key=lambda item: item[1], reverse=True
+        )[:size]
+        assert first.items == items[:size]
+        assert ranked.count == first.count == len(items)
 
 
 class TestWatchState:
@@ -258,6 +277,21 @@ class TestWatchLoop:
         assert code == 0
         assert time.monotonic() - start < 5.0
 
+    @pytest.mark.parametrize("text", [None, "", '{"type": "manifest_st'])
+    def test_missing_empty_or_torn_file_keeps_waiting(self, tmp_path, text):
+        path = tmp_path / "run.jsonl"
+        if text is not None:
+            path.write_text(text)
+        out = io.StringIO()
+        assert watch(path, interval=0.01, timeout=0.05, stream=out) == 0
+        assert "[WAITING]" in out.getvalue()
+
+    def test_bundle_raises_naming_the_file(self, tmp_path):
+        path = tmp_path / "incident-000-x.jsonl"
+        path.write_text('{"type": "incident_start"}\n{"type": "incident_end"}\n')
+        with pytest.raises(ValueError, match="incident-000-x.jsonl"):
+            watch(path, interval=0.01, timeout=5.0, stream=io.StringIO())
+
     def test_buffered_manifest_is_watchable_too(self, tmp_path):
         registry = MetricsRegistry()
         registry.event("slot", slot=0, wall_ms=1.0, total=2.0)
@@ -288,6 +322,23 @@ class TestWatchCli:
             main(["watch", str(path), "--once", "--strict"])
         assert excinfo.value.code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"type": "incident_start", "format": "repro.incident/1"}\n', "garbage\n"],
+        ids=["bundle", "garbage"],
+    )
+    def test_non_manifest_exits_2_instead_of_following(self, tmp_path, capsys, text):
+        path = tmp_path / "other.jsonl"
+        path.write_text(text)
+        assert main(["watch", str(path), "--interval", "0.01"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("watch: ") and "not a run manifest" in line
+        assert str(path) in line
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert main(["watch", str(tmp_path), "--once"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_watched_streaming_manifest_still_verifies(self, tmp_path):
         # Watching is read-only: the tailed file still strict-reads.
