@@ -28,7 +28,8 @@ it:
    ``FIRING [deadline-miss]`` and the ``deadline-miss`` alert — and
    ``repro-edge doctor BUNDLE`` to exit 2 (a bundle is not a manifest);
 8. run the storm through the cohort-aggregated controller and require
-   it to dump bundles that all replay bit-for-bit as well.
+   it to dump bundles that all replay under the bit-for-bit contract as
+   well (the replay report names the contract it applied).
 
 Exit code 0 on success, 1 with a diagnostic on any mismatch.
 
@@ -267,9 +268,14 @@ def main(argv: list[str] | None = None) -> int:
     if not aggregated_bundles:
         failures.append("the aggregated miss storm wrote no incident bundle")
     for bundle in aggregated_bundles:
-        code = cli(["incident", "replay", str(bundle)])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli(["incident", "replay", str(bundle)])
+        print(out.getvalue(), end="")
         if code != 0:
             failures.append(f"replay gate failed on {bundle} (exit {code})")
+        elif "REPRODUCED bit-for-bit" not in out.getvalue():
+            failures.append(f"{bundle} replayed under a weaker contract")
 
     print(
         f"incident smoke: {report.slots} slots, {report.deadline_misses} "

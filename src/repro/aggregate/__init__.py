@@ -3,8 +3,9 @@
 Layer map (docs/SCALING.md walks the math):
 
 * :mod:`config` — :class:`AggregationConfig`, the import-light knob bundle;
-* :mod:`cohorts` — bucket users into weighted aggregate columns and split
-  solutions back proportionally;
+* :mod:`cohorts` — bucket users into weighted aggregate columns, keep the
+  proportional split of a solution factored (:class:`FactoredAllocation`)
+  and fold it into the next slot's cohorts pair by pair;
 * :mod:`reduced` — the cohort-reduced P2 (exact for workload-uniform
   cohorts) and its a-priori cost error bound;
 * :mod:`sharding` — partition the reduced solve into cohort blocks across
@@ -14,7 +15,7 @@ Layer map (docs/SCALING.md walks the math):
 """
 
 from .config import AggregationConfig
-from .cohorts import BucketSpec, CohortMap, build_cohorts
+from .cohorts import BucketSpec, CohortMap, FactoredAllocation, build_cohorts
 from .controller import (
     ERROR_EVAL_LIMIT,
     AggregatedController,
@@ -29,6 +30,7 @@ __all__ = [
     "AggregationConfig",
     "BucketSpec",
     "CohortMap",
+    "FactoredAllocation",
     "ShardTask",
     "SlotAggregationReport",
     "aggregation_error_bound",

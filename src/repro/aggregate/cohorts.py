@@ -13,11 +13,17 @@ static objective at the split equals the reduced static objective — see
 docs/SCALING.md for the two-line identity) and feasibility-preserving by
 construction: aggregate demand/capacity satisfaction implies per-user
 demand/capacity satisfaction.
+
+A split allocation is kept *factored* as a :class:`FactoredAllocation`
+``(y, cohorts)`` from the solve to the cost accounting: every paper cost
+and the next slot's cohort aggregate are functions of the
+(previous cohort, cohort) pairs users move between (docs/SCALING.md §2),
+so the dense (I, J) matrix is only built when a caller asks for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,6 +90,8 @@ class CohortMap:
         workloads: (G,) summed member workloads Lambda_g.
         member_share: (J,) each user's workload fraction of its cohort,
             ``lambda_j / Lambda_{g(j)}`` — the proportional split weights.
+        workload_min: (G,) smallest member workload of each cohort.
+        workload_max: (G,) largest member workload of each cohort.
     """
 
     cohort_of: np.ndarray
@@ -91,6 +99,8 @@ class CohortMap:
     sizes: np.ndarray
     workloads: np.ndarray
     member_share: np.ndarray
+    workload_min: np.ndarray
+    workload_max: np.ndarray
 
     @property
     def num_cohorts(self) -> int:
@@ -112,28 +122,33 @@ class CohortMap:
         """users / cohorts — how much smaller the reduced P2 is."""
         return self.num_users / self.num_cohorts
 
-    def spread(self, user_workloads: np.ndarray) -> float:
+    @property
+    def spread(self) -> float:
         """Worst within-cohort relative workload spread, max_g (max/min - 1).
 
         Zero exactly when every cohort is workload-uniform (exact buckets,
         or identical users); this is the ``r`` the cost error bound of
         docs/SCALING.md is a function of.
         """
-        lam = np.asarray(user_workloads, dtype=float)
-        hi = np.zeros(self.num_cohorts)
-        lo = np.full(self.num_cohorts, np.inf)
-        np.maximum.at(hi, self.cohort_of, lam)
-        np.minimum.at(lo, self.cohort_of, lam)
-        return float(np.max(hi / lo) - 1.0)
+        return float(np.max(self.workload_max / self.workload_min) - 1.0)
 
-    def aggregate(self, x_users: np.ndarray) -> np.ndarray:
-        """Sum an (I, J) per-user allocation into (I, G) cohort columns."""
-        x = np.asarray(x_users, dtype=float)
-        out = np.empty((x.shape[0], self.num_cohorts))
-        for i in range(x.shape[0]):
-            out[i] = np.bincount(
-                self.cohort_of, weights=x[i], minlength=self.num_cohorts
-            )
+    def aggregate(self, x_users: "np.ndarray | FactoredAllocation") -> np.ndarray:
+        """Sum an (I, J) per-user allocation into (I, G) cohort columns.
+
+        A :class:`FactoredAllocation` is folded pair by pair: users moving
+        from its cohort ``g'`` into this map's cohort ``g`` carry
+        ``y'[:, g']`` times their summed shares, one bincount over the
+        pairs per cloud instead of one over the users.
+        """
+        if isinstance(x_users, FactoredAllocation):
+            pair_of, before, into = _pairs(x_users, self.cohort_of, self.num_cohorts)
+            values = _pair_mass(x_users, pair_of, before)
+        else:
+            values = np.asarray(x_users, dtype=float)
+            into = self.cohort_of
+        out = np.empty((values.shape[0], self.num_cohorts))
+        for i in range(values.shape[0]):
+            out[i] = np.bincount(into, weights=values[i], minlength=self.num_cohorts)
         return out
 
     def disaggregate(self, x_cohorts: np.ndarray) -> np.ndarray:
@@ -151,15 +166,30 @@ class CohortMap:
         return out
 
 
+def _group(key: np.ndarray, key_space: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct keys, group index of each element) of ``key``.
+
+    A dense key space (at most ``max(2**20, len(key))``) takes one
+    bincount and a remap instead of ``np.unique``'s O(n log n) sort; both
+    paths number the groups in key order.
+    """
+    if 0 < key_space <= max(1 << 20, key.size):
+        present = np.flatnonzero(np.bincount(key, minlength=key_space))
+        remap = np.zeros(key_space, dtype=np.intp)
+        remap[present] = np.arange(present.size)
+        return present, remap[key]
+    return np.unique(key, return_inverse=True)
+
+
 def build_cohorts(
     attachment: np.ndarray, workloads: np.ndarray, buckets: BucketSpec
 ) -> CohortMap:
     """Cluster one slot's users into (station, bucket) cohorts.
 
     Cohort order is deterministic — sorted by (station, bucket) composite
-    key via ``np.unique`` — so repeated builds over the same observation
-    produce identical maps regardless of user order in memory. Stations
-    with no attached users simply contribute no cohorts.
+    key — so repeated builds over the same observation produce identical
+    maps regardless of user order in memory. Stations with no attached
+    users simply contribute no cohorts.
     """
     attachment = np.asarray(attachment)
     lam = np.asarray(workloads, dtype=float)
@@ -167,31 +197,153 @@ def build_cohorts(
         raise ValueError("attachment and workloads must be index-aligned")
     bucket = buckets.assign(lam)
     key = attachment.astype(np.int64) * np.int64(buckets.num_buckets) + bucket
-    key_space = (int(key.max()) + 1) if key.size else 0
-    if 0 < key_space <= max(1 << 20, key.size):
-        # Dense-key path: the (station, bucket) key space is small, so two
-        # bincounts replace np.unique's O(J log J) sort. The cohort order
-        # (sorted by key) is identical to the np.unique path.
-        counts = np.bincount(key, minlength=key_space)
-        present = np.nonzero(counts)[0]
-        remap = np.zeros(key_space, dtype=np.intp)
-        remap[present] = np.arange(present.size)
-        cohort_of = remap[key]
-        sizes = counts[present]
-        cohort_workloads = np.bincount(key, weights=lam, minlength=key_space)[
-            present
-        ]
-        unique_keys = present
-    else:
-        unique_keys, cohort_of = np.unique(key, return_inverse=True)
-        sizes = np.bincount(cohort_of)
-        cohort_workloads = np.bincount(cohort_of, weights=lam)
-    stations = (unique_keys // buckets.num_buckets).astype(int)
-    member_share = lam / cohort_workloads[cohort_of]
+    unique_keys, cohort_of = _group(key, (int(key.max()) + 1) if key.size else 0)
+    num_cohorts = unique_keys.size
+    cohort_workloads = np.bincount(cohort_of, weights=lam, minlength=num_cohorts)
+    workload_max = np.zeros(num_cohorts)
+    workload_min = np.full(num_cohorts, np.inf)
+    np.maximum.at(workload_max, cohort_of, lam)
+    np.minimum.at(workload_min, cohort_of, lam)
     return CohortMap(
         cohort_of=cohort_of,
-        stations=stations,
-        sizes=sizes,
+        stations=(unique_keys // buckets.num_buckets).astype(int),
+        sizes=np.bincount(cohort_of, minlength=num_cohorts),
         workloads=cohort_workloads,
-        member_share=member_share,
+        member_share=lam / cohort_workloads[cohort_of],
+        workload_min=workload_min,
+        workload_max=workload_max,
+    )
+
+
+@dataclass(frozen=True)
+class FactoredAllocation:
+    """A per-user allocation kept as cohort columns and a split.
+
+    ``x[i, j] = y[i, cohort_of[j]] * member_share[j]`` under the split of
+    ``cohorts``, whose shares are workload-proportional
+    (``lambda_j / Lambda_g``, as :func:`build_cohorts` makes them): the
+    pair identities of :func:`pair_allocations` and the spine's residuals
+    rest on that. ``cohorts=None`` is the trivial factorization of a
+    dense decision — one column per user, share 1, so ``x == y`` — which
+    lets the direct and the cohort paths share one accounting code path.
+    ``np.asarray(allocation)`` materializes the dense (I, J) matrix.
+    """
+
+    y: np.ndarray
+    cohorts: CohortMap | None = None
+
+    @classmethod
+    def zeros(cls, num_clouds: int, num_users: int) -> "FactoredAllocation":
+        """x = 0 as a single all-user cohort holding nothing: O(J), not O(I*J)."""
+        one = np.ones(1)
+        return cls(
+            np.zeros((num_clouds, 1)),
+            CohortMap(
+                cohort_of=np.zeros(num_users, dtype=np.intp),
+                stations=np.zeros(1, dtype=int),
+                sizes=np.array([num_users]),
+                workloads=one,
+                member_share=np.zeros(num_users),
+                workload_min=one,
+                workload_max=one,
+            ),
+        )
+
+    @property
+    def num_cohorts(self) -> int:
+        """G, the number of columns of ``y``."""
+        return int(self.y.shape[1])
+
+    @property
+    def cohort_of(self) -> np.ndarray:
+        """(J,) column of each user (the identity for a trivial factorization)."""
+        if self.cohorts is None:
+            return np.arange(self.num_cohorts)
+        return self.cohorts.cohort_of
+
+    @property
+    def member_share(self) -> np.ndarray:
+        """(J,) each user's share of its column (ones when trivial)."""
+        if self.cohorts is None:
+            return np.ones(self.num_cohorts)
+        return self.cohorts.member_share
+
+    def materialize(self) -> np.ndarray:
+        """The dense (I, J) allocation (``y`` itself when trivial)."""
+        if self.cohorts is None:
+            return self.y
+        return self.cohorts.disaggregate(self.y)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.materialize(), dtype=dtype, copy=copy)
+
+    def state(self) -> "np.ndarray | tuple":
+        """Checkpoint form: the dense ``y`` when trivial, else ``(y, *cohort fields)``.
+
+        The trivial form is the dense (I, J) layout every earlier release
+        wrote, so :meth:`from_state` restores those snapshots unchanged.
+        """
+        if self.cohorts is None:
+            return self.y.copy()
+        cohorts = self.cohorts
+        return (self.y.copy(), *(getattr(cohorts, f.name) for f in fields(cohorts)))
+
+    @classmethod
+    def from_state(cls, state: object) -> "FactoredAllocation":
+        """Invert :meth:`state`."""
+        if not isinstance(state, tuple):
+            return cls(np.asarray(state, dtype=float).copy())
+        y, *cohort_fields = state
+        return cls(
+            np.asarray(y, dtype=float).copy(),
+            CohortMap(*(np.asarray(value) for value in cohort_fields)),
+        )
+
+
+def _pairs(
+    previous: FactoredAllocation, cohort_of: np.ndarray, num_cohorts: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (previous column, new cohort) pairs users move between.
+
+    Returns ``(pair_of, previous_column, cohort)``: the pair index of each
+    user, then the two ends of each pair, pairs in (previous, new) order.
+    """
+    key = previous.cohort_of.astype(np.int64) * np.int64(num_cohorts) + cohort_of
+    keys, pair_of = _group(key, previous.num_cohorts * num_cohorts)
+    return pair_of, keys // num_cohorts, keys % num_cohorts
+
+
+def _pair_mass(
+    allocation: FactoredAllocation, pair_of: np.ndarray, column: np.ndarray
+) -> np.ndarray:
+    """(I, P): each pair's members' summed allocation on every cloud.
+
+    Members of one pair hold ``share_j * y[:, column]``, so the sum is
+    the column times the pair's summed shares.
+    """
+    shares = np.bincount(
+        pair_of, weights=allocation.member_share, minlength=column.size
+    )
+    return allocation.y.take(column, axis=1) * shares
+
+
+def pair_allocations(
+    previous: FactoredAllocation, current: FactoredAllocation
+) -> tuple[np.ndarray, np.ndarray]:
+    """(I, P) previous and current allocations summed within each pair.
+
+    Within a (g', g) pair every member's ratio of new to previous share is
+    ``Lambda'_{g'} / Lambda_g``, so ``x_ij - x'_ij`` has one sign per
+    (cloud, pair) and ``sum_j (x_ij - x'_ij)+`` over the pair equals the
+    positive part of the pair sums (docs/SCALING.md §2). Two trivial
+    factorizations pair user with user: the dense matrices themselves.
+    """
+    if previous.cohorts is None and current.cohorts is None:
+        return previous.y, current.y
+    pair_of, before, after = _pairs(
+        previous, current.cohort_of, current.num_cohorts
+    )
+    return (
+        _pair_mass(previous, pair_of, before),
+        _pair_mass(current, pair_of, after),
     )

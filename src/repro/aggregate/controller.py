@@ -1,11 +1,14 @@
-"""The aggregated streaming controller: cluster, solve reduced, disaggregate.
+"""The aggregated streaming controller: cluster, solve reduced, split.
 
 :class:`AggregatedController` is a drop-in :class:`OnlineController`: it
-carries the *per-user* previous decision (so cohort membership churn as
-users move is handled by simply re-aggregating under each slot's fresh
-cohorts), solves the cohort-reduced P2 of :mod:`repro.aggregate.reduced`
-through the solver registry — optionally sharded across processes — and
-returns the proportionally disaggregated per-user allocation.
+carries the *per-user* previous decision as a
+:class:`~repro.aggregate.cohorts.FactoredAllocation` (so cohort
+membership churn as users move is handled by re-aggregating it under each
+slot's fresh cohorts, pair by pair), solves the cohort-reduced P2 of
+:mod:`repro.aggregate.reduced` through the solver registry — optionally
+sharded across processes — and returns the proportional split of the
+solution, still factored: the dense (I, J) matrix is never built unless
+a caller materializes it.
 
 Every slot records an ``aggregate.slot`` telemetry event plus
 ``aggregate.*`` metrics (cohort counts, reduction ratio, disaggregation
@@ -18,16 +21,13 @@ import numpy as np
 
 from dataclasses import dataclass, field
 
+from ..core.bounds import tau
 from ..core.regularization import OnlineRegularizedAllocator
-from ..core.subproblem import RegularizedSubproblem
-from ..simulation.observations import (
-    SlotObservation,
-    SystemDescription,
-    single_slot_instance,
-)
+from ..core.subproblem import RegularizedSubproblem, migration_terms
+from ..simulation.observations import SlotObservation, SystemDescription
 from ..solvers.registry import get_backend
 from ..telemetry import get_registry
-from .cohorts import BucketSpec, CohortMap, build_cohorts
+from .cohorts import BucketSpec, CohortMap, FactoredAllocation, build_cohorts
 from .config import AggregationConfig
 from .reduced import aggregation_error_bound, reduced_subproblem
 from .sharding import solve_sharded
@@ -35,8 +35,8 @@ from .sharding import solve_sharded
 #: Largest I*J for which the exact per-slot disaggregation error (reduced
 #: objective vs the true per-user objective at the split) is evaluated;
 #: beyond it only the a-priori bound is recorded. 2M elements keeps the
-#: evaluation O(instance size) at every figure/test scale while skipping
-#: it for million-user city slots.
+#: per-user migration-entropy pass at every figure/test scale while
+#: skipping it for million-user city slots.
 ERROR_EVAL_LIMIT = 2_000_000
 
 
@@ -104,6 +104,32 @@ def _repair_cohort_feasibility(
     return y
 
 
+def _member_migration_entropy(
+    migration_prices: np.ndarray,
+    inverse_tau: np.ndarray,
+    eps2: float,
+    previous: FactoredAllocation,
+    current: FactoredAllocation,
+) -> float:
+    """The per-user P2 migration entropy of ``previous -> current``.
+
+    ``sum_i b_i sum_j [(x_ij + eps2) ln((x_ij + eps2)/(x'_ij + eps2)) - x_ij] / tau_j``,
+    evaluated cloud by cloud from the factors, so no (I, J) matrix is held.
+    The user sum is a ufunc reduction, not a BLAS dot: a multithreaded dot
+    over J elements contends with the server's other threads.
+    """
+    after, share = current.cohort_of, current.member_share
+    before, previous_share = previous.cohort_of, previous.member_share
+    total = 0.0
+    for i, price in enumerate(np.asarray(migration_prices, dtype=float)):
+        x = current.y[i].take(after)
+        x *= share
+        x_prev = previous.y[i].take(before)
+        x_prev *= previous_share
+        total += price * float(np.sum(migration_terms(x, x_prev, eps2) * inverse_tau))
+    return total
+
+
 @dataclass
 class AggregatedController:
     """Streaming controller solving P2 over (station, workload) cohorts.
@@ -129,13 +155,13 @@ class AggregatedController:
         self._buckets = BucketSpec.from_workloads(
             self.system.workloads, self.config.lambda_buckets
         )
-        self._x_prev = self.system.zero_allocation()
+        self._x_prev = self._zero_allocation()
         self._slots_seen = 0
         self._min_op_price = float("inf")
         self._prev_capacity_duals: np.ndarray | None = None
 
-    def observe(self, observation: SlotObservation) -> np.ndarray:
-        """Solve the reduced P2 for one slot; return the (I, J) split."""
+    def observe(self, observation: SlotObservation) -> FactoredAllocation:
+        """Solve the reduced P2 for one slot; return the factored split."""
         workloads = np.asarray(self.system.workloads, dtype=float)
         cohorts = build_cohorts(observation.attachment, workloads, self._buckets)
         x_prev_cohorts = cohorts.aggregate(self._x_prev)
@@ -160,64 +186,60 @@ class AggregatedController:
             batch_solves=self.config.batch_solves,
         )
         y, iterations = solve.x, solve.iterations
-        y = _repair_cohort_feasibility(y, cohorts)
-        x_users = cohorts.disaggregate(y)
+        decision = FactoredAllocation(_repair_cohort_feasibility(y, cohorts), cohorts)
         self._prev_capacity_duals = solve.capacity_duals
 
-        spread = cohorts.spread(workloads)
         self._min_op_price = min(
             self._min_op_price, float(np.min(np.asarray(observation.op_prices)))
         )
         bound = aggregation_error_bound(
-            spread, self.system, min_op_price=self._min_op_price
-        )
-        disagg_error = self._exact_error(
-            observation, subproblem, y, x_users
+            cohorts.spread, self.system, min_op_price=self._min_op_price
         )
         report = SlotAggregationReport(
             slot=int(observation.slot),
             users=cohorts.num_users,
             cohorts=cohorts.num_cohorts,
             shards=shards,
-            spread=spread,
+            spread=cohorts.spread,
             error_bound=bound,
-            disagg_error=disagg_error,
+            disagg_error=self._exact_error(subproblem, decision),
             iterations=iterations,
             partial_solves=solve.partial_solves,
         )
         self.last_reports.append(report)
         self._record(report)
-        self._x_prev = x_users
+        self._x_prev = decision
         self._slots_seen += 1
-        return x_users
+        return decision
 
     def _exact_error(
-        self,
-        observation: SlotObservation,
-        subproblem: RegularizedSubproblem,
-        y: np.ndarray,
-        x_users: np.ndarray,
+        self, subproblem: RegularizedSubproblem, decision: FactoredAllocation
     ) -> float | None:
         """Relative gap between the reduced and per-user objectives.
 
-        Evaluates the true per-user P2 objective at the disaggregated
-        point against the reduced objective at the cohort point — the
-        exact quantity ``aggregation_error_bound`` bounds a-priori. Costs
-        one O(I*J) pass, so it is skipped above ``ERROR_EVAL_LIMIT``.
+        The per-user P2 objective at the split against the reduced
+        objective at the cohort point — the exact quantity
+        ``aggregation_error_bound`` bounds a-priori. Their static and
+        reconfiguration parts are equal (docs/SCALING.md §1), so only the
+        migration entropy is evaluated per user, straight from the two
+        factorizations. Costs one O(I*J) pass, so it is skipped above
+        ``ERROR_EVAL_LIMIT``.
         """
-        if self.system.num_clouds * self.system.num_users > ERROR_EVAL_LIMIT:
+        system = self.system
+        if system.num_clouds * system.num_users > ERROR_EVAL_LIMIT:
             return None
-        instance = single_slot_instance(self.system, observation)
-        user_subproblem = RegularizedSubproblem.from_instance(
-            instance,
-            0,
+        y = decision.y
+        reduced_entropy = subproblem.migration_entropy(y)
+        reduced = subproblem.objective(y.ravel())
+        members = _member_migration_entropy(
+            subproblem.migration_prices,
+            1.0 / tau(np.asarray(system.workloads, dtype=float), self.algorithm.eps2),
+            self.algorithm.eps2,
             self._x_prev,
-            eps1=self.algorithm.eps1,
-            eps2=self.algorithm.eps2,
+            decision,
         )
-        direct = user_subproblem.objective(np.asarray(x_users).ravel())
-        reduced = subproblem.objective(np.asarray(y).ravel())
-        return abs(direct - reduced) / max(1.0, abs(direct))
+        direct = reduced - reduced_entropy + members
+        return abs(members - reduced_entropy) / max(1.0, abs(direct))
 
     def _record(self, report: SlotAggregationReport) -> None:
         registry = get_registry()
@@ -248,9 +270,12 @@ class AggregatedController:
             partials=report.partial_solves,
         )
 
+    def _zero_allocation(self) -> FactoredAllocation:
+        return FactoredAllocation.zeros(self.system.num_clouds, self.system.num_users)
+
     def reset(self) -> None:
         """Drop state: the next observation starts a fresh horizon."""
-        self._x_prev = self.system.zero_allocation()
+        self._x_prev = self._zero_allocation()
         self._slots_seen = 0
         self._min_op_price = float("inf")
         self.last_reports = []
@@ -265,11 +290,12 @@ class AggregatedController:
     def get_state(self) -> tuple:
         """Snapshot ``(x*_{t-1}, slots seen, min op price, capacity duals)``.
 
-        The duals seed the next slot's price-aware shard slices, so a
-        resumed run stays bit-identical to the uninterrupted one.
+        ``x*_{t-1}`` is in :meth:`FactoredAllocation.state` form. The duals
+        seed the next slot's price-aware shard slices, so a resumed run
+        stays bit-identical to the uninterrupted one.
         """
         return (
-            self._x_prev.copy(),
+            self._x_prev.state(),
             self._slots_seen,
             self._min_op_price,
             None
@@ -281,12 +307,14 @@ class AggregatedController:
         """Restore a snapshot produced by :meth:`get_state`.
 
         Older releases' 3-element (no duals) and 6-element (two retired
-        cache entries before the duals) snapshots restore the same way.
+        cache entries before the duals) snapshots restore the same way;
+        their dense (I, J) ``x*_{t-1}`` restores as the trivial
+        factorization.
         """
         state = tuple(state)  # type: ignore[arg-type]
         x_prev, slots_seen, min_op_price = state[:3]
         prev_duals = state[-1] if len(state) > 3 else None
-        self._x_prev = np.asarray(x_prev, dtype=float).copy()
+        self._x_prev = FactoredAllocation.from_state(x_prev)
         self._slots_seen = int(slots_seen)
         self._min_op_price = float(min_op_price)
         self._prev_capacity_duals = (

@@ -286,8 +286,8 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     """City-scale aggregation: 10k/100k/1M-user slots vs a direct solve.
 
     For each user count, one :class:`repro.aggregate.AggregatedController`
-    slot is timed end to end (cohort build, sharded reduced solve,
-    proportional disaggregation); a per-user solve at J=120 provides the
+    slot is timed end to end (cohort build, sharded reduced solve, the
+    factored proportional split); a per-user solve at J=120 provides the
     wall-clock reference the 1M aggregated slot is compared against in
     ``diagnostics``. Cohort counts and reduction ratios are deterministic
     at a fixed seed, so CI gates on them; wall times stay advisory. Counts
@@ -316,8 +316,9 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
             config=config,
         )
         start = time.perf_counter()
-        x = controller.observe(observation)
+        decision = controller.observe(observation)
         walls[label] = time.perf_counter() - start
+        x = np.asarray(decision)
         report = controller.last_reports[-1]
         reports[label] = report
         worst_residual = max(

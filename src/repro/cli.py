@@ -1025,7 +1025,9 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=("replay", "show"),
         help="'replay' rebuilds every captured slot through the solver and "
-        "verifies costs/iterations/partial flags reproduce bit-for-bit "
+        "verifies costs/iterations/partial flags reproduce under the "
+        "contract it names: bit-for-bit, or costs to 1e-12 relative for "
+        "aggregated bundles of releases that carried a dense x*_{t-1} "
         "(exit 1 with a per-field diff on divergence); 'show' prints the "
         "bundle header",
     )

@@ -57,6 +57,17 @@ def _safe(values: np.ndarray | float) -> np.ndarray:
     return np.maximum(values, _LOG_FLOOR)
 
 
+def migration_terms(
+    x: np.ndarray, x_prev: np.ndarray, eps2: float | np.ndarray
+) -> np.ndarray:
+    """``(x + eps2) ln((x + eps2)/(x' + eps2)) - x`` elementwise.
+
+    P2's migration regularizer is these terms weighted by ``b_i / tau_j``.
+    """
+    xs = _safe(x + eps2)
+    return xs * np.log(xs / (x_prev + eps2)) - x
+
+
 @dataclass(frozen=True)
 class RegularizedSubproblem:
     """P2 for one time slot, ready to hand to any convex backend.
@@ -168,11 +179,15 @@ class RegularizedSubproblem:
         total += float(
             np.sum(creg * (shifted * np.log(shifted / prev_shifted) - cloud_totals))
         )
-        bmig = (np.asarray(self.migration_prices)[:, None] / self.tau[None, :])
-        xs = _safe(x + self.eps2)
-        prev = np.asarray(self.x_prev) + self.eps2
-        total += float(np.sum(bmig * (xs * np.log(xs / prev) - x)))
+        total += self.migration_entropy(x)
         return total
+
+    def migration_entropy(self, x: np.ndarray) -> float:
+        """The P2 migration regularizer at an (I, J) allocation."""
+        bmig = (np.asarray(self.migration_prices)[:, None] / self.tau[None, :])
+        return float(
+            np.sum(bmig * migration_terms(x, np.asarray(self.x_prev), self.eps2))
+        )
 
     def gradient(self, flat: np.ndarray) -> np.ndarray:
         """Analytic gradient of P2(t) (flattened, cloud-major)."""

@@ -7,6 +7,11 @@ spine emits decisions, so cost accounting works on horizons whose full
 schedule is never materialized. The accumulated per-slot arrays assemble
 into the exact same :class:`CostBreakdown`; equality with
 :func:`repro.core.costs.cost_breakdown` to 1e-9 is property-tested.
+
+Decisions are accounted in factored form
+(:class:`repro.aggregate.cohorts.FactoredAllocation`): a cohort decision
+costs O(J + pairs·I) instead of O(I·J), and a dense decision is the
+trivial factorization, whose arithmetic is exactly the dense formulas.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..aggregate.cohorts import FactoredAllocation, pair_allocations
 from ..core.costs import CostBreakdown, positive_part
 from ..telemetry import get_registry
 from .observations import SlotObservation, SystemDescription
@@ -34,13 +40,18 @@ class SlotCosts:
 
 @dataclass(frozen=True)
 class AccumulatorState:
-    """Picklable snapshot of a :class:`CostAccumulator` (checkpoint/resume)."""
+    """Picklable snapshot of a :class:`CostAccumulator` (checkpoint/resume).
+
+    ``x_prev`` is in :meth:`FactoredAllocation.state` form: a dense (I, J)
+    array for a per-user decision (the layout of every earlier release),
+    a tuple of factors for a cohort decision.
+    """
 
     operation: tuple[float, ...]
     service_quality: tuple[float, ...]
     reconfiguration: tuple[float, ...]
     migration: tuple[float, ...]
-    x_prev: np.ndarray
+    x_prev: np.ndarray | tuple
 
 
 class CostAccumulator:
@@ -48,9 +59,10 @@ class CostAccumulator:
 
     Feed every emitted decision through :meth:`update`; read the totals at
     any point via :meth:`breakdown` / :meth:`totals`. The previous slot's
-    allocation is the only (I, J) state kept, so memory is O(T) scalars +
-    O(I·J) — independent of the horizon length times user count product
-    that a full schedule costs.
+    allocation is the only per-user state kept, so memory is O(T) scalars
+    + one factored allocation (O(J + I·G); O(I·J) for a dense decision) —
+    independent of the horizon length times user count product that a
+    full schedule costs.
 
     The slot-0 dynamic costs are charged against the paper's all-zero
     baseline x_{i,j,0} = 0, exactly as in :mod:`repro.core.costs`.
@@ -63,48 +75,62 @@ class CostAccumulator:
         self._service_quality: list[float] = []
         self._reconfiguration: list[float] = []
         self._migration: list[float] = []
-        self._x_prev = system.zero_allocation()
+        self._x_prev = FactoredAllocation.zeros(system.num_clouds, system.num_users)
 
     @property
     def num_slots(self) -> int:
         """Number of slots accounted so far."""
         return len(self._operation)
 
-    def update(self, observation: SlotObservation, x_t: np.ndarray) -> SlotCosts:
+    def update(
+        self, observation: SlotObservation, x_t: "np.ndarray | FactoredAllocation"
+    ) -> SlotCosts:
         """Account one slot's decision; returns that slot's cost record.
 
         Args:
             observation: the slot's observation (prices, attachments).
-            x_t: the (I, J) allocation decided for the slot.
+            x_t: the slot's allocation: a dense (I, J) array or a
+                :class:`FactoredAllocation`.
         """
         system = self.system
-        x_t = np.asarray(x_t, dtype=float)
+        if not isinstance(x_t, FactoredAllocation):
+            x_t = FactoredAllocation(np.asarray(x_t, dtype=float))
         x_prev = self._x_prev
-        workloads = np.asarray(system.workloads, dtype=float)
+        y = x_t.y
+        if x_t.cohorts is None:
+            stations = np.asarray(observation.attachment)
+            mean_workloads = np.asarray(system.workloads, dtype=float)
+        else:
+            stations = x_t.cohorts.stations
+            mean_workloads = x_t.cohorts.mean_workloads
 
-        cloud_totals = x_t.sum(axis=1)
-        prev_totals = x_prev.sum(axis=1)
+        cloud_totals = y.sum(axis=1)
+        prev_totals = x_prev.y.sum(axis=1)
 
         # Cost_op (eq. 1): Sum_i a_{i,t} Sum_j x_{i,j,t}.
         operation = float(
             np.asarray(observation.op_prices, dtype=float) @ cloud_totals
         )
-        # Cost_sq (eq. 3): access delay + workload-normalized inter-cloud delay.
+        # Cost_sq (eq. 3): access delay + workload-normalized inter-cloud
+        # delay; a column's members hold share_j / lambda_j = n_g / Lambda_g
+        # per unit, so the column pays d(station_g, i) / mean lambda_g.
         d_att = np.asarray(system.inter_cloud_delay, dtype=float)[
-            :, np.asarray(observation.attachment)
-        ]  # (I, J): d(l_{j,t}, i)
+            :, stations
+        ]  # (I, G): d(l_g, i)
         service_quality = float(
             np.asarray(observation.access_delay, dtype=float).sum()
-            + np.sum(x_t * (d_att / workloads[None, :]))
+            + np.sum(y * (d_att / mean_workloads[None, :]))
         )
         # Cost_rc (eq. 2): c_i (X_{i,t} - X_{i,t-1})+.
         reconfiguration = float(
             positive_part(cloud_totals - prev_totals)
             @ np.asarray(system.reconfig_prices, dtype=float)
         )
-        # Cost_mg (eq. 5): b_i^out z_out + b_i^in z_in with the eq. 4 volumes.
-        z_out = positive_part(x_prev - x_t).sum(axis=1)
-        z_in = positive_part(x_t - x_prev).sum(axis=1)
+        # Cost_mg (eq. 5): b_i^out z_out + b_i^in z_in with the eq. 4
+        # volumes, summed over the (previous, current) column pairs.
+        before, after = pair_allocations(x_prev, x_t)
+        z_out = positive_part(before - after).sum(axis=1)
+        z_in = positive_part(after - before).sum(axis=1)
         migration = float(
             z_out @ np.asarray(system.migration_prices.out, dtype=float)
             + z_in @ np.asarray(system.migration_prices.into, dtype=float)
@@ -167,7 +193,7 @@ class CostAccumulator:
             service_quality=tuple(self._service_quality),
             reconfiguration=tuple(self._reconfiguration),
             migration=tuple(self._migration),
-            x_prev=self._x_prev.copy(),
+            x_prev=self._x_prev.state(),
         )
 
     def set_state(self, state: AccumulatorState) -> None:
@@ -176,4 +202,4 @@ class CostAccumulator:
         self._service_quality = list(state.service_quality)
         self._reconfiguration = list(state.reconfiguration)
         self._migration = list(state.migration)
-        self._x_prev = np.asarray(state.x_prev, dtype=float).copy()
+        self._x_prev = FactoredAllocation.from_state(state.x_prev)

@@ -92,7 +92,12 @@ class OnlineController(Protocol):
     """A causal controller: observation in, allocation out, state inside."""
 
     def observe(self, observation: SlotObservation) -> np.ndarray:
-        """Decide the (I, J) allocation for the observed slot."""
+        """Decide the (I, J) allocation for the observed slot.
+
+        A cohort controller may return it as a
+        :class:`repro.aggregate.cohorts.FactoredAllocation` instead; the
+        spine accounts either form.
+        """
         ...
 
     def reset(self) -> None:

@@ -28,6 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from ..aggregate.cohorts import FactoredAllocation
 from ..core.allocation import AllocationSchedule, FeasibilityReport
 from ..core.costs import CostBreakdown
 from ..core.problem import ProblemInstance
@@ -95,6 +96,35 @@ class SimulationResult:
     def total_cost(self) -> float:
         """The weighted P0 objective accumulated so far."""
         return self.breakdown.total
+
+
+def _residuals(
+    x: FactoredAllocation, workloads: np.ndarray, capacities: np.ndarray
+) -> tuple[float, float, float]:
+    """Unclipped (demand, capacity, negativity) residuals, from the factors.
+
+    Member j of column g holds ``lambda_j / Lambda_g`` of it, so its demand
+    residual ``lambda_j (1 - Y_g / Lambda_g)`` and its negativity
+    ``-y_ig lambda_j / Lambda_g`` are extreme at the column's largest or
+    smallest member workload. A trivial factorization is the dense matrix:
+    the per-user formulas apply as they are.
+    """
+    y = x.y
+    capacity = float((y.sum(axis=1) - capacities).max())
+    if x.cohorts is None:
+        return (
+            float((workloads - y.sum(axis=0)).max()),
+            capacity,
+            float((-y).max()),
+        )
+    cohorts = x.cohorts
+    unserved = 1.0 - y.sum(axis=0) / cohorts.workloads
+    demand = max(
+        float((cohorts.workload_max * unserved).max()),
+        float((cohorts.workload_min * unserved).max()),
+    )
+    largest_share = cohorts.workload_max / cohorts.workloads
+    return demand, capacity, float((-y * largest_share[None, :]).max())
 
 
 class SlotStepper:
@@ -174,8 +204,16 @@ class SlotStepper:
             for hook in self.hooks:
                 hook.on_run_start(self.system, self.controller)
 
-    def step(self, observation: SlotObservation) -> tuple[np.ndarray, SlotCosts]:
-        """Process one slot: decide, account, observe, track residuals."""
+    def step(
+        self, observation: SlotObservation
+    ) -> tuple["np.ndarray | FactoredAllocation", SlotCosts]:
+        """Process one slot: decide, account, observe, track residuals.
+
+        Returns the controller's decision as it made it (a
+        :class:`FactoredAllocation` on the cohort path) and the slot's
+        costs. The dense (I, J) matrix of a factored decision is built only
+        when ``keep_schedule`` is set or hooks are installed.
+        """
         self.start()
         telemetry = get_registry()
         observing = telemetry.enabled
@@ -195,7 +233,12 @@ class SlotStepper:
         mark = profile.marker() if profile is not None else None
         if timing:
             slot_start = time.perf_counter()
-        x_t = np.asarray(self.controller.observe(observation), dtype=float)
+        decision = self.controller.observe(observation)
+        if isinstance(decision, FactoredAllocation):
+            x_t = decision
+        else:
+            decision = np.asarray(decision, dtype=float)
+            x_t = FactoredAllocation(decision)
         with phase("spine.account"):
             costs = self.accumulator.update(observation, x_t)
         slot_ms = 0.0
@@ -237,19 +280,20 @@ class SlotStepper:
             telemetry.maybe_flush()
         if recorder is not None:
             recorder.end_slot(self, observation, costs, slot_ms)
-        self._residual_demand = max(
-            self._residual_demand, float((self._workloads - x_t.sum(axis=0)).max())
+        demand, capacity, negativity = _residuals(
+            x_t, self._workloads, self._capacities
         )
-        self._residual_capacity = max(
-            self._residual_capacity, float((x_t.sum(axis=1) - self._capacities).max())
-        )
-        self._residual_negativity = max(self._residual_negativity, float((-x_t).max()))
-        if self.keep_schedule:
-            self._slots.append(np.array(x_t, dtype=float))
-        for hook in self.hooks:
-            hook.on_slot_end(observation, x_t, costs)
+        self._residual_demand = max(self._residual_demand, demand)
+        self._residual_capacity = max(self._residual_capacity, capacity)
+        self._residual_negativity = max(self._residual_negativity, negativity)
+        if self.keep_schedule or self.hooks:
+            dense = x_t.materialize()
+            if self.keep_schedule:
+                self._slots.append(np.array(dense, dtype=float))
+            for hook in self.hooks:
+                hook.on_slot_end(observation, dense, costs)
         self.processed += 1
-        return x_t, costs
+        return decision, costs
 
     @property
     def residuals(self) -> tuple[float, float, float]:

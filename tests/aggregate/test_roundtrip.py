@@ -106,7 +106,7 @@ def test_spread_is_zero_iff_cohorts_are_workload_uniform(
     attachment, workloads = random_population(seed, num_users, num_stations)
     spec = BucketSpec.from_workloads(workloads, buckets)
     cohorts = build_cohorts(attachment, workloads, spec)
-    spread = cohorts.spread(workloads)
+    spread = cohorts.spread
     assert spread >= 0.0
     hi = np.zeros(cohorts.num_cohorts)
     lo = np.full(cohorts.num_cohorts, np.inf)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,8 +37,18 @@ from repro.telemetry import (
     read_bundle,
     replay_bundle,
 )
-from repro.telemetry.flight import decode_state, encode_state
+from repro.telemetry.flight import (
+    BIT_FOR_BIT,
+    DENSE_AGGREGATED_RTOL,
+    decode_state,
+    encode_state,
+)
 from tests.conftest import make_tiny_instance
+
+#: An aggregated bundle (lambda_buckets=1, shards=2, max_iterations=14,
+#: five slots, two of them budget-truncated) written by the release whose
+#: aggregated controller carried x*_{t-1} as a dense (I, J) matrix.
+DENSE_LAYOUT_BUNDLE = Path(__file__).parent / "data" / "aggregated_dense_bundle.jsonl"
 
 
 def _tiny_setup(
@@ -366,7 +377,8 @@ def _as_older_release(record: dict) -> None:
     Those releases recorded ``warm_start`` and ``aggregation.warm_cohorts``,
     and the aggregated controller state was a 6-tuple: the two entries
     before the capacity duals held the previous reduced solution (I, G)
-    and the cohort-map signature (a tuple of bytes).
+    and the cohort-map signature (a tuple of bytes). I is the system's:
+    this release's ``x*_{t-1}`` is factored, not an (I, J) array.
     """
     if record["type"] == "incident_start":
         record["controller"]["warm_start"] = True
@@ -376,7 +388,8 @@ def _as_older_release(record: dict) -> None:
             record["controller_state"]
         )
         signature = (b"\x00\x01", b"\x02", b"\xff")
-        retired = (np.full((x_prev.shape[0], 2), 0.5), signature)
+        num_clouds = _tiny_setup()[0].num_clouds
+        retired = (np.full((num_clouds, 2), 0.5), signature)
         record["controller_state"] = encode_state(
             (x_prev, slots_seen, min_op_price, *retired, duals)
         )
@@ -396,6 +409,48 @@ class TestAggregatedReplay:
         report = replay_bundle(bundle)
         assert report.ok, report.render()
         assert report.slots == 4
+        assert report.contract == BIT_FOR_BIT
+        assert "REPRODUCED bit-for-bit" in report.render()
+
+    def test_snapshots_carry_x_prev_factored(self, tmp_path):
+        system = _tiny_setup()[0]
+        for snapshot in read_bundle(self._bundle(tmp_path)).snapshots:
+            for x_prev in (
+                decode_state(snapshot["controller_state"])[0],
+                decode_state(snapshot["accumulator_state"]["x_prev"]),
+            ):
+                y, cohort_of, *_ = x_prev
+                assert y.shape[0] == system.num_clouds
+                assert cohort_of.shape == (system.num_users,)
+
+    def test_dense_layout_bundle_replays_under_its_named_contract(self):
+        bundle = read_bundle(DENSE_LAYOUT_BUNDLE)
+        assert all(
+            decode_state(s["controller_state"])[0].ndim == 2
+            for s in bundle.snapshots
+        )
+        assert [s["recorded"]["partial"] for s in bundle.snapshots].count(True) == 2
+        report = replay_bundle(bundle)
+        assert report.ok, report.render()
+        assert report.slots == 5
+        assert report.contract != BIT_FOR_BIT
+        assert f"{DENSE_AGGREGATED_RTOL:g} relative" in report.render()
+        assert "bit-for-bit" not in report.render()
+
+    def test_dense_layout_bundle_still_catches_divergence(self, tmp_path):
+        def tamper(record):
+            if record["type"] == "snapshot" and record["slot"] == 2:
+                record["recorded"]["costs"]["migration"] *= 1 + 1e-10
+            if record["type"] == "snapshot" and record["slot"] == 3:
+                record["recorded"]["iterations"] += 1
+
+        tampered = tmp_path / "tampered.jsonl"
+        _rewrite_bundle(DENSE_LAYOUT_BUNDLE, tampered, tamper)
+        report = replay_bundle(tampered)
+        assert [(d.slot, d.field) for d in report.diffs] == [
+            (2, "costs.migration"),
+            (3, "iterations"),
+        ]
 
     def test_older_release_bundle_reproduces_bit_for_bit(self, tmp_path):
         older = tmp_path / "older.jsonl"
