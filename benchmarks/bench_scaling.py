@@ -11,7 +11,7 @@ import time
 from repro.core.regularization import OnlineRegularizedAllocator
 from repro.experiments.report import format_table
 from repro.simulation.scenario import Scenario
-from repro.solvers.registry import get_backend
+from repro.solvers.interior_point import InteriorPointBackend
 
 from ._util import publish_report
 
@@ -20,7 +20,7 @@ def _run_once(num_users, scale):
     instance = Scenario(num_users=num_users, num_slots=scale.num_slots).build(
         seed=scale.seed
     )
-    algorithm = OnlineRegularizedAllocator(backend=get_backend("ipm"))
+    algorithm = OnlineRegularizedAllocator(backend=InteriorPointBackend())
     start = time.perf_counter()
     schedule = algorithm.run(instance)
     elapsed = time.perf_counter() - start

@@ -1,9 +1,11 @@
 """ABL-SOLVER — ablation: structured interior-point vs SciPy trust-constr.
 
-The paper solved P2 with IPOPT; this repository ships two backends. The
-ablation times one representative P2 subproblem solve per backend and
-checks they agree on the optimum — quantifying what the structured
-Woodbury solver buys (typically an order of magnitude).
+The paper solved P2 with IPOPT; this repository ships one solver, the
+structured interior-point method. The ablation times one representative
+P2 subproblem solve with it and with the generic trust-constr oracle the
+tests cross-check it against, and checks they agree on the optimum —
+quantifying what the structured Woodbury solver buys (typically an order
+of magnitude).
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from repro.core.subproblem import RegularizedSubproblem
 from repro.experiments.report import format_table
 from repro.simulation.scenario import Scenario
 from repro.solvers.interior_point import InteriorPointBackend
-from repro.solvers.scipy_backend import ScipyTrustConstrBackend
+from tests.solvers.trust_constr import TrustConstrOracle
 
 from ._util import publish_report
 
@@ -34,7 +36,7 @@ def _subproblem(scale):
 
 @pytest.mark.parametrize(
     "backend",
-    [InteriorPointBackend(), ScipyTrustConstrBackend()],
+    [InteriorPointBackend(), TrustConstrOracle()],
     ids=["structured-ipm", "scipy-trust-constr"],
 )
 def test_p2_solve(benchmark, scale, backend):

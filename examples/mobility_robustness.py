@@ -21,7 +21,7 @@ from repro.experiments.robustness import (
     run_mobility_robustness,
 )
 from repro.mobility import trace_stats
-from repro.solvers import get_backend
+from repro.solvers import InteriorPointBackend
 from repro.topology import rome_metro_topology
 
 
@@ -52,7 +52,7 @@ def main() -> None:
         num_slots=8,
     )
     instance = scenario.build(seed=3)
-    algorithm = OnlineRegularizedAllocator(backend=get_backend("ipm"))
+    algorithm = OnlineRegularizedAllocator(backend=InteriorPointBackend())
     algorithm.run(instance)
     prices = extract_dual_prices(algorithm)
     slot, cloud, rent = prices.peak_congestion()

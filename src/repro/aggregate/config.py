@@ -27,8 +27,6 @@ class AggregationConfig:
             all visible CPUs). Worker count NEVER changes the solution —
             shards are merged deterministically in input order, so any
             worker count is bit-for-bit identical at a fixed shard count.
-        backend: solver registry name used for the reduced solves (shard
-            workers resolve it by name, so it must be registry-known).
         shard_slicing: how shard capacity slices are cut — ``"price"``
             (default) blends toward the previous slot's realized usage
             split, gated by the previous capacity duals;
@@ -37,14 +35,12 @@ class AggregationConfig:
         batch_solves: solve a slot's shards as one stacked batched-IPM
             call in-process instead of fanning them across ``workers``
             processes. Bit-identical to the serial shard loop
-            (docs/PERFORMANCE.md); ignored for backends whose fast path
-            is not the structured IPM.
+            (docs/PERFORMANCE.md).
     """
 
     lambda_buckets: int | None = 8
     shards: int = 1
     workers: int | None = 1
-    backend: str = "auto"
     shard_slicing: str = "price"
     batch_solves: bool = False
 

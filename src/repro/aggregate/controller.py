@@ -5,7 +5,7 @@ carries the *per-user* previous decision as a
 :class:`~repro.aggregate.cohorts.FactoredAllocation` (so cohort
 membership churn as users move is handled by re-aggregating it under each
 slot's fresh cohorts, pair by pair), solves the cohort-reduced P2 of
-:mod:`repro.aggregate.reduced` through the solver registry — optionally
+:mod:`repro.aggregate.reduced` with the structured IPM — optionally
 sharded across processes — and returns the proportional split of the
 solution, still factored: the dense (I, J) matrix is never built unless
 a caller materializes it.
@@ -25,7 +25,6 @@ from ..core.bounds import tau
 from ..core.regularization import OnlineRegularizedAllocator
 from ..core.subproblem import RegularizedSubproblem, migration_terms
 from ..simulation.observations import SlotObservation, SystemDescription
-from ..solvers.registry import get_backend
 from ..telemetry import get_registry
 from .cohorts import BucketSpec, CohortMap, FactoredAllocation, build_cohorts
 from .config import AggregationConfig
@@ -178,7 +177,6 @@ class AggregatedController:
             subproblem,
             shards=shards,
             workers=self.config.workers,
-            backend=self.config.backend,
             tol=self.algorithm.tol,
             capacity_duals=self._prev_capacity_duals,
             slicing=self.config.shard_slicing,
@@ -280,12 +278,6 @@ class AggregatedController:
         self._min_op_price = float("inf")
         self.last_reports = []
         self._prev_capacity_duals = None
-        # Same per-run circuit-breaker scoping as RegularizedController.
-        reset_circuit = getattr(
-            get_backend(self.config.backend), "reset_circuit", None
-        )
-        if reset_circuit is not None:
-            reset_circuit()
 
     def get_state(self) -> tuple:
         """Snapshot ``(x*_{t-1}, slots seen, min op price, capacity duals)``.

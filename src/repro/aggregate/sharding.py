@@ -38,10 +38,9 @@ import numpy as np
 
 from ..core.subproblem import RegularizedSubproblem
 from ..parallel.executor import SweepExecutor
-from ..solvers.base import SolveBudget, SolverError
+from ..solvers.base import SolveBudget
 from ..solvers.batched import solve_batch
 from ..solvers.interior_point import InteriorPointBackend
-from ..solvers.registry import FallbackBackend, get_backend
 from ..telemetry import MetricsRegistry, get_registry
 
 #: Per-cloud ceiling on the price-aware blend weight: even a fully
@@ -59,11 +58,7 @@ _PRICE_HEADROOM_KEEP = 0.1
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One shard's solve inputs — a plain bundle of arrays, pool-picklable.
-
-    The solver backend travels by registry *name* so worker processes
-    resolve their own instance instead of pickling solver state.
-    """
+    """One shard's solve inputs — a plain bundle of arrays, pool-picklable."""
 
     static_prices: np.ndarray
     reconfig_prices: np.ndarray
@@ -74,7 +69,6 @@ class ShardTask:
     x_prev: np.ndarray
     eps1: float
     tol: float
-    backend: str
     #: Optional per-shard solve budget (live serving; docs/SERVING.md).
     deadline_s: float | None = None
     max_iterations: int | None = None
@@ -147,17 +141,8 @@ def _finish_shard(
 def _solve_shard(task: ShardTask) -> tuple[np.ndarray, int, bool, np.ndarray | None]:
     """Solve one shard; module-level so process pools can pickle it."""
     subproblem, program = _shard_program(task)
-    result = get_backend(task.backend).solve(program, tol=task.tol)
+    result = InteriorPointBackend().solve(program, tol=task.tol)
     return _finish_shard(subproblem, result)
-
-
-def _batchable_backend(backend) -> bool:
-    """Whether the backend's fast path is the structured IPM we can stack."""
-    if isinstance(backend, InteriorPointBackend):
-        return True
-    return isinstance(backend, FallbackBackend) and isinstance(
-        backend.primary, InteriorPointBackend
-    )
 
 
 def _solve_shards_batched(
@@ -172,19 +157,10 @@ def _solve_shards_batched(
     * Per-shard solver telemetry is buffered in throwaway registries and
       merged into the active registry **in shard order**, so counters and
       the event stream match a serial loop.
-    * :class:`FallbackBackend` semantics are preserved without a doomed
-      second primary attempt: a failed lane is handed to
-      :meth:`FallbackBackend.absorb_primary_failure` (fallback counters,
-      circuit-breaker accounting, the secondary solve); a success closes
-      the breaker via :meth:`absorb_primary_success`. If the circuit is
-      already open when a lane's turn comes, the speculative batched
-      attempt is discarded and the sequential skip path runs instead —
-      exactly what the serial loop would have done.
 
     Returns one ``(value, error, traceback)`` triple per task, in order,
     mirroring the executor's structured-failure capture.
     """
-    backend = get_backend(tasks[0].backend)
     built = [_shard_program(task) for task in tasks]
     lane_registries = [MetricsRegistry() for _ in tasks]
     outcomes = solve_batch(
@@ -194,32 +170,14 @@ def _solve_shards_batched(
     )
     telemetry = get_registry()
     results: list[tuple[object, str | None, str | None]] = []
-    for task, (subproblem, program), outcome, lane_registry in zip(
-        tasks, built, outcomes, lane_registries
+    for (subproblem, _), outcome, lane_registry in zip(
+        built, outcomes, lane_registries
     ):
+        telemetry.merge_snapshot(lane_registry.snapshot())
         try:
-            if isinstance(backend, FallbackBackend):
-                if backend.circuit_open:
-                    # Serial would not have attempted the primary at all;
-                    # the lane's speculative result and telemetry are
-                    # dropped unseen.
-                    result = backend.solve(program, tol=task.tol)
-                elif isinstance(outcome, SolverError):
-                    telemetry.merge_snapshot(lane_registry.snapshot())
-                    result = backend.absorb_primary_failure(
-                        program, tol=task.tol, error=outcome
-                    )
-                elif isinstance(outcome, Exception):
-                    raise outcome
-                else:
-                    telemetry.merge_snapshot(lane_registry.snapshot())
-                    result = backend.absorb_primary_success(outcome)
-            else:
-                telemetry.merge_snapshot(lane_registry.snapshot())
-                if isinstance(outcome, Exception):
-                    raise outcome
-                result = outcome
-            results.append((_finish_shard(subproblem, result), None, None))
+            if isinstance(outcome, Exception):
+                raise outcome
+            results.append((_finish_shard(subproblem, outcome), None, None))
         except Exception as exc:  # noqa: BLE001 - mirrors executor capture
             results.append(
                 (None, f"{type(exc).__name__}: {exc}", traceback.format_exc())
@@ -312,7 +270,6 @@ def make_shard_tasks(
     subproblem: RegularizedSubproblem,
     shards: int,
     *,
-    backend: str = "auto",
     tol: float = 1e-8,
     capacity_duals: np.ndarray | None = None,
     slicing: str = "price",
@@ -358,7 +315,6 @@ def make_shard_tasks(
                 x_prev=x_prev[:, block],
                 eps1=subproblem.eps1,
                 tol=tol,
-                backend=backend,
                 deadline_s=deadline_s,
                 max_iterations=max_iterations,
             )
@@ -371,7 +327,6 @@ def solve_sharded(
     *,
     shards: int = 1,
     workers: int | None = 1,
-    backend: str = "auto",
     tol: float = 1e-8,
     capacity_duals: np.ndarray | None = None,
     slicing: str = "price",
@@ -380,34 +335,40 @@ def solve_sharded(
 ) -> ShardedSolve:
     """Solve the reduced P2, optionally split into shards across workers.
 
-    With ``batch_solves=True`` (and a backend whose fast path is the
-    structured IPM) the shard solves run as **one stacked batched-IPM
-    call** in-process instead of fanning across worker processes —
-    bit-identical results, one interior-point iteration driving every shard
-    (docs/PERFORMANCE.md). Unbatchable backends fall back to the
-    executor path unchanged.
+    With ``batch_solves=True`` the shard solves run as **one stacked
+    batched-IPM call** in-process instead of fanning across worker
+    processes — bit-identical results, one interior-point iteration
+    driving every shard (docs/PERFORMANCE.md).
 
     Returns:
         A :class:`ShardedSolve` — unpackable as ``(x, iterations)`` —
         whose ``x`` is the (I, G) solution assembled from the shards in
         input order. ``capacity_duals`` (workload-weighted across
         shards) feed the next slot's price-aware slices;
-        ``partial_solves`` counts budget-truncated shards.
+        ``partial_solves`` counts partial (budget-truncated or
+        unconverged) shards.
 
     Raises:
+        ValueError: when the slot has no strict interior (total capacity
+            at most total workload), as the direct path's solve does.
         RuntimeError: when any shard's solve failed (the message carries
             every failed shard's error, first traceback included).
     """
+    # Shard slices keep the joint headroom, so this one check stands in
+    # for every shard's own start-point check.
+    if float(np.sum(subproblem.capacities)) <= float(np.sum(subproblem.workloads)):
+        raise ValueError(
+            "no strictly feasible point: total capacity must exceed total workload"
+        )
     tasks = make_shard_tasks(
         subproblem,
         shards,
-        backend=backend,
         tol=tol,
         capacity_duals=capacity_duals,
         slicing=slicing,
         budget=budget,
     )
-    if batch_solves and _batchable_backend(get_backend(backend)):
+    if batch_solves:
         triples = _solve_shards_batched(tasks)
         failed_triples = [
             (f"shard-{k}", error, tb)

@@ -52,9 +52,8 @@ class DualPriceSeries:
 def extract_dual_prices(algorithm: OnlineRegularizedAllocator) -> DualPriceSeries:
     """Collect the dual price series from an allocator's last run.
 
-    Requires the run to have used a backend that reports duals (the
-    structured IPM does; the SciPy fallback reports a combined multiplier
-    vector which is split positionally).
+    Requires the run to have used a backend that reports the demand and
+    capacity multipliers (the structured IPM does).
 
     Raises:
         ValueError: if the allocator has not run yet or a solve carries no
@@ -69,19 +68,6 @@ def extract_dual_prices(algorithm: OnlineRegularizedAllocator) -> DualPriceSerie
         if "demand" in duals and "capacity" in duals:
             theta = np.asarray(duals["demand"], dtype=float)
             rho = np.asarray(duals["capacity"], dtype=float)
-        elif "linear" in duals:
-            # SciPy packs [demand rows, capacity rows]; capacity rows were
-            # written as -X >= -C, so their multipliers appear negated.
-            packed = np.asarray(duals["linear"], dtype=float)
-            raise_if = packed.size
-            num_users = user_prices[0].size if user_prices else None
-            if num_users is None or raise_if < num_users:
-                raise ValueError(
-                    f"slot {k}: cannot split SciPy duals without a prior "
-                    "IPM-solved slot establishing the shapes"
-                )
-            theta = np.abs(packed[:num_users])
-            rho = np.abs(packed[num_users:])
         else:
             raise ValueError(f"slot {k}: solver reported no duals")
         user_prices.append(theta)

@@ -1,7 +1,7 @@
 """``repro-edge doctor``: a post-mortem report from a run manifest.
 
 Renders what went wrong (or right) in a recorded run, without re-running
-anything: the slowest slots, solver fallback and circuit-breaker firings,
+anything: the slowest slots, solves that stopped without certifying,
 optimality-certificate violations and the worst duality gaps, competitive-
 ratio bound violations, and the interior-point convergence summary.
 
@@ -118,25 +118,13 @@ def _slowest_slots(summary: ManifestSummary) -> list[str]:
 
 
 def _solver_incidents(summary: ManifestSummary) -> list[str]:
-    fallbacks, circuits = summary.fallbacks, summary.circuit_opens
-    if not fallbacks.count and not circuits.count:
-        return ["  none - primary backend handled every solve"]
-    lines = [
-        f"  fallbacks: {fallbacks.count}, "
-        f"circuit-breaker openings: {circuits.count}"
+    unconverged = int(summary.counters.get("solver.ipm.unconverged", 0))
+    if not unconverged:
+        return ["  none - every solve certified its gap or met its budget"]
+    return [
+        f"  unconverged solves: {unconverged} (finished partial at their "
+        "last interior iterate)"
     ]
-    for event in fallbacks.items:
-        lines.append(
-            f"  fallback from {event.get('primary', '?')}: "
-            f"{event.get('error', '?')}"
-        )
-    for event in circuits.items:
-        lines.append(
-            f"  circuit opened on {event.get('primary', '?')} after "
-            f"{event.get('failures', '?')} failures "
-            f"(cooldown {event.get('cooldown', '?')})"
-        )
-    return lines
 
 
 def _certificates(summary: ManifestSummary) -> list[str]:

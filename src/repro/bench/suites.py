@@ -4,8 +4,8 @@ Each suite wraps existing benchmark workloads (the ``benchmarks/`` pytest
 suite's fig2/fig5/hessian/parallel measurements) into a plain function
 that runs at an :class:`~repro.experiments.settings.ExperimentScale` and
 returns a :class:`~repro.bench.records.BenchRecord`. Suites run inside
-their own telemetry session, so solver traces and fallback counters land
-in the record's ``diagnostics`` block without touching any caller state.
+their own telemetry session, so solver traces and unconverged-solve
+counts land in the record's ``diagnostics`` block without touching any caller state.
 
 Wall-clock metrics (``kind="time"``) vary with hardware; the iteration
 and cost metrics (``kind="count"``/``"cost"``) are deterministic at a
@@ -30,7 +30,6 @@ from ..experiments.fig2 import fig2_scenario, run_fig2
 from ..experiments.fig5 import run_fig5
 from ..experiments.runner import run_ratio_sweep
 from ..experiments.settings import ExperimentScale, all_paper_algorithms
-from ..solvers.registry import get_backend
 from ..telemetry import MetricsRegistry, telemetry_session
 from .records import BenchMetric, BenchRecord, current_git_commit
 
@@ -57,10 +56,7 @@ def _registry_diagnostics(registry: MetricsRegistry) -> dict:
     convergence = summarize_convergence(registry)
     return {
         "convergence": convergence.as_dict(),
-        "fallbacks": registry.counter("solver.fallbacks").value,
-        "circuit_breaker_opened": registry.counter(
-            "solver.circuit_breaker.opened"
-        ).value,
+        "unconverged": registry.counter("solver.ipm.unconverged").value,
     }
 
 
@@ -145,9 +141,7 @@ def _suite_solver(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     hessian_s = time.perf_counter() - start
 
     fig2_instance = fig2_scenario(scale).build(seed=scale.seed)
-    algorithm = OnlineRegularizedAllocator(
-        eps1=scale.eps, eps2=scale.eps, backend=get_backend("ipm")
-    )
+    algorithm = OnlineRegularizedAllocator(eps1=scale.eps, eps2=scale.eps)
     schedule = algorithm.run(fig2_instance)
     iterations = algorithm.total_solver_iterations
     metrics = {
@@ -549,7 +543,7 @@ def run_suite(
 
     The suite executes inside a fresh telemetry session (nested sessions
     restore the caller's registry on exit), and the session's solver-health
-    summary — convergence statistics, fallback and circuit-breaker counts —
+    summary — convergence statistics and the unconverged-solve count —
     is folded into the record's diagnostics.
     """
     if name not in SUITES:

@@ -160,8 +160,8 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--watchdog",
         action="store_true",
-        help="evaluate the default alert rules (solver stall, fallback "
-        "storm, certificate gap, ratio over bound, deadline-miss storm) live "
+        help="evaluate the default alert rules (solver stall, certificate "
+        "gap, ratio over bound, deadline-miss storm) live "
         "over the telemetry stream; alerts land in the manifest as 'alert' "
         "events. serve/loadgen with --flight or --slo evaluate them in the "
         "session instead, once per slot",
@@ -169,8 +169,8 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics-summary",
         action="store_true",
-        help="print a metrics summary table (solver iterations, fallbacks, "
-        "per-slot wall time, cost totals) after the report",
+        help="print a metrics summary table (solver iterations, per-slot "
+        "wall time, cost totals) after the report",
     )
     parser.add_argument(
         "--trace-context",
@@ -218,7 +218,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         "--slo",
         action="store_true",
         help="evaluate the default SLO objectives (latency p99, deadline-"
-        "miss ratio, fallback rate, ratio-vs-bound) with fast/slow "
+        "miss ratio, ratio-vs-bound) with fast/slow "
         "burn-rate windows, alongside the --watchdog rules it implies; "
         "transitions land in the manifest as 'slo.burn' events, firing "
         "objectives raise slo:<name> alerts, and the burn rates are "
@@ -591,7 +591,6 @@ def _service_setup(args: argparse.Namespace):
         max_iterations=getattr(args, "max_iterations", None),
         eps1=scale.eps,
         eps2=scale.eps,
-        backend=args.backend,
         aggregation=aggregation_config(scale),
         flight_slots=getattr(args, "flight", None) or 0,
         incident_dir=getattr(args, "incident_dir", None),
@@ -870,11 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="per-slot Newton-iteration cap (deterministic twin of "
             "--deadline-ms; default: uncapped)",
-        )
-        p.add_argument(
-            "--backend",
-            default="auto",
-            help="solver-registry backend name (default: auto)",
         )
         p.add_argument(
             "--trace",

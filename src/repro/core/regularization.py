@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # import cycle: simulation/aggregate build on core
     from ..simulation.observations import SystemDescription
 
 from ..solvers.base import ConvexBackend, SolveBudget, SolverResult
-from ..solvers.registry import default_backend
+from ..solvers.interior_point import InteriorPointBackend
 from ..telemetry import get_registry
 from .allocation import AllocationSchedule
 from .problem import ProblemInstance
@@ -68,7 +68,8 @@ class OnlineRegularizedAllocator:
     Attributes:
         eps1: regularizer parameter for the reconfiguration term.
         eps2: regularizer parameter for the migration term.
-        backend: convex backend used to solve P2 (default: registry default).
+        backend: convex backend used to solve P2 (default: the structured
+            interior-point method).
         tol: optimizer tolerance per subproblem.
         certify: compute a per-slot optimality certificate (KKT residual +
             duality-gap bound, see :mod:`repro.diagnostics.certificates`)
@@ -87,13 +88,14 @@ class OnlineRegularizedAllocator:
             backend returns its last strictly feasible iterate;
             :meth:`step` then repairs it and takes the cheaper of that
             iterate and the attached-cloud allocation — the degradation
-            ladder of docs/SERVING.md. ``None`` (the default) is
-            bit-identical to the unbudgeted solve.
+            ladder of docs/SERVING.md. A solve that stops without
+            certifying its gap takes the same ladder. ``None`` (the
+            default) is bit-identical to the unbudgeted solve.
     """
 
     eps1: float = DEFAULT_EPSILON
     eps2: float = DEFAULT_EPSILON
-    backend: ConvexBackend | None = None
+    backend: ConvexBackend = field(default_factory=InteriorPointBackend)
     tol: float = 1e-8
     certify: bool = False
     aggregation: "AggregationConfig | None" = None
@@ -110,9 +112,6 @@ class OnlineRegularizedAllocator:
             raise ValueError("eps1 and eps2 must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-
-    def _resolve_backend(self) -> ConvexBackend:
-        return self.backend if self.backend is not None else default_backend()
 
     def step(
         self, instance: ProblemInstance, slot: int, x_prev: np.ndarray
@@ -131,7 +130,7 @@ class OnlineRegularizedAllocator:
         program = subproblem.build_program()
         if self.budget is not None:
             program.budget = self.budget
-        result = self._resolve_backend().solve(program, tol=self.tol)
+        result = self.backend.solve(program, tol=self.tol)
         if self.certify:
             # Certify at the solver's own point (pre-repair) with its own
             # multipliers. Deferred import: core must not depend on the
@@ -159,15 +158,15 @@ class OnlineRegularizedAllocator:
         instance: ProblemInstance,
         slot: int,
     ) -> np.ndarray:
-        """The degradation ladder for budget-truncated solves.
+        """The degradation ladder for partial solves.
 
-        A partial iterate is always feasible but can be far from
-        the optimum when the budget fires early. The attached-cloud
-        allocation (every user's whole workload at its current station)
-        is the natural "no optimization at all" reference, so take
-        whichever of the two has the lower P2 value — this guarantees a
-        partial slot never costs more than the trivial repair would,
-        whenever that repair is itself capacity-feasible.
+        A partial iterate — budget-truncated or unconverged — is always
+        feasible but can be far from the optimum when the solve stops
+        early. The attached-cloud allocation (every user's whole workload
+        at its current station) is the natural "no optimization at all"
+        reference, so take whichever of the two has the lower P2 value —
+        this guarantees a partial slot never costs more than the trivial
+        repair would, whenever that repair is itself capacity-feasible.
         """
         attachment = np.asarray(instance.attachment)[slot]
         workloads = np.asarray(instance.workloads, dtype=float)

@@ -308,8 +308,8 @@ class RegularizedSubproblem:
     def build_program(self) -> ConvexProgram:
         """Package the subproblem for a :class:`ConvexBackend`.
 
-        The program carries no ``x0``: every backend starts a P2 solve
-        from :meth:`interior_point` (see :func:`repro.solvers.base.starting_point`).
+        The program carries no ``x0``: the structured IPM starts every P2
+        solve from :meth:`interior_point`.
         """
         matrix, lower = self.constraint_matrices()
         n = self.num_clouds * self.num_users

@@ -27,9 +27,8 @@ at runtime, turning each solve into a :class:`SlotCertificate` carrying
 Multipliers come from three sources, cheapest first, and the certificate
 keeps whichever bound is tightest:
 
-1. ``"solver"`` — the backend's own duals (the structured IPM and the
-   SciPy backend both report the demand/capacity families, see
-   ``SolverResult.duals``); the structured IPM's primal-dual
+1. ``"solver"`` — the backend's own duals (the structured IPM reports
+   the demand/capacity families, see ``SolverResult.duals``); its primal-dual
    multipliers are the ones its own stop rule certified, so this source
    normally wins;
 2. ``"recovered"`` — a least-squares fit of the stationarity system over
@@ -41,8 +40,8 @@ keeps whichever bound is tightest:
    ``grad·x - min_y grad·y``, the tightest certificate one gradient can
    buy.
 
-Solutions produced without trustworthy analytic gradients (the SciPy
-path) can additionally be checked against a finite-difference gradient
+Solutions produced by generic backends, which lean on the analytic
+gradient, can additionally be checked against a finite-difference gradient
 (:func:`finite_difference_residual`).
 
 Everything here *observes* — no certificate feeds back into any
@@ -220,7 +219,7 @@ def finite_difference_residual(
     """The stationarity residual with a central finite-difference gradient.
 
     Cross-checks the analytic gradient the other certificates rely on:
-    useful for the SciPy backend, whose solution quality depends on that
+    useful for generic backends, whose solution quality depends on that
     gradient being right. O(n) objective evaluations of O(n) each.
     """
     flat = np.asarray(flat, dtype=float)
@@ -262,8 +261,8 @@ def certify_solution(
         slot: trajectory position recorded on the certificate.
         finite_difference: also run the finite-difference stationarity
             cross-check. ``None`` (default) enables it exactly when the
-            solving backend was not the structured IPM — the SciPy path is
-            the one whose analytic gradients deserve independent scrutiny.
+            solving backend was not the structured IPM — a generic method's
+            reliance on the analytic gradient deserves independent scrutiny.
     """
     if isinstance(solution, SolverResult):
         flat = np.asarray(solution.x, dtype=float)

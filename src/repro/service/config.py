@@ -2,7 +2,7 @@
 
 :class:`ServiceConfig` bundles everything a serving session needs beyond
 the :class:`~repro.simulation.observations.SystemDescription` itself: the
-regularizer parameters, the solver backend, the optional cohort
+regularizer parameters, the solver tolerance, the optional cohort
 aggregation, and — the serving-specific part — the per-slot deadline
 budget. See docs/SERVING.md for how the budget turns into the
 degradation ladder.
@@ -35,8 +35,6 @@ class ServiceConfig:
         eps1: regularizer parameter for the reconfiguration term.
         eps2: regularizer parameter for the migration term.
         tol: optimizer tolerance per subproblem.
-        backend: solver-registry backend name (``"auto"`` = the default
-            fallback chain).
         aggregation: when set, slots are solved over (station, workload)
             cohorts via :mod:`repro.aggregate` — the city-scale path.
         keep_schedule: keep every slot's (I, J) allocation in memory.
@@ -63,7 +61,6 @@ class ServiceConfig:
     eps1: float = _DEFAULT_EPSILON
     eps2: float = _DEFAULT_EPSILON
     tol: float = 1e-8
-    backend: str = "auto"
     aggregation: AggregationConfig | None = None
     keep_schedule: bool = False
     history: int = 16

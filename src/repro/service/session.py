@@ -40,8 +40,6 @@ from ..core.regularization import OnlineRegularizedAllocator
 from ..simulation.accounting import SlotCosts
 from ..simulation.observations import SlotObservation, SystemDescription
 from ..simulation.spine import SlotStepper
-from ..solvers.registry import get_backend
-from ..solvers.registry import reset_session as reset_backend_session
 from ..telemetry import (
     AlertEvaluator,
     FlightRecorder,
@@ -122,11 +120,9 @@ class AllocationSession:
     def __init__(self, system: SystemDescription, config: ServiceConfig) -> None:
         self.system = system
         self.config = config
-        self._backend = get_backend(config.backend)
         self._allocator = OnlineRegularizedAllocator(
             eps1=config.eps1,
             eps2=config.eps2,
-            backend=self._backend,
             tol=config.tol,
             aggregation=config.aggregation,
             budget=config.budget(),
@@ -368,15 +364,12 @@ class AllocationSession:
     # ----- lifecycle ----------------------------------------------------------
 
     def reset_session(self) -> None:
-        """Start a fresh horizon: slot 0, cold caches, closed circuits.
+        """Start a fresh horizon: slot 0, cold caches.
 
         Clears *every* layer of cross-slot state: the controller's carried
-        decision and capacity duals (``controller.reset``), the backend's
-        circuit-breaker/session state
-        (:func:`repro.solvers.registry.reset_session`), and the stepper's
-        accumulator/residuals (a fresh :class:`SlotStepper`).
+        decision and capacity duals (``controller.reset``) and the
+        stepper's accumulator/residuals (a fresh :class:`SlotStepper`).
         """
-        reset_backend_session(self._backend)
         self.results = []
         self._deadline_misses = 0
         if self.recorder is not None:

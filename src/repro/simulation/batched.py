@@ -10,13 +10,12 @@ pending set runs as **one** stacked interior-point solve
 (:func:`repro.solvers.batched.solve_batch`).
 
 Everything else about a cell is untouched — feasibility repair, the
-circuit breaker, SciPy fallback, telemetry tagging — because the only
-swap is the allocator's *backend*: each cell gets a private
-``FallbackBackend(DeferringBackend(coordinator), ScipyTrustConstrBackend())``
-whose primary defers into the shared batch and whose failure semantics are
-exactly the sequential ones (a failed lane raises in the requesting
-thread). Results are therefore bit-identical to the serial sweep, pinned
-by ``tests/simulation/test_batched_sweep.py``.
+degradation ladder, telemetry tagging — because the only swap is the
+allocator's *backend*: each cell gets a private
+``DeferringBackend(coordinator)`` that defers into the shared batch and
+whose failure semantics are exactly the sequential ones (a failed lane
+raises in the requesting thread). Results are therefore bit-identical to
+the serial sweep, pinned by ``tests/simulation/test_batched_sweep.py``.
 
 With ``workers > 1`` the cells are split into contiguous groups, one
 group per worker process (fanned out via the executor's pool
@@ -45,8 +44,6 @@ from ..parallel.executor import (
     resolve_workers,
 )
 from ..solvers.batched import BatchCoordinator, DeferringBackend
-from ..solvers.registry import FallbackBackend
-from ..solvers.scipy_backend import ScipyTrustConstrBackend
 from ..telemetry import (
     MetricsRegistry,
     TraceContext,
@@ -64,19 +61,17 @@ def _prepare_cell(cell: Any, coordinator: BatchCoordinator) -> Any:
 
     Each cell gets *deep copies* of its allocators — the same isolation the
     process pool provides by pickling — so concurrent cells never share
-    mutable allocator state. Algorithms without a swappable backend (the
-    baselines, aggregated allocators resolving their backend by registry
-    name) run unchanged; their cells simply never enter the rendezvous as
-    solvers, only as participants that eventually finish.
+    mutable allocator state. Algorithms that never call a backend (the
+    baselines, and aggregated allocators, which solve through the shard
+    path) never enter the rendezvous as solvers, only as participants that
+    eventually finish.
     """
     algorithms = []
     swapped = False
     for algorithm in cell.algorithms:
         if isinstance(algorithm, OnlineRegularizedAllocator):
             clone = copy.deepcopy(algorithm)
-            clone.backend = FallbackBackend(
-                DeferringBackend(coordinator), ScipyTrustConstrBackend()
-            )
+            clone.backend = DeferringBackend(coordinator)
             algorithms.append(clone)
             swapped = True
         else:

@@ -77,15 +77,6 @@ class RegularizedController:
         self.algorithm.last_solves = []
         self.algorithm.last_certificates = []
         self.last_result = None
-        # The fallback wrapper's circuit breaker is scoped "per run": a
-        # primary declared broken in one run gets a fresh chance in the
-        # next, and serial/parallel sweeps see identical breaker state at
-        # every run start regardless of what earlier cells did.
-        reset_circuit = getattr(
-            self.algorithm._resolve_backend(), "reset_circuit", None
-        )
-        if reset_circuit is not None:
-            reset_circuit()
 
     def get_state(self) -> tuple[np.ndarray, int]:
         """Snapshot (x*_{t-1}, slots seen); solver diagnostics are not kept."""

@@ -9,30 +9,14 @@ from .base import (
 )
 from .interior_point import InteriorPointBackend
 from .linear import LinearProgramBuilder, VariableBlock
-from .registry import (
-    FallbackBackend,
-    available_backends,
-    default_backend,
-    get_backend,
-    register_backend,
-    reset_session,
-)
-from .scipy_backend import ScipyTrustConstrBackend
 
 __all__ = [
     "ConvexBackend",
     "ConvexProgram",
-    "FallbackBackend",
     "InteriorPointBackend",
     "LinearProgramBuilder",
-    "ScipyTrustConstrBackend",
     "SolveBudget",
     "SolverError",
     "SolverResult",
     "VariableBlock",
-    "available_backends",
-    "default_backend",
-    "get_backend",
-    "register_backend",
-    "reset_session",
 ]

@@ -2,9 +2,8 @@
 
 The paper modeled its programs in Pyomo and solved them with IPOPT/GLPK.
 Neither is available offline, so this package provides the equivalent
-substrate: a sparse LP layer on top of SciPy's HiGHS, and two interchangeable
-convex backends (SciPy ``trust-constr`` and a custom structured primal-dual
-interior-point method) for the regularized subproblem P2.
+substrate: a sparse LP layer on top of SciPy's HiGHS, and a structured
+primal-dual interior-point method for the regularized subproblem P2.
 """
 
 from __future__ import annotations
@@ -62,11 +61,9 @@ class SolverResult:
         iterations: iterations the backend reports (0 when unavailable).
         backend: name of the backend that produced the result.
         duals: optional mapping of constraint-family name -> multipliers.
-        primary_error: when a fallback wrapper produced this result, the
-            error message of the primary backend that failed first (kept
-            inspectable instead of silently discarded); ``None`` otherwise.
-        partial: ``True`` when a :class:`SolveBudget` fired and ``x`` is
-            the last (feasible) iterate rather than a converged optimum.
+        partial: ``True`` when ``x`` is the last (feasible) iterate rather
+            than a converged optimum: a :class:`SolveBudget` fired, or the
+            solver stopped without certifying its gap.
         gap: the duality-gap bound at ``x``, relative to ``max(1, |f(x)|)``,
             that the backend certified from its own ``duals``; ``None`` when
             the backend does not compute one.
@@ -77,7 +74,6 @@ class SolverResult:
     iterations: int = 0
     backend: str = ""
     duals: dict[str, np.ndarray] = field(default_factory=dict)
-    primary_error: str | None = None
     partial: bool = False
     gap: float | None = None
 
@@ -96,11 +92,10 @@ class ConvexProgram:
         constraint_matrix: (M, n) sparse matrix A.
         constraint_lower: (M,) lower bounds for A x.
         x_lower: (n,) variable lower bounds (typically zeros).
-        x0: optional starting point. ``None`` lets the backend derive one
-            (see :func:`starting_point`). It need not be strictly feasible
-            — backends must recover, not crash, when it is not. The
-            generic SciPy backend starts from it; the structured IPM always
-            cold-starts from the structure's interior point.
+        x0: optional starting point for generic methods. It need not be
+            strictly feasible — backends must recover, not crash, when it
+            is not. The structured IPM ignores it and always cold-starts
+            from the structure's interior point.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -115,8 +110,8 @@ class ConvexProgram:
     structure: object | None = None
     #: Optional work cap (see :class:`SolveBudget`). Backends that honor
     #: it return ``SolverResult(partial=True)`` when it fires; backends
-    #: that cannot interrupt themselves (the generic SciPy fallback)
-    #: ignore it, so the budget is best-effort by contract.
+    #: that cannot interrupt themselves ignore it, so the budget is
+    #: best-effort by contract.
     budget: SolveBudget | None = None
 
     @property
@@ -143,21 +138,6 @@ class ConvexProgram:
         if bound.size:
             worst = max(worst, float(bound.max()))
         return max(worst, 0.0)
-
-
-def starting_point(program: ConvexProgram) -> np.ndarray:
-    """A usable starting point for a program whose ``x0`` may be ``None``.
-
-    Preference order: the program's own ``x0``; the structure's canonical
-    strictly interior point (P2 programs); the variable lower bounds (a
-    feasible-for-bounds default that generic methods can work from).
-    """
-    if program.x0 is not None:
-        return np.asarray(program.x0, dtype=float)
-    structure = program.structure
-    if structure is not None and hasattr(structure, "interior_point"):
-        return np.asarray(structure.interior_point(), dtype=float)
-    return np.asarray(program.x_lower, dtype=float).copy()
 
 
 class ConvexBackend(Protocol):

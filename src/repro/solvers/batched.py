@@ -14,7 +14,11 @@ with IPOPT, also a primal-dual interior-point method). Per lane:
   ``(I+J)`` Sherman-Morrison-Woodbury core once and applies it to both the
   predictor and the corrector;
 * a lane stops when the certificate's closed-form duality-gap bound at
-  its own multipliers falls to ``_GAP_SHARE * tol * max(1, |f(x)|)``.
+  its own multipliers falls to ``_GAP_SHARE * tol * max(1, |f(x)|)``;
+* a lane that cannot certify — its slacks reached float64 rounding, its
+  Woodbury system went singular, or it used ``_MAX_ITERATIONS`` steps —
+  finishes as a partial result at its current interior iterate, exactly
+  like a budget-truncated one (counted as ``solver.ipm.unconverged``).
 
 A solve of B same-shape P2 instances ("lanes") stacks them into contiguous
 ``(B, I, J)`` arrays and runs **one** lockstep iteration over all of them:
@@ -26,7 +30,7 @@ the Python dispatch that dominates a lone solve.
 of the same kernel; :func:`solve_batch` is the stacked entry point.
 
 The hard invariant is **lane independence**: a lane's floats — solution,
-objective, iteration count, duals, partial flag, failure — do not depend on
+objective, iteration count, duals, partial flag — do not depend on
 its batch-mates, on the batch size, or on when finished lanes are compacted
 away. A lane solved in a batch is therefore bit-identical to the same
 program solved alone through ``InteriorPointBackend`` (pinned by
@@ -68,7 +72,7 @@ from .base import ConvexProgram, SolverError, SolverResult
 #: Fraction-to-boundary rule: never step further than this share of the
 #: distance to the nearest primal or dual boundary.
 _BOUNDARY_FRACTION = 0.99
-#: Predictor-corrector steps before a solve is declared failed.
+#: Predictor-corrector steps before a solve stops as unconverged.
 _MAX_ITERATIONS = 100
 #: The stop rule: a lane finishes once its certified gap bound is at most
 #: this share of ``tol * scale``. The head-room keeps certificates that are
@@ -83,11 +87,13 @@ _CENTERING_POWER = 3
 _FLOOR_SHARE = 0.05
 #: Smallest tolerance honoured; tighter requests are clamped to it.
 _MIN_TOL = 1e-10
-#: A lane whose slacks reached float64 rounding (see ``_step``) cannot move
-#: further. It finishes if its gap is at most this share of ``scale`` (the
-#: certificate tolerance, ``diagnostics.certificates.DEFAULT_GAP_TOL``), and
-#: fails otherwise. Only tolerances near ``_MIN_TOL`` on workloads in the
-#: thousands get there; the default 1e-8 does not.
+#: A lane that cannot move further (its slacks reached float64 rounding or
+#: its Woodbury system went singular, see ``_step``) finishes as converged
+#: if its gap is at most this share of ``scale`` (the certificate tolerance,
+#: ``diagnostics.certificates.DEFAULT_GAP_TOL``), and as an unconverged
+#: partial result otherwise. Tolerances near ``_MIN_TOL`` on workloads in
+#: the thousands get there, and so do P2s with all dynamic prices zero
+#: (no entropy curvature).
 _STALL_GAP = 1e-6
 
 #: Backend name reported on every structured-IPM result, whether it came
@@ -144,7 +150,9 @@ class _Lane:
         telemetry.histogram("solver.ipm.iterations").observe(
             final["iterations"]
         )
-        if final["partial"]:
+        if final["unconverged"]:
+            telemetry.counter("solver.ipm.unconverged").inc()
+        elif final["partial"]:
             telemetry.counter("solver.ipm.budget_exhausted").inc()
         if self.trace is not None:
             linkage = {}
@@ -255,7 +263,6 @@ class _GroupSolve:
         "primal",
         "duals",
         "iterations",
-        "partial",
         "stalled",
     )
 
@@ -353,7 +360,7 @@ class _GroupSolve:
             # One singular lane poisons the whole gufunc call; redo the
             # stack lane by lane (same LAPACK routine on the same memory,
             # so surviving lanes get identical floats) and flag the bad
-            # ones — they fail exactly as they would alone.
+            # ones — they stall exactly as they would alone.
             inverse = np.zeros_like(schur)
             for k in range(batch):
                 try:
@@ -407,7 +414,10 @@ class _GroupSolve:
 
         Duals start on the central path of ``mu0 = max(1, |f(x0)|) / m``:
         ``z = mu0 / x`` and likewise for the demand and capacity slacks.
-        Any error here fails only its own lane.
+        Any error here fails only its own lane. These are the solver's only
+        raises: a program without P2 structure, and a slot with no strict
+        interior (``sum(C) <= Lambda``, a ``ValueError`` from
+        ``interior_point``).
         """
         ready: list[_Lane] = []
         starts: list[np.ndarray] = []
@@ -435,7 +445,6 @@ class _GroupSolve:
         self.primal = self._primal_pairs(self.x)
         self.duals = np.array(mus)[:, None] / self.primal
         self.iterations = np.zeros(batch, dtype=np.int64)
-        self.partial = np.zeros(batch, dtype=bool)
         self.stalled = np.zeros(batch, dtype=bool)
 
     @staticmethod
@@ -447,20 +456,25 @@ class _GroupSolve:
     # -- lane retirement ------------------------------------------------------
 
     def _finish_lane(
-        self, pos: int, mu: float, relative_gap: float, target: float
+        self,
+        pos: int,
+        mu: float,
+        relative_gap: float,
+        target: float,
+        partial: bool,
+        unconverged: bool,
     ) -> None:
         """Build the lane's SolverResult from its stacked state.
 
-        Iterates are strictly interior by construction, so a
-        budget-truncated (partial) x is always feasible — degraded in cost,
-        never in constraints (Theorem 1 survives the cutoff). The duals are
-        the iterate's own multipliers, so certificates re-derive the same
-        gap bound the stop rule used.
+        Iterates are strictly interior by construction, so a partial x —
+        budget-truncated or unconverged — is always feasible: degraded in
+        cost, never in constraints (Theorem 1 survives the cutoff). The
+        duals are the iterate's own multipliers, so certificates re-derive
+        the same gap bound the stop rule used.
         """
         lane = self.lanes[pos]
         x = self.x[pos].copy()
         iterations = int(self.iterations[pos])
-        partial = bool(self.partial[pos])
         lane.final = {
             "backend": self.name,
             "iterations": iterations,
@@ -468,6 +482,7 @@ class _GroupSolve:
             "gap": relative_gap,
             "gap_target": target,
             "partial": partial,
+            "unconverged": unconverged,
         }
         z, y_demand, y_capacity = self._split(self.duals[pos : pos + 1].copy())
         duals = {
@@ -489,29 +504,24 @@ class _GroupSolve:
 
     def _retire(
         self,
-        finished: np.ndarray,
-        failed: dict[int, Exception],
+        done: np.ndarray,
+        partial: np.ndarray,
+        unconverged: np.ndarray,
         mu: np.ndarray,
         relative_gap: np.ndarray,
         target: np.ndarray,
     ) -> None:
-        """Finish/fail the flagged lanes, then compact the stacked state."""
-        batch = len(self.lanes)
-        drop = np.zeros(batch, dtype=bool)
-        for pos in np.nonzero(finished)[0]:
+        """Finish the flagged lanes, then compact the stacked state."""
+        for pos in np.nonzero(done)[0]:
             self._finish_lane(
                 int(pos),
                 float(mu[pos]),
                 float(relative_gap[pos]),
                 float(target[pos]),
+                bool(partial[pos]),
+                bool(unconverged[pos]),
             )
-            drop[pos] = True
-        for pos, error in failed.items():
-            self.lanes[pos].outcome = error
-            drop[pos] = True
-        if not drop.any():
-            return
-        keep = ~drop
+        keep = ~done
         self.lanes = [lane for pos, lane in enumerate(self.lanes) if keep[pos]]
         if self.lanes:
             self._take(keep)
@@ -549,8 +559,9 @@ class _GroupSolve:
     def _macro_step(self) -> None:
         """One predictor-corrector step for every active lane.
 
-        The iterate is assembled and certified first; lanes whose budget
-        fired or whose certified gap met the target retire with the current
+        The iterate is assembled and certified first; lanes whose certified
+        gap met the target, whose budget fired, or that cannot certify
+        (stalled, non-finite gap, out of steps) retire with the current
         point, and the survivors take one step. The ``phase`` blocks are
         the profiling plane's phase timers (docs/OBSERVABILITY.md §12):
         free no-op context managers unless a profile is active, and purely
@@ -579,26 +590,24 @@ class _GroupSolve:
             scale = np.maximum(1.0, np.abs(value))
             target = self.tol * scale
             certified = gap <= _GAP_SHARE * target
+            converged = certified | (self.stalled & (gap <= _STALL_GAP * scale))
             # A budget that fires on an already certified iterate changes
             # nothing: the lane finishes as a normal, non-partial result.
-            self.partial = self.partial | (fired & ~certified)
-            finished = np.isfinite(gap) & (
-                fired | certified | (self.stalled & (gap <= _STALL_GAP * scale))
+            truncated = fired & ~certified
+            unconverged = (
+                ~fired
+                & ~converged
+                & (
+                    self.stalled
+                    | ~np.isfinite(gap)
+                    | (self.iterations >= _MAX_ITERATIONS)
+                )
             )
-            stuck = ~finished & (self.stalled | ~np.isfinite(gap))
-            failed: dict[int, Exception] = {}
-            for pos in np.nonzero(stuck)[0]:
-                failed[int(pos)] = SolverError(
-                    f"{self.name}: slacks reached rounding before the gap target"
-                )
-            ran_out = ~finished & ~stuck & (self.iterations >= _MAX_ITERATIONS)
-            for pos in np.nonzero(ran_out)[0]:
-                failed[int(pos)] = SolverError(
-                    f"{self.name}: primal-dual loop did not converge"
-                )
-            done = finished | stuck | ran_out
+            done = fired | converged | unconverged
         if done.any():
-            self._retire(finished, failed, mu, gap / scale, target)
+            self._retire(
+                done, truncated | unconverged, unconverged, mu, gap / scale, target
+            )
             if not self.lanes:
                 return
             keep = ~done
@@ -615,7 +624,10 @@ class _GroupSolve:
         so the target never drops below ``_FLOOR_SHARE * target / m``
         (deeper centring pushes the binding slacks under rounding). The
         corrector adds the predictor's second-order complementarity term.
-        Both share one step length for primal and dual variables.
+        Both share one step length for primal and dual variables. A lane
+        whose Woodbury system is singular, or whose step would round a
+        slack to zero, keeps its iterate and is marked stalled; the next
+        convergence check retires it.
         """
         m = self.num_constraints
         x, duals = self.x, self.duals
@@ -651,32 +663,23 @@ class _GroupSolve:
                 _BOUNDARY_FRACTION
                 * _max_step(pairs, np.concatenate([d_primal, d_duals], axis=1)),
             )
-            if singular.any():
-                alpha = np.where(singular, 0.0, alpha)
             x_next = x + alpha[:, None, None] * dx
             duals_next = duals + alpha[:, None] * d_duals
             primal_next = self._primal_pairs(x_next)
             # Recomputed slacks sum_i x_ij - lambda_j can round to <= 0
             # once they are within a few ulps of their row totals (tight
             # tolerances on large workloads). Such a lane keeps its last
-            # interior iterate and is marked stalled.
-            stuck = ~(primal_next.min(axis=1) > 0)
+            # interior iterate and is marked stalled, as is a singular one.
+            stuck = singular | ~(primal_next.min(axis=1) > 0)
             if stuck.any():
                 x_next = np.where(stuck[:, None, None], x, x_next)
                 duals_next = np.where(stuck[:, None], duals, duals_next)
                 primal_next = np.where(stuck[:, None], primal, primal_next)
                 self.stalled = self.stalled | stuck
             self.x, self.duals, self.primal = x_next, duals_next, primal_next
-            stepped = ~singular & ~stuck
+            stepped = ~stuck
             self.iterations = self.iterations + stepped
         self._record_trace(centre, mu, reduced, duals, alpha, stepped)
-        if singular.any():
-            failed = {
-                int(pos): SolverError(f"{self.name}: Woodbury system singular")
-                for pos in np.nonzero(singular)[0]
-            }
-            none = np.zeros(len(self.lanes), dtype=bool)
-            self._retire(none, failed, mu, mu, mu)
 
     def _record_trace(self, centre, mu, reduced, duals, alpha, stepped) -> None:
         """Append one entry per stepped lane to its convergence fingerprint.
@@ -740,8 +743,8 @@ def solve_batch(
 
     Returns:
         One entry per program, in order: a :class:`SolverResult`, or the
-        exception a solve of that program alone would have raised
-        (callers re-raise or fall back per instance — never batch-wide).
+        setup exception a solve of that program alone would have raised
+        (callers re-raise per instance — never batch-wide).
     """
     programs = list(programs)
     if np.ndim(tol) == 0:
@@ -874,12 +877,11 @@ class BatchCoordinator:
 class DeferringBackend:
     """A :class:`ConvexBackend` that routes solves through a coordinator.
 
-    Swapped in as the *primary* of a per-cell ``FallbackBackend`` by the
-    batched sweep runner: the cell's code path (repair, certificates,
-    circuit breaker, SciPy fallback) is untouched — only the
-    structured-IPM solve itself is deferred into the shared batch. A
-    deferred solve that fails raises here, in the requesting thread, so the
-    fallback semantics are exactly the sequential ones.
+    Swapped in as each cell's allocator backend by the batched sweep
+    runner: the cell's code path (repair, degradation ladder,
+    certificates) is untouched — only the structured-IPM solve itself is
+    deferred into the shared batch. A deferred solve that fails raises
+    here, in the requesting thread, exactly as the sequential solve would.
     """
 
     coordinator: BatchCoordinator

@@ -43,8 +43,7 @@ class InteriorPointBackend:
 
     Requires ``program.structure`` to be a
     :class:`repro.core.subproblem.RegularizedSubproblem`; raises
-    :class:`SolverError` otherwise (the registry then falls back to the
-    generic SciPy backend).
+    :class:`SolverError` otherwise. The allocator's default backend.
     """
 
     name: str = BATCHED_BACKEND_NAME
@@ -52,13 +51,16 @@ class InteriorPointBackend:
     def solve(self, program: ConvexProgram, *, tol: float = 1e-8) -> SolverResult:
         """Solve to a certified duality gap of at most ~0.1 * tol * max(1, |f|).
 
-        Two results can carry a looser gap, and ``result.gap`` (the gap
-        actually certified, relative to ``max(1, |f|)``) tells them apart:
-        a budget-truncated solve (``result.partial``), and a solve whose
-        slacks reached float64 rounding first, which is accepted once its
-        gap is at most 1e-6 (the certificate tolerance) and fails
-        otherwise. The stall only occurs for tolerances near 1e-10 on large
-        workloads; callers that need such a tol should check ``result.gap``.
+        Two kinds of result can carry a looser gap, and ``result.gap`` (the
+        gap actually certified, relative to ``max(1, |f|)``) tells them
+        apart. A ``result.partial`` solve stopped at its current strictly
+        interior iterate without certifying: its budget fired, or it could
+        not certify (slacks at float64 rounding, a singular Woodbury
+        system, or 100 steps). A solve whose slacks reached rounding with
+        a gap of at most 1e-6 (the certificate tolerance) is accepted as
+        converged. Raises only when the program has no P2 structure or its
+        slot has no strict interior (``ValueError``: total capacity must
+        exceed total workload).
         """
         structure = program.structure
         if structure is None or not hasattr(structure, "hessian_factors"):

@@ -21,7 +21,7 @@ The pieces (docs/OBSERVABILITY.md):
   Chrome ``trace_event`` JSON, metric snapshots to OpenMetrics text;
 * **alerting** (:mod:`repro.telemetry.alerting`) — one windowed rule
   type for point alerts (solver stall, certificate gap, ratio over
-  bound), storms (fallbacks, deadline misses) and two-window SLO burn
+  bound), storms (deadline misses) and two-window SLO burn
   rates, evaluated once over the live event stream, alerts emitted back
   into it;
 * the **watch view** (:mod:`repro.telemetry.watch`) — tail a streaming

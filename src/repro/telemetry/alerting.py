@@ -1,17 +1,16 @@
 """One alerting engine: windowed good/bad rules over the event stream.
 
 Long-horizon runs and the live service are operated by watching a few
-health signals: is a slot stalling, is the fallback backend storming,
-are the optimality certificates or the Theorem-2 bound ``1 + γ|I|``
-violated, are slots missing their deadline? Every such check here is a
-:class:`Rule`: a classifier that labels the records of one signal good
-or bad, plus a window over those samples. The window decides the shape:
+health signals: is a slot stalling, are the optimality certificates or
+the Theorem-2 bound ``1 + γ|I|`` violated, are slots missing their
+deadline? Every such check here is a :class:`Rule`: a classifier that
+labels the records of one signal good or bad, plus a window over those
+samples. The window decides the shape:
 
 * a **point** rule (window 1) fires on every bad sample — a stalled
   slot, a certificate gap, a ratio over the bound;
 * a **storm** rule (window ``W`` slots, ``count`` N) fires once when the
-  bad samples inside the last W slots reach N — fallback storms,
-  deadline-miss storms;
+  bad samples inside the last W slots reach N — deadline-miss storms;
 * a **burn-rate** rule (a ``budget``) keeps a fast and a slow window of
   samples and fires when both burn the error budget faster than their
   thresholds, resolving once the fast window recovers — the SLOs. Its
@@ -186,10 +185,6 @@ def _deadline_miss(rule: Rule, record: dict, ev: "AlertEvaluator"):
     return bool(record.get("deadline_miss", False)), None, None
 
 
-def _fallback(rule: Rule, record: dict, ev: "AlertEvaluator"):
-    return (ev.fallback_pending, None, None) if ev.tick else None
-
-
 def _ratio_bound(rule: Rule, record: dict, ev: "AlertEvaluator"):
     ratio, bound = record.get("ratio"), record.get("bound")
     if record.get("type") != "diag.ratio.point" or ratio is None or bound is None:
@@ -213,7 +208,6 @@ SIGNALS: dict[str, tuple[Callable, Callable | None]] = {
             f"({limit / rule.limit:.1f} ms)"
         ),
     ),
-    "solver.fallback": (_event, _storm("solver fallbacks")),
     "service.deadline.miss": (_event, _storm("deadline misses")),
     "diag.certificate": (
         _certificate,
@@ -227,7 +221,6 @@ SIGNALS: dict[str, tuple[Callable, Callable | None]] = {
     ),
     "latency": (_latency, None),
     "deadline-miss": (_deadline_miss, None),
-    "fallback": (_fallback, None),
     "ratio-bound": (_ratio_bound, None),
 }
 
@@ -238,7 +231,6 @@ def default_rules() -> tuple[Rule, ...]:
     """The standard point and storm rules, at default thresholds."""
     return (
         Rule("solver-stall", "slot-wall", limit=8.0, min_samples=16),
-        Rule("fallback-storm", "solver.fallback", window=25, count=3),
         Rule("certificate-gap", "diag.certificate", limit=DEFAULT_GAP_TOL),
         Rule("ratio-over-bound", "diag.ratio", limit=DEFAULT_BOUND_RTOL),
         Rule("deadline-miss", "service.deadline.miss", window=25, count=3),
@@ -252,17 +244,16 @@ def default_slos(*, deadline_ms: float | None = None) -> tuple[Rule, ...]:
         deadline_ms: latency bound of the p99-style latency objective;
             250 ms when the run has no deadline.
 
-    Slot latency, deadline-miss ratio and solver fallback rate each get a
-    1% budget over 32/256-sample windows; the empirical competitive ratio
-    staying under the Theorem 2 bound ``1 + γ|I|`` gets 0.1% and fires on
-    the first measured violation.
+    Slot latency and deadline-miss ratio each get a 1% budget over
+    32/256-sample windows; the empirical competitive ratio staying under
+    the Theorem 2 bound ``1 + γ|I|`` gets 0.1% and fires on the first
+    measured violation.
     """
     burn = dict(window=32, budget=0.01, min_samples=8)
     latency_ms = 250.0 if deadline_ms is None else float(deadline_ms)
     return (
         Rule("latency-p99", "latency", limit=latency_ms, **burn),
         Rule("deadline-miss", "deadline-miss", **burn),
-        Rule("fallback-rate", "fallback", **burn),
         Rule(
             "ratio-bound", "ratio-bound", window=32, budget=0.001,
             fast_burn=1.0, slow_burn=1.0, min_samples=1,
@@ -315,7 +306,6 @@ class AlertEvaluator:
         self.suppressed = 0
         self.tick = False
         self.tick_wall: float | None = None
-        self.fallback_pending = False
         self._states = [_RuleState(rule) for rule in self.rules]
         self._tick_slot = None
         self._last_emitted: dict[str, int] = {}
@@ -376,10 +366,6 @@ class AlertEvaluator:
                 raised += self._burn(state, bad, record, slot, registry)
             elif bad:
                 raised += self._fire(state, value, threshold, slot, registry)
-        if kind == "solver.fallback":
-            self.fallback_pending = True
-        elif self.tick:
-            self.fallback_pending = False
         if burned and registry is not None:
             for name, rates in self.burn_rates().items():
                 registry.gauge(f"slo.burn.fast.{name}").set(rates["fast"])

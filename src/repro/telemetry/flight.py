@@ -155,24 +155,6 @@ def _decode_system(payload: dict):
     )
 
 
-def _backend_name(backend) -> str:
-    """The registry name a backend object replays under.
-
-    Allocators hold resolved backend *objects* whose display names
-    (e.g. the fallback chain's ``structured-ipm+scipy-trust-constr``)
-    are not registry keys, so the object is mapped back to its registry
-    entry by identity. ``None`` means the default chain (``"auto"``).
-    """
-    if backend is None:
-        return "auto"
-    from ..solvers import registry  # lazy: registry pulls in the solvers
-
-    for name in registry.available_backends():
-        if registry.get_backend(name) is backend:
-            return name
-    return str(getattr(backend, "name", None) or "auto")
-
-
 def _describe_controller(controller) -> dict:
     """The replay-relevant configuration of a spine controller.
 
@@ -183,7 +165,6 @@ def _describe_controller(controller) -> dict:
     algorithm = getattr(controller, "algorithm", None)
     if algorithm is None or not hasattr(algorithm, "eps1"):
         return {"kind": type(controller).__name__, "replayable": False}
-    backend = getattr(algorithm, "backend", None)
     budget = getattr(algorithm, "budget", None)
     info = {
         "kind": "regularized",
@@ -191,7 +172,7 @@ def _describe_controller(controller) -> dict:
         "eps1": float(algorithm.eps1),
         "eps2": float(algorithm.eps2),
         "tol": float(algorithm.tol),
-        "backend": _backend_name(backend),
+        "backend": str(getattr(algorithm.backend, "name", "")),
         "budget": None
         if budget is None
         else {
@@ -207,7 +188,6 @@ def _describe_controller(controller) -> dict:
             "lambda_buckets": config.lambda_buckets,
             "shards": int(config.shards),
             "workers": config.workers,
-            "backend": str(config.backend),
             "shard_slicing": str(config.shard_slicing),
             "batch_solves": bool(config.batch_solves),
         }
@@ -741,26 +721,31 @@ def _replay_budget(controller_info: dict, snapshot: dict):
     A partial per-user solve replays with ``max_iterations`` equal to
     the recorded iteration count — the IPM checks both limits at the
     same point between Newton iterations, so a wall-clock truncation is
-    reproduced exactly. Non-partial solves replay with the recorded
-    iteration cap (if the budget had one) or unbudgeted; a wall-clock-
-    truncated *aggregated* solve has no recorded per-shard iteration
-    counts and cannot be replayed deterministically.
+    reproduced exactly, and an unconverged solve (which keeps the iterate
+    it stopped at) stops at the same iterate. Non-partial solves replay
+    with the recorded iteration cap (if the budget had one) or
+    unbudgeted, and so do partial aggregated solves without a deadline;
+    a wall-clock-truncated *aggregated* solve has no recorded per-shard
+    iteration counts and cannot be replayed deterministically.
     """
     from ..solvers.base import SolveBudget
 
     recorded = snapshot.get("recorded", {})
     budget = controller_info.get("budget") or {}
     if recorded.get("partial"):
-        if controller_info.get("kind") == "aggregated" and not budget.get(
-            "max_iterations"
-        ):
-            raise ValueError(
-                "cannot deterministically replay a wall-clock-truncated "
-                "aggregated solve (no per-shard iteration counts recorded); "
-                "re-record with max_iterations for replayable truncation"
-            )
         if controller_info.get("kind") == "aggregated":
-            return SolveBudget(max_iterations=budget["max_iterations"])
+            if budget.get("max_iterations"):
+                return SolveBudget(max_iterations=budget["max_iterations"])
+            if budget.get("deadline_s") is not None:
+                raise ValueError(
+                    "cannot deterministically replay a wall-clock-truncated "
+                    "aggregated solve (no per-shard iteration counts "
+                    "recorded); re-record with max_iterations for "
+                    "replayable truncation"
+                )
+            # Unbudgeted: the partial shards stopped unconverged, which a
+            # plain re-solve reproduces.
+            return None
         # max_iterations=0 is meaningful: the deadline fired before the
         # first Newton iteration, and the cap reproduces exactly that.
         return SolveBudget(max_iterations=int(recorded["iterations"]))
@@ -770,7 +755,36 @@ def _replay_budget(controller_info: dict, snapshot: dict):
 
 
 #: Aggregation keys older bundles record that no longer exist; replay drops them.
-_RETIRED_AGGREGATION_KEYS = ("warm_cohorts",)
+_RETIRED_AGGREGATION_KEYS = ("warm_cohorts", "backend")
+
+#: Backend names a bundle may record for P2 solves the structured IPM
+#: replays: this release writes the solver's own name; earlier releases
+#: wrote a registry name (``auto`` was the IPM with a SciPy fallback that
+#: only ran when the IPM raised) or the fallback chain's display name.
+_IPM_BACKENDS = (
+    "structured-ipm",
+    "ipm",
+    "auto",
+    "structured-ipm+scipy-trust-constr",
+)
+
+#: Backend names of the retired SciPy trust-constr solver.
+_RETIRED_BACKENDS = ("scipy", "scipy-trust-constr")
+
+
+def _check_backend(name: str) -> None:
+    """``ValueError`` unless the structured IPM replays ``name``'s solves."""
+    if name in _RETIRED_BACKENDS:
+        raise ValueError(
+            f"bundle records backend {name!r}: the SciPy trust-constr "
+            "solver was retired, and replay solves P2 with the structured "
+            "IPM only"
+        )
+    if name not in _IPM_BACKENDS:
+        raise ValueError(
+            f"bundle records backend {name!r}, which replay cannot "
+            f"reproduce; known: {', '.join(_IPM_BACKENDS)}"
+        )
 
 
 def _aggregation_config(recorded: dict):
@@ -792,23 +806,15 @@ def _replay_snapshot(system, controller_info: dict, snapshot: dict) -> dict:
     from ..simulation.accounting import AccumulatorState
     from ..simulation.observations import SlotObservation
     from ..simulation.spine import SimulationCheckpoint, SlotStepper
-    from ..solvers.registry import get_backend
 
-    backend_name = str(controller_info.get("backend", "auto"))
-    try:
-        backend = get_backend(backend_name)
-    except KeyError:
-        raise ValueError(
-            f"bundle records backend {backend_name!r}, which is not "
-            "registered in this process — replay needs the same solver "
-            "registry the incident was recorded under"
-        ) from None
+    _check_backend(str(controller_info.get("backend", "auto")))
     aggregation = controller_info.get("aggregation")
+    if aggregation is not None:
+        _check_backend(str(aggregation.get("backend", "auto")))
     allocator = OnlineRegularizedAllocator(
         eps1=float(controller_info["eps1"]),
         eps2=float(controller_info["eps2"]),
         tol=float(controller_info["tol"]),
-        backend=backend,
         aggregation=None if aggregation is None else _aggregation_config(aggregation),
         budget=_replay_budget(controller_info, snapshot),
     )

@@ -9,7 +9,7 @@ docs/OBSERVABILITY.md for the full schema):
    accounted slot, with the four unweighted cost components and the
    weighted total), ``run_end`` lines (one per algorithm run, with the
    final cost breakdown totals), plus any ad-hoc events (e.g.
-   ``solver.fallback``);
+   ``solver.ipm.trace``);
 3. ``metrics`` — the registry's counters/gauges/histograms snapshot;
 4. ``spans`` — the session's trace trees;
 5. ``manifest_end`` — an event count, as a truncation check.

@@ -87,7 +87,7 @@ def sketch_upper_edge(index: int) -> float:
 
 
 class Counter:
-    """A monotonically accumulating value (e.g. ``solver.fallbacks``)."""
+    """A monotonically accumulating value (e.g. ``solver.ipm.solves``)."""
 
     __slots__ = ("name", "value")
 

@@ -7,9 +7,8 @@ way ``tail -f`` would — :class:`ManifestTail` reads only the bytes added
 since the last poll and never trips over a torn (mid-write) trailing
 line — folds every record into a :class:`WatchState`, and renders a
 refreshing terminal dashboard: slots done, per-slot wall p50/p95, the
-running four-component cost, solver iterations and fallback/circuit
-state, the empirical competitive ratio against the certified ``1+γ|I|``
-bound, and alerts.
+running four-component cost, solver iterations, the empirical
+competitive ratio against the certified ``1+γ|I|`` bound, and alerts.
 
 :class:`ManifestSummary` is the fold itself: the one reader that knows
 what each manifest record kind means. ``WatchState`` is that fold plus
@@ -218,8 +217,6 @@ class ManifestSummary:
         self.wall = Histogram("slot.wall_ms")
         self.slowest_slots = TopN(key=lambda e: float(e["wall_ms"]))
         self.convergence = ConvergenceSummary()
-        self.fallbacks = TopN()
-        self.circuit_opens = TopN()
         self.certificates = TopN(key=lambda e: float(e.get("relative_gap", 0.0)))
         self.certificate_violations = 0
         self.ratio: float | None = None
@@ -287,10 +284,6 @@ class ManifestSummary:
             self._run(record).finished = True
         elif kind == "solver.ipm.trace":
             self.convergence.add(record)
-        elif kind == "solver.fallback":
-            self.fallbacks.add(record)
-        elif kind == "solver.circuit_open":
-            self.circuit_opens.add(record)
         elif kind == "diag.certificate":
             self.certificates.add(record)
             gap = float(record.get("relative_gap", 0.0))
@@ -484,9 +477,7 @@ class WatchState(ManifestSummary):
         lines.append(
             "  solver : "
             f"{self.convergence.total_iterations} iterations / "
-            f"{self.convergence.solves} solves, "
-            f"{self.fallbacks.count} fallback(s), "
-            f"{self.circuit_opens.count} circuit-open(s)"
+            f"{self.convergence.solves} solves"
         )
         if self.ratio is not None and self.ratio_bound is not None:
             certified = (

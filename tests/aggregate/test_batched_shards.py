@@ -2,15 +2,14 @@
 
 ``solve_sharded(..., batch_solves=True)`` stacks a slot's shard P2s into
 one batched-IPM call. Everything observable — the assembled solution,
-iteration counts, capacity duals, telemetry aggregates, fallback and
-circuit-breaker bookkeeping — must match the executor path bit-for-bit.
+iteration counts, capacity duals, telemetry aggregates — must match the
+executor path bit-for-bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.aggregate import AggregationConfig, solve_sharded
-from repro.aggregate.sharding import _batchable_backend
 from repro.core.regularization import OnlineRegularizedAllocator
 from repro.core.subproblem import RegularizedSubproblem
 from repro.simulation.observations import (
@@ -19,10 +18,6 @@ from repro.simulation.observations import (
 )
 from repro.simulation.scenario import Scenario
 from repro.simulation.spine import simulate
-from repro.solvers.base import SolverError
-from repro.solvers.interior_point import InteriorPointBackend
-from repro.solvers.registry import FallbackBackend, get_backend
-from repro.solvers.scipy_backend import ScipyTrustConstrBackend
 from repro.telemetry import telemetry_session
 
 
@@ -66,9 +61,7 @@ class TestBitIdentity:
         if priced:
             duals = solve_sharded(sub, shards=shards).capacity_duals
             assert duals is not None
-        get_backend("auto").reset_circuit()
         serial = solve_sharded(sub, shards=shards, capacity_duals=duals)
-        get_backend("auto").reset_circuit()
         batched = solve_sharded(
             sub, shards=shards, capacity_duals=duals, batch_solves=True
         )
@@ -76,34 +69,16 @@ class TestBitIdentity:
 
     def test_ipm_backend(self):
         sub = random_subproblem(23)
-        serial = solve_sharded(sub, shards=3, backend="ipm")
-        batched = solve_sharded(
-            sub, shards=3, backend="ipm", batch_solves=True
-        )
+        serial = solve_sharded(sub, shards=3)
+        batched = solve_sharded(sub, shards=3, batch_solves=True)
         assert_solves_identical(serial, batched)
-
-    def test_unbatchable_backend_degrades_to_executor(self):
-        assert not _batchable_backend(get_backend("scipy"))
-        sub = random_subproblem(31, num_clouds=3, num_users=5)
-        serial = solve_sharded(sub, shards=2, backend="scipy", tol=1e-6)
-        batched = solve_sharded(
-            sub, shards=2, backend="scipy", tol=1e-6, batch_solves=True
-        )
-        assert_solves_identical(serial, batched)
-
-    def test_batchable_backend_predicate(self):
-        assert _batchable_backend(get_backend("ipm"))
-        assert _batchable_backend(get_backend("auto"))
-        assert not _batchable_backend(ScipyTrustConstrBackend())
 
 
 class TestTelemetryParity:
     def test_solver_counters_match_serial(self):
         sub = random_subproblem(42)
-        get_backend("auto").reset_circuit()
         with telemetry_session() as serial_registry:
             solve_sharded(sub, shards=3)
-        get_backend("auto").reset_circuit()
         with telemetry_session() as batched_registry:
             solve_sharded(sub, shards=3, batch_solves=True)
         ser = serial_registry.snapshot()
@@ -121,68 +96,6 @@ class TestTelemetryParity:
         ]
         assert bat["counters"]["solver.batched.instances"] == 3
         assert bat["histograms"]["solver.batched.batch_size"]["max"] == 3
-
-
-class _BoomPrimary(InteriorPointBackend):
-    """A structured-IPM lookalike whose sequential solve always fails."""
-
-    def solve(self, program, *, tol=1e-8):
-        raise SolverError("injected primary failure")
-
-
-class TestFallbackParity:
-    def _program(self, seed=7):
-        sub = random_subproblem(seed, num_clouds=3, num_users=4)
-        return sub.build_program()
-
-    def test_absorb_primary_failure_matches_solve(self):
-        program = self._program()
-        error = SolverError("injected primary failure")
-        via_solve = FallbackBackend(_BoomPrimary(), ScipyTrustConstrBackend())
-        via_absorb = FallbackBackend(_BoomPrimary(), ScipyTrustConstrBackend())
-        with telemetry_session() as reg_solve:
-            res_solve = via_solve.solve(program, tol=1e-6)
-        with telemetry_session() as reg_absorb:
-            res_absorb = via_absorb.absorb_primary_failure(
-                program, tol=1e-6, error=error
-            )
-        assert np.array_equal(res_solve.x, res_absorb.x)
-        assert res_solve.primary_error == res_absorb.primary_error
-        assert (
-            reg_solve.snapshot()["counters"]["solver.fallbacks"]
-            == reg_absorb.snapshot()["counters"]["solver.fallbacks"]
-            == 1
-        )
-        assert (
-            via_solve._consecutive_failures
-            == via_absorb._consecutive_failures
-            == 1
-        )
-
-    def test_absorbed_failures_open_the_circuit(self):
-        backend = FallbackBackend(
-            _BoomPrimary(), ScipyTrustConstrBackend(), failure_threshold=2
-        )
-        program = self._program()
-        error = SolverError("injected primary failure")
-        with telemetry_session() as registry:
-            backend.absorb_primary_failure(program, tol=1e-6, error=error)
-            assert not backend.circuit_open
-            backend.absorb_primary_failure(program, tol=1e-6, error=error)
-        assert backend.circuit_open
-        counters = registry.snapshot()["counters"]
-        assert counters["solver.circuit_breaker.opened"] == 1
-
-    def test_absorb_primary_success_closes_the_breaker(self):
-        backend = FallbackBackend(_BoomPrimary(), ScipyTrustConstrBackend())
-        program = self._program()
-        error = SolverError("injected primary failure")
-        with telemetry_session():
-            backend.absorb_primary_failure(program, tol=1e-6, error=error)
-            result = InteriorPointBackend().solve(program, tol=1e-6)
-        assert backend._consecutive_failures == 1
-        assert backend.absorb_primary_success(result) is result
-        assert backend._consecutive_failures == 0
 
 
 class TestControllerWiring:

@@ -36,7 +36,7 @@ from repro.simulation.observations import (
 )
 from repro.simulation.scenario import Scenario
 from repro.simulation.spine import simulate
-from repro.solvers.registry import get_backend
+from repro.solvers import InteriorPointBackend
 from repro.topology.metro import rome_metro_topology
 
 #: Realized-cost pins (aggregated / direct) for the paper scenarios at the
@@ -154,7 +154,7 @@ def test_workers_never_change_the_solution_bit_for_bit():
 def test_one_shard_is_exactly_the_unsharded_solve():
     subproblem = _reduced_for_test()
     sharded, _ = solve_sharded(subproblem, shards=1, workers=1)
-    result = get_backend("auto").solve(subproblem.build_program(), tol=1e-8)
+    result = InteriorPointBackend().solve(subproblem.build_program(), tol=1e-8)
     direct = np.asarray(result.x).reshape(sharded.shape)
     assert np.array_equal(sharded, direct)
 

@@ -101,15 +101,15 @@ class TestShardedSolveResult:
         assert solve.partial_solves == 0
 
     def test_carries_capacity_duals_for_the_next_slot(self):
-        solve = solve_sharded(_subproblem(), shards=2, backend="ipm")
+        solve = solve_sharded(_subproblem(), shards=2)
         assert solve.capacity_duals is not None
         assert solve.capacity_duals.shape == (3,)
 
     def test_price_sliced_shards_stay_feasible(self):
         sub = _subproblem()
-        duals = solve_sharded(sub, shards=2, backend="ipm").capacity_duals
+        duals = solve_sharded(sub, shards=2).capacity_duals
         solve = solve_sharded(
-            sub, shards=2, backend="ipm", capacity_duals=duals, slicing="price"
+            sub, shards=2, capacity_duals=duals, slicing="price"
         )
         x = solve.x
         workloads = np.asarray(sub.workloads, dtype=float)

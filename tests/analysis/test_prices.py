@@ -6,13 +6,12 @@ import pytest
 from repro.analysis.prices import DualPriceSeries, extract_dual_prices
 from repro.core.regularization import OnlineRegularizedAllocator
 from repro.simulation.scenario import Scenario
-from repro.solvers.registry import get_backend
 
 
 @pytest.fixture(scope="module")
 def solved_allocator():
     instance = Scenario(num_users=6, num_slots=4).build(seed=13)
-    algorithm = OnlineRegularizedAllocator(backend=get_backend("ipm"))
+    algorithm = OnlineRegularizedAllocator()
     algorithm.run(instance)
     return algorithm, instance
 

@@ -38,7 +38,7 @@ class TestSmokeSuite:
         assert diagnostics["ratio_bound"] > 1.0
         # The suite's own telemetry session harvested solver traces.
         assert diagnostics["convergence"]["solves"] == TINY.num_slots
-        assert diagnostics["fallbacks"] == 0
+        assert diagnostics["unconverged"] == 0
 
     def test_record_is_stamped(self, smoke_record):
         assert smoke_record.suite == "smoke"

@@ -24,8 +24,14 @@ def make_tiny_instance(
     weights: CostWeights | None = None,
     num_slots: int = 5,
     seed: int = 0,
+    dynamic_prices: bool = True,
 ) -> ProblemInstance:
-    """A fully deterministic 3-cloud, 4-user instance with simple numbers."""
+    """A fully deterministic 3-cloud, 4-user instance with simple numbers.
+
+    ``dynamic_prices=False`` zeroes the reconfiguration and migration
+    prices; P2 then loses the entropy terms' curvature, and the IPM stops
+    some slots' solves unconverged.
+    """
     rng = np.random.default_rng(seed)
     num_clouds, num_users = 3, 4
     workloads = np.array([2.0, 3.0, 1.0, 4.0])
@@ -35,6 +41,11 @@ def make_tiny_instance(
     migration = MigrationPrices(
         out=np.array([0.4, 0.5, 0.6]), into=np.array([0.6, 0.5, 0.4])
     )
+    if not dynamic_prices:
+        reconfig = np.zeros(num_clouds)
+        migration = MigrationPrices(
+            out=np.zeros(num_clouds), into=np.zeros(num_clouds)
+        )
     delay = np.array(
         [
             [0.0, 1.0, 2.0],

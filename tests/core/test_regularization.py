@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.regularization import OnlineRegularizedAllocator, _repair_feasibility
-from repro.solvers.registry import get_backend
+from tests.solvers.trust_constr import TrustConstrOracle
 
 
 class TestConfiguration:
@@ -38,11 +38,9 @@ class TestRun:
         from repro.core.costs import total_cost
 
         scipy_schedule = OnlineRegularizedAllocator(
-            backend=get_backend("scipy")
+            backend=TrustConstrOracle()
         ).run(tiny_instance)
-        ipm_schedule = OnlineRegularizedAllocator(backend=get_backend("ipm")).run(
-            tiny_instance
-        )
+        ipm_schedule = OnlineRegularizedAllocator().run(tiny_instance)
         # Per-slot solver differences compound along the trajectory, so the
         # allocations agree loosely and the objective tightly.
         assert np.allclose(scipy_schedule.x, ipm_schedule.x, atol=2e-2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.subproblem import RegularizedSubproblem
-from repro.solvers.registry import get_backend
+from repro.solvers import InteriorPointBackend
 from tests.conftest import make_tiny_instance
 
 
@@ -164,7 +164,7 @@ class TestKKT:
     def test_residual_small_at_optimum(self):
         sub = make_subproblem(seed=7)
         program = sub.build_program()
-        result = get_backend("ipm").solve(program, tol=1e-9)
+        result = InteriorPointBackend().solve(program, tol=1e-9)
         # Capacity is slack in this instance, so rho = 0; recover the
         # tightest dual-feasible theta from the primal solution (the
         # mu/slack estimates of barrier solvers are noisy at tiny slacks).

@@ -9,7 +9,6 @@ from repro.diagnostics import (
     trace_events,
 )
 from repro.simulation.scenario import Scenario
-from repro.solvers.registry import get_backend
 from repro.telemetry import (
     read_manifest,
     telemetry_session,
@@ -19,7 +18,7 @@ from repro.telemetry import (
 
 def _run_with_traces():
     instance = Scenario(num_users=5, num_slots=3).build(seed=6)
-    algorithm = OnlineRegularizedAllocator(backend=get_backend("ipm"))
+    algorithm = OnlineRegularizedAllocator()
     with telemetry_session() as registry:
         algorithm.run(instance)
     return instance, registry
@@ -47,7 +46,7 @@ class TestTraceEmission:
 
     def test_no_events_without_telemetry(self):
         instance = Scenario(num_users=5, num_slots=2).build(seed=6)
-        algorithm = OnlineRegularizedAllocator(backend=get_backend("ipm"))
+        algorithm = OnlineRegularizedAllocator()
         with telemetry_session() as registry:
             pass  # session closed before the run
         algorithm.run(instance)

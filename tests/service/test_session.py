@@ -55,7 +55,7 @@ class TestDegradationLadder:
     def test_iteration_budget_flags_misses_but_stays_feasible(self, tiny_stream):
         system, observations = tiny_stream
         session = AllocationSession(
-            system, ServiceConfig(max_iterations=1, backend="ipm")
+            system, ServiceConfig(max_iterations=1)
         )
         replies = _drive(session, observations)
         assert all(r["partial"] for r in replies)

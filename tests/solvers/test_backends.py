@@ -1,7 +1,8 @@
 """Cross-validation of the convex backends on P2 subproblems.
 
 The custom structured interior-point method must agree with SciPy's
-trust-constr on objective value and solution, across instance shapes,
+trust-constr (the test oracle in ``tests/solvers/trust_constr.py``) on
+objective value and solution, across instance shapes,
 epsilon scales, and previous-allocation patterns.
 """
 
@@ -14,8 +15,8 @@ from repro.core.subproblem import RegularizedSubproblem
 from repro.diagnostics.certificates import duality_gap_bound
 from repro.solvers.base import ConvexProgram, SolverError
 from repro.solvers.interior_point import InteriorPointBackend
-from repro.solvers.scipy_backend import ScipyTrustConstrBackend
 from tests.conftest import make_tiny_instance
+from tests.solvers.trust_constr import TrustConstrOracle
 
 
 def subproblem_case(seed: int, eps: float = 1.0, slot: int = 0, zero_prev: bool = False):
@@ -36,7 +37,7 @@ class TestAgreement:
     def test_objective_agreement(self, seed):
         sub = subproblem_case(seed)
         program = sub.build_program()
-        scipy_result = ScipyTrustConstrBackend().solve(program, tol=1e-10)
+        scipy_result = TrustConstrOracle().solve(program, tol=1e-10)
         ipm_result = InteriorPointBackend().solve(program, tol=1e-10)
         scale = max(1.0, abs(scipy_result.objective))
         assert ipm_result.objective == pytest.approx(
@@ -47,7 +48,7 @@ class TestAgreement:
     def test_agreement_across_eps(self, eps):
         sub = subproblem_case(5, eps=eps)
         program = sub.build_program()
-        scipy_result = ScipyTrustConstrBackend().solve(program, tol=1e-10)
+        scipy_result = TrustConstrOracle().solve(program, tol=1e-10)
         ipm_result = InteriorPointBackend().solve(program, tol=1e-10)
         assert np.allclose(scipy_result.x, ipm_result.x, atol=5e-3)
 
@@ -55,7 +56,7 @@ class TestAgreement:
         # Slot 1 of the online algorithm: x_prev = 0 exactly.
         sub = subproblem_case(6, zero_prev=True)
         program = sub.build_program()
-        scipy_result = ScipyTrustConstrBackend().solve(program, tol=1e-10)
+        scipy_result = TrustConstrOracle().solve(program, tol=1e-10)
         ipm_result = InteriorPointBackend().solve(program, tol=1e-10)
         scale = max(1.0, abs(scipy_result.objective))
         assert ipm_result.objective == pytest.approx(
@@ -149,7 +150,7 @@ class TestScipyBackend:
             x_lower=np.zeros(2),
             x0=np.array([1.0, 1.0]),
         )
-        result = ScipyTrustConstrBackend().solve(program, tol=1e-10)
+        result = TrustConstrOracle().solve(program, tol=1e-10)
         assert np.allclose(result.x, [2.0, 2.0], atol=1e-6)
 
     def test_binding_constraint(self):
@@ -164,5 +165,5 @@ class TestScipyBackend:
             x_lower=np.zeros(2),
             x0=np.array([2.0, 2.0]),
         )
-        result = ScipyTrustConstrBackend().solve(program, tol=1e-10)
+        result = TrustConstrOracle().solve(program, tol=1e-10)
         assert np.allclose(result.x, [1.0, 1.0], atol=1e-6)

@@ -7,8 +7,8 @@ objective, iteration count, duals, partial flag, failure — must not depend
 on its batch-mates or on when finished lanes are compacted away, so every
 instance of a batch matches its solve alone bit for bit. The cases cover
 single-instance and mixed-shape batches, programs carrying an ``x0`` hint
-(which the kernel ignores), failing lanes, and budget-truncated lanes next
-to unbudgeted ones.
+(which the kernel ignores), failing lanes, budget-truncated lanes next to
+unbudgeted ones, and a lane that stops unconverged.
 They pin the reduction-order analysis in the kernel's module docstring.
 """
 
@@ -25,6 +25,7 @@ from repro.solvers.base import ConvexProgram, SolveBudget, SolverError
 from repro.solvers.batched import BatchCoordinator, DeferringBackend, solve_batch
 from repro.solvers.interior_point import InteriorPointBackend
 from repro.telemetry import MetricsRegistry, profiling_session, telemetry_session
+from tests.conftest import make_tiny_instance
 
 
 def random_subproblem(
@@ -171,6 +172,29 @@ class TestBitIdentity:
         if max_iterations <= 5:
             # Below the 6-11 steps these programs need, so something truncates.
             assert any(r.partial for r in results if not isinstance(r, Exception))
+
+    def test_unconverged_lane_leaves_its_neighbours_bit_identical(self):
+        # With every dynamic price zero the entropy terms vanish, and this
+        # slot's slacks reach float64 rounding before the gap target: the
+        # lane stops unconverged, as a partial result, mid-batch.
+        instance = make_tiny_instance(dynamic_prices=False)
+        shape = (instance.num_clouds, instance.num_users)
+        stalled = RegularizedSubproblem.from_instance(
+            instance, 0, np.zeros(shape), eps1=1.0, eps2=1.0
+        ).build_program()
+        neighbours = [random_subproblem(k, *shape).build_program() for k in range(3)]
+        neighbours.append(random_subproblem(9, 2, 3).build_program())
+        alone = solve_batch(neighbours)
+        with telemetry_session() as registry:
+            outcomes = solve_both([neighbours[0], stalled, *neighbours[1:]])
+        assert outcomes[1].partial
+        assert not any(result.partial for result in alone)
+        for got, want in zip([outcomes[0], *outcomes[2:]], alone):
+            assert_identical(got, want)
+        # Counted once per solve path (sequential and stacked), never as a
+        # fired budget.
+        assert registry.counter("solver.ipm.unconverged").value == 2
+        assert registry.counter("solver.ipm.budget_exhausted").value == 0
 
     def test_structureless_program_fails_like_sequential(self):
         from scipy import sparse

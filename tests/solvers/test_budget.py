@@ -1,9 +1,8 @@
-"""Deadline budgets: partial solves, feasibility, and session resets.
+"""Deadline budgets: partial solves and feasibility.
 
-The serving contract (docs/SERVING.md) rests on three solver-level
-guarantees: a fired budget yields a *feasible* partial iterate, a ``None``
-budget is bit-identical to no budget at all, and session-boundary resets
-clear every piece of cross-solve state (the fallback circuit breaker).
+The serving contract (docs/SERVING.md) rests on two solver-level
+guarantees: a fired budget yields a *feasible* partial iterate, and a
+``None`` budget is bit-identical to no budget at all.
 """
 
 import numpy as np
@@ -11,14 +10,8 @@ import pytest
 
 from repro.core.regularization import OnlineRegularizedAllocator
 from repro.core.subproblem import RegularizedSubproblem
-from repro.solvers.base import ConvexProgram, SolveBudget, SolverError
+from repro.solvers.base import ConvexProgram, SolveBudget
 from repro.solvers.interior_point import InteriorPointBackend
-from repro.solvers.registry import (
-    FallbackBackend,
-    get_backend,
-    reset_session,
-)
-from repro.solvers.scipy_backend import ScipyTrustConstrBackend
 from tests.conftest import make_tiny_instance
 
 
@@ -109,13 +102,6 @@ class TestPartialSolves:
         assert short.partial
         assert short.gap > 0.1 * tol
 
-    def test_fallback_backend_passes_partial_through(self):
-        backend = FallbackBackend(InteriorPointBackend(), ScipyTrustConstrBackend())
-        result = backend.solve(
-            _program(6, budget=SolveBudget(max_iterations=1)), tol=1e-10
-        )
-        assert result.partial
-
 
 class TestDegradationLadder:
     def test_partial_slot_never_beats_attached_cloud_repair(self):
@@ -184,42 +170,3 @@ class TestDegradationLadder:
         _, result = allocator.step(instance, 0, x_prev)
         assert not result.partial
 
-
-class _AlwaysFails:
-    name = "always-fails"
-
-    def solve(self, program, *, tol=1e-8):
-        raise SolverError("injected failure")
-
-
-class TestSessionReset:
-    def test_reset_session_closes_an_open_circuit(self):
-        backend = FallbackBackend(
-            _AlwaysFails(), ScipyTrustConstrBackend(), failure_threshold=1
-        )
-        backend.solve(_program(0), tol=1e-8)
-        assert backend.circuit_open
-        backend.reset_session()
-        assert not backend.circuit_open
-        assert backend._consecutive_failures == 0
-
-    def test_module_reset_accepts_instances_and_names(self):
-        backend = FallbackBackend(
-            _AlwaysFails(), ScipyTrustConstrBackend(), failure_threshold=1
-        )
-        backend.solve(_program(0), tol=1e-8)
-        reset_session(backend)
-        assert not backend.circuit_open
-        # Registry names resolve; stateless backends are a silent no-op.
-        reset_session("auto")
-        reset_session("ipm")
-
-    def test_reset_session_recurses_into_wrapped_backends(self):
-        inner = FallbackBackend(
-            _AlwaysFails(), ScipyTrustConstrBackend(), failure_threshold=1
-        )
-        outer = FallbackBackend(get_backend("ipm"), inner)
-        inner.solve(_program(0), tol=1e-8)
-        assert inner.circuit_open
-        outer.reset_session()
-        assert not inner.circuit_open

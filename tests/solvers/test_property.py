@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.subproblem import RegularizedSubproblem
 from repro.diagnostics.certificates import duality_gap_bound, lp_multipliers
 from repro.solvers.interior_point import InteriorPointBackend
-from repro.solvers.scipy_backend import ScipyTrustConstrBackend
+from tests.solvers.trust_constr import TrustConstrOracle
 
 
 def random_subproblem(
@@ -53,7 +53,7 @@ def test_backends_agree_on_random_subproblems(seed, num_clouds, num_users, eps):
     sub = random_subproblem(seed, num_clouds, num_users, eps, eps)
     program = sub.build_program()
     ipm = InteriorPointBackend().solve(program, tol=1e-9)
-    scipy_result = ScipyTrustConstrBackend().solve(program, tol=1e-9)
+    scipy_result = TrustConstrOracle().solve(program, tol=1e-9)
     scale = max(1.0, abs(scipy_result.objective))
     # The IPM never does worse than trust-constr (tight one-sided check) …
     assert ipm.objective <= scipy_result.objective + 1e-5 * scale

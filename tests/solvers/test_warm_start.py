@@ -5,8 +5,8 @@ subproblem's canonical interior point. Generic programs may still carry
 one. The structured primal-dual IPM always cold-starts from the interior
 point (a warm primal start with fresh central-path duals measured no
 cheaper), so its floats must not depend on ``x0`` at all. The generic
-SciPy backend does start from ``x0``. Every backend must recover, not
-crash, when ``x0`` is infeasible.
+trust-constr oracle does start from ``x0``. Every backend must recover,
+not crash, when ``x0`` is infeasible.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.core.regularization import OnlineRegularizedAllocator
 from repro.core.subproblem import RegularizedSubproblem
 from repro.simulation.scenario import Scenario
-from repro.solvers.base import ConvexProgram, starting_point
-from repro.solvers.registry import get_backend
+from repro.solvers import InteriorPointBackend
+from repro.solvers.base import ConvexProgram
+from tests.solvers.trust_constr import TrustConstrOracle, starting_point
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +52,14 @@ def with_x0(subproblem, x0):
 class TestWarmStartContract:
     def test_warm_program_same_objective_per_solve(self, subproblem):
         """One-shot check at the subproblem level: x0 is not a start."""
-        ipm = get_backend("ipm")
+        ipm = InteriorPointBackend()
         cold = ipm.solve(subproblem.build_program(), tol=1e-8)
         x_warm = 0.9 * cold.x + 0.1 * subproblem.interior_point()
         warm = ipm.solve(with_x0(subproblem, x_warm), tol=1e-8)
         assert_same_result(warm, cold)
 
     def test_scipy_backend_accepts_warm_start(self, subproblem):
-        scipy_backend = get_backend("scipy")
+        scipy_backend = TrustConstrOracle()
         cold = scipy_backend.solve(subproblem.build_program(), tol=1e-8)
         warm = scipy_backend.solve(with_x0(subproblem, cold.x), tol=1e-8)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
@@ -68,23 +70,23 @@ class TestInfeasibleWarmStart:
         """A zero allocation violates every demand constraint; the backend
         must fall back to its canonical interior point, not crash."""
         n = subproblem.num_clouds * subproblem.num_users
-        cold = get_backend("ipm").solve(subproblem.build_program(), tol=1e-8)
-        degenerate = get_backend("ipm").solve(
+        cold = InteriorPointBackend().solve(subproblem.build_program(), tol=1e-8)
+        degenerate = InteriorPointBackend().solve(
             with_x0(subproblem, np.zeros(n)), tol=1e-8
         )
         assert degenerate.objective == pytest.approx(cold.objective, rel=1e-7)
 
     def test_scipy_recovers_from_infeasible_x0(self, subproblem):
         n = subproblem.num_clouds * subproblem.num_users
-        cold = get_backend("scipy").solve(subproblem.build_program(), tol=1e-8)
-        degenerate = get_backend("scipy").solve(
+        cold = TrustConstrOracle().solve(subproblem.build_program(), tol=1e-8)
+        degenerate = TrustConstrOracle().solve(
             with_x0(subproblem, np.zeros(n)), tol=1e-8
         )
         assert degenerate.objective == pytest.approx(cold.objective, rel=1e-5)
 
     def test_auto_recovers_from_infeasible_x0(self, subproblem):
         n = subproblem.num_clouds * subproblem.num_users
-        result = get_backend("auto").solve(
+        result = OnlineRegularizedAllocator().backend.solve(
             with_x0(subproblem, np.zeros(n)), tol=1e-8
         )
         assert np.isfinite(result.objective)

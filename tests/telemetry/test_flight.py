@@ -1,10 +1,10 @@
 """Flight recorder: ring eviction, bundle IO, and deterministic replay.
 
 The replay tests are the acceptance gate of the incident plane: a
-bundle dumped from a budget-truncated run must reproduce every captured
-slot's costs, iteration count, and partial flag bit-for-bit when
-replayed, and a tampered or torn bundle must be caught, not glossed
-over.
+bundle dumped from a budget-truncated or unconverged run must reproduce
+every captured slot's costs, iteration count, and partial flag
+bit-for-bit when replayed, and a tampered or torn bundle must be caught,
+not glossed over.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ def _tiny_setup(
     num_slots: int = 5,
     budget: SolveBudget | None = None,
     aggregation: AggregationConfig | None = None,
+    dynamic_prices: bool = True,
 ):
-    instance = make_tiny_instance(num_slots=num_slots)
+    instance = make_tiny_instance(num_slots=num_slots, dynamic_prices=dynamic_prices)
     system = SystemDescription.from_instance(instance)
     observations = observations_from_instance(instance)
     allocator = OnlineRegularizedAllocator(budget=budget, aggregation=aggregation)
@@ -64,9 +65,15 @@ def _tiny_setup(
 
 
 def _record_run(
-    recorder: FlightRecorder, num_slots: int = 5, budget=None, aggregation=None
+    recorder: FlightRecorder,
+    num_slots: int = 5,
+    budget=None,
+    aggregation=None,
+    dynamic_prices=True,
 ):
-    system, observations, controller = _tiny_setup(num_slots, budget, aggregation)
+    system, observations, controller = _tiny_setup(
+        num_slots, budget, aggregation, dynamic_prices
+    )
     stepper = SlotStepper(
         controller, system, keep_schedule=False, recorder=recorder
     )
@@ -292,6 +299,56 @@ class TestTornBundles:
 
 
 class TestReplay:
+    @pytest.mark.parametrize(
+        "aggregation", [None, AggregationConfig(shards=2)], ids=["direct", "sharded"]
+    )
+    def test_unconverged_slots_reproduce_bit_for_bit(self, tmp_path, aggregation):
+        recorder = FlightRecorder(5, incident_dir=tmp_path)
+        _record_run(recorder, aggregation=aggregation, dynamic_prices=False)
+        bundle = read_bundle(recorder.dump())
+        assert any(s["recorded"]["partial"] for s in bundle.snapshots)
+        report = replay_bundle(bundle)
+        assert report.ok, report.render()
+        assert report.slots == 5
+        assert report.contract == BIT_FOR_BIT
+
+    @pytest.mark.parametrize(
+        "name", ["auto", "ipm", "structured-ipm+scipy-trust-constr"]
+    )
+    def test_older_backend_names_replay_on_the_ipm(self, tmp_path, name):
+        def rename(record):
+            if record["type"] == "incident_start":
+                record["controller"]["backend"] = name
+
+        older = tmp_path / "older.jsonl"
+        recorder = FlightRecorder(4, incident_dir=tmp_path)
+        _record_run(recorder)
+        _rewrite_bundle(recorder.dump(), older, rename)
+        assert replay_bundle(older).ok
+
+    @pytest.mark.parametrize("aggregated", [False, True])
+    def test_scipy_bundle_is_refused_by_name(self, tmp_path, capsys, aggregated):
+        def to_scipy(record):
+            if record["type"] == "incident_start":
+                controller = record["controller"]
+                if aggregated:
+                    controller["aggregation"]["backend"] = "scipy"
+                else:
+                    controller["backend"] = "scipy"
+
+        scipy_bundle = tmp_path / "scipy.jsonl"
+        recorder = FlightRecorder(4, incident_dir=tmp_path)
+        _record_run(
+            recorder, aggregation=AggregationConfig(shards=2) if aggregated else None
+        )
+        _rewrite_bundle(recorder.dump(), scipy_bundle, to_scipy)
+        with pytest.raises(ValueError, match="SciPy trust-constr solver was retired"):
+            replay_bundle(scipy_bundle)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["incident", "replay", str(scipy_bundle)])
+        assert str(exit_info.value.code).startswith("incident: ")
+        assert "retired" in str(exit_info.value.code)
+
     def test_unbudgeted_run_reproduces_bit_for_bit(self, tmp_path):
         recorder = FlightRecorder(4, incident_dir=tmp_path)
         _record_run(recorder)
@@ -374,15 +431,18 @@ def _rewrite_bundle(source, target, edit) -> None:
 def _as_older_release(record: dict) -> None:
     """Give a fresh record the layout older releases wrote.
 
-    Those releases recorded ``warm_start`` and ``aggregation.warm_cohorts``,
-    and the aggregated controller state was a 6-tuple: the two entries
+    Those releases recorded ``warm_start``, ``aggregation.warm_cohorts``
+    and the backend by registry name (``auto``, at both levels), and the
+    aggregated controller state was a 6-tuple: the two entries
     before the capacity duals held the previous reduced solution (I, G)
     and the cohort-map signature (a tuple of bytes). I is the system's:
     this release's ``x*_{t-1}`` is factored, not an (I, J) array.
     """
     if record["type"] == "incident_start":
         record["controller"]["warm_start"] = True
+        record["controller"]["backend"] = "auto"
         record["controller"]["aggregation"]["warm_cohorts"] = True
+        record["controller"]["aggregation"]["backend"] = "auto"
     elif record["type"] == "snapshot":
         x_prev, slots_seen, min_op_price, duals = decode_state(
             record["controller_state"]

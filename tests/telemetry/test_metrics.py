@@ -269,11 +269,11 @@ class TestMergeAssociativity:
 class TestSummaryTable:
     def test_contains_every_metric(self):
         registry = MetricsRegistry()
-        registry.counter("solver.fallbacks").inc()
+        registry.counter("solver.ipm.unconverged").inc()
         registry.gauge("sweep.workers").set(4)
         registry.histogram("slot.wall_ms").observe(1.5)
         table = registry.summary_table()
-        assert "solver.fallbacks" in table
+        assert "solver.ipm.unconverged" in table
         assert "sweep.workers" in table
         assert "slot.wall_ms" in table
         assert "count=1" in table

@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.telemetry import AlertEvaluator, Rule, default_slos
-from tests.telemetry.alert_streams import FALLBACK, service_slots, slots
+from tests.telemetry.alert_streams import service_slots, slots
 
 SMALL = dict(budget=0.5, window=4, slow_window=8, fast_burn=1.5, slow_burn=1.0,
              min_samples=2)
@@ -70,11 +70,10 @@ class TestSloObjective:
         assert [o.name for o in objectives] == [
             "latency-p99",
             "deadline-miss",
-            "fallback-rate",
             "ratio-bound",
         ]
         assert [o.signal for o in objectives] == [
-            "latency", "deadline-miss", "fallback", "ratio-bound",
+            "latency", "deadline-miss", "ratio-bound",
         ]
         assert all(o.budget is not None for o in objectives)
 
@@ -139,23 +138,8 @@ class TestSignalSampling:
         _transitions(evaluator, service_slots(4, latency_ms=50.0))
         assert evaluator.active == ("latency",)
 
-    def test_fallback_signal_pairs_fallback_events_with_slots(self):
-        evaluator = AlertEvaluator((Rule("fallback", "fallback", **SMALL),))
-        for record in slots(4):
-            evaluator.observe(FALLBACK)
-            evaluator.observe(record)
-        assert evaluator.active == ("fallback",)
-        assert evaluator.burn_rates()["fallback"]["fast"] == pytest.approx(2.0)
-
-    def test_fallback_flag_clears_after_its_slot(self):
-        evaluator = AlertEvaluator((default_slos()[2],))
-        for record in [FALLBACK, *slots(2)]:
-            evaluator.observe(record)
-        # One bad slot of two sampled: 0.5 / the 1% budget.
-        assert evaluator.burn_rates()["fallback-rate"]["fast"] == pytest.approx(50.0)
-
     def test_ratio_bound_signal_burns_on_violation(self):
-        evaluator = AlertEvaluator((default_slos()[3],))
+        evaluator = AlertEvaluator((default_slos()[2],))
         transitions = _transitions(
             evaluator,
             [{"type": "diag.ratio.point", "slot": 3, "ratio": 1.4, "bound": 1.3}],

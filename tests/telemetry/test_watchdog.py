@@ -23,7 +23,7 @@ from repro.telemetry import (
     read_manifest,
     streaming_manifest_session,
 )
-from tests.telemetry.alert_streams import FALLBACK, certificate, slots
+from tests.telemetry.alert_streams import certificate, slots
 
 RULES = {rule.name: rule for rule in default_rules()}
 GAP_ZERO = replace(RULES["certificate-gap"], limit=0.0)
@@ -61,25 +61,6 @@ class TestSolverStallRule:
         for record in slots(100):
             dog.observe(record)
         assert dog.alerts == []
-
-
-class TestFallbackStormRule:
-    def test_fires_once_when_the_window_fills(self):
-        dog = _evaluator("fallback-storm", count=3, window=25)
-        assert _fired(dog, FALLBACK) == []
-        assert _fired(dog, FALLBACK) == []
-        fired = _fired(dog, FALLBACK)
-        assert [a.rule for a in fired] == ["fallback-storm"]
-        assert fired[0].message == "3 solver fallbacks within the last 25 slots"
-        # A fourth fallback inside the same storm does not re-fire.
-        assert _fired(dog, FALLBACK) == []
-
-    def test_spread_out_fallbacks_stay_silent(self):
-        dog = _evaluator("fallback-storm", count=3, window=10)
-        for batch in range(3):
-            for record in slots(50, start=batch * 50):
-                dog.observe(record)
-            assert _fired(dog, FALLBACK) == []
 
 
 class TestCertificateGapRule:

@@ -1,7 +1,7 @@
 """Edge-case and failure-injection tests across the stack.
 
-Degenerate weights, minimal systems, zero prices, and solver-failure
-fallbacks — configurations a production deployment will eventually hit.
+Degenerate weights, minimal systems, zero prices, and solver failures —
+configurations a production deployment will eventually hit.
 """
 
 import dataclasses
@@ -17,8 +17,10 @@ from repro import (
     ProblemInstance,
     total_cost,
 )
+from repro.aggregate import AggregationConfig
 from repro.pricing.bandwidth import MigrationPrices
 from repro.solvers.base import SolverError
+from repro.telemetry import telemetry_session
 from tests.conftest import make_tiny_instance
 
 
@@ -28,11 +30,30 @@ def override(instance: ProblemInstance, **kwargs) -> ProblemInstance:
     return ProblemInstance(**fields)
 
 
+def run_counting_unconverged(instance: ProblemInstance):
+    """Run online-approx; check its uncertified slots finished partial.
+
+    With zero migration prices (or every dynamic price zero, or weighted
+    zero) P2 loses the migration entropy's curvature, and the IPM's slacks
+    reach float64 rounding before the gap target on some slots. Such a slot is served from the partial
+    iterate through the degradation ladder, and counted as unconverged
+    rather than as a fired budget.
+    """
+    algorithm = OnlineRegularizedAllocator()
+    with telemetry_session() as registry:
+        schedule = algorithm.run(instance)
+    partial = sum(result.partial for result in algorithm.last_solves)
+    assert partial >= 1
+    assert registry.counter("solver.ipm.unconverged").value == partial
+    assert registry.counter("solver.ipm.budget_exhausted").value == 0
+    return schedule
+
+
 class TestDegenerateWeights:
     def test_zero_dynamic_weight(self):
         """mu = 0: the regularizer terms vanish entirely from P2."""
         instance = make_tiny_instance(weights=CostWeights(static=1.0, dynamic=0.0))
-        schedule = OnlineRegularizedAllocator().run(instance)
+        schedule = run_counting_unconverged(instance)
         schedule.require_feasible(instance, tol=1e-5)
         # With no dynamic cost, per-slot static optimization is optimal:
         # greedy, approx, and offline all coincide in objective.
@@ -92,10 +113,9 @@ class TestMinimalSystems:
         # Cheap cloud 0 (op 1 < 2, zero delay) takes (almost) everything.
         assert schedule.x[0, 0, 0] > 0.9
 
-    def test_exact_capacity_no_overprovisioning(self):
-        """Total capacity == total workload: P2's strict interior is empty;
-        the auto backend falls back and the LP baselines still work."""
-        instance = ProblemInstance(
+    @staticmethod
+    def exact_capacity_instance():
+        return ProblemInstance(
             workloads=np.array([2.0, 2.0]),
             capacities=np.array([2.0, 2.0]),
             op_prices=np.ones((2, 2)),
@@ -107,10 +127,34 @@ class TestMinimalSystems:
             attachment=np.zeros((2, 2), dtype=int),
             access_delay=np.zeros((2, 2)),
         )
+
+    def test_exact_capacity_no_overprovisioning(self):
+        """Total capacity == total workload: P2's strict interior is empty,
+        and the LP baselines still work."""
+        instance = self.exact_capacity_instance()
         offline = OfflineOptimal().run(instance)
         offline.require_feasible(instance, tol=1e-6)
         greedy = OnlineGreedy().run(instance)
         greedy.require_feasible(instance, tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "aggregation",
+        [
+            None,
+            AggregationConfig(shards=2),
+            AggregationConfig(shards=2, batch_solves=True),
+        ],
+        ids=["direct", "aggregated", "aggregated-batched"],
+    )
+    def test_exact_capacity_is_refused_by_the_online_algorithm(self, aggregation):
+        """The IPM's only input-caused failure: with no strict interior it
+        has no start point, on the direct and the aggregated path alike."""
+        instance = self.exact_capacity_instance()
+        algorithm = OnlineRegularizedAllocator(aggregation=aggregation)
+        with pytest.raises(
+            ValueError, match="total capacity must exceed total workload"
+        ):
+            algorithm.run(instance)
 
 
 class TestZeroPrices:
@@ -120,7 +164,7 @@ class TestZeroPrices:
             base,
             migration_prices=MigrationPrices(out=np.zeros(3), into=np.zeros(3)),
         )
-        schedule = OnlineRegularizedAllocator().run(instance)
+        schedule = run_counting_unconverged(instance)
         schedule.require_feasible(instance, tol=1e-5)
 
     def test_free_reconfiguration(self):
@@ -136,7 +180,7 @@ class TestZeroPrices:
             reconfig_prices=np.zeros(3),
             migration_prices=MigrationPrices(out=np.zeros(3), into=np.zeros(3)),
         )
-        schedule = OnlineRegularizedAllocator().run(instance)
+        schedule = run_counting_unconverged(instance)
         schedule.require_feasible(instance, tol=1e-5)
         # No dynamic prices: the online optimum matches offline slot-wise.
         offline = total_cost(OfflineOptimal().run(instance), instance)
@@ -154,22 +198,3 @@ class TestSolverFailureInjection:
         algorithm = OnlineRegularizedAllocator(backend=AlwaysFails())
         with pytest.raises(SolverError, match="injected"):
             algorithm.run(tiny_instance)
-
-    def test_fallback_recovers_from_flaky_primary(self, tiny_instance):
-        from repro.solvers.registry import FallbackBackend, get_backend
-
-        calls = {"n": 0}
-
-        class Flaky:
-            name = "flaky"
-
-            def solve(self, program, *, tol=1e-8):
-                calls["n"] += 1
-                if calls["n"] % 2 == 1:
-                    raise SolverError("flaky failure")
-                return get_backend("ipm").solve(program, tol=tol)
-
-        backend = FallbackBackend(Flaky(), get_backend("scipy"))
-        schedule = OnlineRegularizedAllocator(backend=backend).run(tiny_instance)
-        schedule.require_feasible(tiny_instance, tol=1e-5)
-        assert calls["n"] == tiny_instance.num_slots
