@@ -2,7 +2,9 @@
 
 Plain record lists, no engine imports: the same streams were replayed
 through the watchdog/SLO engines at commit 86b6b2f to record the golden
-alert sequences in ``test_alert_goldens.py``.
+alert sequences in ``test_alert_goldens.py``. The storm and burn streams
+that then carried ``solver.fallback`` records (a retired signal) carry
+deadline misses instead, at the same positions.
 """
 
 from __future__ import annotations
@@ -40,19 +42,17 @@ def certificate(slot: int, gap: float) -> dict:
     return {"type": "diag.certificate", "slot": slot, "relative_gap": gap}
 
 
-FALLBACK = {"type": "solver.fallback", "primary": "ipm"}
+def two_miss_storms() -> list[dict]:
+    """100 slots; deadline misses at slots 2-4 and 70-72.
 
-
-def two_fallback_storms() -> list[dict]:
-    """100 slots; solver fallbacks while solving slots 2-4 and 70-72.
-
-    A fallback happens inside its slot's solve, so its record precedes
-    the ``slot`` record of the same slot (the spine's order).
+    Each miss record precedes the ``slot`` record of its slot, so the
+    storm window sees it on the same slot clock as the retired fallback
+    records it replaces.
     """
     records = []
     for index in range(100):
         if 2 <= index <= 4 or 70 <= index <= 72:
-            records.append(dict(FALLBACK))
+            records.append(miss(index))
         records.append({"type": "slot", "slot": index, "wall_ms": 1.0})
     return records
 
@@ -60,15 +60,13 @@ def two_fallback_storms() -> list[dict]:
 def mixed_stream() -> list[dict]:
     """One run that trips every rule and objective, in spine order.
 
-    100 slots with: fallback storms while solving slots 5-7 and 50-52, a
-    stalled slot 30, a certificate gap at slot 40, a ratio violation at
-    slot 45 (point plus explicit violation record) and deadline misses
-    at slots 60-63. Every slot also carries its ``service.slot`` record.
+    100 slots with: a stalled slot 30, a certificate gap at slot 40, a
+    ratio violation at slot 45 (point plus explicit violation record) and
+    deadline misses at slots 60-63. Every slot also carries its
+    ``service.slot`` record.
     """
     records = []
     for index in range(100):
-        if 5 <= index <= 7 or 50 <= index <= 52:
-            records.append(dict(FALLBACK))
         wall = 500.0 if index == 30 else 1.0
         records.append({"type": "slot", "slot": index, "wall_ms": wall})
         records.append(certificate(index, 1e-3 if index == 40 else 1e-9))
@@ -97,11 +95,11 @@ ENGINE_STREAMS = {
     "stall-after-warmup": slots(20) + [{"type": "slot", "slot": 20, "wall_ms": 500.0}],
     "stall-warmup-silent": slots(5) + [{"type": "slot", "slot": 5, "wall_ms": 500.0}],
     "stall-ordinary": slots(100),
-    "fallback-storm-once": [dict(FALLBACK) for _ in range(4)],
-    "fallback-spread": [
+    "miss-storm-once": [miss(0) for _ in range(4)],
+    "miss-spread": [
         record
         for batch in range(3)
-        for record in slots(50, start=batch * 50) + [dict(FALLBACK)]
+        for record in slots(50, start=batch * 50) + [miss(batch * 50 + 50)]
     ],
     "certificate-gap": [certificate(1, 1e-9), certificate(2, 1e-3)],
     "ratio-point": [
@@ -121,7 +119,7 @@ ENGINE_STREAMS = {
     "deadline-age-out": [miss(0), *slots(5), miss(5)],
     "deadline-threshold-one": [miss(0), *slots(4), miss(4)],
     "deadline-default": [slots(1)[0], miss(0), slots(1, start=1)[0], miss(1)],
-    "two-fallback-storms": two_fallback_storms(),
+    "two-miss-storms": two_miss_storms(),
     "mixed": mixed_stream(),
 }
 
@@ -134,12 +132,8 @@ BURN_STREAMS = {
     "short-blip": service_slots(3, miss=True),
     "slow-window-gates": service_slots(16) + service_slots(8, miss=True, start=16),
     "latency": service_slots(4, latency_ms=50.0),
-    "fallback": [
-        record
-        for index in range(4)
-        for record in (dict(FALLBACK), slots(1, start=index)[0])
-    ],
-    "fallback-clears": [dict(FALLBACK), *slots(2)],
+    "miss-burn": service_slots(4, miss=True),
+    "miss-clears": service_slots(1, miss=True) + service_slots(1, start=1),
     "ratio-bound": [
         {"type": "diag.ratio.point", "slot": 3, "ratio": 1.4, "bound": 1.3}
     ],

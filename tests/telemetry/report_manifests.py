@@ -5,7 +5,10 @@ environment and no wall-clock values:
 
 * :func:`full_records` — every record kind ``doctor`` or ``watch`` reads,
   with ties, duplicates and more entries than either tool lists, ending
-  in ``metrics``/``spans``/``manifest_end``;
+  in ``metrics``/``spans``/``manifest_end``; it also keeps the
+  ``solver.fallback``/``solver.circuit_open`` records and the
+  ``fallback-rate`` objective of releases that had a fallback solver, so
+  manifests from those releases stay readable;
 * :func:`truncated_records` — the same stream with ``metrics`` and
   ``manifest_end`` dropped, as a killed run leaves it;
 * :func:`bare_records` — no optional feed at all, so every "none
@@ -214,6 +217,7 @@ def _metrics() -> dict:
             "parallel.fallback.inline": 1,
             "watchdog.suppressed": 2,
             "flight.snapshots": 12,
+            "solver.ipm.unconverged": 2,
         },
         "gauges": {
             "sweep.workers": 4,

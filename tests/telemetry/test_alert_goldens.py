@@ -6,9 +6,13 @@ rules (``telemetry/watchdog.py``) and the SLO tracker
 the streams of ``alert_streams.py`` were replayed through the old rule
 classes, the old SLO objectives and the old watchdog sink (with its
 cooldown), and the incident-smoke storm through the serving session.
-The unified rules must reproduce them exactly. The one deliberate
-difference: fallback-storm alerts carried ``slot=None`` at 86b6b2f and
-now carry the slot they fired on (entries marked ``# was None``).
+The unified rules must reproduce them exactly. Fallback-storm alerts
+carried ``slot=None`` at 86b6b2f and later the slot they fired on. Since the
+fallback-storm rule and the fallback-rate objective were retired with
+the SciPy fallback solver, their storm and burn cases replay the same
+positions as deadline misses (``alert_streams.py``), and the mixed
+stream's golden drops their firings; each changed line carries a
+``# was ...`` note with its earlier text.
 """
 
 from __future__ import annotations
@@ -71,11 +75,12 @@ ENGINE_GOLDENS = {
     "stall-after-warmup": ([_rule("solver-stall")], [("solver-stall", 20)]),
     "stall-warmup-silent": ([_rule("solver-stall")], []),
     "stall-ordinary": ([_rule("solver-stall")], []),
-    "fallback-storm-once": (
-        [_rule("fallback-storm")],
-        [("fallback-storm", 0)],  # was None
+    "miss-storm-once": (  # was "fallback-storm-once"
+        [_rule("deadline-miss")],  # was [_rule("fallback-storm")]
+        [("deadline-miss", 0)],  # was [("fallback-storm", 0)]
     ),
-    "fallback-spread": ([_rule("fallback-storm", window=10)], []),
+    # was "fallback-spread": ([_rule("fallback-storm", window=10)], [])
+    "miss-spread": ([_rule("deadline-miss", window=10)], []),
     "certificate-gap": ([_rule("certificate-gap")], [("certificate-gap", 2)]),
     "ratio-point": ([_rule("ratio-over-bound")], [("ratio-over-bound", 4)]),
     "ratio-violation": ([_rule("ratio-over-bound")], [("ratio-over-bound", 1)]),
@@ -94,19 +99,20 @@ ENGINE_GOLDENS = {
         [("deadline-miss", 0), ("deadline-miss", 4)],
     ),
     "deadline-default": ([_rule("deadline-miss")], []),
-    "two-fallback-storms": (
+    "two-miss-storms": (  # was "two-fallback-storms"
         default_rules(),
-        [("fallback-storm", 4), ("fallback-storm", 72)],  # was None, None
+        # was [("fallback-storm", 4), ("fallback-storm", 72)]
+        [("deadline-miss", 4), ("deadline-miss", 72)],
     ),
     "mixed": (
         default_rules(),
         [
-            ("fallback-storm", 7),  # was None
+            # was ("fallback-storm", 7)
             ("solver-stall", 30),
             ("certificate-gap", 40),
             ("ratio-over-bound", 45),
             ("ratio-over-bound", 45),
-            ("fallback-storm", 52),  # was None
+            # was ("fallback-storm", 52)
             ("deadline-miss", 62),
         ],
     ),
@@ -136,18 +142,18 @@ BURN_GOLDENS = {
         [("latency", "firing", 1)],
         {"latency": (2.0, 2.0, True)},
     ),
-    "fallback": (
-        (Rule("fallback", "fallback", **_SMALL),),
-        [("fallback", "firing", 1)],
-        {"fallback": (2.0, 2.0, True)},
+    "miss-burn": (  # was "fallback"
+        (Rule("deadline-miss", "deadline-miss", **_SMALL),),  # was "fallback"
+        [("deadline-miss", "firing", 1)],  # was "fallback"
+        {"deadline-miss": (2.0, 2.0, True)},  # was "fallback"
     ),
-    "fallback-clears": (
-        (default_slos()[2],),
+    "miss-clears": (  # was "fallback-clears"
+        (default_slos()[1],),  # was default_slos()[2], the fallback-rate SLO
         [],
-        {"fallback-rate": (50.0, 50.0, False)},
+        {"deadline-miss": (50.0, 50.0, False)},  # was "fallback-rate"
     ),
     "ratio-bound": (
-        (default_slos()[3],),
+        (default_slos()[2],),  # was default_slos()[3]
         [("ratio-bound", "firing", 3)],
         {"ratio-bound": (1000.0, 1000.0, True)},
     ),
@@ -155,8 +161,8 @@ BURN_GOLDENS = {
     "mixed": (
         default_slos(),
         [
-            ("fallback-rate", "firing", 7),
-            ("fallback-rate", "resolved", 30),
+            # was ("fallback-rate", "firing", 7)
+            # was ("fallback-rate", "resolved", 30)
             ("ratio-bound", "firing", 45),
             ("deadline-miss", "firing", 63),
             ("ratio-bound", "resolved", 77),
@@ -165,7 +171,7 @@ BURN_GOLDENS = {
         {
             "latency-p99": (0.0, 1.0, False),
             "deadline-miss": (0.0, 4.0, False),
-            "fallback-rate": (0.0, 6.0, False),
+            # was "fallback-rate": (0.0, 6.0, False)
             "ratio-bound": (0.0, 10.0, False),
         },
     ),
@@ -198,16 +204,16 @@ SINK_GOLDENS = {
         default_rules() + default_slos(),
         25,
         [
-            ("alert", "fallback-storm", 7),  # was None
-            ("slo.burn", "fallback-rate", "firing", 7),
-            ("alert", "slo:fallback-rate", 7),
+            # was ("alert", "fallback-storm", 7)
+            # was ("slo.burn", "fallback-rate", "firing", 7)
+            # was ("alert", "slo:fallback-rate", 7)
             ("alert", "solver-stall", 30),
-            ("slo.burn", "fallback-rate", "resolved", 30),
+            # was ("slo.burn", "fallback-rate", "resolved", 30)
             ("alert", "certificate-gap", 40),
             ("alert", "ratio-over-bound", 45),
             ("slo.burn", "ratio-bound", "firing", 45),
             ("alert", "slo:ratio-bound", 45),
-            ("alert", "fallback-storm", 52),  # was None
+            # was ("alert", "fallback-storm", 52)
             ("alert", "deadline-miss", 62),
             ("slo.burn", "deadline-miss", "firing", 63),
             ("alert", "slo:deadline-miss", 63),
@@ -215,14 +221,14 @@ SINK_GOLDENS = {
             ("slo.burn", "deadline-miss", "resolved", 92),
         ],
         1,
-        7,
+        5,  # was 7 (two fallback-storm firings)
     ),
 }
 
 #: The mixed stream's burn-rate gauges after the last record.
 MIXED_GAUGES = {
-    "slo.burn.fast.fallback-rate": 0.0,
-    "slo.burn.slow.fallback-rate": 6.0,
+    # was "slo.burn.fast.fallback-rate": 0.0
+    # was "slo.burn.slow.fallback-rate": 6.0
     "slo.burn.fast.ratio-bound": 0.0,
     "slo.burn.slow.ratio-bound": 10.0,
     "slo.burn.fast.latency-p99": 0.0,

@@ -1,7 +1,7 @@
 """The alerting engine as the run and service surfaces use it.
 
 Covers what the goldens do not: the slot clock shared by both hosts,
-every fallback storm reaching ``repro-edge watch``, serving-session
+every deadline-miss storm reaching ``repro-edge watch``, serving-session
 alerts reaching the manifest and ``/metrics``, and one evaluation per
 slot per process.
 """
@@ -12,7 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.telemetry import AlertEvaluator, WatchState, default_rules, read_manifest
-from tests.telemetry.alert_streams import service_slots, slots, two_fallback_storms
+from tests.telemetry.alert_streams import service_slots, slots, two_miss_storms
 
 
 class TestSlotClock:
@@ -32,12 +32,12 @@ class TestSlotClock:
 
 
 class TestWatchListsEveryStorm:
-    def test_two_separated_fallback_storms_are_both_listed(self):
+    def test_two_separated_miss_storms_are_both_listed(self):
         state = WatchState()
-        state.update_all(two_fallback_storms())
-        storms = [a for a in state.alerts if a.rule == "fallback-storm"]
+        state.update_all(two_miss_storms())
+        storms = [a for a in state.alerts if a.rule == "deadline-miss"]
         assert [a.slot for a in storms] == [4, 72]
-        assert state.render().count("[fallback-storm]") == 2
+        assert state.render().count("[deadline-miss]") == 2
 
 
 LOADGEN = ["loadgen", "--users", "8", "--slots", "20", "--max-iterations", "1",

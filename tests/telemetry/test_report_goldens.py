@@ -5,10 +5,13 @@ Every golden below was recorded at commit ed948f2, when ``doctor`` and
 from the three manifests of ``report_manifests.py``: complete, truncated
 (no ``metrics``/``manifest_end``) and bare (no optional feed). The shared
 manifest fold must reproduce them byte for byte; a line that differs
-carries a ``# was ...`` note with its text at ed948f2. The only such lines
-are the doctor's incident-bundle lines: at ed948f2 ``doctor`` counted and
-listed every ``incident.written`` record while ``watch`` listed each
-bundle path once; both now list each path once.
+carries a ``# was ...`` note with its earlier text. At ed948f2
+``doctor`` counted and listed every ``incident.written`` record while
+``watch`` listed each bundle path once; both now list each path once.
+Since the SciPy fallback solver was retired, ``doctor``'s solver
+incidents report the unconverged-solve count instead of the fallback and
+circuit-breaker events, and ``watch`` neither counts those events nor
+evaluates the fallback-storm rule over them.
 """
 
 from __future__ import annotations
@@ -78,13 +81,9 @@ DOCTOR_FULL = [
     '  watchdog alerts suppressed by cooldown: 2',
     '',
     'Solver incidents',
-    '  fallbacks: 6, circuit-breaker openings: 1',
-    '  fallback from ipm: LinAlgError: singular matrix 0',
-    '  fallback from ipm: LinAlgError: singular matrix 1',
-    '  fallback from ipm: LinAlgError: singular matrix 2',
-    '  fallback from ipm: LinAlgError: singular matrix 3',
-    '  fallback from ipm: LinAlgError: singular matrix 4',
-    '  circuit opened on ipm after 3 failures (cooldown 8)',
+    # was '  fallbacks: 6, circuit-breaker openings: 1' and one line per
+    # fallback (singular matrix 0-4) and circuit opening
+    '  unconverged solves: 2 (finished partial at their last interior iterate)',
     '',
     'Optimality certificates',
     '  7 certificates, 4 above tol 1e-06',
@@ -132,7 +131,7 @@ WATCH_FULL = [
     '  slots  : 14 done across 7 run(s) (1 in flight), 77 events',
     '  wall   : p50 3.92 ms  p95 9.25 ms  max 9.25 ms',
     '  cost   : op 105.000  sq 45.500  rc 3.500  mg 1.625  total 164.500',
-    '  solver : 58 iterations / 4 solves, 6 fallback(s), 1 circuit-open(s)',
+    '  solver : 58 iterations / 4 solves',  # was ', 6 fallback(s), 1 circuit-open(s)' at the end
     '  ratio  : 1.2000 vs bound 2.2000  worst prefix 2.5000  certified: False',
     '  agg    : 3 slot(s), 8 cohorts (6.0x reduction), error bound 0.700  worst gap 2.00e-06',
     '  svc    : 4 request(s)  p50 4.53 ms  p95 29.43 ms  2 deadline miss(es)',
@@ -143,14 +142,15 @@ WATCH_FULL = [
     '  incid  : 2 bundle(s) written',
     '    bundles/incident-000-a.jsonl',
     '    bundles/incident-001-b.jsonl',
-    '  alerts : 12',
-    '    [fallback-storm] slot 2: 3 solver fallbacks within the last 25 slots',
+    '  alerts : 11',  # was '  alerts : 12'
+    # was '    [fallback-storm] slot 2: 3 solver fallbacks within the last 25 slots'
     '    [certificate-gap] slot 1: relative duality gap 2.000e-06 exceeds tol 1e-06',
     '    [certificate-gap] slot 2: relative duality gap 2.000e-06 exceeds tol 1e-06',
     '    [certificate-gap] slot 4: relative duality gap 3.000e-03 exceeds tol 1e-06',
     '    [certificate-gap] slot 5: relative duality gap 2.000e-06 exceeds tol 1e-06',
     '    [ratio-over-bound] slot 5: empirical ratio 2.500000 exceeds the certified bound 2.200000',
-    '    ... 6 more',
+    '    [deadline-miss] slot 2: 3 deadline misses within the last 25 slots',  # was not shown
+    '    ... 5 more',  # was '    ... 6 more'
     '    online-approx            2 slots  total        5.500  [done]',
     '    offline-opt              2 slots  total       11.500  [done]',
     '    online-approx            2 slots  total       17.500  [done]',
@@ -209,13 +209,9 @@ DOCTOR_TRUNCATED = [
     '    replay with: repro-edge incident replay BUNDLE',
     '',
     'Solver incidents',
-    '  fallbacks: 6, circuit-breaker openings: 1',
-    '  fallback from ipm: LinAlgError: singular matrix 0',
-    '  fallback from ipm: LinAlgError: singular matrix 1',
-    '  fallback from ipm: LinAlgError: singular matrix 2',
-    '  fallback from ipm: LinAlgError: singular matrix 3',
-    '  fallback from ipm: LinAlgError: singular matrix 4',
-    '  circuit opened on ipm after 3 failures (cooldown 8)',
+    # was '  fallbacks: 6, circuit-breaker openings: 1' and one line per
+    # fallback (singular matrix 0-4) and circuit opening
+    '  none - every solve certified its gap or met its budget',
     '',
     'Optimality certificates',
     '  7 certificates, 4 above tol 1e-06',
@@ -259,7 +255,7 @@ WATCH_TRUNCATED = [
     '  slots  : 14 done across 7 run(s) (1 in flight), 77 events',
     '  wall   : p50 3.92 ms  p95 9.25 ms  max 9.25 ms',
     '  cost   : op 105.000  sq 45.500  rc 3.500  mg 1.625  total 164.500',
-    '  solver : 58 iterations / 4 solves, 6 fallback(s), 1 circuit-open(s)',
+    '  solver : 58 iterations / 4 solves',  # was ', 6 fallback(s), 1 circuit-open(s)' at the end
     '  ratio  : 1.2000 vs bound 2.2000  worst prefix 2.5000  certified: False',
     '  agg    : 3 slot(s), 8 cohorts (6.0x reduction), error bound 0.700  worst gap 2.00e-06',
     '  svc    : 4 request(s)  p50 4.53 ms  p95 29.43 ms  2 deadline miss(es)',
@@ -270,14 +266,15 @@ WATCH_TRUNCATED = [
     '  incid  : 2 bundle(s) written',
     '    bundles/incident-000-a.jsonl',
     '    bundles/incident-001-b.jsonl',
-    '  alerts : 12',
-    '    [fallback-storm] slot 2: 3 solver fallbacks within the last 25 slots',
+    '  alerts : 11',  # was '  alerts : 12'
+    # was '    [fallback-storm] slot 2: 3 solver fallbacks within the last 25 slots'
     '    [certificate-gap] slot 1: relative duality gap 2.000e-06 exceeds tol 1e-06',
     '    [certificate-gap] slot 2: relative duality gap 2.000e-06 exceeds tol 1e-06',
     '    [certificate-gap] slot 4: relative duality gap 3.000e-03 exceeds tol 1e-06',
     '    [certificate-gap] slot 5: relative duality gap 2.000e-06 exceeds tol 1e-06',
     '    [ratio-over-bound] slot 5: empirical ratio 2.500000 exceeds the certified bound 2.200000',
-    '    ... 6 more',
+    '    [deadline-miss] slot 2: 3 deadline misses within the last 25 slots',  # was not shown
+    '    ... 5 more',  # was '    ... 6 more'
     '    online-approx            2 slots  total        5.500  [done]',
     '    offline-opt              2 slots  total       11.500  [done]',
     '    online-approx            2 slots  total       17.500  [done]',
@@ -307,7 +304,7 @@ DOCTOR_BARE = [
     '  no SLO plane or flight recorder active this run',
     '',
     'Solver incidents',
-    '  none - primary backend handled every solve',
+    '  none - every solve certified its gap or met its budget',  # was '  none - primary backend handled every solve'
     '',
     'Optimality certificates',
     '  no certificates recorded (run without certify)',
@@ -332,7 +329,7 @@ WATCH_BARE = [
     'repro-edge watch - <manifest>  [COMPLETE]',
     '  slots  : 2 done across 1 run(s) (0 in flight), 3 events',
     '  cost   : op 2.000  sq 2.000  rc 0.000  mg 0.000  total 4.000',
-    '  solver : 0 iterations / 0 solves, 0 fallback(s), 0 circuit-open(s)',
+    '  solver : 0 iterations / 0 solves',  # was ', 0 fallback(s), 0 circuit-open(s)' at the end
     '  ratio  : (no diag.ratio feed in this manifest)',
     '  alerts : none',
     '    online-approx            2 slots  total        4.000  [done]',
