@@ -132,16 +132,20 @@ class CohortMap:
         """
         return float(np.max(self.workload_max / self.workload_min) - 1.0)
 
-    def aggregate(self, x_users: "np.ndarray | FactoredAllocation") -> np.ndarray:
+    def aggregate(
+        self, x_users: "np.ndarray | FactoredAllocation", pairs: tuple | None = None
+    ) -> np.ndarray:
         """Sum an (I, J) per-user allocation into (I, G) cohort columns.
 
         A :class:`FactoredAllocation` is folded pair by pair: users moving
         from its cohort ``g'`` into this map's cohort ``g`` carry
         ``y'[:, g']`` times their summed shares, one bincount over the
-        pairs per cloud instead of one over the users.
+        pairs per cloud instead of one over the users. ``pairs`` is
+        :func:`pair_map` of the allocation under this map, if the caller
+        already has it.
         """
         if isinstance(x_users, FactoredAllocation):
-            pair_of, before, into = _pairs(x_users, self.cohort_of, self.num_cohorts)
+            pair_of, before, into = pairs or pair_map(x_users, self)
             values = _pair_mass(x_users, pair_of, before)
         else:
             values = np.asarray(x_users, dtype=float)
@@ -182,20 +186,24 @@ def _group(key: np.ndarray, key_space: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_cohorts(
-    attachment: np.ndarray, workloads: np.ndarray, buckets: BucketSpec
+    attachment: np.ndarray,
+    workloads: np.ndarray,
+    buckets: BucketSpec,
+    bucket_of: np.ndarray | None = None,
 ) -> CohortMap:
     """Cluster one slot's users into (station, bucket) cohorts.
 
     Cohort order is deterministic — sorted by (station, bucket) composite
     key — so repeated builds over the same observation produce identical
     maps regardless of user order in memory. Stations with no attached
-    users simply contribute no cohorts.
+    users simply contribute no cohorts. ``bucket_of`` is
+    ``buckets.assign(workloads)``, for callers that assign once per run.
     """
     attachment = np.asarray(attachment)
     lam = np.asarray(workloads, dtype=float)
     if attachment.shape != lam.shape:
         raise ValueError("attachment and workloads must be index-aligned")
-    bucket = buckets.assign(lam)
+    bucket = buckets.assign(lam) if bucket_of is None else bucket_of
     key = attachment.astype(np.int64) * np.int64(buckets.num_buckets) + bucket
     unique_keys, cohort_of = _group(key, (int(key.max()) + 1) if key.size else 0)
     num_cohorts = unique_keys.size
@@ -300,15 +308,18 @@ class FactoredAllocation:
         )
 
 
-def _pairs(
-    previous: FactoredAllocation, cohort_of: np.ndarray, num_cohorts: int
+def pair_map(
+    previous: FactoredAllocation, current: "CohortMap | FactoredAllocation"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (previous column, new cohort) pairs users move between.
+    """The (previous column, current column) pairs users move between.
 
-    Returns ``(pair_of, previous_column, cohort)``: the pair index of each
-    user, then the two ends of each pair, pairs in (previous, new) order.
+    Returns ``(pair_of, previous_column, current_column)``: the pair index
+    of each user, then the two ends of each pair, pairs in (previous,
+    current) order. ``current`` is a cohort map or a factored allocation.
     """
-    key = previous.cohort_of.astype(np.int64) * np.int64(num_cohorts) + cohort_of
+    num_cohorts = current.num_cohorts
+    key = previous.cohort_of.astype(np.int64) * np.int64(num_cohorts)
+    key += current.cohort_of
     keys, pair_of = _group(key, previous.num_cohorts * num_cohorts)
     return pair_of, keys // num_cohorts, keys % num_cohorts
 
@@ -340,9 +351,7 @@ def pair_allocations(
     """
     if previous.cohorts is None and current.cohorts is None:
         return previous.y, current.y
-    pair_of, before, after = _pairs(
-        previous, current.cohort_of, current.num_cohorts
-    )
+    pair_of, before, after = pair_map(previous, current)
     return (
         _pair_mass(previous, pair_of, before),
         _pair_mass(current, pair_of, after),

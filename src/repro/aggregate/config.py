@@ -23,26 +23,22 @@ class AggregationConfig:
             the decision boundedly (each shard gets a workload-
             proportional capacity slice and its own regularizer coupling);
             ``shards=1`` is exactly the unsharded solve.
-        workers: processes for the shard solves (1 = serial, ``None``/0 =
-            all visible CPUs). Worker count NEVER changes the solution —
-            shards are merged deterministically in input order, so any
-            worker count is bit-for-bit identical at a fixed shard count.
+        workers: processes for the shard solves (``None``/0 = all
+            visible CPUs). With one, a slot's shards are solved in-process
+            as one lockstep batched-IPM call; with more, across processes.
+            Worker count NEVER changes an unbudgeted solution — both paths
+            are bit-identical to one-lane solves, merged in input order.
         shard_slicing: how shard capacity slices are cut — ``"price"``
             (default) blends toward the previous slot's realized usage
             split, gated by the previous capacity duals;
             ``"proportional"`` keeps the workload-proportional slices.
             Irrelevant at ``shards=1``. See docs/SCALING.md.
-        batch_solves: solve a slot's shards as one stacked batched-IPM
-            call in-process instead of fanning them across ``workers``
-            processes. Bit-identical to the serial shard loop
-            (docs/PERFORMANCE.md).
     """
 
     lambda_buckets: int | None = 8
     shards: int = 1
     workers: int | None = 1
     shard_slicing: str = "price"
-    batch_solves: bool = False
 
     def __post_init__(self) -> None:
         if self.lambda_buckets is not None and self.lambda_buckets < 0:

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 from ..core.bounds import tau
 from ..core.regularization import OnlineRegularizedAllocator
-from ..core.subproblem import RegularizedSubproblem, migration_terms
+from ..core.subproblem import RegularizedSubproblem
 from ..simulation.observations import SlotObservation, SystemDescription
 from ..telemetry import get_registry
-from .cohorts import BucketSpec, CohortMap, FactoredAllocation, build_cohorts
+from .cohorts import BucketSpec, CohortMap, FactoredAllocation, build_cohorts, pair_map
 from .config import AggregationConfig
 from .reduced import aggregation_error_bound, reduced_subproblem
 from .sharding import solve_sharded
@@ -105,27 +105,51 @@ def _repair_cohort_feasibility(
 
 def _member_migration_entropy(
     migration_prices: np.ndarray,
+    workloads: np.ndarray,
     inverse_tau: np.ndarray,
     eps2: float,
     previous: FactoredAllocation,
     current: FactoredAllocation,
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> float:
     """The per-user P2 migration entropy of ``previous -> current``.
 
-    ``sum_i b_i sum_j [(x_ij + eps2) ln((x_ij + eps2)/(x'_ij + eps2)) - x_ij] / tau_j``,
-    evaluated cloud by cloud from the factors, so no (I, J) matrix is held.
-    The user sum is a ufunc reduction, not a BLAS dot: a multithreaded dot
-    over J elements contends with the server's other threads.
+    ``sum_i b_i sum_j [(x_ij + eps2) ln((x_ij + eps2)/(x'_ij + eps2)) - x_ij] / tau_j``
+    from the factors and their :func:`pair_map` ``pairs``. Within a pair
+    ``x_ij = lambda_j a_i`` with ``a = y[:, g] / Lambda_g`` (likewise
+    ``x'``), so with ``w = lambda / tau`` and ``s = eps2 / lambda`` a term is
+    ``w (a + s) (ln((a + s)/(a' + s)) - 1) + eps2 / tau``: per cloud one
+    gather and in-place ufuncs on two J-buffers, reduced with ufuncs — a
+    multithreaded BLAS dot contends with the server's other threads.
     """
-    after, share = current.cohort_of, current.member_share
-    before, previous_share = previous.cohort_of, previous.member_share
+    pair_of, before, after = pairs
+    weights = workloads * inverse_tau
+    shifts = eps2 / workloads
+    # Any member's share / lambda is its pair's coefficient scale.
+    member = np.empty(before.size, dtype=np.intp)
+    member[pair_of] = np.arange(pair_of.size)
+    lam = workloads[member]
+    coefficients = np.stack(
+        [
+            side.y.take(column, axis=1) * (side.member_share[member] / lam)
+            for side, column in ((current, after), (previous, before))
+        ],
+        axis=1,
+    )  # (I, 2, P)
+    prices = np.asarray(migration_prices, dtype=float)
+    constant = eps2 * float(inverse_tau.sum())
     total = 0.0
-    for i, price in enumerate(np.asarray(migration_prices, dtype=float)):
-        x = current.y[i].take(after)
-        x *= share
-        x_prev = previous.y[i].take(before)
-        x_prev *= previous_share
-        total += price * float(np.sum(migration_terms(x, x_prev, eps2) * inverse_tau))
+    buffers = np.empty((2, pair_of.size))
+    x, x_prev = buffers
+    for i, price in enumerate(prices):
+        coefficients[i].take(pair_of, axis=1, out=buffers, mode="clip")
+        buffers += shifts
+        np.divide(x, x_prev, out=x_prev)
+        np.log(x_prev, out=x_prev)
+        x_prev -= 1.0
+        x_prev *= x
+        x_prev *= weights
+        total += price * (float(x_prev.sum()) + constant)
     return total
 
 
@@ -151,9 +175,13 @@ class AggregatedController:
     )
 
     def __post_init__(self) -> None:
+        # Workloads never change within a run: bucket every user once.
+        self._workloads = np.asarray(self.system.workloads, dtype=float)
         self._buckets = BucketSpec.from_workloads(
-            self.system.workloads, self.config.lambda_buckets
+            self._workloads, self.config.lambda_buckets
         )
+        self._bucket_of = self._buckets.assign(self._workloads)
+        self._inverse_tau = 1.0 / tau(self._workloads, self.algorithm.eps2)
         self._x_prev = self._zero_allocation()
         self._slots_seen = 0
         self._min_op_price = float("inf")
@@ -161,9 +189,11 @@ class AggregatedController:
 
     def observe(self, observation: SlotObservation) -> FactoredAllocation:
         """Solve the reduced P2 for one slot; return the factored split."""
-        workloads = np.asarray(self.system.workloads, dtype=float)
-        cohorts = build_cohorts(observation.attachment, workloads, self._buckets)
-        x_prev_cohorts = cohorts.aggregate(self._x_prev)
+        cohorts = build_cohorts(
+            observation.attachment, self._workloads, self._buckets, self._bucket_of
+        )
+        pairs = pair_map(self._x_prev, cohorts)
+        x_prev_cohorts = cohorts.aggregate(self._x_prev, pairs)
         subproblem = reduced_subproblem(
             self.system,
             observation,
@@ -181,7 +211,6 @@ class AggregatedController:
             capacity_duals=self._prev_capacity_duals,
             slicing=self.config.shard_slicing,
             budget=self.algorithm.budget,
-            batch_solves=self.config.batch_solves,
         )
         y, iterations = solve.x, solve.iterations
         decision = FactoredAllocation(_repair_cohort_feasibility(y, cohorts), cohorts)
@@ -200,7 +229,7 @@ class AggregatedController:
             shards=shards,
             spread=cohorts.spread,
             error_bound=bound,
-            disagg_error=self._exact_error(subproblem, decision),
+            disagg_error=self._exact_error(subproblem, decision, pairs),
             iterations=iterations,
             partial_solves=solve.partial_solves,
         )
@@ -211,7 +240,10 @@ class AggregatedController:
         return decision
 
     def _exact_error(
-        self, subproblem: RegularizedSubproblem, decision: FactoredAllocation
+        self,
+        subproblem: RegularizedSubproblem,
+        decision: FactoredAllocation,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> float | None:
         """Relative gap between the reduced and per-user objectives.
 
@@ -220,8 +252,8 @@ class AggregatedController:
         ``aggregation_error_bound`` bounds a-priori. Their static and
         reconfiguration parts are equal (docs/SCALING.md §1), so only the
         migration entropy is evaluated per user, straight from the two
-        factorizations. Costs one O(I*J) pass, so it is skipped above
-        ``ERROR_EVAL_LIMIT``.
+        factorizations and the slot's ``pairs``. Costs one O(I*J) pass, so
+        it is skipped above ``ERROR_EVAL_LIMIT``.
         """
         system = self.system
         if system.num_clouds * system.num_users > ERROR_EVAL_LIMIT:
@@ -231,10 +263,12 @@ class AggregatedController:
         reduced = subproblem.objective(y.ravel())
         members = _member_migration_entropy(
             subproblem.migration_prices,
-            1.0 / tau(np.asarray(system.workloads, dtype=float), self.algorithm.eps2),
+            self._workloads,
+            self._inverse_tau,
             self.algorithm.eps2,
             self._x_prev,
             decision,
+            pairs,
         )
         direct = reduced - reduced_entropy + members
         return abs(members - reduced_entropy) / max(1.0, abs(direct))

@@ -19,10 +19,11 @@ P2 with a slice of every cloud's capacity. Two slicing policies:
 
 Two distinct knobs, two distinct contracts:
 
-* ``workers`` (process count) NEVER changes the solution. Each shard is a
-  pure function of its task; :class:`repro.parallel.SweepExecutor` merges
-  results in input order, so any worker count is bit-for-bit identical at
-  a fixed shard count (property-tested in tests/aggregate).
+* ``workers`` (process count) NEVER changes the solution. With one, the
+  shards run in-process as one lockstep batched-IPM call; with more,
+  :class:`repro.parallel.SweepExecutor` fans them across processes and
+  merges in input order. Both are bit-identical to one-lane solves
+  (tests/aggregate); only a deadline is split differently.
 * ``shards`` (block count) changes the solution *boundedly*: splitting
   decouples the reconfiguration regularizer across blocks and pins each
   block's capacity slice. ``shards=1`` is exactly the unsharded solve —
@@ -37,11 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.subproblem import RegularizedSubproblem
-from ..parallel.executor import SweepExecutor
+from ..parallel.executor import SweepExecutor, resolve_workers
 from ..solvers.base import SolveBudget
 from ..solvers.batched import solve_batch
 from ..solvers.interior_point import InteriorPointBackend
-from ..telemetry import MetricsRegistry, get_registry
 
 #: Per-cloud ceiling on the price-aware blend weight: even a fully
 #: binding cloud keeps 5% of its proportional slice, so no shard's
@@ -98,9 +98,9 @@ class ShardedSolve:
 def _shard_program(task: ShardTask):
     """Build the shard's subproblem and program exactly as the solve does.
 
-    Shared by the sequential path (:func:`_solve_shard`) and the batched
-    path (:func:`_solve_shards_batched`) so both solve literally the same
-    program object shape — same budget.
+    Shared by the process path (:func:`_solve_shard`) and the lockstep
+    path (:func:`_solve_lockstep`), so both solve literally the same
+    program under the same budget.
     """
     subproblem = RegularizedSubproblem(
         static_prices=task.static_prices,
@@ -122,67 +122,36 @@ def _shard_program(task: ShardTask):
 
 def _finish_shard(
     subproblem: RegularizedSubproblem, result
-) -> tuple[np.ndarray, int, bool, np.ndarray | None]:
+) -> tuple[np.ndarray, int, bool, np.ndarray]:
     """Post-process one shard's solver result into the merge tuple."""
     shape = (subproblem.num_clouds, subproblem.num_users)
-    capacity_duals = result.duals.get("capacity")
-    if capacity_duals is not None:
-        capacity_duals = np.asarray(capacity_duals, dtype=float)
-        if capacity_duals.shape != (shape[0],):
-            capacity_duals = None
     return (
         np.asarray(result.x, dtype=float).reshape(shape),
         int(result.iterations),
         bool(result.partial),
-        capacity_duals,
+        np.asarray(result.duals["capacity"], dtype=float),
     )
 
 
-def _solve_shard(task: ShardTask) -> tuple[np.ndarray, int, bool, np.ndarray | None]:
+def _solve_shard(task: ShardTask) -> tuple[np.ndarray, int, bool, np.ndarray]:
     """Solve one shard; module-level so process pools can pickle it."""
     subproblem, program = _shard_program(task)
     result = InteriorPointBackend().solve(program, tol=task.tol)
     return _finish_shard(subproblem, result)
 
 
-def _solve_shards_batched(
-    tasks: list[ShardTask],
-) -> list[tuple[object, str | None, str | None]]:
-    """Solve every shard through one stacked batched-IPM call.
-
-    Replicates the sequential path's observable behavior exactly:
-
-    * The stacked solve (:func:`repro.solvers.batched.solve_batch`) is
-      bit-identical to per-shard :class:`InteriorPointBackend` solves.
-    * Per-shard solver telemetry is buffered in throwaway registries and
-      merged into the active registry **in shard order**, so counters and
-      the event stream match a serial loop.
-
-    Returns one ``(value, error, traceback)`` triple per task, in order,
-    mirroring the executor's structured-failure capture.
-    """
+def _solve_lockstep(tasks: list[ShardTask]) -> list:
+    """Each shard's merge tuple (or the exception its solve raised) from one
+    in-process :func:`solve_batch` call: bit-identical to one-lane solves,
+    with each lane's solver telemetry emitted in input order."""
     built = [_shard_program(task) for task in tasks]
-    lane_registries = [MetricsRegistry() for _ in tasks]
     outcomes = solve_batch(
-        [program for _, program in built],
-        tol=[task.tol for task in tasks],
-        registries=lane_registries,
+        [program for _, program in built], tol=[task.tol for task in tasks]
     )
-    telemetry = get_registry()
-    results: list[tuple[object, str | None, str | None]] = []
-    for (subproblem, _), outcome, lane_registry in zip(
-        built, outcomes, lane_registries
-    ):
-        telemetry.merge_snapshot(lane_registry.snapshot())
-        try:
-            if isinstance(outcome, Exception):
-                raise outcome
-            results.append((_finish_shard(subproblem, outcome), None, None))
-        except Exception as exc:  # noqa: BLE001 - mirrors executor capture
-            results.append(
-                (None, f"{type(exc).__name__}: {exc}", traceback.format_exc())
-            )
-    return results
+    return [
+        outcome if isinstance(outcome, Exception) else _finish_shard(sub, outcome)
+        for (sub, _), outcome in zip(built, outcomes)
+    ]
 
 
 def shard_capacity_shares(
@@ -274,11 +243,13 @@ def make_shard_tasks(
     capacity_duals: np.ndarray | None = None,
     slicing: str = "price",
     budget: SolveBudget | None = None,
+    shared_clock: bool = False,
 ) -> list[ShardTask]:
     """Partition a reduced subproblem into contiguous shard tasks.
 
     A supplied ``budget`` is divided evenly across the shards (the shard
-    solves of one slot share the slot's deadline).
+    solves of one slot share the slot's deadline), except the deadline of
+    ``shared_clock`` lanes, which run side by side on one clock.
     """
     num_cols = subproblem.num_users
     shards = max(1, min(int(shards), num_cols))
@@ -297,7 +268,7 @@ def make_shard_tasks(
     max_iterations = None
     if budget is not None:
         if budget.deadline_s is not None:
-            deadline_s = budget.deadline_s / len(blocks)
+            deadline_s = budget.deadline_s / (1 if shared_clock else len(blocks))
         if budget.max_iterations is not None:
             max_iterations = max(1, budget.max_iterations // len(blocks))
     tasks = []
@@ -331,14 +302,14 @@ def solve_sharded(
     capacity_duals: np.ndarray | None = None,
     slicing: str = "price",
     budget: SolveBudget | None = None,
-    batch_solves: bool = False,
 ) -> ShardedSolve:
     """Solve the reduced P2, optionally split into shards across workers.
 
-    With ``batch_solves=True`` the shard solves run as **one stacked
-    batched-IPM call** in-process instead of fanning across worker
-    processes — bit-identical results, one interior-point iteration
-    driving every shard (docs/PERFORMANCE.md).
+    With one worker the shard solves run in this process as **one
+    lockstep batched-IPM call** (:func:`repro.solvers.batched.solve_batch`)
+    whose lanes share the slot's deadline; with more, they fan across
+    processes with ``1/K`` of it each. Results are bit-identical
+    (docs/PERFORMANCE.md).
 
     Returns:
         A :class:`ShardedSolve` — unpackable as ``(x, iterations)`` —
@@ -360,6 +331,7 @@ def solve_sharded(
         raise ValueError(
             "no strictly feasible point: total capacity must exceed total workload"
         )
+    pooled = resolve_workers(workers) > 1
     tasks = make_shard_tasks(
         subproblem,
         shards,
@@ -367,51 +339,33 @@ def solve_sharded(
         capacity_duals=capacity_duals,
         slicing=slicing,
         budget=budget,
+        shared_clock=not pooled,
     )
-    if batch_solves:
-        triples = _solve_shards_batched(tasks)
-        failed_triples = [
-            (f"shard-{k}", error, tb)
-            for k, (_, error, tb) in enumerate(triples)
-            if error is not None
-        ]
-        if failed_triples:
-            summary = "; ".join(f"{key}: {error}" for key, error, _ in failed_triples)
-            raise RuntimeError(
-                f"{len(failed_triples)}/{len(triples)} shard solves failed: "
-                f"{summary}\n"
-                f"first failure traceback:\n{failed_triples[0][2]}"
-            )
-        values = [value for value, _, _ in triples]
-    else:
-        executor = SweepExecutor(max_workers=workers)
-        results = executor.map(
-            _solve_shard, tasks, keys=[f"shard-{k}" for k in range(len(tasks))]
-        )
-        failed = [r for r in results if not r.ok]
-        if failed:
-            summary = "; ".join(f"{r.key}: {r.error}" for r in failed)
-            raise RuntimeError(
-                f"{len(failed)}/{len(results)} shard solves failed: {summary}\n"
-                f"first failure traceback:\n{failed[0].traceback}"
-            )
+    if pooled:
+        results = SweepExecutor(max_workers=workers).map(_solve_shard, tasks)
         values = [r.value for r in results]
-    blocks = [value[0] for value in values]
-    iterations = sum(value[1] for value in values)
-    partial_solves = sum(1 for value in values if value[2])
-    shard_duals = [value[3] for value in values]
-    combined_duals: np.ndarray | None = None
-    if all(d is not None for d in shard_duals):
-        weights = np.array(
-            [float(task.workloads.sum()) for task in tasks], dtype=float
+        failed = [(k, r.error, r.traceback) for k, r in enumerate(results) if not r.ok]
+    else:
+        values = _solve_lockstep(tasks)
+        failed = [
+            (k, f"{type(v).__name__}: {v}", "".join(traceback.format_exception(v)))
+            for k, v in enumerate(values)
+            if isinstance(v, Exception)
+        ]
+    if failed:
+        summary = "; ".join(f"shard-{k}: {error}" for k, error, _ in failed)
+        raise RuntimeError(
+            f"{len(failed)}/{len(values)} shard solves failed: {summary}\n"
+            f"first failure traceback:\n{failed[0][2]}"
         )
-        weights /= max(weights.sum(), 1e-300)
-        combined_duals = np.zeros_like(shard_duals[0])
-        for weight, duals in zip(weights, shard_duals):
-            combined_duals += weight * duals
+    weights = np.array([float(task.workloads.sum()) for task in tasks], dtype=float)
+    weights /= max(weights.sum(), 1e-300)
+    combined_duals = np.zeros_like(values[0][3])
+    for weight, value in zip(weights, values):
+        combined_duals += weight * value[3]
     return ShardedSolve(
-        x=np.concatenate(blocks, axis=1),
-        iterations=iterations,
-        partial_solves=partial_solves,
+        x=np.concatenate([value[0] for value in values], axis=1),
+        iterations=sum(value[1] for value in values),
+        partial_solves=sum(value[2] for value in values),
         capacity_duals=combined_duals,
     )

@@ -118,7 +118,7 @@ def _slowest_slots(summary: ManifestSummary) -> list[str]:
 
 
 def _solver_incidents(summary: ManifestSummary) -> list[str]:
-    unconverged = int(summary.counters.get("solver.ipm.unconverged", 0))
+    unconverged = summary.unconverged
     if not unconverged:
         return ["  none - every solve certified its gap or met its budget"]
     return [

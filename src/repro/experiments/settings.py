@@ -72,19 +72,17 @@ class ExperimentScale:
 def aggregation_config(scale: ExperimentScale):
     """The scale's :class:`repro.aggregate.AggregationConfig`, or ``None``.
 
-    Shard solves always run serially here (``workers=1``): the experiment
-    drivers already fan their (point x repetition) grids across
-    ``scale.workers`` processes, and process pools must not nest.
+    Shard solves always run in-process here (``workers=1``, one lockstep
+    call per slot): the experiment drivers already fan their (point x
+    repetition) grids across ``scale.workers`` processes, and process
+    pools must not nest.
     """
     if not scale.aggregate:
         return None
     from ..aggregate.config import AggregationConfig
 
     return AggregationConfig(
-        lambda_buckets=scale.lambda_buckets,
-        shards=scale.shards,
-        workers=1,
-        batch_solves=scale.batch_solves,
+        lambda_buckets=scale.lambda_buckets, shards=scale.shards, workers=1
     )
 
 

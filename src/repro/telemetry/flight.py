@@ -189,7 +189,6 @@ def _describe_controller(controller) -> dict:
             "shards": int(config.shards),
             "workers": config.workers,
             "shard_slicing": str(config.shard_slicing),
-            "batch_solves": bool(config.batch_solves),
         }
     return info
 
@@ -755,7 +754,7 @@ def _replay_budget(controller_info: dict, snapshot: dict):
 
 
 #: Aggregation keys older bundles record that no longer exist; replay drops them.
-_RETIRED_AGGREGATION_KEYS = ("warm_cohorts", "backend")
+_RETIRED_AGGREGATION_KEYS = ("warm_cohorts", "backend", "batch_solves")
 
 #: Backend names a bundle may record for P2 solves the structured IPM
 #: replays: this release writes the solver's own name; earlier releases

@@ -217,6 +217,7 @@ class ManifestSummary:
         self.wall = Histogram("slot.wall_ms")
         self.slowest_slots = TopN(key=lambda e: float(e["wall_ms"]))
         self.convergence = ConvergenceSummary()
+        self.unconverged_traces = 0
         self.certificates = TopN(key=lambda e: float(e.get("relative_gap", 0.0)))
         self.certificate_violations = 0
         self.ratio: float | None = None
@@ -284,6 +285,7 @@ class ManifestSummary:
             self._run(record).finished = True
         elif kind == "solver.ipm.trace":
             self.convergence.add(record)
+            self.unconverged_traces += bool(record.get("unconverged"))
         elif kind == "diag.certificate":
             self.certificates.add(record)
             gap = float(record.get("relative_gap", 0.0))
@@ -335,6 +337,13 @@ class ManifestSummary:
                 )
             )
         return True
+
+    @property
+    def unconverged(self) -> int:
+        """Unconverged solves, counted by ``metrics`` or, in a run killed
+        before it, by the flags of ``solver.ipm.trace`` events."""
+        counted = int(self.counters.get("solver.ipm.unconverged", 0))
+        return max(counted, self.unconverged_traces)
 
     def update_all(self, records) -> None:
         """Fold many records (a :meth:`ManifestTail.poll` batch)."""
@@ -474,10 +483,11 @@ class WatchState(ManifestSummary):
             f"rc {totals['rc']:.3f}  mg {totals['mg']:.3f}  "
             f"total {totals['total']:.3f}"
         )
+        unconverged = f", {self.unconverged} unconverged" if self.unconverged else ""
         lines.append(
             "  solver : "
             f"{self.convergence.total_iterations} iterations / "
-            f"{self.convergence.solves} solves"
+            f"{self.convergence.solves} solves{unconverged}"
         )
         if self.ratio is not None and self.ratio_bound is not None:
             certified = (

@@ -1,15 +1,20 @@
-"""Batched shard solves must be indistinguishable from the serial loop.
+"""In-process lockstep shard solves must match a process fan-out bit for bit.
 
-``solve_sharded(..., batch_solves=True)`` stacks a slot's shard P2s into
-one batched-IPM call. Everything observable — the assembled solution,
-iteration counts, capacity duals, telemetry aggregates — must match the
-executor path bit-for-bit.
+With one worker, ``solve_sharded`` stacks a slot's shard P2s into one
+``solve_batch`` call; with more, it fans them across processes, one
+one-lane solve each. Everything observable — the assembled solution,
+iteration counts, partial counts, capacity duals, the merged
+``solver.ipm.*`` telemetry — must be identical. Budgets: an iteration
+cap gives every lane ``max_iterations // K`` on both paths; a deadline
+gives each lockstep lane the whole slot deadline (the lanes share one
+clock) and each process ``1/K`` of it.
 """
 
 import numpy as np
 import pytest
 
-from repro.aggregate import AggregationConfig, solve_sharded
+from repro.aggregate import AggregationConfig, make_shard_tasks, solve_sharded
+from repro.aggregate.sharding import _solve_shard
 from repro.core.regularization import OnlineRegularizedAllocator
 from repro.core.subproblem import RegularizedSubproblem
 from repro.simulation.observations import (
@@ -18,6 +23,8 @@ from repro.simulation.observations import (
 )
 from repro.simulation.scenario import Scenario
 from repro.simulation.spine import simulate
+from repro.solvers import batched
+from repro.solvers.base import SolveBudget
 from repro.telemetry import telemetry_session
 
 
@@ -40,14 +47,14 @@ def random_subproblem(seed: int, num_clouds: int = 4, num_users: int = 9):
     )
 
 
-def assert_solves_identical(serial, batched):
-    assert np.array_equal(serial.x, batched.x)
-    assert serial.iterations == batched.iterations
-    assert serial.partial_solves == batched.partial_solves
-    if serial.capacity_duals is None:
-        assert batched.capacity_duals is None
+def assert_solves_identical(lockstep, pooled):
+    assert np.array_equal(lockstep.x, pooled.x)
+    assert lockstep.iterations == pooled.iterations
+    assert lockstep.partial_solves == pooled.partial_solves
+    if pooled.capacity_duals is None:
+        assert lockstep.capacity_duals is None
     else:
-        assert np.array_equal(serial.capacity_duals, batched.capacity_duals)
+        assert np.array_equal(lockstep.capacity_duals, pooled.capacity_duals)
 
 
 class TestBitIdentity:
@@ -56,46 +63,109 @@ class TestBitIdentity:
     def test_matches_executor_path(self, shards, priced):
         # priced: the shard slices follow the previous solve's capacity
         # duals, as they do from the second slot of a run onwards.
-        sub = random_subproblem(11 + shards)
+        # 10 users in 3 shards are blocks of 4, 3 and 3: two shape groups.
+        sub = random_subproblem(11 + shards, num_users=10)
         duals = None
         if priced:
             duals = solve_sharded(sub, shards=shards).capacity_duals
             assert duals is not None
-        serial = solve_sharded(sub, shards=shards, capacity_duals=duals)
-        batched = solve_sharded(
-            sub, shards=shards, capacity_duals=duals, batch_solves=True
-        )
-        assert_solves_identical(serial, batched)
-
-    def test_ipm_backend(self):
-        sub = random_subproblem(23)
-        serial = solve_sharded(sub, shards=3)
-        batched = solve_sharded(sub, shards=3, batch_solves=True)
-        assert_solves_identical(serial, batched)
+        lockstep = solve_sharded(sub, shards=shards, capacity_duals=duals)
+        pooled = solve_sharded(sub, shards=shards, capacity_duals=duals, workers=2)
+        assert_solves_identical(lockstep, pooled)
 
 
 class TestTelemetryParity:
     def test_solver_counters_match_serial(self):
         sub = random_subproblem(42)
         with telemetry_session() as serial_registry:
+            for task in make_shard_tasks(sub, 3):
+                _solve_shard(task)
+        with telemetry_session() as pooled_registry:
+            solve_sharded(sub, shards=3, workers=2)
+        with telemetry_session() as lockstep_registry:
             solve_sharded(sub, shards=3)
-        with telemetry_session() as batched_registry:
-            solve_sharded(sub, shards=3, batch_solves=True)
-        ser = serial_registry.snapshot()
-        bat = batched_registry.snapshot()
-        for name in ("solver.ipm.solves", "solver.iterations"):
-            assert bat["counters"].get(name) == ser["counters"].get(name), name
-        ser_traces = [
-            e for e in ser["events"] if e["type"] == "solver.ipm.trace"
-        ]
-        bat_traces = [
-            e for e in bat["events"] if e["type"] == "solver.ipm.trace"
-        ]
-        assert [t["trace"] for t in bat_traces] == [
-            t["trace"] for t in ser_traces
-        ]
-        assert bat["counters"]["solver.batched.instances"] == 3
-        assert bat["histograms"]["solver.batched.batch_size"]["max"] == 3
+        snapshots = {
+            name: registry.snapshot()
+            for name, registry in (
+                ("serial", serial_registry),
+                ("pooled", pooled_registry),
+                ("lockstep", lockstep_registry),
+            )
+        }
+
+        def solver_view(snapshot):
+            counters = {
+                name: value
+                for name, value in snapshot["counters"].items()
+                if name.startswith("solver.ipm.") or name == "solver.iterations"
+            }
+            events = snapshot["events"]
+            traces = [e["trace"] for e in events if e["type"] == "solver.ipm.trace"]
+            return counters, traces
+
+        serial = solver_view(snapshots["serial"])
+        assert serial[0]["solver.ipm.solves"] == 3
+        assert solver_view(snapshots["pooled"]) == serial
+        assert solver_view(snapshots["lockstep"]) == serial
+        lockstep = snapshots["lockstep"]
+        assert lockstep["counters"]["solver.batched.calls"] == 1
+        assert lockstep["counters"]["solver.batched.instances"] == 3
+        assert "solver.batched.calls" not in snapshots["pooled"]["counters"]
+
+
+class FakeClock:
+    """Stands in for the ``time`` module: every read advances one second."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+
+class TestBudgets:
+    def test_lockstep_lanes_get_the_whole_slot_deadline(self, monkeypatch):
+        sub = random_subproblem(7)
+        unbudgeted = solve_sharded(sub, shards=3)
+        monkeypatch.setattr(batched, "time", FakeClock())
+        solve = solve_sharded(sub, shards=3, budget=SolveBudget(deadline_s=6.0))
+        # One read starts the call and one opens each lockstep step, so
+        # the clock reaches 6 s at the sixth step check: every lane takes
+        # five steps. A 1/K slice (2 s) would have stopped each after one.
+        assert unbudgeted.iterations > 3 * 5
+        assert solve.partial_solves == 3
+        assert solve.iterations == 3 * 5
+
+    def test_shape_groups_share_the_deadline(self, monkeypatch):
+        # 10 users in 3 shards: one lane of 4 users, two of 3, solved as
+        # two lockstep groups in turn on the call's one clock.
+        sub = random_subproblem(7, num_users=10)
+        monkeypatch.setattr(batched, "time", FakeClock())
+        solve = solve_sharded(sub, shards=3, budget=SolveBudget(deadline_s=6.0))
+        # The first group spends the deadline; the second finds it spent
+        # at its first check and returns its start points. A clock per
+        # group would have given the second group five steps per lane too.
+        assert solve.partial_solves == 3
+        assert solve.iterations == 5
+
+    def test_process_shards_keep_a_share_of_the_deadline(self):
+        sub = random_subproblem(7)
+        budget = SolveBudget(deadline_s=6.0)
+        pooled = make_shard_tasks(sub, 3, budget=budget)
+        lockstep = make_shard_tasks(sub, 3, budget=budget, shared_clock=True)
+        assert [task.deadline_s for task in pooled] == [2.0] * 3
+        assert [task.deadline_s for task in lockstep] == [6.0] * 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_lane_keeps_its_share_of_an_iteration_cap(self, workers):
+        sub = random_subproblem(7)
+        solve = solve_sharded(
+            sub, shards=3, workers=workers, budget=SolveBudget(max_iterations=10)
+        )
+        # 10 // 3 = 3 steps per lane, on both paths.
+        assert solve.partial_solves == 3
+        assert solve.iterations == 3 * 3
 
 
 class TestControllerWiring:
@@ -110,28 +180,18 @@ class TestControllerWiring:
             controller = AggregatedController(system=system, config=config)
             return simulate(controller, iter_observations(instance), system)
 
-        plain = run(AggregationConfig(lambda_buckets=4, shards=2))
-        batched = run(
-            AggregationConfig(lambda_buckets=4, shards=2, batch_solves=True)
-        )
-        assert np.array_equal(plain.schedule.x, batched.schedule.x)
-        assert plain.breakdown.totals() == batched.breakdown.totals()
-
-    def test_scale_plumbs_batch_solves(self):
-        from repro.experiments.settings import ExperimentScale, aggregation_config
-
-        scale = ExperimentScale(aggregate=True, batch_solves=True)
-        assert aggregation_config(scale).batch_solves
+        lockstep = run(AggregationConfig(lambda_buckets=4, shards=2))
+        pooled = run(AggregationConfig(lambda_buckets=4, shards=2, workers=2))
+        assert np.array_equal(lockstep.schedule.x, pooled.schedule.x)
+        assert lockstep.breakdown.totals() == pooled.breakdown.totals()
 
     def test_regularized_allocator_aggregation_path(self):
         scenario = Scenario(num_users=10, num_slots=3)
         instance = scenario.build(seed=5)
-        plain = OnlineRegularizedAllocator(
+        lockstep = OnlineRegularizedAllocator(
             aggregation=AggregationConfig(lambda_buckets=4, shards=2)
         ).run(instance)
-        batched = OnlineRegularizedAllocator(
-            aggregation=AggregationConfig(
-                lambda_buckets=4, shards=2, batch_solves=True
-            )
+        pooled = OnlineRegularizedAllocator(
+            aggregation=AggregationConfig(lambda_buckets=4, shards=2, workers=2)
         ).run(instance)
-        assert np.array_equal(plain.x, batched.x)
+        assert np.array_equal(lockstep.x, pooled.x)

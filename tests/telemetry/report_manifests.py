@@ -12,7 +12,10 @@ environment and no wall-clock values:
 * :func:`truncated_records` — the same stream with ``metrics`` and
   ``manifest_end`` dropped, as a killed run leaves it;
 * :func:`bare_records` — no optional feed at all, so every "none
-  recorded" fallback line renders.
+  recorded" fallback line renders;
+* :func:`killed_records` — the truncated stream with the ``partial`` and
+  ``unconverged`` flags that ``solver.ipm.trace`` events carry, so the
+  unconverged count survives a run killed before its ``metrics`` record.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def _slots() -> list[dict]:
     return records
 
 
-def _events() -> list[dict]:
+def _events(flagged: bool = False) -> list[dict]:
     events: list[dict] = []
     slots = _slots()
     events += slots[:6]
@@ -85,13 +88,16 @@ def _events() -> list[dict]:
          "algorithm": "online-approx" if run % 2 == 0 else "offline-opt"}
         for run in range(3)
     ]
-    for iterations, mu, gap in (
-        (9, 1e-9, 1e-10), (12, 2e-10, 9e-11), (7, 5e-9, 2e-10), (30, 3e-4, 5e-3)
+    for iterations, mu, gap, partial in (
+        (9, 1e-9, 1e-10, False), (12, 2e-10, 9e-11, False),
+        (7, 5e-9, 2e-10, True), (30, 3e-4, 5e-3, True),
     ):
-        events.append(
-            {"type": "solver.ipm.trace", "slot": 0, "iterations": iterations,
-             "mu_final": mu, "gap_final": gap, "trace": []}
-        )
+        trace = {"type": "solver.ipm.trace", "slot": 0, "iterations": iterations,
+                 "mu_final": mu, "gap_final": gap, "trace": []}
+        if flagged:
+            # The 7-step solve met its budget; the 30-step one never certified.
+            trace.update(partial=partial, unconverged=iterations == 30)
+        events.append(trace)
     events += [
         {"type": "solver.fallback", "slot": i, "primary": "ipm",
          "fallback": "scipy", "error": f"LinAlgError: singular matrix {i}"}
@@ -237,9 +243,9 @@ def _metrics() -> dict:
     }
 
 
-def full_records() -> list[dict]:
+def full_records(flagged: bool = False) -> list[dict]:
     """Every record kind either tool reads, in a complete manifest."""
-    events = _events()
+    events = _events(flagged)
     return [
         _start(CONFIG, ENVIRONMENT),
         *events,
@@ -249,13 +255,18 @@ def full_records() -> list[dict]:
     ]
 
 
-def truncated_records() -> list[dict]:
+def truncated_records(flagged: bool = False) -> list[dict]:
     """:func:`full_records` without its ``metrics`` and ``manifest_end``."""
     return [
         record
-        for record in full_records()
+        for record in full_records(flagged)
         if record["type"] not in ("metrics", "manifest_end")
     ]
+
+
+def killed_records() -> list[dict]:
+    """:func:`truncated_records` with flagged ``solver.ipm.trace`` events."""
+    return truncated_records(flagged=True)
 
 
 def bare_records() -> list[dict]:

@@ -431,8 +431,9 @@ def _rewrite_bundle(source, target, edit) -> None:
 def _as_older_release(record: dict) -> None:
     """Give a fresh record the layout older releases wrote.
 
-    Those releases recorded ``warm_start``, ``aggregation.warm_cohorts``
-    and the backend by registry name (``auto``, at both levels), and the
+    Those releases recorded ``warm_start``, ``aggregation.warm_cohorts``,
+    ``aggregation.batch_solves`` and the backend by registry name
+    (``auto``, at both levels), and the
     aggregated controller state was a 6-tuple: the two entries
     before the capacity duals held the previous reduced solution (I, G)
     and the cohort-map signature (a tuple of bytes). I is the system's:
@@ -442,6 +443,7 @@ def _as_older_release(record: dict) -> None:
         record["controller"]["warm_start"] = True
         record["controller"]["backend"] = "auto"
         record["controller"]["aggregation"]["warm_cohorts"] = True
+        record["controller"]["aggregation"]["batch_solves"] = True
         record["controller"]["aggregation"]["backend"] = "auto"
     elif record["type"] == "snapshot":
         x_prev, slots_seen, min_op_price, duals = decode_state(

@@ -11,7 +11,11 @@ carries a ``# was ...`` note with its earlier text. At ed948f2
 Since the SciPy fallback solver was retired, ``doctor``'s solver
 incidents report the unconverged-solve count instead of the fallback and
 circuit-breaker events, and ``watch`` neither counts those events nor
-evaluates the fallback-storm rule over them.
+evaluates the fallback-storm rule over them. ``watch`` shows the
+unconverged-solve count, and the ``killed`` case (recorded with the
+``partial``/``unconverged`` flags of ``solver.ipm.trace`` events) pins
+that both tools count unconverged solves in a run killed before its
+``metrics`` record.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from repro.telemetry import read_manifest, watch
 from tests.telemetry.report_manifests import (
     bare_records,
     full_records,
+    killed_records,
     truncated_records,
     write_records,
 )
@@ -131,7 +136,9 @@ WATCH_FULL = [
     '  slots  : 14 done across 7 run(s) (1 in flight), 77 events',
     '  wall   : p50 3.92 ms  p95 9.25 ms  max 9.25 ms',
     '  cost   : op 105.000  sq 45.500  rc 3.500  mg 1.625  total 164.500',
-    '  solver : 58 iterations / 4 solves',  # was ', 6 fallback(s), 1 circuit-open(s)' at the end
+    '  solver : 58 iterations / 4 solves, 2 unconverged',
+    # was '  solver : 58 iterations / 4 solves' (watch showed no unconverged
+    # count), and before that ended ', 6 fallback(s), 1 circuit-open(s)'
     '  ratio  : 1.2000 vs bound 2.2000  worst prefix 2.5000  certified: False',
     '  agg    : 3 slot(s), 8 cohorts (6.0x reduction), error bound 0.700  worst gap 2.00e-06',
     '  svc    : 4 request(s)  p50 4.53 ms  p95 29.43 ms  2 deadline miss(es)',
@@ -337,9 +344,35 @@ WATCH_BARE = [
 ]
 
 
+def _with_lines(golden: list[str], replaced: dict[str, str]) -> list[str]:
+    """``golden`` with each line in ``replaced`` swapped for its value."""
+    assert set(replaced) <= set(golden)
+    return [replaced.get(line, line) for line in golden]
+
+
+#: The truncated manifest with flagged solver traces: one unconverged
+#: solve, counted from the events, is the only difference.
+DOCTOR_KILLED = _with_lines(
+    DOCTOR_TRUNCATED,
+    {
+        '  none - every solve certified its gap or met its budget':
+        '  unconverged solves: 1 (finished partial at their last interior iterate)',
+    },
+)
+
+WATCH_KILLED = _with_lines(
+    WATCH_TRUNCATED,
+    {
+        '  solver : 58 iterations / 4 solves':
+        '  solver : 58 iterations / 4 solves, 1 unconverged',
+    },
+)
+
+
 CASES = {
     "full": (full_records, DOCTOR_FULL, WATCH_FULL),
     "truncated": (truncated_records, DOCTOR_TRUNCATED, WATCH_TRUNCATED),
+    "killed": (killed_records, DOCTOR_KILLED, WATCH_KILLED),
     "bare": (bare_records, DOCTOR_BARE, WATCH_BARE),
 }
 

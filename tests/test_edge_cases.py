@@ -142,9 +142,9 @@ class TestMinimalSystems:
         [
             None,
             AggregationConfig(shards=2),
-            AggregationConfig(shards=2, batch_solves=True),
+            AggregationConfig(shards=2, workers=2),
         ],
-        ids=["direct", "aggregated", "aggregated-batched"],
+        ids=["direct", "aggregated", "aggregated-pooled"],
     )
     def test_exact_capacity_is_refused_by_the_online_algorithm(self, aggregation):
         """The IPM's only input-caused failure: with no strict interior it
