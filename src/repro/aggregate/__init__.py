@@ -8,8 +8,8 @@ Layer map (docs/SCALING.md walks the math):
   and fold it into the next slot's cohorts pair by pair;
 * :mod:`reduced` — the cohort-reduced P2 (exact for workload-uniform
   cohorts) and its a-priori cost error bound;
-* :mod:`sharding` — partition the reduced solve into cohort blocks across
-  worker processes with a deterministic input-order merge;
+* :mod:`sharding` — partition the reduced solve into cohort blocks solved
+  as the lanes of one lockstep call, merged in input order;
 * :mod:`controller` — the streaming :class:`AggregatedController` wiring
   it all into ``simulate`` plus ``aggregate.*`` telemetry.
 """
@@ -22,7 +22,7 @@ from .controller import (
     SlotAggregationReport,
 )
 from .reduced import aggregation_error_bound, reduced_subproblem
-from .sharding import ShardTask, make_shard_tasks, solve_sharded
+from .sharding import make_shard_tasks, solve_sharded
 
 __all__ = [
     "ERROR_EVAL_LIMIT",
@@ -31,7 +31,6 @@ __all__ = [
     "BucketSpec",
     "CohortMap",
     "FactoredAllocation",
-    "ShardTask",
     "SlotAggregationReport",
     "aggregation_error_bound",
     "build_cohorts",

@@ -23,7 +23,7 @@ so the dense (I, J) matrix is only built when a caller asks for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -235,10 +235,15 @@ class FactoredAllocation:
     dense decision — one column per user, share 1, so ``x == y`` — which
     lets the direct and the cohort paths share one accounting code path.
     ``np.asarray(allocation)`` materializes the dense (I, J) matrix.
+
+    ``pairs`` optionally carries ``(previous.cohort_of, pair_map(previous,
+    self))`` for the allocation this one followed, so the slot's cost
+    accounting (:func:`pair_allocations`) reuses the pairs its maker built.
     """
 
     y: np.ndarray
     cohorts: CohortMap | None = None
+    pairs: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, num_clouds: int, num_users: int) -> "FactoredAllocation":
@@ -351,7 +356,14 @@ def pair_allocations(
     """
     if previous.cohorts is None and current.cohorts is None:
         return previous.y, current.y
-    pair_of, before, after = pair_map(previous, current)
+    # Pairs depend on the two cohort_of vectors only.
+    known = current.pairs
+    if known is not None and (
+        known[0] is previous.cohort_of or np.array_equal(known[0], previous.cohort_of)
+    ):
+        pair_of, before, after = known[1]
+    else:
+        pair_of, before, after = pair_map(previous, current)
     return (
         _pair_mass(previous, pair_of, before),
         _pair_mass(current, pair_of, after),

@@ -6,7 +6,7 @@ carries the *per-user* previous decision as a
 membership churn as users move is handled by re-aggregating it under each
 slot's fresh cohorts, pair by pair), solves the cohort-reduced P2 of
 :mod:`repro.aggregate.reduced` with the structured IPM — optionally
-sharded across processes — and returns the proportional split of the
+sharded into lockstep lanes — and returns the proportional split of the
 solution, still factored: the dense (I, J) matrix is never built unless
 a caller materializes it.
 
@@ -206,14 +206,16 @@ class AggregatedController:
         solve = solve_sharded(
             subproblem,
             shards=shards,
-            workers=self.config.workers,
             tol=self.algorithm.tol,
             capacity_duals=self._prev_capacity_duals,
-            slicing=self.config.shard_slicing,
             budget=self.algorithm.budget,
         )
         y, iterations = solve.x, solve.iterations
-        decision = FactoredAllocation(_repair_cohort_feasibility(y, cohorts), cohorts)
+        decision = FactoredAllocation(
+            _repair_cohort_feasibility(y, cohorts),
+            cohorts,
+            pairs=(self._x_prev.cohort_of, pairs),
+        )
         self._prev_capacity_duals = solve.capacity_duals
 
         self._min_op_price = min(

@@ -297,7 +297,7 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         (label, max(30, int(n * factor)))
         for label, n in (("10k", 10_000), ("100k", 100_000), ("1m", 1_000_000))
     ]
-    config = AggregationConfig(lambda_buckets=8, shards=4, workers=1)
+    config = AggregationConfig(lambda_buckets=8, shards=4)
     metrics: dict[str, BenchMetric] = {}
     walls: dict[str, float] = {}
     worst_residual = 0.0

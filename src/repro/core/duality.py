@@ -38,6 +38,7 @@ from .costs import (
     service_quality_cost,
 )
 from .problem import ProblemInstance
+from .subproblem import RegularizedSubproblem
 from .transformation import combined_migration_prices, p1_migration_cost
 
 
@@ -242,6 +243,43 @@ def duality_certificate(
 # ----- Lemma 2: the constructed dual solution S_D ----------------------------
 
 
+def recover_multipliers(
+    subproblem: RegularizedSubproblem,
+    flat: np.ndarray,
+    *,
+    support_tol: float = 1e-6,
+    binding_tol: float = 1e-5,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares KKT multipliers (theta, rho) for one solved subproblem.
+
+    Evaluates the gradient at ``flat`` and fits the stationarity system
+    ``grad_ij = theta_j - rho_i`` by least squares over the support
+    ``x_ij > support_tol``, pinning ``rho_i = 0`` at clouds whose capacity
+    is slack. Unlike solver multipliers it needs only the primal point.
+    Results are clipped to the dual cone (``>= 0``).
+    """
+    num_clouds, num_users = subproblem.num_clouds, subproblem.num_users
+    x = np.asarray(flat, dtype=float).reshape(num_clouds, num_users)
+    grad = subproblem.gradient(flat).reshape(num_clouds, num_users)
+    capacities = np.asarray(subproblem.capacities, dtype=float)
+    binding = capacities - x.sum(axis=1) <= binding_tol
+    rows, rhs = [], []
+    for i, j in zip(*np.nonzero(x > support_tol)):
+        row = np.zeros(num_users + num_clouds)
+        row[j] = 1.0
+        if binding[i]:
+            row[num_users + i] = -1.0
+        rows.append(row)
+        rhs.append(grad[i, j])
+    theta = np.zeros(num_users)
+    rho = np.zeros(num_clouds)
+    if rows:
+        solution, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+        theta = np.maximum(solution[:num_users], 0.0)
+        rho = np.maximum(np.where(binding, solution[num_users:], 0.0), 0.0)
+    return theta, rho
+
+
 def recover_slot_duals(
     instance: ProblemInstance,
     schedule: AllocationSchedule,
@@ -254,42 +292,23 @@ def recover_slot_duals(
     """Recover per-slot KKT multipliers (theta, rho) from the primal.
 
     For each slot, rebuilds the P2 subproblem at the trajectory's previous
-    allocation, evaluates the gradient at the trajectory's decision, and
-    fits the stationarity system ``grad_ij = theta_j - rho_i`` by least
-    squares over the support (x_ij > tol), with rho pinned to zero at
-    clouds whose capacity is slack. Unlike solver multipliers it needs only
-    the primal trajectory.
+    allocation and fits :func:`recover_multipliers` at the trajectory's
+    decision.
 
     Returns:
         (theta, rho) with shapes (T, J) and (T, I), clipped to >= 0.
     """
-    from .subproblem import RegularizedSubproblem
-
     x, x_prev = schedule.with_previous()
     num_slots, num_clouds, num_users = x.shape
     theta = np.zeros((num_slots, num_users))
     rho = np.zeros((num_slots, num_clouds))
-    capacities = np.asarray(instance.capacities, dtype=float)
     for t in range(num_slots):
         sub = RegularizedSubproblem.from_instance(
             instance, t, x_prev[t], eps1=eps1, eps2=eps2
         )
-        grad = sub.gradient(x[t].ravel()).reshape(num_clouds, num_users)
-        binding = capacities - x[t].sum(axis=1) <= binding_tol
-        rows, rhs = [], []
-        for (i, j) in zip(*np.nonzero(x[t] > support_tol)):
-            row = np.zeros(num_users + num_clouds)
-            row[j] = 1.0
-            if binding[i]:
-                row[num_users + i] = -1.0
-            rows.append(row)
-            rhs.append(grad[i, j])
-        if rows:
-            solution, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-            theta[t] = np.maximum(solution[:num_users], 0.0)
-            rho[t] = np.maximum(
-                np.where(binding, solution[num_users:], 0.0), 0.0
-            )
+        theta[t], rho[t] = recover_multipliers(
+            sub, x[t].ravel(), support_tol=support_tol, binding_tol=binding_tol
+        )
     return theta, rho
 
 

@@ -56,6 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.allocation import AllocationSchedule
+from ..core.duality import recover_multipliers
 from ..core.problem import ProblemInstance
 from ..core.subproblem import RegularizedSubproblem
 from ..simulation.hooks import SlotHook
@@ -103,43 +104,6 @@ class SlotCertificate:
     def ok(self, tol: float = DEFAULT_GAP_TOL) -> bool:
         """Whether the relative duality gap is within ``tol``."""
         return self.relative_gap <= tol
-
-
-def recover_multipliers(
-    subproblem: RegularizedSubproblem,
-    flat: np.ndarray,
-    *,
-    support_tol: float = 1e-6,
-    binding_tol: float = 1e-5,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares KKT multipliers (theta, rho) for one solved subproblem.
-
-    Fits the stationarity system ``grad_ij = theta_j - rho_i`` over the
-    support ``x_ij > support_tol``, pinning ``rho_i = 0`` at clouds whose
-    capacity is slack — the single-slot form of
-    :func:`repro.core.duality.recover_slot_duals`. Results are clipped to
-    the dual cone (``>= 0``).
-    """
-    num_clouds, num_users = subproblem.num_clouds, subproblem.num_users
-    x = np.asarray(flat, dtype=float).reshape(num_clouds, num_users)
-    grad = subproblem.gradient(flat).reshape(num_clouds, num_users)
-    capacities = np.asarray(subproblem.capacities, dtype=float)
-    binding = capacities - x.sum(axis=1) <= binding_tol
-    rows, rhs = [], []
-    for i, j in zip(*np.nonzero(x > support_tol)):
-        row = np.zeros(num_users + num_clouds)
-        row[j] = 1.0
-        if binding[i]:
-            row[num_users + i] = -1.0
-        rows.append(row)
-        rhs.append(grad[i, j])
-    theta = np.zeros(num_users)
-    rho = np.zeros(num_clouds)
-    if rows:
-        solution, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-        theta = np.maximum(solution[:num_users], 0.0)
-        rho = np.maximum(np.where(binding, solution[num_users:], 0.0), 0.0)
-    return theta, rho
 
 
 def lp_multipliers(

@@ -70,20 +70,12 @@ class ExperimentScale:
 
 
 def aggregation_config(scale: ExperimentScale):
-    """The scale's :class:`repro.aggregate.AggregationConfig`, or ``None``.
-
-    Shard solves always run in-process here (``workers=1``, one lockstep
-    call per slot): the experiment drivers already fan their (point x
-    repetition) grids across ``scale.workers`` processes, and process
-    pools must not nest.
-    """
+    """The scale's :class:`repro.aggregate.AggregationConfig`, or ``None``."""
     if not scale.aggregate:
         return None
     from ..aggregate.config import AggregationConfig
 
-    return AggregationConfig(
-        lambda_buckets=scale.lambda_buckets, shards=scale.shards, workers=1
-    )
+    return AggregationConfig(lambda_buckets=scale.lambda_buckets, shards=scale.shards)
 
 
 def holistic_algorithms(

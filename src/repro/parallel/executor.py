@@ -41,8 +41,8 @@ from ..telemetry import (
     TraceContext,
     current_trace,
     get_registry,
-    set_registry,
     telemetry_enabled,
+    thread_registry,
     trace_scope,
     trace_span,
 )
@@ -110,23 +110,24 @@ def _execute_one(
 ) -> CellResult:
     """Run one unit of work, capturing failures, timing, and telemetry.
 
-    Module-level so the pool can pickle it; shared by the serial path so
-    both paths have identical failure semantics. When ``telemetry`` is
-    set, the cell runs under a *fresh* registry (on the serial path too,
-    so serial and pooled execution aggregate identically) whose snapshot
-    rides home on the :class:`CellResult`. When the dispatch site minted a
-    ``trace`` context for this cell, it becomes the active context for
-    the cell's duration and tags every event the cell records with its
-    ``trace_id`` — the dispatch side stamps the matching span ids onto
-    the merged cell root, so neither id has to travel back home.
+    Module-level so the pool can pickle it; shared by the serial path,
+    the pool and the batched runner's cell threads, so every path has
+    identical failure semantics. When ``telemetry`` is set, the cell runs
+    under a *fresh* registry, installed for the current thread only (so
+    concurrent cell threads of one process each record into their own),
+    whose snapshot rides home on the :class:`CellResult`. When the
+    dispatch site minted a ``trace`` context for this cell, it becomes
+    the active context for the cell's duration and tags every event the
+    cell records with its ``trace_id`` — the dispatch side stamps the
+    matching span ids onto the merged cell root, so neither id has to
+    travel back home.
     """
-    registry = previous = None
-    if telemetry:
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
+    registry = MetricsRegistry() if telemetry else None
     start = time.perf_counter()
     try:
         with ExitStack() as scopes:
+            if registry is not None:
+                scopes.enter_context(thread_registry(registry))
             if trace is not None:
                 scopes.enter_context(trace_scope(trace))
                 if registry is not None:
@@ -144,9 +145,6 @@ def _execute_one(
             pid=os.getpid(),
             telemetry=registry.snapshot() if registry is not None else None,
         )
-    finally:
-        if registry is not None:
-            set_registry(previous)
     return CellResult(
         key=key,
         value=value,
@@ -191,6 +189,57 @@ def _wrap_cell_spans(
         "meta": meta,
     }
     return {**snap, "spans": [root]}
+
+
+def dispatch_cells(
+    span: str,
+    count: int,
+    workers: int,
+    run: Callable[[bool, Sequence["TraceContext | None"]], list[CellResult]],
+) -> list[CellResult]:
+    """Run ``count`` cells through ``run`` and fold their telemetry home.
+
+    ``run(telemetry, traces)`` executes the cells (inline, on a pool, or
+    as batched threads) and returns one :class:`CellResult` per cell, in
+    input order. When tracing is active, a ``span`` dispatch span is
+    opened and one child context per cell minted under it, so the whole
+    fan-out renders as one connected tree. Per-cell snapshots are then
+    merged into the caller's registry in input order — the one fixed
+    order every execution path shares — so aggregates are identical at
+    any worker count.
+    """
+    telemetry = telemetry_enabled()
+    if telemetry and current_trace() is not None:
+        with trace_span(span, cells=count, workers=workers):
+            dispatch = current_trace()
+            traces = [dispatch.child() for _ in range(count)]
+            return _merge_cells(run(telemetry, traces), traces, workers)
+    traces = [None] * count
+    return _merge_cells(run(telemetry, traces), traces, workers)
+
+
+def _merge_cells(
+    results: list[CellResult],
+    traces: Sequence["TraceContext | None"],
+    workers: int,
+) -> list[CellResult]:
+    """Fold each result's telemetry snapshot into the active registry."""
+    registry = get_registry()
+    if not registry.enabled:
+        return results
+    registry.counter("sweep.cells").inc(len(results))
+    registry.gauge("sweep.workers").set(workers)
+    for result, trace in zip(results, traces):
+        if result.telemetry is not None:
+            # merge_snapshot routes the cell's events through the parent
+            # registry's sink, so a streaming manifest receives each
+            # worker's stream at merge time — still in input order.
+            registry.merge_snapshot(_wrap_cell_spans(result, trace))
+        registry.histogram("sweep.cell_wall_s").observe(result.wall_time_s)
+    # One flush per sweep: the merged per-worker events become visible to
+    # a live watcher as a block once the sweep lands.
+    registry.flush()
+    return results
 
 
 _inline_fallback_warned = False
@@ -262,59 +311,16 @@ class SweepExecutor:
             keys = list(range(len(items)))
         if len(keys) != len(items):
             raise ValueError("keys and items must have the same length")
-        telemetry = telemetry_enabled()
-        if telemetry and current_trace() is not None:
-            # Tracing active: open a dispatch span and mint one child
-            # context per cell under it. The contexts ship out with the
-            # work items and are stamped onto the merged cell roots, so
-            # the whole fan-out renders as one connected tree.
-            with trace_span(
-                "sweep.map", cells=len(items), workers=self.workers
-            ):
-                dispatch = current_trace()
-                contexts = [dispatch.child() for _ in items]
-                return self._map_with_contexts(
-                    work, items, keys, telemetry, contexts
-                )
-        return self._map_with_contexts(work, items, keys, telemetry, None)
 
-    def _map_with_contexts(
-        self,
-        work: Callable[[Any], Any],
-        items: Sequence[Any],
-        keys: Sequence[Any],
-        telemetry: bool,
-        contexts: "Sequence[TraceContext] | None",
-    ) -> list[CellResult]:
-        traces: Sequence[TraceContext | None] = (
-            contexts if contexts is not None else [None] * len(items)
-        )
-        if self.workers <= 1 or len(items) <= 1:
-            results = [
-                _execute_one(work, key, item, telemetry, trace)
-                for key, item, trace in zip(keys, items, traces)
-            ]
-        else:
-            results = self._map_pool(work, items, keys, telemetry, traces)
-        if telemetry:
-            # Fold per-cell snapshots into the caller's registry in input
-            # order — the one fixed order both execution paths share — so
-            # aggregates are identical at any worker count.
-            registry = get_registry()
-            registry.counter("sweep.cells").inc(len(items))
-            registry.gauge("sweep.workers").set(self.workers)
-            for result, trace in zip(results, traces):
-                if result.telemetry is not None:
-                    # merge_snapshot routes the cell's events through the
-                    # parent registry's sink, so a streaming manifest
-                    # receives each worker's stream at merge time — still
-                    # in deterministic input order.
-                    registry.merge_snapshot(_wrap_cell_spans(result, trace))
-                registry.histogram("sweep.cell_wall_s").observe(result.wall_time_s)
-            # One flush per sweep: the merged per-worker events become
-            # visible to a live watcher as a block once the sweep lands.
-            registry.flush()
-        return results
+        def run(telemetry: bool, traces: Sequence["TraceContext | None"]):
+            if self.workers <= 1 or len(items) <= 1:
+                return [
+                    _execute_one(work, key, item, telemetry, trace)
+                    for key, item, trace in zip(keys, items, traces)
+                ]
+            return self._map_pool(work, items, keys, telemetry, traces)
+
+        return dispatch_cells("sweep.map", len(items), self.workers, run)
 
     def run_cells(self, cells: Iterable[Any]) -> list[CellResult]:
         """Execute grid cells (anything with ``key`` and ``execute()``).

@@ -17,12 +17,15 @@ whose failure semantics are exactly the sequential ones (a failed lane
 raises in the requesting thread). Results are therefore bit-identical to
 the serial sweep, pinned by ``tests/simulation/test_batched_sweep.py``.
 
-With ``workers > 1`` the cells are split into contiguous groups, one
-group per worker process (fanned out via the executor's pool
-machinery); each group runs its own in-process lockstep rendezvous.
-Per-cell telemetry snapshots are merged into the caller's registry in
-input order, exactly like :meth:`repro.parallel.SweepExecutor.map`, so
-metric aggregates match the classic paths at any worker count.
+Each cell thread runs through the executor's own cell runner
+(:func:`repro.parallel.executor._execute_one`), which gives it a fresh
+thread-local registry. With ``workers > 1`` the cells are split into
+contiguous groups, one group per worker process (fanned out via the
+executor's pool machinery); each group runs its own in-process lockstep
+rendezvous. Trace contexts are minted and per-cell telemetry snapshots
+merged by :func:`repro.parallel.executor.dispatch_cells`, exactly as for
+:meth:`repro.parallel.SweepExecutor.map`, so metric aggregates match the
+classic paths at any worker count.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ import copy
 import dataclasses
 import os
 import threading
-import time
-import traceback
 from typing import Any, Iterable, Sequence
 
 from ..core.regularization import OnlineRegularizedAllocator
@@ -40,20 +41,13 @@ from ..parallel.executor import (
     CellResult,
     SweepError,
     SweepExecutor,
-    _wrap_cell_spans,
+    _execute_cell,
+    _execute_one,
+    dispatch_cells,
     resolve_workers,
 )
 from ..solvers.batched import BatchCoordinator, DeferringBackend
-from ..telemetry import (
-    MetricsRegistry,
-    TraceContext,
-    current_trace,
-    get_registry,
-    telemetry_enabled,
-    thread_registry,
-    trace_scope,
-    trace_span,
-)
+from ..telemetry import TraceContext
 
 
 def _prepare_cell(cell: Any, coordinator: BatchCoordinator) -> Any:
@@ -81,69 +75,24 @@ def _prepare_cell(cell: Any, coordinator: BatchCoordinator) -> Any:
     return dataclasses.replace(cell, algorithms=tuple(algorithms))
 
 
-def _thread_execute(
-    cell: Any, telemetry: bool, trace: TraceContext | None = None
-) -> CellResult:
-    """Run one cell in the current thread with executor failure semantics.
-
-    Mirrors :func:`repro.parallel.executor._execute_one`, except the fresh
-    per-cell registry is installed as a *thread-local* override — the
-    process-global registry cannot be swapped while sibling cell threads
-    are recording. The cell's trace context (if any) is likewise
-    thread-local, which is what lets the batch coordinator capture each
-    submitting cell's own context at ``submit()`` time.
-    """
-    registry = MetricsRegistry() if telemetry else None
-    start = time.perf_counter()
-    try:
-        if registry is not None:
-            with thread_registry(registry):
-                if trace is not None:
-                    with trace_scope(trace), registry.context(
-                        trace_id=trace.trace_id
-                    ):
-                        value = cell.execute()
-                else:
-                    value = cell.execute()
-        else:
-            value = cell.execute()
-    except Exception as exc:  # noqa: BLE001 - structured capture is the point
-        return CellResult(
-            key=cell.key,
-            value=None,
-            error=f"{type(exc).__name__}: {exc}",
-            traceback=traceback.format_exc(),
-            wall_time_s=time.perf_counter() - start,
-            pid=os.getpid(),
-            telemetry=registry.snapshot() if registry is not None else None,
-        )
-    return CellResult(
-        key=cell.key,
-        value=value,
-        error=None,
-        traceback=None,
-        wall_time_s=time.perf_counter() - start,
-        pid=os.getpid(),
-        telemetry=registry.snapshot() if registry is not None else None,
-    )
-
-
 def _run_group(
     cells: Sequence[Any],
     telemetry: bool,
-    traces: Sequence[TraceContext | None] | None = None,
+    traces: Sequence[TraceContext | None],
 ) -> list[CellResult]:
     """Execute one group of cells as lockstep threads; results in order."""
     coordinator = BatchCoordinator(total=len(cells))
     prepared = [_prepare_cell(cell, coordinator) for cell in cells]
     results: list[CellResult | None] = [None] * len(cells)
-    if traces is None:
-        traces = [None] * len(cells)
 
     def run(index: int) -> None:
         try:
-            results[index] = _thread_execute(
-                prepared[index], telemetry, traces[index]
+            results[index] = _execute_one(
+                _execute_cell,
+                cells[index].key,
+                prepared[index],
+                telemetry,
+                traces[index],
             )
         finally:
             # Unconditionally: a participant that never finishes would
@@ -162,7 +111,7 @@ def _run_group(
         thread.join()
     final: list[CellResult] = []
     for index, result in enumerate(results):
-        if result is None:  # thread died outside _thread_execute
+        if result is None:  # thread died outside _execute_one
             result = CellResult(
                 key=cells[index].key,
                 value=None,
@@ -178,12 +127,10 @@ def _run_group(
 def _run_group_item(item: "tuple[Any, ...]") -> list[CellResult]:
     """Module-level pool target: one worker process runs one cell group.
 
-    Accepts ``(cells, telemetry)`` or ``(cells, telemetry, traces)`` — the
-    per-cell trace contexts ride the pickled item alongside the cells.
+    ``item`` is ``(cells, telemetry, traces)`` — the per-cell trace
+    contexts ride the pickled item alongside the cells.
     """
-    cells, telemetry, *rest = item
-    traces = rest[0] if rest else None
-    return _run_group(cells, telemetry, traces)
+    return _run_group(*item)
 
 
 def _split_groups(cells: list[Any], workers: int) -> list[list[Any]]:
@@ -222,44 +169,19 @@ def run_cells_batched(
     cells = list(cells)
     if not cells:
         return []
-    telemetry = telemetry_enabled()
     resolved = resolve_workers(workers)
-    if telemetry and current_trace() is not None:
-        # Same dispatch discipline as SweepExecutor.map: one child context
-        # per cell, minted under a dispatch span and stamped back onto the
-        # merged cell roots, so batched fan-out traces stay connected.
-        with trace_span(
-            "sweep.batched", cells=len(cells), workers=resolved
-        ):
-            dispatch = current_trace()
-            contexts = [dispatch.child() for _ in cells]
-            return _run_batched(cells, telemetry, resolved, contexts)
-    return _run_batched(cells, telemetry, resolved, None)
 
-
-def _run_batched(
-    cells: list[Any],
-    telemetry: bool,
-    resolved: int,
-    contexts: Sequence[TraceContext] | None,
-) -> list[CellResult]:
-    traces: Sequence[TraceContext | None] = (
-        contexts if contexts is not None else [None] * len(cells)
-    )
-    if resolved <= 1 or len(cells) <= 1:
-        results = _run_group(cells, telemetry, traces)
-    else:
+    def run(telemetry: bool, traces: Sequence[TraceContext | None]):
+        if resolved <= 1 or len(cells) <= 1:
+            return _run_group(cells, telemetry, traces)
         groups = _split_groups(cells, resolved)
         # _split_groups is deterministic in the input length, so slicing
         # the trace list with it keeps contexts aligned with their cells.
         trace_groups = _split_groups(list(traces), resolved)
+        items = list(zip(groups, [telemetry] * len(groups), trace_groups))
         executor = SweepExecutor(max_workers=len(groups))
-        items = [
-            (group, telemetry, group_traces)
-            for group, group_traces in zip(groups, trace_groups)
-        ]
         group_results = executor._map_pool(  # noqa: SLF001
-            _run_group_item, items, list(range(len(groups))), False
+            _run_group_item, items, list(range(len(groups)))
         )
         results = []
         for group_result in group_results:
@@ -269,16 +191,6 @@ def _run_batched(
                     f"{group_result.error}\n{group_result.traceback}"
                 )
             results.extend(group_result.value)
-    if telemetry:
-        # Identical merge discipline to SweepExecutor.map: fold per-cell
-        # snapshots into the caller's registry in input order, the one
-        # fixed order every execution path shares.
-        registry = get_registry()
-        registry.counter("sweep.cells").inc(len(cells))
-        registry.gauge("sweep.workers").set(resolved)
-        for result, trace in zip(results, traces):
-            if result.telemetry is not None:
-                registry.merge_snapshot(_wrap_cell_spans(result, trace))
-            registry.histogram("sweep.cell_wall_s").observe(result.wall_time_s)
-        registry.flush()
-    return results
+        return results
+
+    return dispatch_cells("sweep.batched", len(cells), resolved, run)

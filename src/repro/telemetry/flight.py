@@ -187,8 +187,6 @@ def _describe_controller(controller) -> dict:
         info["aggregation"] = {
             "lambda_buckets": config.lambda_buckets,
             "shards": int(config.shards),
-            "workers": config.workers,
-            "shard_slicing": str(config.shard_slicing),
         }
     return info
 
@@ -753,8 +751,16 @@ def _replay_budget(controller_info: dict, snapshot: dict):
     return None
 
 
-#: Aggregation keys older bundles record that no longer exist; replay drops them.
-_RETIRED_AGGREGATION_KEYS = ("warm_cohorts", "backend", "batch_solves")
+#: Aggregation keys older bundles record that no longer exist; replay drops
+#: them. None changed an unbudgeted or iteration-capped solve, except a
+#: ``shard_slicing`` other than ``"price"``, which replay refuses.
+_RETIRED_AGGREGATION_KEYS = (
+    "warm_cohorts",
+    "backend",
+    "batch_solves",
+    "workers",
+    "shard_slicing",
+)
 
 #: Backend names a bundle may record for P2 solves the structured IPM
 #: replays: this release writes the solver's own name; earlier releases
@@ -790,6 +796,12 @@ def _aggregation_config(recorded: dict):
     """The bundle's ``AggregationConfig``; ``ValueError`` names unknown keys."""
     from ..aggregate.config import AggregationConfig
 
+    slicing = recorded.get("shard_slicing", "price")
+    if slicing != "price":
+        raise ValueError(
+            f"bundle records shard_slicing {slicing!r}: that slicing was "
+            "retired, and replay cuts shard capacity slices by price only"
+        )
     settings = {
         k: v for k, v in recorded.items() if k not in _RETIRED_AGGREGATION_KEYS
     }

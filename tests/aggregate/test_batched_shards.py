@@ -1,20 +1,25 @@
-"""In-process lockstep shard solves must match a process fan-out bit for bit.
+"""A slot's lockstep shard solve must match one-lane solves bit for bit.
 
-With one worker, ``solve_sharded`` stacks a slot's shard P2s into one
-``solve_batch`` call; with more, it fans them across processes, one
-one-lane solve each. Everything observable — the assembled solution,
-iteration counts, partial counts, capacity duals, the merged
-``solver.ipm.*`` telemetry — must be identical. Budgets: an iteration
-cap gives every lane ``max_iterations // K`` on both paths; a deadline
-gives each lockstep lane the whole slot deadline (the lanes share one
-clock) and each process ``1/K`` of it.
+``solve_sharded`` stacks a slot's shard P2s into one ``solve_batch``
+call. The reference is a loop of one-lane ``InteriorPointBackend`` solves
+on the programs ``make_shard_tasks`` builds. Everything observable — the
+assembled solution, iteration counts, partial counts, capacity duals,
+the ``solver.ipm.*`` telemetry — must be identical. Budgets: an
+iteration cap gives every lane ``max_iterations // K``; a deadline gives
+each lane the whole slot deadline (the lanes share one clock).
 """
 
 import numpy as np
 import pytest
 
-from repro.aggregate import AggregationConfig, make_shard_tasks, solve_sharded
-from repro.aggregate.sharding import _solve_shard
+from repro.aggregate import (
+    AggregatedController,
+    AggregationConfig,
+    make_shard_tasks,
+    solve_sharded,
+)
+from repro.aggregate import controller as controller_module
+from repro.aggregate.sharding import ShardedSolve
 from repro.core.regularization import OnlineRegularizedAllocator
 from repro.core.subproblem import RegularizedSubproblem
 from repro.simulation.observations import (
@@ -25,6 +30,7 @@ from repro.simulation.scenario import Scenario
 from repro.simulation.spine import simulate
 from repro.solvers import batched
 from repro.solvers.base import SolveBudget
+from repro.solvers.interior_point import InteriorPointBackend
 from repro.telemetry import telemetry_session
 
 
@@ -47,20 +53,44 @@ def random_subproblem(seed: int, num_clouds: int = 4, num_users: int = 9):
     )
 
 
-def assert_solves_identical(lockstep, pooled):
-    assert np.array_equal(lockstep.x, pooled.x)
-    assert lockstep.iterations == pooled.iterations
-    assert lockstep.partial_solves == pooled.partial_solves
-    if pooled.capacity_duals is None:
-        assert lockstep.capacity_duals is None
-    else:
-        assert np.array_equal(lockstep.capacity_duals, pooled.capacity_duals)
+def one_lane_reference(sub, shards, *, tol=1e-8, capacity_duals=None, budget=None):
+    """The sharded solve as one one-lane IPM solve per shard program."""
+    tasks = make_shard_tasks(
+        sub, shards, capacity_duals=capacity_duals, budget=budget
+    )
+    results = [InteriorPointBackend().solve(program, tol=tol) for _, program in tasks]
+    weights = np.array([shard.workloads.sum() for shard, _ in tasks])
+    weights /= weights.sum()
+    duals = np.zeros(sub.num_clouds)
+    for weight, result in zip(weights, results):
+        duals += weight * result.duals["capacity"]
+    return ShardedSolve(
+        x=np.concatenate(
+            [
+                np.asarray(result.x).reshape(shard.num_clouds, shard.num_users)
+                for (shard, _), result in zip(tasks, results)
+            ],
+            axis=1,
+        ),
+        iterations=sum(result.iterations for result in results),
+        partial_solves=sum(result.partial for result in results),
+        capacity_duals=duals,
+    )
+
+
+def assert_solves_identical(lockstep, reference):
+    assert np.array_equal(lockstep.x, reference.x)
+    assert lockstep.iterations == reference.iterations
+    assert lockstep.partial_solves == reference.partial_solves
+    assert np.array_equal(lockstep.capacity_duals, reference.capacity_duals)
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("priced", [False, True])
     def test_matches_executor_path(self, shards, priced):
+        # The reference executes each shard program as its own one-lane
+        # IPM solve.
         # priced: the shard slices follow the previous solve's capacity
         # duals, as they do from the second slot of a run onwards.
         # 10 users in 3 shards are blocks of 4, 3 and 3: two shape groups.
@@ -70,47 +100,40 @@ class TestBitIdentity:
             duals = solve_sharded(sub, shards=shards).capacity_duals
             assert duals is not None
         lockstep = solve_sharded(sub, shards=shards, capacity_duals=duals)
-        pooled = solve_sharded(sub, shards=shards, capacity_duals=duals, workers=2)
-        assert_solves_identical(lockstep, pooled)
+        reference = one_lane_reference(sub, shards, capacity_duals=duals)
+        assert_solves_identical(lockstep, reference)
+
+
+def solver_view(registry):
+    """The ``solver.ipm.*`` counters, iterations and traces a solve recorded."""
+    snapshot = registry.snapshot()
+    counters = {
+        name: value
+        for name, value in snapshot["counters"].items()
+        if name.startswith("solver.ipm.") or name == "solver.iterations"
+    }
+    events = snapshot["events"]
+    traces = [e["trace"] for e in events if e["type"] == "solver.ipm.trace"]
+    return counters, traces
 
 
 class TestTelemetryParity:
     def test_solver_counters_match_serial(self):
-        sub = random_subproblem(42)
-        with telemetry_session() as serial_registry:
-            for task in make_shard_tasks(sub, 3):
-                _solve_shard(task)
-        with telemetry_session() as pooled_registry:
-            solve_sharded(sub, shards=3, workers=2)
-        with telemetry_session() as lockstep_registry:
-            solve_sharded(sub, shards=3)
-        snapshots = {
-            name: registry.snapshot()
-            for name, registry in (
-                ("serial", serial_registry),
-                ("pooled", pooled_registry),
-                ("lockstep", lockstep_registry),
-            )
-        }
-
-        def solver_view(snapshot):
-            counters = {
-                name: value
-                for name, value in snapshot["counters"].items()
-                if name.startswith("solver.ipm.") or name == "solver.iterations"
-            }
-            events = snapshot["events"]
-            traces = [e["trace"] for e in events if e["type"] == "solver.ipm.trace"]
-            return counters, traces
-
-        serial = solver_view(snapshots["serial"])
-        assert serial[0]["solver.ipm.solves"] == 3
-        assert solver_view(snapshots["pooled"]) == serial
-        assert solver_view(snapshots["lockstep"]) == serial
-        lockstep = snapshots["lockstep"]
-        assert lockstep["counters"]["solver.batched.calls"] == 1
-        assert lockstep["counters"]["solver.batched.instances"] == 3
-        assert "solver.batched.calls" not in snapshots["pooled"]["counters"]
+        # Serial: the one-lane solves, one after another. Unpriced and
+        # priced slices; 10 users in 3 shards are two shape groups.
+        sub = random_subproblem(42, num_users=10)
+        for shards in (1, 3):
+            for duals in (None, solve_sharded(sub, shards=shards).capacity_duals):
+                with telemetry_session() as serial_registry:
+                    one_lane_reference(sub, shards, capacity_duals=duals)
+                with telemetry_session() as lockstep_registry:
+                    solve_sharded(sub, shards=shards, capacity_duals=duals)
+                serial = solver_view(serial_registry)
+                assert serial[0]["solver.ipm.solves"] == shards
+                assert solver_view(lockstep_registry) == serial
+                lockstep = lockstep_registry.snapshot()["counters"]
+                assert lockstep["solver.batched.calls"] == 1
+                assert lockstep["solver.batched.instances"] == shards
 
 
 class FakeClock:
@@ -149,49 +172,52 @@ class TestBudgets:
         assert solve.partial_solves == 3
         assert solve.iterations == 5
 
-    def test_process_shards_keep_a_share_of_the_deadline(self):
+    @pytest.mark.parametrize("cap", [10, 7])
+    def test_each_lane_keeps_its_share_of_an_iteration_cap(self, cap):
         sub = random_subproblem(7)
-        budget = SolveBudget(deadline_s=6.0)
-        pooled = make_shard_tasks(sub, 3, budget=budget)
-        lockstep = make_shard_tasks(sub, 3, budget=budget, shared_clock=True)
-        assert [task.deadline_s for task in pooled] == [2.0] * 3
-        assert [task.deadline_s for task in lockstep] == [6.0] * 3
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_lane_keeps_its_share_of_an_iteration_cap(self, workers):
-        sub = random_subproblem(7)
-        solve = solve_sharded(
-            sub, shards=3, workers=workers, budget=SolveBudget(max_iterations=10)
-        )
-        # 10 // 3 = 3 steps per lane, on both paths.
+        budget = SolveBudget(max_iterations=cap)
+        solve = solve_sharded(sub, shards=3, budget=budget)
+        # cap // 3 steps per lane.
         assert solve.partial_solves == 3
-        assert solve.iterations == 3 * 3
+        assert solve.iterations == 3 * (cap // 3)
+        assert_solves_identical(solve, one_lane_reference(sub, 3, budget=budget))
+
+
+def use_one_lane_shards(monkeypatch):
+    """Route the aggregated controller's shard solves to the reference."""
+
+    def reference(subproblem, *, shards, tol, capacity_duals, budget):
+        return one_lane_reference(
+            subproblem, shards, tol=tol, capacity_duals=capacity_duals, budget=budget
+        )
+
+    monkeypatch.setattr(controller_module, "solve_sharded", reference)
 
 
 class TestControllerWiring:
-    def test_aggregated_trajectory_identical(self):
+    def test_aggregated_trajectory_identical(self, monkeypatch):
         scenario = Scenario(num_users=12, num_slots=4)
         instance = scenario.build(seed=2017)
         system = SystemDescription.from_instance(instance)
 
-        def run(config):
-            from repro.aggregate import AggregatedController
-
-            controller = AggregatedController(system=system, config=config)
+        def run():
+            controller = AggregatedController(
+                system=system,
+                config=AggregationConfig(lambda_buckets=4, shards=2),
+            )
             return simulate(controller, iter_observations(instance), system)
 
-        lockstep = run(AggregationConfig(lambda_buckets=4, shards=2))
-        pooled = run(AggregationConfig(lambda_buckets=4, shards=2, workers=2))
-        assert np.array_equal(lockstep.schedule.x, pooled.schedule.x)
-        assert lockstep.breakdown.totals() == pooled.breakdown.totals()
+        lockstep = run()
+        use_one_lane_shards(monkeypatch)
+        reference = run()
+        assert np.array_equal(lockstep.schedule.x, reference.schedule.x)
+        assert lockstep.breakdown.totals() == reference.breakdown.totals()
 
-    def test_regularized_allocator_aggregation_path(self):
-        scenario = Scenario(num_users=10, num_slots=3)
-        instance = scenario.build(seed=5)
-        lockstep = OnlineRegularizedAllocator(
+    def test_regularized_allocator_aggregation_path(self, monkeypatch):
+        instance = Scenario(num_users=10, num_slots=3).build(seed=5)
+        algorithm = OnlineRegularizedAllocator(
             aggregation=AggregationConfig(lambda_buckets=4, shards=2)
-        ).run(instance)
-        pooled = OnlineRegularizedAllocator(
-            aggregation=AggregationConfig(lambda_buckets=4, shards=2, workers=2)
-        ).run(instance)
-        assert np.array_equal(lockstep.x, pooled.x)
+        )
+        lockstep = algorithm.run(instance)
+        use_one_lane_shards(monkeypatch)
+        assert np.array_equal(lockstep.x, algorithm.run(instance).x)

@@ -143,17 +143,9 @@ def _reduced_for_test(num_users: int = 30, seed: int = 5):
     return subproblem
 
 
-def test_workers_never_change_the_solution_bit_for_bit():
-    subproblem = _reduced_for_test()
-    serial, it_serial = solve_sharded(subproblem, shards=3, workers=1)
-    pooled, it_pooled = solve_sharded(subproblem, shards=3, workers=2)
-    assert np.array_equal(serial, pooled)
-    assert it_serial == it_pooled
-
-
 def test_one_shard_is_exactly_the_unsharded_solve():
     subproblem = _reduced_for_test()
-    sharded, _ = solve_sharded(subproblem, shards=1, workers=1)
+    sharded = solve_sharded(subproblem, shards=1).x
     result = InteriorPointBackend().solve(subproblem.build_program(), tol=1e-8)
     direct = np.asarray(result.x).reshape(sharded.shape)
     assert np.array_equal(sharded, direct)
@@ -162,9 +154,9 @@ def test_one_shard_is_exactly_the_unsharded_solve():
 def test_shard_count_changes_the_solution_only_boundedly():
     """Shards trade optimality for parallel wall-clock — boundedly.
 
-    Proportional capacity slicing keeps every shard feasible with the
-    joint problem's headroom, but it stops shards from *concentrating*
-    onto the cheapest clouds; measured degradation at shards=4 is
+    Capacity slicing keeps every shard feasible with a share of the
+    joint problem's headroom, but it limits how far shards can
+    *concentrate* onto the cheapest clouds; measured degradation at shards=4 is
     ~20-34% on paper-shaped instances (docs/SCALING.md quantifies this
     and when the trade is worth it). The pin catches both a blow-up and
     a silent change in the slicing semantics.
@@ -182,21 +174,3 @@ def test_shard_count_changes_the_solution_only_boundedly():
         assert result.feasibility.capacity_violation <= 1e-8
         costs[shards] = result.total_cost
     assert costs[1] <= costs[4] <= 1.35 * costs[1]
-
-
-def test_sharded_controller_matches_serial_bit_for_bit_end_to_end():
-    """Full trajectories: workers=2 == workers=1 at a fixed shard count."""
-    instance = fig2_scenario(
-        ExperimentScale(num_users=12, num_slots=4)
-    ).build(seed=7)
-    system = SystemDescription.from_instance(instance)
-    schedules = {}
-    for workers in (1, 2):
-        controller = AggregatedController(
-            system=system,
-            config=AggregationConfig(lambda_buckets=4, shards=3, workers=workers),
-        )
-        result = simulate(controller, iter_observations(instance), system)
-        assert result.schedule is not None
-        schedules[workers] = np.asarray(result.schedule.x)
-    assert np.array_equal(schedules[1], schedules[2])

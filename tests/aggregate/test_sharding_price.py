@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.aggregate import AggregationConfig
 from repro.aggregate.sharding import (
     ShardedSolve,
     shard_capacity_shares,
@@ -34,13 +35,9 @@ class TestShardCapacityShares:
     def test_shares_sum_to_one_per_cloud(self):
         sub = _subproblem()
         duals = np.array([5.0, 0.1, 2.0])
-        for slicing, capacity_duals in [
-            ("proportional", None),
-            ("price", None),
-            ("price", duals),
-        ]:
+        for capacity_duals in [None, duals]:
             t = shard_capacity_shares(
-                sub, _blocks(), slicing=slicing, capacity_duals=capacity_duals
+                sub, _blocks(), capacity_duals=capacity_duals
             )
             assert t.shape == (3, 2)
             assert np.all(t >= 0.0)
@@ -48,18 +45,31 @@ class TestShardCapacityShares:
 
     def test_without_duals_price_equals_proportional(self):
         sub = _subproblem()
-        price = shard_capacity_shares(sub, _blocks(), slicing="price")
-        proportional = shard_capacity_shares(
-            sub, _blocks(), slicing="proportional"
+        workloads = np.asarray(sub.workloads, dtype=float)
+        proportional = np.array(
+            [workloads[block].sum() / workloads.sum() for block in _blocks()]
         )
-        assert np.array_equal(price, proportional)
+        unpriced = shard_capacity_shares(sub, _blocks())
+        assert np.array_equal(unpriced, np.tile(proportional, (3, 1)))
+        # Slack everywhere (zero duals) keeps the proportional slices too.
+        zero_duals = shard_capacity_shares(
+            sub, _blocks(), capacity_duals=np.zeros(3)
+        )
+        assert np.array_equal(zero_duals, unpriced)
+
+    def test_price_slices_follow_the_binding_cloud(self):
+        sub = _subproblem()
+        unpriced = shard_capacity_shares(sub, _blocks())
+        priced = shard_capacity_shares(
+            sub, _blocks(), capacity_duals=np.array([5.0, 0.1, 2.0])
+        )
+        assert not np.array_equal(priced, unpriced)
 
     def test_single_block_gets_everything(self):
         sub = _subproblem()
         t = shard_capacity_shares(
             sub,
             [np.arange(4)],
-            slicing="price",
             capacity_duals=np.array([1.0, 1.0, 1.0]),
         )
         assert np.allclose(t, 1.0)
@@ -79,25 +89,24 @@ class TestShardCapacityShares:
             np.array([0.0, 0.0, 100.0]),
             np.array([3.0, 7.0, 1.0]),
         ]:
-            t = shard_capacity_shares(
-                sub, blocks, slicing="price", capacity_duals=duals
-            )
+            t = shard_capacity_shares(sub, blocks, capacity_duals=duals)
             shard_totals = capacities @ t
             assert np.all(shard_totals >= target - 1e-9)
 
-    def test_unknown_slicing_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown shard slicing"):
-            shard_capacity_shares(_subproblem(), _blocks(), slicing="magic")
+
+class TestConfig:
+    @pytest.mark.parametrize("workers", [2, 0, None])
+    def test_workers_other_than_one_are_refused(self, workers):
+        with pytest.raises(ValueError, match="shard solves run in-process"):
+            AggregationConfig(shards=2, workers=workers)
 
 
 class TestShardedSolveResult:
-    def test_unpacks_as_the_legacy_two_tuple(self):
-        sub = _subproblem()
-        solve = solve_sharded(sub, shards=2)
+    def test_carries_the_assembled_solution(self):
+        solve = solve_sharded(_subproblem(), shards=2)
         assert isinstance(solve, ShardedSolve)
-        x, iterations = solve
-        assert x.shape == (3, 4)
-        assert iterations == solve.iterations
+        assert solve.x.shape == (3, 4)
+        assert solve.iterations > 0
         assert solve.partial_solves == 0
 
     def test_carries_capacity_duals_for_the_next_slot(self):
@@ -108,9 +117,7 @@ class TestShardedSolveResult:
     def test_price_sliced_shards_stay_feasible(self):
         sub = _subproblem()
         duals = solve_sharded(sub, shards=2).capacity_duals
-        solve = solve_sharded(
-            sub, shards=2, capacity_duals=duals, slicing="price"
-        )
+        solve = solve_sharded(sub, shards=2, capacity_duals=duals)
         x = solve.x
         workloads = np.asarray(sub.workloads, dtype=float)
         capacities = np.asarray(sub.capacities, dtype=float)

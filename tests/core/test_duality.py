@@ -8,10 +8,14 @@ from repro.core.duality import (
     DualityCertificate,
     duality_certificate,
     p1_value,
+    recover_multipliers,
+    recover_slot_duals,
     solve_dual,
     solve_p3,
 )
 from repro.core.regularization import OnlineRegularizedAllocator
+from repro.core.subproblem import RegularizedSubproblem
+from repro.diagnostics import recover_multipliers as diagnostics_recover_multipliers
 from tests.conftest import make_tiny_instance
 
 
@@ -95,3 +99,45 @@ class TestCertificate:
         true_ratio = p1_value(schedule, instance) / p1_value(offline, instance)
         certified_ratio = certificate.p1 / certificate.dual
         assert certified_ratio >= true_ratio - 1e-6
+
+
+def _stationarity_fit(subproblem, x, support_tol=1e-6, binding_tol=1e-5):
+    """The least-squares multiplier fit with its system built by array ops."""
+    num_clouds, num_users = x.shape
+    grad = subproblem.gradient(x.ravel()).reshape(x.shape)
+    binding = np.asarray(subproblem.capacities) - x.sum(axis=1) <= binding_tol
+    clouds, users = np.nonzero(x > support_tol)
+    theta, rho = np.zeros(num_users), np.zeros(num_clouds)
+    if clouds.size:
+        rows = np.zeros((clouds.size, num_users + num_clouds))
+        rows[np.arange(clouds.size), users] = 1.0
+        rows[np.arange(clouds.size), num_users + clouds] = np.where(
+            binding[clouds], -1.0, 0.0
+        )
+        solution, *_ = np.linalg.lstsq(rows, grad[clouds, users], rcond=None)
+        theta = np.maximum(solution[:num_users], 0.0)
+        rho = np.maximum(np.where(binding, solution[num_users:], 0.0), 0.0)
+    return theta, rho
+
+
+class TestMultiplierFit:
+    """``recover_slot_duals`` is the single-slot fit run slot by slot."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_both_fits_are_bit_identical_to_the_stationarity_system(self, seed):
+        instance = make_tiny_instance(seed=seed)
+        schedule = OnlineRegularizedAllocator().run(instance)
+        theta, rho = recover_slot_duals(instance, schedule, eps1=1.0, eps2=1.0)
+        x, x_prev = schedule.with_previous()
+        assert diagnostics_recover_multipliers is recover_multipliers
+        for t in range(instance.num_slots):
+            sub = RegularizedSubproblem.from_instance(
+                instance, t, x_prev[t], eps1=1.0, eps2=1.0
+            )
+            expected = _stationarity_fit(sub, x[t])
+            single = recover_multipliers(sub, x[t].ravel())
+            for fitted in ((theta[t], rho[t]), single):
+                assert np.array_equal(fitted[0], expected[0])
+                assert np.array_equal(fitted[1], expected[1])
+            assert np.any(expected[0] > 0.0)
+

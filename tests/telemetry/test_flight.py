@@ -432,7 +432,9 @@ def _as_older_release(record: dict) -> None:
     """Give a fresh record the layout older releases wrote.
 
     Those releases recorded ``warm_start``, ``aggregation.warm_cohorts``,
-    ``aggregation.batch_solves`` and the backend by registry name
+    ``aggregation.batch_solves``, ``aggregation.workers`` (a process
+    count, which never changed an unbudgeted or iteration-capped solve),
+    ``aggregation.shard_slicing`` and the backend by registry name
     (``auto``, at both levels), and the
     aggregated controller state was a 6-tuple: the two entries
     before the capacity duals held the previous reduced solution (I, G)
@@ -444,6 +446,8 @@ def _as_older_release(record: dict) -> None:
         record["controller"]["backend"] = "auto"
         record["controller"]["aggregation"]["warm_cohorts"] = True
         record["controller"]["aggregation"]["batch_solves"] = True
+        record["controller"]["aggregation"]["workers"] = 2
+        record["controller"]["aggregation"]["shard_slicing"] = "price"
         record["controller"]["aggregation"]["backend"] = "auto"
     elif record["type"] == "snapshot":
         x_prev, slots_seen, min_op_price, duals = decode_state(
@@ -523,6 +527,27 @@ class TestAggregatedReplay:
         )
         report = replay_bundle(bundle)
         assert report.ok, report.render()
+
+    def test_bundles_record_no_retired_aggregation_keys(self, tmp_path):
+        bundle = read_bundle(self._bundle(tmp_path))
+        assert set(bundle.controller["aggregation"]) == {"lambda_buckets", "shards"}
+
+    def test_proportional_slicing_bundle_is_refused_by_name(self, tmp_path, capsys):
+        def to_proportional(record):
+            _as_older_release(record)
+            if record["type"] == "incident_start":
+                record["controller"]["aggregation"]["shard_slicing"] = "proportional"
+
+        older = tmp_path / "proportional.jsonl"
+        _rewrite_bundle(self._bundle(tmp_path), older, to_proportional)
+        with pytest.raises(ValueError, match="shard_slicing 'proportional'"):
+            replay_bundle(older)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["incident", "replay", str(older)])
+        message = str(exit_info.value.code)
+        assert message.startswith("incident: ")
+        assert "'proportional'" in message and "retired" in message
+        assert "Traceback" not in message + capsys.readouterr().err
 
     def test_unknown_aggregation_key_is_refused_by_name(self, tmp_path, capsys):
         def add_knob(record):

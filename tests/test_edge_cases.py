@@ -139,12 +139,8 @@ class TestMinimalSystems:
 
     @pytest.mark.parametrize(
         "aggregation",
-        [
-            None,
-            AggregationConfig(shards=2),
-            AggregationConfig(shards=2, workers=2),
-        ],
-        ids=["direct", "aggregated", "aggregated-pooled"],
+        [None, AggregationConfig(shards=2)],
+        ids=["direct", "aggregated"],
     )
     def test_exact_capacity_is_refused_by_the_online_algorithm(self, aggregation):
         """The IPM's only input-caused failure: with no strict interior it
