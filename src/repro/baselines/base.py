@@ -18,8 +18,10 @@ protocol survives as a thin adapter that drives that controller over the
 instance's observation stream.
 
 offline-opt, online-greedy and the lookahead baseline all solve the same
-linearized P0, over the whole horizon, one slot or a window; it is built
-once, by :func:`windowed_p0_lp`.
+linearized P0, over the whole horizon, one slot or a window. One helper
+declares its plan, reconfiguration, demand and capacity parts; online-greedy
+and the lookahead baseline take it with split in/out migration blocks
+(:func:`windowed_p0_lp`), offline-opt with Lemma 1's folded block.
 """
 
 from __future__ import annotations
@@ -62,8 +64,42 @@ def windowed_p0_lp(
     a window starting at slot 0); it is data, so it sits on the right-hand
     side of the first slot's transition rows.
 
+    Online-greedy (one slot) and :class:`RecedingHorizon` commit the
+    vertex this LP returns and carry it into the next slot, so they keep
+    the split ``m_in``/``m_out`` form. Lemma 1's fold has the same optimum
+    but HiGHS may return another optimal vertex on a degenerate slot, and
+    that vertex would then steer every later slot; only offline-opt, which
+    reports the optimum, builds the folded LP
+    (:meth:`repro.baselines.offline.OfflineOptimal.build_lp`).
+
     Returns the unsolved LP; the (horizon, I, J) plan is block ``"x"``. Its
     objective excludes the allocation-independent access-delay constant.
+    """
+    prices = instance.migration_prices
+    return _linearized_p0(
+        instance,
+        start,
+        horizon,
+        x_prev,
+        (("m_in", prices.into, 1.0), ("m_out", prices.out, -1.0)),
+    )
+
+
+def _linearized_p0(
+    instance: ProblemInstance,
+    start: int,
+    horizon: int,
+    x_prev: np.ndarray,
+    migration: tuple[tuple[str, np.ndarray, float], ...],
+) -> LinearProgramBuilder:
+    """The linearized P0 with the given migration blocks.
+
+    Declares the plan ``x`` and the reconfiguration ``u``, and per slot sets
+    their costs and adds the demand, capacity and reconfiguration rows.
+    Each ``(name, price, sign)`` of ``migration`` then declares a block
+    ``m`` of per-(slot, cloud, user) volumes costing ``w_d * price[i]`` and
+    adds, per slot after the reconfiguration rows, the rows
+    ``sign * (x_t - x_{t-1}) <= m_t`` with ``x_{start-1} = x_prev``.
     """
     num_clouds, num_users = instance.num_clouds, instance.num_users
     w_dyn = instance.weights.dynamic
@@ -72,15 +108,17 @@ def windowed_p0_lp(
     builder = LinearProgramBuilder()
     x_idx = builder.add_block("x", horizon, num_clouds, num_users).indices()
     u_idx = builder.add_block("u", horizon, num_clouds).indices()
-    m_in_idx = builder.add_block("m_in", horizon, num_clouds, num_users).indices()
-    m_out_idx = builder.add_block("m_out", horizon, num_clouds, num_users).indices()
+    m_idx = [
+        builder.add_block(name, horizon, num_clouds, num_users).indices()
+        for name, _, _ in migration
+    ]
 
     shape = (num_clouds, num_users)
     reconfig = w_dyn * np.asarray(instance.reconfig_prices, dtype=float)
-    b_in = np.asarray(instance.migration_prices.into, dtype=float)
-    b_out = np.asarray(instance.migration_prices.out, dtype=float)
-    migrate_in = w_dyn * np.broadcast_to(b_in[:, None], shape)
-    migrate_out = w_dyn * np.broadcast_to(b_out[:, None], shape)
+    migrate = [
+        w_dyn * np.broadcast_to(np.asarray(price, dtype=float)[:, None], shape)
+        for _, price, _ in migration
+    ]
     workloads = np.asarray(instance.workloads, dtype=float)
     capacities = np.asarray(instance.capacities, dtype=float)
     zeros_i = np.zeros(num_clouds)
@@ -88,28 +126,27 @@ def windowed_p0_lp(
 
     for w in range(horizon):
         x_w, u_w = x_idx[w], u_idx[w]
-        m_in_w, m_out_w = m_in_idx[w].ravel(), m_out_idx[w].ravel()
         builder.set_cost(x_w, weighted_static_prices(instance, start + w))
         builder.set_cost(u_w, reconfig)
-        builder.set_cost(m_in_w, migrate_in)
-        builder.set_cost(m_out_w, migrate_out)
+        for m, cost in zip(m_idx, migrate):
+            builder.set_cost(m[w], cost)
         # Demand: sum_i x_ij >= lambda_j. Capacity: sum_j x_ij <= C_i.
         builder.add_ge_rows(x_w.T, 1.0, workloads)
         builder.add_le_rows(x_w, 1.0, capacities)
         # Reconfiguration u_i >= sum_j (x_ij - x_prev_ij); migration
-        # m_in >= x - x_prev and m_out >= x_prev - x.
+        # m >= sign * (x - x_prev).
         if w == 0:
             builder.add_le_rows(
                 np.column_stack([x_w, u_w]),
                 np.r_[np.ones(num_users), -1.0],
                 x_prev.sum(axis=1),
             )
-            builder.add_le_rows(
-                np.column_stack([x_w.ravel(), m_in_w]), [1.0, -1.0], x_prev.ravel()
-            )
-            builder.add_le_rows(
-                np.column_stack([x_w.ravel(), m_out_w]), [-1.0, -1.0], -x_prev.ravel()
-            )
+            for m, (_, _, sign) in zip(m_idx, migration):
+                builder.add_le_rows(
+                    np.column_stack([x_w.ravel(), m[w].ravel()]),
+                    [sign, -1.0],
+                    sign * x_prev.ravel(),
+                )
         else:
             x_before = x_idx[w - 1]
             builder.add_le_rows(
@@ -117,14 +154,10 @@ def windowed_p0_lp(
                 np.r_[np.ones(num_users), -np.ones(num_users), -1.0],
                 zeros_i,
             )
-            builder.add_le_rows(
-                np.column_stack([x_w.ravel(), x_before.ravel(), m_in_w]),
-                [1.0, -1.0, -1.0],
-                zeros_n,
-            )
-            builder.add_le_rows(
-                np.column_stack([x_before.ravel(), x_w.ravel(), m_out_w]),
-                [1.0, -1.0, -1.0],
-                zeros_n,
-            )
+            for m, (_, _, sign) in zip(m_idx, migration):
+                builder.add_le_rows(
+                    np.column_stack([x_w.ravel(), x_before.ravel(), m[w].ravel()]),
+                    [sign, -sign, -1.0],
+                    zeros_n,
+                )
     return builder

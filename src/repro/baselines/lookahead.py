@@ -10,10 +10,11 @@ allocation, commits only the first slot, and rolls forward.
 It interpolates between the paper's comparison points:
 
 * ``window = 1``  — online-greedy, whose slot LP is this one-slot window;
-* ``window = T``  — offline-opt, whose LP is the first window, from slot 0.
+* ``window = T``  — offline-opt, whose LP has the first window's optimum.
 
-All three build their LP with :func:`repro.baselines.base.windowed_p0_lp`,
-so both identities hold by construction.
+Greedy builds its LP with :func:`repro.baselines.base.windowed_p0_lp`, so
+the first identity holds by construction; offline-opt builds the same LP
+with Lemma 1's folded migration block, so the second holds for the optimum.
 
 The lookahead ablation (``benchmarks/bench_lookahead.py``) measures how
 much *perfect* prediction buys over the prediction-free online-approx,

@@ -6,8 +6,9 @@
 
 P0 is linear once the (.)+ terms are rewritten with auxiliary variables
 (:func:`repro.baselines.base.windowed_p0_lp`); offline-opt solves that LP
-once over the whole horizon from the zero allocation, so the LP optimum is
-the P0 optimum. Every algorithm in the paper is normalized by this value
+once over the whole horizon from the zero allocation, with the in/out
+migration blocks folded into one as in Lemma 1, so the LP optimum is the
+P0 optimum. Every algorithm in the paper is normalized by this value
 (the "empirical competitive ratio").
 """
 
@@ -21,7 +22,7 @@ from ..core.allocation import AllocationSchedule
 from ..core.problem import ProblemInstance
 from ..simulation.spine import ScheduleController, run_on_spine
 from ..solvers.linear import LinearProgramBuilder
-from .base import windowed_p0_lp
+from .base import _linearized_p0
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,35 @@ class OfflineOptimal:
 
     @staticmethod
     def build_lp(instance: ProblemInstance) -> LinearProgramBuilder:
-        """The linearized P0 over all slots, starting from zero allocation.
+        """Lemma 1's folded linearized P0 over all slots, from zero allocation.
+
+        With ``b = b_in + b_out`` one migration block ``m >= x_t - x_{t-1}``
+        replaces ``m_in``/``m_out``: at an optimum ``m_out = m - (x_t -
+        x_{t-1})``, and summed over the slots the ``b_out`` part of that
+        difference telescopes to a ``-w_d * b_out`` cost on the last slot's
+        plan (its other end is the zero allocation). The optimum equals
+        that of the split-form :func:`repro.baselines.base.windowed_p0_lp`
+        over ``[0, T)`` from zeros, with ``2TIJ + TI`` columns instead of
+        ``3TIJ + TI`` and ``TIJ`` fewer rows. Where the optimum is
+        degenerate the two may return different optimal plans; both cost
+        the same.
 
         The objective excludes the allocation-independent access-delay
         constant (add it back via ``access_delay_constant`` when reporting
         absolute costs).
         """
-        x_prev = np.zeros((instance.num_clouds, instance.num_users))
-        return windowed_p0_lp(instance, 0, instance.num_slots, x_prev)
+        shape = (instance.num_clouds, instance.num_users)
+        prices = instance.migration_prices
+        b_out = np.asarray(prices.out, dtype=float)
+        builder = _linearized_p0(
+            instance,
+            0,
+            instance.num_slots,
+            np.zeros(shape),
+            (("m", prices.combined, 1.0),),
+        )
+        last_x = builder.block("x").indices()[-1]
+        builder.set_cost(
+            last_x, -instance.weights.dynamic * np.broadcast_to(b_out[:, None], shape)
+        )
+        return builder

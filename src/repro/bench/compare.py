@@ -136,12 +136,29 @@ def compare_records(
             wall time on shared hardware is advisory).
 
     Raises:
-        ValueError: when the records belong to different suites.
+        ValueError: when the records belong to different suites or ran
+            with different ``config`` (scale, seed, eps): their metrics
+            measure different work, so no delta between them means
+            anything.
     """
     if baseline.suite != current.suite:
         raise ValueError(
             f"suite mismatch: baseline {baseline.suite!r}"
             f" vs current {current.suite!r}"
+        )
+    differing = sorted(
+        key
+        for key in baseline.config.keys() | current.config.keys()
+        if baseline.config.get(key) != current.config.get(key)
+    )
+    if differing:
+        raise ValueError(
+            "config mismatch: "
+            + ", ".join(
+                f"{key} baseline {baseline.config.get(key)!r}"
+                f" vs current {current.config.get(key)!r}"
+                for key in differing
+            )
         )
     allowances = {
         "time": time_threshold,

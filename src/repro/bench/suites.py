@@ -15,6 +15,7 @@ while treating time as advisory (see :mod:`repro.bench.compare`).
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Callable
 
@@ -37,6 +38,9 @@ from .records import BenchMetric, BenchRecord, current_git_commit
 SUITE_HOURS = ("3pm", "4pm")
 #: The service suite's anytime curve covers iteration budgets 1..this.
 ANYTIME_BUDGETS = 10
+#: The aggregate suite times each slot as the fastest of this many fresh
+#: controllers: one ~10 ms run is at the mercy of the scheduler.
+WALL_REPEATS = 3
 
 
 def _time_metric(seconds: float) -> BenchMetric:
@@ -276,6 +280,28 @@ def _city_slot(num_users: int, seed: int):
     return system, observation
 
 
+def _fastest_fresh_slot(make: Callable, observation):
+    """``(controller, decision, wall_s)``: the fastest of ``WALL_REPEATS`` slots.
+
+    Each repeat observes ``observation`` on a fresh controller from
+    ``make()``, so every run does the same work; the controller and the
+    decision returned are the first run's, the wall is the fastest run's.
+    Later repeats record into a throwaway telemetry session, so the suite's
+    counters see the first run only.
+    """
+    first = None
+    fastest = float("inf")
+    for repeat in range(WALL_REPEATS):
+        controller = make()
+        with telemetry_session() if repeat else contextlib.nullcontext():
+            start = time.perf_counter()
+            decision = controller.observe(observation)
+            fastest = min(fastest, time.perf_counter() - start)
+        if first is None:
+            first = (controller, decision)
+    return (*first, fastest)
+
+
 def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     """City-scale aggregation: 10k/100k/1M-user slots vs a direct solve.
 
@@ -304,14 +330,14 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     reports = {}
     for label, num_users in labelled_counts:
         system, observation = _city_slot(num_users, scale.seed)
-        controller = AggregatedController(
-            system=system,
-            algorithm=OnlineRegularizedAllocator(eps1=scale.eps, eps2=scale.eps),
-            config=config,
+        controller, decision, walls[label] = _fastest_fresh_slot(
+            lambda: AggregatedController(
+                system=system,
+                algorithm=OnlineRegularizedAllocator(eps1=scale.eps, eps2=scale.eps),
+                config=config,
+            ),
+            observation,
         )
-        start = time.perf_counter()
-        decision = controller.observe(observation)
-        walls[label] = time.perf_counter() - start
         x = np.asarray(decision)
         report = controller.last_reports[-1]
         reports[label] = report
@@ -331,12 +357,12 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     # J=120 (scaled with the suite so tiny test scales stay tiny).
     direct_users = max(6, int(120 * factor))
     system, observation = _city_slot(direct_users, scale.seed)
-    direct = OnlineRegularizedAllocator(
-        eps1=scale.eps, eps2=scale.eps
-    ).as_controller(system)
-    start = time.perf_counter()
-    direct.observe(observation)
-    direct_wall_s = time.perf_counter() - start
+    _, _, direct_wall_s = _fastest_fresh_slot(
+        lambda: OnlineRegularizedAllocator(
+            eps1=scale.eps, eps2=scale.eps
+        ).as_controller(system),
+        observation,
+    )
     metrics["direct_wall_s_j120"] = _time_metric(direct_wall_s)
     metrics["feasibility_residual"] = _cost_metric(worst_residual, unit="residual")
 

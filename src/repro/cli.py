@@ -11,7 +11,7 @@ Examples::
     repro-edge threshold            # adversarial oscillating-price sweep
     repro-edge lookahead            # perfect-prediction ablation
     repro-edge certify              # eq. 12 chain + per-slot certificates
-    repro-edge bench --suite smoke --compare BENCH_smoke.json
+    repro-edge bench --suite smoke --out new.json --compare BENCH_smoke.json
     repro-edge doctor run.jsonl     # post-mortem of a recorded run
     repro-edge fig2 --telemetry run.jsonl --stream --watchdog
     repro-edge watch run.jsonl --strict   # live dashboard (second terminal)
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 from .experiments import (
     ExperimentScale,
@@ -402,11 +403,30 @@ def _cmd_certify(args: argparse.Namespace) -> str:
 
 def _cmd_bench(args: argparse.Namespace) -> str:
     # Deferred import: pulls in the whole experiment stack.
+    from pathlib import Path
+
     from .bench import compare_records, read_record, run_suite, write_record
 
+    def refuse(message: str) -> NoReturn:
+        # A baseline the run cannot be compared with: one line, exit 2.
+        print(f"bench: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+    out = args.out or f"BENCH_{args.suite}.json"
+    baseline = None
+    if args.compare is not None:
+        # Read the baseline before the fresh record can be written over it.
+        if Path(out).resolve() == Path(args.compare).resolve():
+            refuse(
+                f"--out {out} is the --compare baseline; "
+                "write the fresh record to another path"
+            )
+        try:
+            baseline = read_record(args.compare)
+        except (OSError, ValueError) as error:
+            refuse(f"cannot read baseline {args.compare}: {error}")
     scale = _scale_from_args(args)
     record = run_suite(args.suite, scale)
-    out = args.out or f"BENCH_{args.suite}.json"
     write_record(out, record)
     lines = [
         f"Benchmark suite '{args.suite}' "
@@ -415,14 +435,16 @@ def _cmd_bench(args: argparse.Namespace) -> str:
     ]
     for name, metric in record.metrics.items():
         lines.append(f"  {name:28s} {metric.value:12.6g} {metric.unit}")
-    if args.compare is not None:
-        baseline = read_record(args.compare)
-        report = compare_records(
-            baseline,
-            record,
-            time_threshold=args.threshold / 100.0,
-            gate_time=args.gate_time,
-        )
+    if baseline is not None:
+        try:
+            report = compare_records(
+                baseline,
+                record,
+                time_threshold=args.threshold / 100.0,
+                gate_time=args.gate_time,
+            )
+        except ValueError as error:
+            refuse(f"cannot compare with {args.compare}: {error}")
         lines += ["", report.render()]
         if not report.ok:
             # Nonzero exit is the CI gate; the report still goes to stdout.

@@ -1,12 +1,24 @@
-"""Tests for the offline-opt full-horizon LP."""
+"""Tests for the offline-opt full-horizon LP (Lemma 1's folded form)."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines import windowed_p0_lp
 from repro.baselines.offline import OfflineOptimal
 from repro.core.costs import total_cost
 from repro.core.problem import CostWeights, ProblemInstance
+from repro.experiments import fig2_scenario
+from repro.experiments.adversarial import (
+    oscillating_price_instance,
+    ping_pong_mobility_instance,
+)
+from repro.experiments.settings import ExperimentScale
 from repro.pricing.bandwidth import MigrationPrices
+from repro.simulation.scenario import Scenario
 from tests.conftest import make_tiny_instance
 
 
@@ -74,8 +86,57 @@ class TestOfflineOptimal:
             tiny_instance.num_clouds,
             tiny_instance.num_users,
         )
-        # x + u + m_in + m_out variable blocks.
-        assert builder.num_variables == t * i * j * 3 + t * i
-        # Per slot: demand, capacity, reconfiguration, m_in and m_out rows
-        # (slot 0's m_out >= 0 - x rows are vacuous but present).
-        assert builder.num_constraints == t * (j + 2 * i + 2 * i * j)
+        # x + u + the folded migration block m (Lemma 1).
+        assert builder.num_variables == 2 * t * i * j + t * i
+        # Per slot: demand, capacity, reconfiguration and migration rows.
+        assert builder.num_constraints == t * (j + 2 * i + i * j)
+
+
+def _split_objective(instance: ProblemInstance) -> float:
+    """The split-form (``m_in``/``m_out``) LP optimum over [0, T) from zeros."""
+    x_prev = np.zeros((instance.num_clouds, instance.num_users))
+    return windowed_p0_lp(instance, 0, instance.num_slots, x_prev).solve().objective
+
+
+def assert_fold_matches_split(instance: ProblemInstance) -> None:
+    """The folded LP has the split LP's optimum, and its plan costs exactly it."""
+    offline = OfflineOptimal()
+    folded = offline.build_lp(instance).solve().objective
+    assert folded == pytest.approx(_split_objective(instance), rel=1e-12, abs=0.0)
+    optimum = offline.optimal_cost(instance)
+    replayed = total_cost(offline.run(instance), instance)
+    assert replayed == pytest.approx(optimum, rel=1e-9, abs=0.0)
+
+
+FOLD_CASES = {
+    "fig2": lambda: fig2_scenario(ExperimentScale()).build(seed=2017),
+    "taxi": lambda: Scenario(num_users=6, num_slots=4).build(seed=7),
+    "oscillating-prices": lambda: oscillating_price_instance(num_slots=8),
+    "ping-pong": lambda: ping_pong_mobility_instance(num_slots=8),
+    "tiny": make_tiny_instance,
+    "tiny-no-dynamic-prices": lambda: make_tiny_instance(dynamic_prices=False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_folded_lp_matches_split_form(case):
+    assert_fold_matches_split(FOLD_CASES[case]())
+
+
+_PRICE = st.sampled_from([0.0, 0.05, 0.4, 1.0, 3.0])
+
+
+@given(
+    into=st.lists(_PRICE, min_size=3, max_size=3),
+    out=st.lists(_PRICE, min_size=3, max_size=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+    num_slots=st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=30, deadline=None)
+def test_fold_with_asymmetric_and_zero_migration_prices(into, out, seed, num_slots):
+    """Lemma 1's fold is exact whatever the split of b between in and out."""
+    instance = replace(
+        make_tiny_instance(num_slots=num_slots, seed=seed),
+        migration_prices=MigrationPrices(out=np.array(out), into=np.array(into)),
+    )
+    assert_fold_matches_split(instance)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench import BenchMetric, BenchRecord, compare_records
@@ -105,3 +107,13 @@ class TestSchemaDrift:
         other = BenchRecord(suite="solver")
         with pytest.raises(ValueError, match="suite"):
             compare_records(_record(), other)
+
+    def test_config_mismatch_names_the_differing_keys(self):
+        config = {"num_users": 8, "num_slots": 6, "seed": 2017}
+        baseline = replace(_record(), config=config)
+        current = replace(_record(), config={**config, "num_users": 24, "eps": 1.0})
+        with pytest.raises(ValueError, match="config mismatch") as excinfo:
+            compare_records(baseline, current)
+        message = str(excinfo.value)
+        assert "eps" in message and "num_users" in message
+        assert "num_slots" not in message and "seed" not in message

@@ -62,6 +62,56 @@ class TestBenchCli:
         assert excinfo.value.code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "out", [[], ["--out", "./BENCH_smoke.json"]], ids=["default", "explicit"]
+    )
+    def test_out_equal_to_compare_is_refused(
+        self, bench_file, tmp_path, monkeypatch, capsys, out
+    ):
+        # The default --out is BENCH_<suite>.json in the working directory.
+        monkeypatch.chdir(tmp_path)
+        baseline = tmp_path / "BENCH_smoke.json"
+        baseline.write_bytes(bench_file.read_bytes())
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--suite", "smoke", *TINY, *out,
+                  "--compare", "BENCH_smoke.json"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is the --compare baseline" in err
+        assert baseline.read_bytes() == bench_file.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda data: data.update(suite="solver"), "suite mismatch"),
+            (lambda data: data["config"].update(num_users=24), "num_users"),
+        ],
+        ids=["suite", "config"],
+    )
+    def test_mismatched_baseline_exits_2_with_one_line(
+        self, bench_file, tmp_path, capsys, edit, key
+    ):
+        data = json.loads(bench_file.read_text())
+        edit(data)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--suite", "smoke", *TINY, "--out",
+                  str(tmp_path / "current.json"), "--compare", str(baseline)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+
+    def test_missing_baseline_exits_2_with_one_line(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--suite", "smoke", *TINY, "--out",
+                  str(tmp_path / "current.json"),
+                  "--compare", str(tmp_path / "absent.json")])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot read baseline" in err
+        assert not (tmp_path / "current.json").exists()
+
     def test_unknown_suite_is_an_error(self, tmp_path):
         with pytest.raises(ValueError, match="unknown bench suite"):
             main(["bench", "--suite", "nope", *TINY,

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import SUITES, compare_records, run_suite
+from repro.bench import SUITES, compare_records, run_suite, suites
 from repro.experiments.settings import ExperimentScale
+from repro.telemetry import get_registry, telemetry_session
 
 TINY = ExperimentScale(num_users=4, num_slots=2, repetitions=1, seed=7)
 
@@ -84,6 +85,31 @@ class TestAggregateSuite:
     def test_gated_metrics_reproduce_exactly(self, record):
         report = compare_records(record, run_suite("aggregate", TINY))
         assert report.ok
+
+    def test_walls_are_the_fastest_of_fresh_controllers(self, monkeypatch):
+        # Three fresh controllers, each timed over its own observe: the
+        # wall is the fastest, the controller, decision and telemetry the
+        # first run's.
+        clock = iter([0.0, 5.0, 10.0, 12.0, 20.0, 23.0])  # walls 5, 2, 3
+        monkeypatch.setattr(suites.time, "perf_counter", lambda: next(clock))
+        made = []
+
+        class Controller:
+            def __init__(self):
+                made.append(self)
+
+            def observe(self, observation):
+                get_registry().counter("test.observes").inc()
+                return len(made), observation
+
+        with telemetry_session() as registry:
+            controller, decision, wall = suites._fastest_fresh_slot(
+                Controller, "slot"
+            )
+        assert len(made) == suites.WALL_REPEATS == 3
+        assert controller is made[0] and decision == (1, "slot")
+        assert wall == 2.0
+        assert registry.counter("test.observes").value == 1
 
 
 class TestSolverSuite:
