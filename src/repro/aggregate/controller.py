@@ -22,11 +22,11 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from ..core.bounds import tau
-from ..core.regularization import OnlineRegularizedAllocator
+from ..core.regularization import OnlineRegularizedAllocator, repair_feasibility
 from ..core.subproblem import RegularizedSubproblem
 from ..simulation.observations import SlotObservation, SystemDescription
 from ..telemetry import get_registry
-from .cohorts import BucketSpec, CohortMap, FactoredAllocation, build_cohorts, pair_map
+from .cohorts import BucketSpec, FactoredAllocation, build_cohorts, pair_map
 from .config import AggregationConfig
 from .reduced import aggregation_error_bound, reduced_subproblem
 from .sharding import solve_sharded
@@ -73,34 +73,6 @@ class SlotAggregationReport:
     def reduction_ratio(self) -> float:
         """users / cohorts."""
         return self.users / self.cohorts
-
-
-def _repair_cohort_feasibility(
-    y: np.ndarray, cohorts: CohortMap
-) -> np.ndarray:
-    """Project a converged reduced solution onto exact cohort feasibility.
-
-    The aggregate analogue of the allocator's ``_repair_feasibility``:
-    clip negatives, scale deficient cohorts up into the capacity headroom,
-    and give an (unreachable at an optimum) all-zero column its workload
-    at the cohort's attached station. Per-user feasibility then follows
-    structurally from the proportional split.
-    """
-    y = np.maximum(y, 0.0)
-    workloads = np.asarray(cohorts.workloads, dtype=float)
-    totals = y.sum(axis=0)
-    deficient = totals < workloads
-    if np.any(deficient):
-        scale = np.ones_like(totals)
-        positive = totals > 0
-        scale[deficient & positive] = (
-            workloads[deficient & positive] / totals[deficient & positive]
-        )
-        y = y * scale[None, :]
-        stations = np.asarray(cohorts.stations)
-        for g in np.nonzero(deficient & ~positive)[0]:
-            y[int(stations[g]), g] = workloads[g]
-    return y
 
 
 def _member_migration_entropy(
@@ -212,7 +184,7 @@ class AggregatedController:
         )
         y, iterations = solve.x, solve.iterations
         decision = FactoredAllocation(
-            _repair_cohort_feasibility(y, cohorts),
+            repair_feasibility(y, cohorts.workloads, cohorts.stations),
             cohorts,
             pairs=(self._x_prev.cohort_of, pairs),
         )

@@ -141,10 +141,11 @@ def make_shard_tasks(
     *,
     capacity_duals: np.ndarray | None = None,
     budget: SolveBudget | None = None,
-) -> list[tuple[RegularizedSubproblem, ConvexProgram]]:
+) -> list[ConvexProgram]:
     """Partition a reduced subproblem into contiguous shard programs.
 
-    Returns one ``(subproblem, program)`` pair per shard, in column order.
+    Returns one program per shard, in column order; each carries its
+    shard subproblem as ``structure``.
     The lanes of one slot run side by side on one clock, so each keeps the
     whole ``budget`` deadline; an iteration cap is divided evenly
     (``max_iterations // K`` per lane).
@@ -172,7 +173,7 @@ def make_shard_tasks(
             if budget.max_iterations is None
             else max(1, budget.max_iterations // len(blocks)),
         )
-    tasks = []
+    programs = []
     for k, block in enumerate(blocks):
         shard = RegularizedSubproblem(
             static_prices=static[:, block],
@@ -184,10 +185,8 @@ def make_shard_tasks(
             eps1=subproblem.eps1,
             eps2=eps2[block],
         )
-        program = shard.build_program()
-        program.budget = lane_budget
-        tasks.append((shard, program))
-    return tasks
+        programs.append(ConvexProgram(structure=shard, budget=lane_budget))
+    return programs
 
 
 def solve_sharded(
@@ -224,10 +223,11 @@ def solve_sharded(
         raise ValueError(
             "no strictly feasible point: total capacity must exceed total workload"
         )
-    tasks = make_shard_tasks(
+    programs = make_shard_tasks(
         subproblem, shards, capacity_duals=capacity_duals, budget=budget
     )
-    outcomes = solve_batch([program for _, program in tasks], tol=tol)
+    shard_subs = [program.structure for program in programs]
+    outcomes = solve_batch(programs, tol=tol)
     failed = [
         (k, outcome)
         for k, outcome in enumerate(outcomes)
@@ -243,12 +243,12 @@ def solve_sharded(
             + "".join(traceback.format_exception(failed[0][1]))
         )
     weights = np.array(
-        [float(shard.workloads.sum()) for shard, _ in tasks], dtype=float
+        [float(shard.workloads.sum()) for shard in shard_subs], dtype=float
     )
     weights /= max(weights.sum(), 1e-300)
     xs = []
     combined_duals = np.zeros(subproblem.num_clouds)
-    for weight, (shard, _), result in zip(weights, tasks, outcomes):
+    for weight, shard, result in zip(weights, shard_subs, outcomes):
         xs.append(
             np.asarray(result.x, dtype=float).reshape(
                 shard.num_clouds, shard.num_users

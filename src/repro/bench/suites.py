@@ -1,7 +1,7 @@
 """Named benchmark suites over the repo's experiment drivers.
 
 Each suite wraps existing benchmark workloads (the ``benchmarks/`` pytest
-suite's fig2/fig5/hessian/parallel measurements) into a plain function
+suite's fig2/fig5/parallel measurements) into a plain function
 that runs at an :class:`~repro.experiments.settings.ExperimentScale` and
 returns a :class:`~repro.bench.records.BenchRecord`. Suites run inside
 their own telemetry session, so solver traces and unconverged-solve
@@ -118,46 +118,24 @@ def _suite_smoke(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
 
 
 def _suite_solver(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
-    """Solver-focused measurements: Hessian assembly + one online run.
+    """Solver-focused measurements: one online run on the fig2 instance.
 
-    Wraps ``benchmarks/bench_hessian.py`` (sparse assembly wall time at a
-    fixed operating point) and one interior-point run of the online
-    allocator on the fig2 instance; ``newton_per_solve`` records the
-    kernel's steps per P2 solve.
+    One interior-point run of the online allocator; ``iterations`` and
+    ``newton_per_solve`` record the kernel's steps in total and per P2
+    solve.
     """
-    import numpy as np
-
-    from ..core.subproblem import RegularizedSubproblem
-    from ..simulation.scenario import Scenario
-
-    # Hessian assembly at (at least) double the suite's user count.
-    num_users = max(2 * scale.num_users, 48)
-    instance = Scenario(num_users=num_users, num_slots=2).build(seed=scale.seed)
-    rng = np.random.default_rng(scale.seed)
-    x_prev = rng.uniform(0.0, 1.0, size=(instance.num_clouds, num_users))
-    x_prev *= np.asarray(instance.workloads)[None, :] / instance.num_clouds
-    subproblem = RegularizedSubproblem.from_instance(
-        instance, slot=1, x_prev=x_prev, eps1=scale.eps, eps2=scale.eps
-    )
-    flat = x_prev.ravel() + 0.1
-    start = time.perf_counter()
-    hessian = subproblem.hessian(flat)
-    hessian_s = time.perf_counter() - start
-
     fig2_instance = fig2_scenario(scale).build(seed=scale.seed)
     algorithm = OnlineRegularizedAllocator(eps1=scale.eps, eps2=scale.eps)
     schedule = algorithm.run(fig2_instance)
     iterations = algorithm.total_solver_iterations
     metrics = {
-        "hessian_assembly_s": _time_metric(hessian_s),
-        "hessian_nnz": _count_metric(hessian.nnz, unit="nonzeros"),
         "iterations": _count_metric(iterations),
         "newton_per_solve": _count_metric(
             iterations / max(1, len(algorithm.last_solves))
         ),
         "online_cost": _cost_metric(total_cost(schedule, fig2_instance)),
     }
-    return {"metrics": metrics, "diagnostics": {"hessian_users": num_users}}
+    return {"metrics": metrics, "diagnostics": {}}
 
 
 def _suite_fig2(scale: ExperimentScale, registry: MetricsRegistry) -> dict:

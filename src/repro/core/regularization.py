@@ -31,19 +31,27 @@ from .subproblem import RegularizedSubproblem
 DEFAULT_EPSILON = 1.0
 
 
-def _repair_feasibility(
-    x: np.ndarray, instance: ProblemInstance, slot: int = 0
+def repair_feasibility(
+    x: np.ndarray, workloads: np.ndarray, stations: np.ndarray
 ) -> np.ndarray:
     """Project a numerically-converged P2 solution onto exact feasibility.
 
     Iterative solvers satisfy the binding demand constraints only up to
-    their tolerance. Clip negatives and scale each deficient user's
+    their tolerance. Clip negatives and scale each deficient column's
     allocation up by the (tiny) missing factor; the capacity headroom of P2
     optima (Theorem 1 keeps them strictly inside whenever the instance is
-    overprovisioned) absorbs the adjustment.
+    overprovisioned) absorbs the adjustment. A column that is all zero
+    (cannot happen at a P2 optimum, but guard anyway) gets its workload at
+    its station's row.
+
+    Args:
+        x: (I, J) solution; columns are users, or cohorts on the
+            aggregated path.
+        workloads: (J,) demand of each column.
+        stations: (J,) the cloud each column is attached to.
     """
     x = np.maximum(x, 0.0)
-    workloads = np.asarray(instance.workloads, dtype=float)
+    workloads = np.asarray(workloads, dtype=float)
     totals = x.sum(axis=0)
     deficient = totals < workloads
     if np.any(deficient):
@@ -53,11 +61,9 @@ def _repair_feasibility(
             workloads[deficient & positive] / totals[deficient & positive]
         )
         x = x * scale[None, :]
-        # A user with an all-zero column (cannot happen at a P2 optimum, but
-        # guard anyway) gets its workload at its attached cloud's column.
-        attachment = np.asarray(instance.attachment)[slot]
+        stations = np.asarray(stations)
         for j in np.nonzero(deficient & ~positive)[0]:
-            x[int(attachment[j]), j] = workloads[j]
+            x[int(stations[j]), j] = workloads[j]
     return x
 
 
@@ -80,9 +86,9 @@ class OnlineRegularizedAllocator:
         aggregation: when set, :meth:`as_controller` returns the
             cohort-aggregated controller (:mod:`repro.aggregate`) instead
             of the per-user one: users are clustered by (station,
-            workload bucket), the reduced P2 is solved — optionally
-            sharded across processes — and the solution is split back to
-            users. ``None`` (the default) keeps the exact per-user solve.
+            workload bucket), the reduced P2 is solved — optionally as
+            shard lanes of one lockstep solve — and the solution is split
+            back to users. ``None`` (the default) keeps the exact per-user solve.
         budget: optional per-solve :class:`SolveBudget` (deadline and/or
             iteration cap) for live serving. When the budget fires the
             backend returns its last strictly feasible iterate;
@@ -128,8 +134,7 @@ class OnlineRegularizedAllocator:
             instance, slot, x_prev, eps1=self.eps1, eps2=self.eps2
         )
         program = subproblem.build_program()
-        if self.budget is not None:
-            program.budget = self.budget
+        program.budget = self.budget
         result = self.backend.solve(program, tol=self.tol)
         if self.certify:
             # Certify at the solver's own point (pre-repair) with its own
@@ -146,7 +151,9 @@ class OnlineRegularizedAllocator:
             self.last_certificates.append(certificate)
             record_certificate(certificate)
         x_opt = result.x.reshape(instance.num_clouds, instance.num_users)
-        x_opt = _repair_feasibility(x_opt, instance, slot)
+        x_opt = repair_feasibility(
+            x_opt, instance.workloads, np.asarray(instance.attachment)[slot]
+        )
         if result.partial:
             x_opt = self._degrade_partial(x_opt, subproblem, instance, slot)
         return x_opt, result

@@ -24,20 +24,21 @@ respect ``X_i <= C_i`` anyway because the demand constraint binds. That
 argument fails under the entropy regularizer's *decrease* penalty (holding
 stale allocation can beat paying the static price, so total allocation can
 exceed total demand and a cloud can exceed its capacity while (10b) still
-holds). We therefore enforce capacity directly — equivalent to (10b)
-whenever the paper's argument applies, and strictly safe otherwise. See
-``constraint_matrices`` and DESIGN.md.
+holds). We therefore enforce capacity directly as ``sum_j x_ij <= C_i``.
+The two forms agree on the region Theorem 1 argues the optimum lives in
+(demand binding), and the direct form makes feasibility of the online
+trajectory structural rather than argumentative. The solver keeps both
+families as slack pairs (``solvers/batched.py:_GroupSolve._primal_pairs``);
+see DESIGN.md.
 
 Variables are flattened cloud-major: ``flat[i * J + j] = x[i, j]``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ..solvers.base import ConvexProgram
 from .bounds import eta as eta_fn
@@ -51,27 +52,6 @@ _INTERIOR_MARGIN = 1.05
 #: Floor applied inside logarithms so that trial points slightly outside the
 #: feasible region (some optimizers evaluate them) yield finite values.
 _LOG_FLOOR = 1e-12
-
-
-@functools.lru_cache(maxsize=16)
-def _constraint_rows(num_clouds: int, num_users: int) -> sparse.csr_matrix:
-    """A of every P2 of this shape, shared read-only: shapes repeat from
-    slot to slot, and building it took ~0.5 ms per program."""
-    n = num_clouds * num_users
-    # (10a): sum_i x_ij >= lambda_j. Row j has ones at columns i*J + j.
-    demand = sparse.coo_matrix(
-        (np.ones(n), (np.tile(np.arange(num_users), num_clouds), np.arange(n))),
-        shape=(num_users, n),
-    )
-    # Capacity: -sum_j x_ij >= -C_i. Row i has -1 on cloud i's columns.
-    capacity = sparse.coo_matrix(
-        (-np.ones(n), (np.repeat(np.arange(num_clouds), num_users), np.arange(n))),
-        shape=(num_clouds, n),
-    )
-    matrix = sparse.vstack([demand, capacity]).tocsr()
-    for array in (matrix.data, matrix.indices, matrix.indptr):
-        array.flags.writeable = False
-    return matrix
 
 
 def _safe(values: np.ndarray | float) -> np.ndarray:
@@ -216,37 +196,12 @@ class RegularizedSubproblem:
         )
         return grad.ravel()
 
-    def hessian(self, flat: np.ndarray) -> sparse.spmatrix:
-        """Sparse Hessian: diagonal + per-cloud rank-one blocks of ones.
-
-        The block-diagonal part is assembled as
-        ``kron(diag(block_scale), ones(J, J))`` — one sparse expression per
-        call instead of a per-cloud Python loop through LIL fancy indexing,
-        which dominated runtime at J >= 200 (see
-        ``benchmarks/bench_hessian.py``).
-        """
-        x = self._reshape(flat)
-        num_users = x.shape[1]
-        diag = (
-            np.asarray(self.migration_prices)[:, None]
-            / self.tau[None, :]
-            / _safe(x + self.eps2)
-        ).ravel()
-        cloud_totals = x.sum(axis=1)
-        creg = np.asarray(self.reconfig_prices) / self.eta
-        block_scale = creg / _safe(cloud_totals + self.eps1)
-        blocks = sparse.kron(
-            sparse.diags(block_scale),
-            np.ones((num_users, num_users)),
-            format="csr",
-        )
-        return (blocks + sparse.diags(diag)).tocsr()
-
     def hessian_factors(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Structured Hessian: (diag, cloud_scale) with
         H = diag(diag) + sum_i cloud_scale[i] * 1_i 1_i^T,
-        where 1_i is the indicator of cloud i's variables. Used by the
-        custom interior-point backend's Woodbury solve."""
+        where 1_i is the indicator of cloud i's variables: the structure
+        the interior-point kernel's Woodbury solve exploits (it forms the
+        same factors stacked across lanes)."""
         x = self._reshape(flat)
         diag = (
             np.asarray(self.migration_prices)[:, None]
@@ -257,27 +212,7 @@ class RegularizedSubproblem:
         creg = np.asarray(self.reconfig_prices) / self.eta
         return diag, creg / _safe(cloud_totals + self.eps1)
 
-    # ----- constraints --------------------------------------------------------
-
-    def constraint_matrices(self) -> tuple[sparse.spmatrix, np.ndarray]:
-        """(A, lower) for A x >= lower covering demand (10a) and capacity.
-
-        Capacity is enforced directly as ``sum_j x_ij <= C_i`` (written as
-        ``-X_i >= -C_i``) instead of the paper's complement form (10b).
-        The two are equivalent on the region the paper's Theorem 1 argues
-        the optimum lives in (demand binding), and (10b) alone does *not*
-        imply (6b) when the entropy regularizer makes the optimizer hold
-        allocation above demand (its decrease penalty can beat the static
-        price); enforcing (6b) directly makes feasibility of the online
-        trajectory structural rather than argumentative. See DESIGN.md.
-        """
-        lower = np.concatenate(
-            [
-                np.asarray(self.workloads, dtype=float),
-                -np.asarray(self.capacities, dtype=float),
-            ]
-        )
-        return _constraint_rows(self.num_clouds, self.num_users), lower
+    # ----- solver entry -------------------------------------------------------
 
     def interior_point(self) -> np.ndarray:
         """A strictly feasible start: capacity-proportional with margin.
@@ -303,20 +238,10 @@ class RegularizedSubproblem:
     def build_program(self) -> ConvexProgram:
         """Package the subproblem for a :class:`ConvexBackend`.
 
-        The program carries no ``x0``: the structured IPM starts every P2
-        solve from :meth:`interior_point`.
+        The structured IPM starts every P2 solve from
+        :meth:`interior_point`.
         """
-        matrix, lower = self.constraint_matrices()
-        n = self.num_clouds * self.num_users
-        return ConvexProgram(
-            objective=self.objective,
-            gradient=self.gradient,
-            hessian=self.hessian,
-            constraint_matrix=matrix,
-            constraint_lower=lower,
-            x_lower=np.zeros(n),
-            structure=self,
-        )
+        return ConvexProgram(structure=self)
 
     # ----- optimality diagnostics ---------------------------------------------
 

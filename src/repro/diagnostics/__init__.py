@@ -6,7 +6,7 @@ counters, traces), this package observes *how good the answers were*:
 
 * :mod:`repro.diagnostics.certificates` — per-slot KKT residuals and a
   rigorous duality-gap bound for every P2 solve, from the backends' own
-  multipliers (with a finite-difference cross-check for generic backends);
+  multipliers;
 * :mod:`repro.diagnostics.ratio` — the running empirical competitive
   ratio against Theorem 2's certified ``1 + gamma |I|`` bound, flagging
   any prefix that violates it;
@@ -25,7 +25,6 @@ from .certificates import (
     certify_schedule,
     certify_solution,
     duality_gap_bound,
-    finite_difference_residual,
     lp_multipliers,
     record_certificate,
     recover_multipliers,
@@ -51,7 +50,6 @@ __all__ = [
     "certify_schedule",
     "certify_solution",
     "duality_gap_bound",
-    "finite_difference_residual",
     "lp_multipliers",
     "record_certificate",
     "recover_multipliers",

@@ -40,10 +40,6 @@ keeps whichever bound is tightest:
    ``grad·x - min_y grad·y``, the tightest certificate one gradient can
    buy.
 
-Solutions produced by generic backends, which lean on the analytic
-gradient, can additionally be checked against a finite-difference gradient
-(:func:`finite_difference_residual`).
-
 Everything here *observes* — no certificate feeds back into any
 computation, so runs are bit-identical with certification on or off.
 """
@@ -79,9 +75,6 @@ class SlotCertificate:
         kkt_residual: stationarity/complementarity residual (eq. 15a form).
         duality_gap: certified upper bound on ``f(x) - min P2`` (absolute).
         relative_gap: ``duality_gap / max(1, |objective|)``.
-        fd_residual: stationarity residual recomputed with a central
-            finite-difference gradient (``None`` when not requested) — an
-            analytic-gradient-independent cross-check.
         backend: solver backend that produced the point.
         source: where the multipliers came from — ``"solver"`` (backend
             duals), ``"recovered"`` (least-squares fit from the primal),
@@ -96,7 +89,6 @@ class SlotCertificate:
     kkt_residual: float
     duality_gap: float
     relative_gap: float
-    fd_residual: float | None = None
     backend: str = ""
     source: str = "solver"
     solver_gap: float | None = None
@@ -172,46 +164,11 @@ def duality_gap_bound(
     return max(gap, 0.0)
 
 
-def finite_difference_residual(
-    subproblem: RegularizedSubproblem,
-    flat: np.ndarray,
-    theta: np.ndarray,
-    rho: np.ndarray,
-    *,
-    step: float = 1e-7,
-) -> float:
-    """The stationarity residual with a central finite-difference gradient.
-
-    Cross-checks the analytic gradient the other certificates rely on:
-    useful for generic backends, whose solution quality depends on that
-    gradient being right. O(n) objective evaluations of O(n) each.
-    """
-    flat = np.asarray(flat, dtype=float)
-    fd_grad = np.empty_like(flat)
-    for index in range(flat.size):
-        bump = np.zeros_like(flat)
-        bump[index] = step
-        fd_grad[index] = (
-            subproblem.objective(flat + bump) - subproblem.objective(flat - bump)
-        ) / (2.0 * step)
-    num_clouds, num_users = subproblem.num_clouds, subproblem.num_users
-    x = flat.reshape(num_clouds, num_users)
-    g = (
-        fd_grad.reshape(num_clouds, num_users)
-        - np.asarray(theta, dtype=float)[None, :]
-        + np.asarray(rho, dtype=float)[:, None]
-    )
-    dual_infeasibility = np.maximum(0.0, -g)
-    complementarity = np.minimum(np.abs(x), np.abs(g))
-    return float(np.maximum(dual_infeasibility, complementarity).max())
-
-
 def certify_solution(
     subproblem: RegularizedSubproblem,
     solution: SolverResult | np.ndarray,
     *,
     slot: int = 0,
-    finite_difference: bool | None = None,
 ) -> SlotCertificate:
     """Build the optimality certificate for one solved subproblem.
 
@@ -223,10 +180,6 @@ def certify_solution(
             multipliers are both tried; the certificate keeps whichever
             bound is tighter (``source`` records the winner).
         slot: trajectory position recorded on the certificate.
-        finite_difference: also run the finite-difference stationarity
-            cross-check. ``None`` (default) enables it exactly when the
-            solving backend was not the structured IPM — a generic method's
-            reliance on the analytic gradient deserves independent scrutiny.
     """
     if isinstance(solution, SolverResult):
         flat = np.asarray(solution.x, dtype=float)
@@ -266,19 +219,12 @@ def certify_solution(
         gap_lp = duality_gap_bound(subproblem, flat, theta_lp, rho_lp)
         if gap_lp < gap:
             gap, theta, rho, source = gap_lp, theta_lp, rho_lp, "lp"
-    if finite_difference is None:
-        finite_difference = bool(backend) and "ipm" not in backend
     return SlotCertificate(
         slot=slot,
         objective=objective,
         kkt_residual=subproblem.kkt_stationarity_residual(flat, theta, rho),
         duality_gap=gap,
         relative_gap=gap / max(1.0, abs(objective)),
-        fd_residual=(
-            finite_difference_residual(subproblem, flat, theta, rho)
-            if finite_difference
-            else None
-        ),
         backend=backend,
         source=source,
         solver_gap=solver_gap,
@@ -307,8 +253,6 @@ def record_certificate(certificate: SlotCertificate, registry=None) -> None:
         "backend": certificate.backend,
         "source": certificate.source,
     }
-    if certificate.fd_residual is not None:
-        payload["fd_residual"] = certificate.fd_residual
     registry.event("diag.certificate", **payload)
 
 

@@ -58,8 +58,8 @@ class RegularizedController:
         Returns an :class:`repro.aggregate.AggregatedController` sharing
         this controller's system and algorithm: users are clustered into
         (station, workload-bucket) cohorts, one reduced P2 is solved per
-        slot — optionally sharded across processes — and the solution is
-        split back to users (docs/SCALING.md).
+        slot — optionally as shard lanes of one lockstep solve — and the
+        solution is split back to users (docs/SCALING.md).
         """
         from ..aggregate.config import AggregationConfig
         from ..aggregate.controller import AggregatedController

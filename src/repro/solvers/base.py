@@ -9,10 +9,12 @@ primal-dual interior-point method for the regularized subproblem P2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:  # core builds on solvers
+    from ..core.subproblem import RegularizedSubproblem
 
 
 class SolverError(RuntimeError):
@@ -80,64 +82,20 @@ class SolverResult:
 
 @dataclass
 class ConvexProgram:
-    """min f(x) s.t. A x >= lower, x >= x_lower (all constraints linear).
+    """One P2 solve request: the subproblem and an optional work cap.
 
-    ``hessian`` may return any scipy-sparse matrix or dense array; backends
-    that cannot use second-order information ignore it.
+    The structured IPM reads all of P2 from ``structure`` — prices,
+    capacities, workloads, the interior start — so nothing else is carried.
 
     Attributes:
-        objective: f(x) -> float, convex and differentiable on the feasible set.
-        gradient: grad f(x) -> (n,).
-        hessian: optional hess f(x) -> (n, n) sparse/dense.
-        constraint_matrix: (M, n) sparse matrix A.
-        constraint_lower: (M,) lower bounds for A x.
-        x_lower: (n,) variable lower bounds (typically zeros).
-        x0: optional starting point for generic methods. It need not be
-            strictly feasible — backends must recover, not crash, when it
-            is not. The structured IPM ignores it and always cold-starts
-            from the structure's interior point.
+        structure: the :class:`repro.core.subproblem.RegularizedSubproblem`
+            to minimize.
+        budget: optional work cap (see :class:`SolveBudget`); a backend
+            returns ``SolverResult(partial=True)`` when it fires.
     """
 
-    objective: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    constraint_matrix: sparse.spmatrix
-    constraint_lower: np.ndarray
-    x_lower: np.ndarray
-    x0: np.ndarray | None = None
-    hessian: Callable[[np.ndarray], object] | None = None
-    #: Optional problem-specific structure (e.g. the P2 subproblem) that
-    #: specialized backends can exploit; generic backends ignore it.
-    structure: object | None = None
-    #: Optional work cap (see :class:`SolveBudget`). Backends that honor
-    #: it return ``SolverResult(partial=True)`` when it fires; backends
-    #: that cannot interrupt themselves ignore it, so the budget is
-    #: best-effort by contract.
+    structure: RegularizedSubproblem
     budget: SolveBudget | None = None
-
-    @property
-    def num_variables(self) -> int:
-        if self.x0 is not None:
-            return int(np.asarray(self.x0).size)
-        return int(np.asarray(self.x_lower).size)
-
-    @property
-    def num_constraints(self) -> int:
-        return int(np.asarray(self.constraint_lower).size)
-
-    def constraint_slack(self, x: np.ndarray) -> np.ndarray:
-        """A x - lower (negative entries = violated constraints)."""
-        return np.asarray(self.constraint_matrix @ x) - np.asarray(self.constraint_lower)
-
-    def max_violation(self, x: np.ndarray) -> float:
-        """Worst violation across linear constraints and variable bounds."""
-        slack = self.constraint_slack(x)
-        bound = np.asarray(self.x_lower) - np.asarray(x)
-        worst = 0.0
-        if slack.size:
-            worst = max(worst, float(-slack.min()))
-        if bound.size:
-            worst = max(worst, float(bound.max()))
-        return max(worst, 0.0)
 
 
 class ConvexBackend(Protocol):

@@ -111,7 +111,6 @@ class _Lane:
     """Per-instance bookkeeping that lives outside the stacked arrays."""
 
     __slots__ = (
-        "program",
         "sub",
         "tol",
         "registry",
@@ -122,9 +121,8 @@ class _Lane:
         "final",
     )
 
-    def __init__(self, program, sub, tol, registry, trace_ctx=None):
-        self.program = program
-        self.sub = sub
+    def __init__(self, program: ConvexProgram, tol, registry, trace_ctx=None):
+        self.sub = program.structure
         self.tol = tol
         self.registry = registry
         self.budget = program.budget
@@ -415,10 +413,10 @@ class _GroupSolve:
 
         Duals start on the central path of ``mu0 = max(1, |f(x0)|) / m``:
         ``z = mu0 / x`` and likewise for the demand and capacity slacks.
-        Any error here fails only its own lane. These are the solver's only
-        raises: a program without P2 structure, and a slot with no strict
-        interior (``sum(C) <= Lambda``, a ``ValueError`` from
-        ``interior_point``).
+        Any error here fails only its own lane. The solver raises only for a
+        slot with no strict interior: ``sum(C) <= Lambda`` (a ``ValueError``
+        from ``interior_point``) or a start that rounding left on the
+        boundary (``SolverError``).
         """
         ready: list[_Lane] = []
         starts: list[np.ndarray] = []
@@ -429,7 +427,7 @@ class _GroupSolve:
                 x = lane.sub.interior_point().reshape(shape)
                 if not self._strictly_feasible_one(lane.sub, x):
                     raise SolverError(f"{self.name}: no strictly feasible start")
-                scale = max(1.0, abs(lane.program.objective(x.ravel())))
+                scale = max(1.0, abs(lane.sub.objective(x.ravel())))
             except Exception as exc:  # noqa: BLE001 - delivered per lane
                 lane.outcome = exc
                 continue
@@ -495,7 +493,7 @@ class _GroupSolve:
         flat = x.ravel()
         lane.outcome = SolverResult(
             x=flat,
-            objective=float(lane.program.objective(flat)),
+            objective=float(lane.sub.objective(flat)),
             iterations=iterations,
             backend=self.name,
             duals=duals,
@@ -734,7 +732,7 @@ def solve_batch(
     one clock for the whole call, however many shape groups it solves.
 
     Args:
-        programs: programs carrying ``RegularizedSubproblem`` structure.
+        programs: the P2 programs to solve.
         tol: one tolerance for all, or one per program.
         registries: optional per-program telemetry registries (the batched
             sweep runner passes each requesting cell's registry so solver
@@ -771,16 +769,9 @@ def solve_batch(
     lanes: list[_Lane] = []
     groups: dict[tuple[int, int], list[_Lane]] = {}
     for program, lane_tol, registry, trace in zip(programs, tols, registries, traces):
-        sub = program.structure
-        lane = _Lane(program, sub, lane_tol, registry, trace)
+        lane = _Lane(program, lane_tol, registry, trace)
         lanes.append(lane)
-        if sub is None or not hasattr(sub, "hessian_factors"):
-            lane.outcome = SolverError(
-                f"{BATCHED_BACKEND_NAME} requires a program with "
-                "RegularizedSubproblem structure"
-            )
-        else:
-            groups.setdefault((sub.num_clouds, sub.num_users), []).append(lane)
+        groups.setdefault((lane.sub.num_clouds, lane.sub.num_users), []).append(lane)
 
     batch_registry.counter("solver.batched.calls").inc()
     batch_registry.counter("solver.batched.instances").inc(len(programs))

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..telemetry import current_trace, get_registry
-from .base import ConvexProgram, SolverError, SolverResult
+from .base import ConvexProgram, SolverResult
 from .batched import BATCHED_BACKEND_NAME, _GroupSolve, _Lane
 
 
@@ -41,9 +41,7 @@ from .batched import BATCHED_BACKEND_NAME, _GroupSolve, _Lane
 class InteriorPointBackend:
     """Structured primal-dual method for programs built by ``RegularizedSubproblem``.
 
-    Requires ``program.structure`` to be a
-    :class:`repro.core.subproblem.RegularizedSubproblem`; raises
-    :class:`SolverError` otherwise. The allocator's default backend.
+    The allocator's default backend.
     """
 
     name: str = BATCHED_BACKEND_NAME
@@ -58,18 +56,12 @@ class InteriorPointBackend:
         not certify (slacks at float64 rounding, a singular Woodbury
         system, or 100 steps). A solve whose slacks reached rounding with
         a gap of at most 1e-6 (the certificate tolerance) is accepted as
-        converged. Raises only when the program has no P2 structure or its
-        slot has no strict interior (``ValueError``: total capacity must
-        exceed total workload).
+        converged. Raises only when the slot has no strict interior
+        (``ValueError``: total capacity must exceed total workload).
         """
-        structure = program.structure
-        if structure is None or not hasattr(structure, "hessian_factors"):
-            raise SolverError(
-                f"{self.name} requires a program with RegularizedSubproblem structure"
-            )
         # A one-lane lockstep solve, deliberately not routed through
         # solve_batch(): the solver.batched.* counters count stacked calls.
-        lane = _Lane(program, structure, tol, get_registry(), current_trace())
+        lane = _Lane(program, tol, get_registry(), current_trace())
         _GroupSolve([lane], name=self.name).run()
         lane.emit_telemetry()
         if isinstance(lane.outcome, Exception):

@@ -55,11 +55,12 @@ def random_subproblem(seed: int, num_clouds: int = 4, num_users: int = 9):
 
 def one_lane_reference(sub, shards, *, tol=1e-8, capacity_duals=None, budget=None):
     """The sharded solve as one one-lane IPM solve per shard program."""
-    tasks = make_shard_tasks(
+    programs = make_shard_tasks(
         sub, shards, capacity_duals=capacity_duals, budget=budget
     )
-    results = [InteriorPointBackend().solve(program, tol=tol) for _, program in tasks]
-    weights = np.array([shard.workloads.sum() for shard, _ in tasks])
+    subs = [program.structure for program in programs]
+    results = [InteriorPointBackend().solve(program, tol=tol) for program in programs]
+    weights = np.array([shard.workloads.sum() for shard in subs])
     weights /= weights.sum()
     duals = np.zeros(sub.num_clouds)
     for weight, result in zip(weights, results):
@@ -68,7 +69,7 @@ def one_lane_reference(sub, shards, *, tol=1e-8, capacity_duals=None, budget=Non
         x=np.concatenate(
             [
                 np.asarray(result.x).reshape(shard.num_clouds, shard.num_users)
-                for (shard, _), result in zip(tasks, results)
+                for shard, result in zip(subs, results)
             ],
             axis=1,
         ),

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.regularization import OnlineRegularizedAllocator, _repair_feasibility
+from repro.core.regularization import OnlineRegularizedAllocator, repair_feasibility
 from tests.solvers.trust_constr import TrustConstrOracle
+
+
+def repair(x, instance, slot=0):
+    """Repair against a slot's workloads and attached stations."""
+    return repair_feasibility(
+        x, instance.workloads, np.asarray(instance.attachment)[slot]
+    )
 
 
 class TestConfiguration:
@@ -74,7 +81,7 @@ class TestRepair:
     def test_clips_negatives(self, tiny_instance):
         x = np.full((tiny_instance.num_clouds, tiny_instance.num_users), 2.0)
         x[0, 0] = -1e-7
-        repaired = _repair_feasibility(x, tiny_instance)
+        repaired = repair(x, tiny_instance)
         assert repaired.min() >= 0.0
 
     def test_scales_deficient_users(self, tiny_instance):
@@ -83,7 +90,7 @@ class TestRepair:
             (tiny_instance.num_clouds, tiny_instance.num_users),
             workloads[None, :] / tiny_instance.num_clouds,
         ) * (1.0 - 1e-7)
-        repaired = _repair_feasibility(x, tiny_instance)
+        repaired = repair(x, tiny_instance)
         assert np.all(repaired.sum(axis=0) >= workloads - 1e-12)
 
     def test_noop_on_feasible(self, tiny_instance):
@@ -92,12 +99,12 @@ class TestRepair:
             workloads[None, :] / tiny_instance.num_clouds,
             (tiny_instance.num_clouds, tiny_instance.num_users),
         ).copy() * 1.01
-        repaired = _repair_feasibility(x, tiny_instance)
+        repaired = repair(x, tiny_instance)
         assert np.allclose(repaired, x)
 
     def test_all_zero_column_recovered(self, tiny_instance):
         x = np.zeros((tiny_instance.num_clouds, tiny_instance.num_users))
-        repaired = _repair_feasibility(x, tiny_instance)
+        repaired = repair(x, tiny_instance)
         assert np.all(
             repaired.sum(axis=0) >= np.asarray(tiny_instance.workloads) - 1e-12
         )
@@ -110,7 +117,7 @@ class TestRepair:
         for slot in range(tiny_instance.num_slots):
             attachment = np.asarray(tiny_instance.attachment)[slot]
             x = np.zeros((tiny_instance.num_clouds, tiny_instance.num_users))
-            repaired = _repair_feasibility(x, tiny_instance, slot)
+            repaired = repair(x, tiny_instance, slot)
             for j in range(tiny_instance.num_users):
                 expected = np.zeros(tiny_instance.num_clouds)
                 expected[attachment[j]] = workloads[j]
@@ -124,7 +131,7 @@ class TestRepair:
             workloads[None, :] / tiny_instance.num_clouds,
         ) * (1.0 - 1e-7)
         x[:, 1] = 0.0  # user 1 lost its whole allocation
-        repaired = _repair_feasibility(x, tiny_instance)
+        repaired = repair(x, tiny_instance)
         assert np.all(repaired.sum(axis=0) >= workloads - 1e-12)
         attached = int(np.asarray(tiny_instance.attachment)[0, 1])
         assert repaired[attached, 1] == workloads[1]

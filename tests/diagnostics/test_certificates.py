@@ -12,7 +12,6 @@ from repro.diagnostics import (
     certify_schedule,
     certify_solution,
     duality_gap_bound,
-    finite_difference_residual,
     lp_multipliers,
     record_certificate,
     recover_multipliers,
@@ -104,15 +103,6 @@ class TestCertifySolution:
         assert lp_gap <= duality_gap_bound(subproblem, flat, theta_r, rho_r) * (
             1 + 1e-9
         )
-
-    def test_finite_difference_cross_check(self, small_run):
-        instance, algorithm, _ = small_run
-        subproblem = _subproblem(instance)
-        flat = algorithm.last_solves[0].x
-        theta, rho = recover_multipliers(subproblem, flat)
-        analytic = subproblem.kkt_stationarity_residual(flat, theta, rho)
-        numeric = finite_difference_residual(subproblem, flat, theta, rho)
-        assert numeric == pytest.approx(analytic, abs=1e-5)
 
 
 class TestInRunCertification:

@@ -6,17 +6,15 @@ objective value and solution, across instance shapes,
 epsilon scales, and previous-allocation patterns.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from repro.core.subproblem import RegularizedSubproblem
 from repro.diagnostics.certificates import duality_gap_bound
-from repro.solvers.base import ConvexProgram, SolverError
+from repro.solvers.base import ConvexProgram
 from repro.solvers.interior_point import InteriorPointBackend
 from tests.conftest import make_tiny_instance
-from tests.solvers.trust_constr import TrustConstrOracle
+from tests.solvers.trust_constr import TrustConstrOracle, max_violation
 
 
 def subproblem_case(seed: int, eps: float = 1.0, slot: int = 0, zero_prev: bool = False):
@@ -67,36 +65,21 @@ class TestAgreement:
         sub = subproblem_case(7)
         program = sub.build_program()
         result = InteriorPointBackend().solve(program, tol=1e-9)
-        assert program.max_violation(result.x) <= 1e-8
+        assert max_violation(sub, result.x) <= 1e-8
         assert result.x.min() >= 0.0
 
 
 class TestIpmBehaviour:
     def test_requires_structure(self):
-        program = ConvexProgram(
-            objective=lambda x: float(np.sum(x**2)),
-            gradient=lambda x: 2 * x,
-            constraint_matrix=__import__("scipy.sparse", fromlist=["eye"]).eye(2),
-            constraint_lower=np.zeros(2),
-            x_lower=np.zeros(2),
-            x0=np.ones(2),
-        )
-        with pytest.raises(SolverError, match="structure"):
-            InteriorPointBackend().solve(program)
+        # A program is its subproblem: there is none to build without one.
+        with pytest.raises(TypeError, match="structure"):
+            ConvexProgram()
 
     def test_duals_nonnegative(self):
         sub = subproblem_case(8)
         result = InteriorPointBackend().solve(sub.build_program(), tol=1e-9)
         assert np.all(result.duals["demand"] >= 0)
         assert np.all(result.duals["capacity"] >= 0)
-
-    def test_infeasible_start_falls_back_to_interior(self):
-        sub = subproblem_case(9)
-        program = replace(
-            sub.build_program(), x0=np.zeros(sub.num_clouds * sub.num_users)
-        )
-        result = InteriorPointBackend().solve(program, tol=1e-9)
-        assert program.max_violation(result.x) <= 1e-8
 
     def test_iterations_reported(self):
         sub = subproblem_case(10)
@@ -138,32 +121,49 @@ class TestIpmBehaviour:
 
 
 class TestScipyBackend:
-    def test_simple_quadratic(self):
-        # min (x - 2)^2 + (y - 2)^2 s.t. x + y >= 1, x, y >= 0 -> (2, 2).
-        from scipy import sparse
-
-        program = ConvexProgram(
-            objective=lambda v: float((v[0] - 2) ** 2 + (v[1] - 2) ** 2),
-            gradient=lambda v: np.array([2 * (v[0] - 2), 2 * (v[1] - 2)]),
-            constraint_matrix=sparse.csr_matrix(np.array([[1.0, 1.0]])),
-            constraint_lower=np.array([1.0]),
-            x_lower=np.zeros(2),
-            x0=np.array([1.0, 1.0]),
+    def test_previous_allocation_is_optimal_without_static_prices(self):
+        # With p = 0 the objective is the two entropy terms alone, which
+        # vanish in value and gradient at x = x_prev: a strictly feasible
+        # x_prev is the unique optimum.
+        sub = subproblem_case(11)
+        x_prev = 1.02 * sub.interior_point().reshape(sub.num_clouds, sub.num_users)
+        sub = RegularizedSubproblem(
+            static_prices=np.zeros_like(x_prev),
+            reconfig_prices=sub.reconfig_prices,
+            migration_prices=sub.migration_prices,
+            capacities=sub.capacities,
+            workloads=sub.workloads,
+            x_prev=x_prev,
+            eps1=sub.eps1,
+            eps2=sub.eps2,
         )
-        result = TrustConstrOracle().solve(program, tol=1e-10)
-        assert np.allclose(result.x, [2.0, 2.0], atol=1e-6)
+        result = TrustConstrOracle().solve(sub.build_program(), tol=1e-10)
+        assert np.allclose(result.x, x_prev.ravel(), atol=1e-5)
 
     def test_binding_constraint(self):
-        # min x^2 + y^2 s.t. x + y >= 2 -> (1, 1).
-        from scipy import sparse
-
-        program = ConvexProgram(
-            objective=lambda v: float(v @ v),
-            gradient=lambda v: 2 * v,
-            constraint_matrix=sparse.csr_matrix(np.array([[1.0, 1.0]])),
-            constraint_lower=np.array([2.0]),
-            x_lower=np.zeros(2),
-            x0=np.array([2.0, 2.0]),
+        # Cloud 0 is free and everyone starts there, but it holds only
+        # half the demand: its capacity row binds at the optimum.
+        sub = subproblem_case(12, zero_prev=True)
+        workloads = np.asarray(sub.workloads, dtype=float)
+        capacities = np.full(sub.num_clouds, workloads.sum())
+        capacities[0] = 0.5 * workloads.sum()
+        static = np.ones((sub.num_clouds, sub.num_users))
+        static[0] = 0.0
+        x_prev = np.zeros_like(static)
+        x_prev[0] = 0.5 * workloads
+        sub = RegularizedSubproblem(
+            static_prices=static,
+            reconfig_prices=sub.reconfig_prices,
+            migration_prices=sub.migration_prices,
+            capacities=capacities,
+            workloads=workloads,
+            x_prev=x_prev,
+            eps1=sub.eps1,
+            eps2=sub.eps2,
         )
-        result = TrustConstrOracle().solve(program, tol=1e-10)
-        assert np.allclose(result.x, [1.0, 1.0], atol=1e-6)
+        program = sub.build_program()
+        oracle = TrustConstrOracle().solve(program, tol=1e-10)
+        ipm = InteriorPointBackend().solve(program, tol=1e-10)
+        cloud_zero = oracle.x.reshape(sub.num_clouds, sub.num_users)[0].sum()
+        assert cloud_zero == pytest.approx(capacities[0], rel=1e-5)
+        assert ipm.objective == pytest.approx(oracle.objective, rel=1e-5)

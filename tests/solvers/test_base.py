@@ -1,63 +1,27 @@
 """Tests for the solver base types (ConvexProgram, SolverResult)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from scipy import sparse
 
+from repro.core.subproblem import RegularizedSubproblem
 from repro.solvers.base import ConvexProgram, SolverResult
-
-
-def make_program():
-    # Feasible region: x0 + x1 >= 1, x >= 0.
-    return ConvexProgram(
-        objective=lambda v: float(v @ v),
-        gradient=lambda v: 2 * v,
-        constraint_matrix=sparse.csr_matrix(np.array([[1.0, 1.0]])),
-        constraint_lower=np.array([1.0]),
-        x_lower=np.zeros(2),
-        x0=np.array([1.0, 1.0]),
-    )
+from tests.conftest import make_tiny_instance
 
 
 class TestConvexProgram:
-    def test_dimensions(self):
-        program = make_program()
-        assert program.num_variables == 2
-        assert program.num_constraints == 1
-
-    def test_constraint_slack(self):
-        program = make_program()
-        slack = program.constraint_slack(np.array([2.0, 0.5]))
-        assert slack == pytest.approx([1.5])
-
-    def test_max_violation_feasible_point(self):
-        program = make_program()
-        assert program.max_violation(np.array([0.5, 0.5])) == 0.0
-
-    def test_max_violation_constraint(self):
-        program = make_program()
-        assert program.max_violation(np.array([0.2, 0.2])) == pytest.approx(0.6)
-
-    def test_max_violation_bounds(self):
-        program = make_program()
-        assert program.max_violation(np.array([2.0, -0.3])) == pytest.approx(0.3)
-
-    def test_max_violation_takes_worst(self):
-        program = make_program()
-        # Bound violation 0.5 vs constraint violation 1.0 - (-0.5 + 0.2).
-        violation = program.max_violation(np.array([-0.5, 0.2]))
-        assert violation == pytest.approx(1.3)
-
-    def test_no_constraints(self):
-        program = ConvexProgram(
-            objective=lambda v: 0.0,
-            gradient=lambda v: np.zeros_like(v),
-            constraint_matrix=sparse.csr_matrix((0, 2)),
-            constraint_lower=np.zeros(0),
-            x_lower=np.zeros(2),
-            x0=np.ones(2),
+    def test_carries_only_the_subproblem_and_a_budget(self):
+        """The kernel reads P2 from ``structure``; nothing else rides along."""
+        assert [f.name for f in fields(ConvexProgram)] == ["structure", "budget"]
+        instance = make_tiny_instance()
+        x_prev = np.zeros((instance.num_clouds, instance.num_users))
+        sub = RegularizedSubproblem.from_instance(
+            instance, 0, x_prev, eps1=1.0, eps2=1.0
         )
-        assert program.max_violation(np.array([1.0, 1.0])) == 0.0
+        program = sub.build_program()
+        assert program.structure is sub
+        assert program.budget is None
 
 
 class TestSolverResult:

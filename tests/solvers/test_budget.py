@@ -13,6 +13,7 @@ from repro.core.subproblem import RegularizedSubproblem
 from repro.solvers.base import ConvexProgram, SolveBudget
 from repro.solvers.interior_point import InteriorPointBackend
 from tests.conftest import make_tiny_instance
+from tests.solvers.trust_constr import max_violation
 
 
 def _program(seed: int = 0, budget: SolveBudget | None = None) -> ConvexProgram:
@@ -46,17 +47,13 @@ class TestPartialSolves:
         assert result.partial
         assert result.iterations <= 1
         # The iterate is strictly interior, hence feasible.
-        assert np.all(result.x >= program.x_lower - 1e-9)
-        slack = program.constraint_matrix @ result.x - program.constraint_lower
-        assert float(slack.min()) >= -1e-9
+        assert max_violation(program.structure, result.x) <= 1e-9
 
     def test_zero_deadline_fires_immediately_but_stays_feasible(self):
         program = _program(3, budget=SolveBudget(deadline_s=0.0))
         result = InteriorPointBackend().solve(program, tol=1e-10)
         assert result.partial
-        assert np.all(result.x >= program.x_lower - 1e-9)
-        slack = program.constraint_matrix @ result.x - program.constraint_lower
-        assert float(slack.min()) >= -1e-9
+        assert max_violation(program.structure, result.x) <= 1e-9
 
     def test_none_budget_is_bit_identical_to_no_budget(self):
         backend = InteriorPointBackend()

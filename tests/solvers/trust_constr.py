@@ -3,16 +3,20 @@
 The structured interior-point method is the only P2 solver in ``src/``.
 Tests and the solver ablation benchmark cross-check it against this
 independent method on small programs: trust-constr is an interior-point /
-trust-region method that takes the analytic gradients, sparse Hessians and
-sparse linear constraints a :class:`~repro.solvers.base.ConvexProgram`
-carries, and knows nothing of P2's structure. It records no telemetry.
+trust-region method that knows nothing of P2's structure. The oracle
+builds its generic inputs from ``program.structure`` here — the demand and
+capacity rows from the workloads and capacities, a dense Hessian from
+``hessian_factors``, the start from ``interior_point()`` — and records no
+telemetry.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, minimize
 
+from repro.core.subproblem import RegularizedSubproblem
 from repro.solvers.base import ConvexProgram, SolverError, SolverResult
 
 #: Iteration cap passed to the optimizer.
@@ -21,19 +25,49 @@ MAX_ITERATIONS = 2000
 FEASIBILITY_TOL = 1e-6
 
 
-def starting_point(program: ConvexProgram) -> np.ndarray:
-    """A usable starting point for a program whose ``x0`` may be ``None``.
+def constraint_rows(sub: RegularizedSubproblem) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """(A, lower) with A x >= lower for demand (10a) and direct capacity.
 
-    Preference order: the program's own ``x0``; the structure's canonical
-    strictly interior point (P2 programs); the variable lower bounds (a
-    feasible-for-bounds default that generic methods can work from).
+    Demand row j has ones at columns ``i * J + j``; capacity row i has -1
+    on cloud i's columns (``-X_i >= -C_i``).
     """
-    if program.x0 is not None:
-        return np.asarray(program.x0, dtype=float)
-    structure = program.structure
-    if structure is not None and hasattr(structure, "interior_point"):
-        return np.asarray(structure.interior_point(), dtype=float)
-    return np.asarray(program.x_lower, dtype=float).copy()
+    num_clouds, num_users = sub.num_clouds, sub.num_users
+    n = num_clouds * num_users
+    demand = sparse.coo_matrix(
+        (np.ones(n), (np.tile(np.arange(num_users), num_clouds), np.arange(n))),
+        shape=(num_users, n),
+    )
+    capacity = sparse.coo_matrix(
+        (-np.ones(n), (np.repeat(np.arange(num_clouds), num_users), np.arange(n))),
+        shape=(num_clouds, n),
+    )
+    lower = np.concatenate(
+        [
+            np.asarray(sub.workloads, dtype=float),
+            -np.asarray(sub.capacities, dtype=float),
+        ]
+    )
+    return sparse.vstack([demand, capacity]).tocsr(), lower
+
+
+def dense_hessian(sub: RegularizedSubproblem, flat: np.ndarray) -> np.ndarray:
+    """``diag(d) + sum_i s_i 1_i 1_i^T`` from ``hessian_factors``, dense."""
+    diag, cloud_scale = sub.hessian_factors(flat)
+    blocks = np.kron(np.diag(cloud_scale), np.ones((sub.num_users, sub.num_users)))
+    return blocks + np.diag(diag)
+
+
+def max_violation(sub: RegularizedSubproblem, flat: np.ndarray) -> float:
+    """Worst violation of demand, capacity and ``x >= 0`` at a point."""
+    x = np.asarray(flat, dtype=float).reshape(sub.num_clouds, sub.num_users)
+    demand = np.asarray(sub.workloads, dtype=float) - x.sum(axis=0)
+    capacity = x.sum(axis=1) - np.asarray(sub.capacities, dtype=float)
+    return max(0.0, float(demand.max()), float(capacity.max()), float(-x.min()))
+
+
+def starting_point(program: ConvexProgram) -> np.ndarray:
+    """The structure's canonical strictly interior point."""
+    return np.asarray(program.structure.interior_point(), dtype=float)
 
 
 class TrustConstrOracle:
@@ -43,30 +77,16 @@ class TrustConstrOracle:
 
     def solve(self, program: ConvexProgram, *, tol: float = 1e-8) -> SolverResult:
         """Minimize with trust-constr; validates and clips the solution."""
-        constraints = []
-        if program.num_constraints:
-            constraints.append(
-                LinearConstraint(
-                    program.constraint_matrix,
-                    lb=np.asarray(program.constraint_lower, dtype=float),
-                    ub=np.inf,
-                )
-            )
-        bounds = Bounds(
-            lb=np.asarray(program.x_lower, dtype=float),
-            ub=np.full(program.num_variables, np.inf),
-        )
-        kwargs: dict[str, object] = {}
-        if program.hessian is not None:
-            kwargs["hess"] = program.hessian
-        # trust-constr tolerates infeasible starts (it restores feasibility
-        # itself), so a caller's x0 needs no projection here.
+        sub = program.structure
+        matrix, lower = constraint_rows(sub)
+        n = sub.num_clouds * sub.num_users
         result = minimize(
-            program.objective,
+            sub.objective,
             starting_point(program),
-            jac=program.gradient,
-            bounds=bounds,
-            constraints=constraints,
+            jac=sub.gradient,
+            hess=lambda flat: dense_hessian(sub, flat),
+            bounds=Bounds(lb=np.zeros(n), ub=np.full(n, np.inf)),
+            constraints=[LinearConstraint(matrix, lb=lower, ub=np.inf)],
             method="trust-constr",
             options={
                 "gtol": tol,
@@ -74,10 +94,9 @@ class TrustConstrOracle:
                 "maxiter": MAX_ITERATIONS,
                 "verbose": 0,
             },
-            **kwargs,
         )
         x = np.asarray(result.x, dtype=float)
-        violation = program.max_violation(x)
+        violation = max_violation(sub, x)
         if violation > FEASIBILITY_TOL:
             raise SolverError(
                 f"{self.name}: solution violates constraints by {violation:.3e} "
@@ -85,10 +104,10 @@ class TrustConstrOracle:
             )
         # Clip the tiny residual violations so downstream feasibility checks
         # (and the entropy terms' logs) see a clean point.
-        x = np.maximum(x, np.asarray(program.x_lower, dtype=float))
+        x = np.maximum(x, 0.0)
         return SolverResult(
             x=x,
-            objective=float(program.objective(x)),
+            objective=float(sub.objective(x)),
             iterations=int(getattr(result, "nit", 0) or 0),
             backend=self.name,
         )
