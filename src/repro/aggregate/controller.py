@@ -12,14 +12,17 @@ a caller materializes it.
 
 Every slot records an ``aggregate.slot`` telemetry event plus
 ``aggregate.*`` metrics (cohort counts, reduction ratio, disaggregation
-error), which ``repro-edge watch`` and ``repro-edge doctor`` surface.
+error), which ``repro-edge watch`` and ``repro-edge doctor`` surface. No
+decision reads the disaggregation error, so :meth:`AggregatedController.observe`
+leaves it pending and :meth:`AggregatedController.settle` evaluates and
+records it — after the service's reply (docs/SERVING.md §1).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..core.bounds import tau
 from ..core.regularization import OnlineRegularizedAllocator, repair_feasibility
@@ -53,7 +56,8 @@ class SlotAggregationReport:
             ``(1 + epsilon)`` of the direct cost (docs/SCALING.md).
         disagg_error: exact relative objective gap between the reduced
             model and the per-user model at the disaggregated point, or
-            ``None`` when the slot exceeds ``ERROR_EVAL_LIMIT``.
+            ``None`` when the slot exceeds ``ERROR_EVAL_LIMIT`` (or is not
+            settled yet: :meth:`AggregatedController.settle`).
         iterations: summed solver iterations across shards.
         partial_solves: shard solves truncated by a deadline budget this
             slot (0 without budgets; docs/SERVING.md).
@@ -158,9 +162,16 @@ class AggregatedController:
         self._slots_seen = 0
         self._min_op_price = float("inf")
         self._prev_capacity_duals: np.ndarray | None = None
+        # The last slot's report and its error's inputs, until settle().
+        self._pending: tuple | None = None
 
     def observe(self, observation: SlotObservation) -> FactoredAllocation:
-        """Solve the reduced P2 for one slot; return the factored split."""
+        """Solve the reduced P2 for one slot; return the factored split.
+
+        The slot's report is appended with its disaggregation error
+        pending; a still-pending previous slot is settled first.
+        """
+        self.settle()
         cohorts = build_cohorts(
             observation.attachment, self._workloads, self._buckets, self._bucket_of
         )
@@ -203,19 +214,41 @@ class AggregatedController:
             shards=shards,
             spread=cohorts.spread,
             error_bound=bound,
-            disagg_error=self._exact_error(subproblem, decision, pairs),
+            disagg_error=None,
             iterations=iterations,
             partial_solves=solve.partial_solves,
         )
         self.last_reports.append(report)
-        self._record(report)
+        self._pending = (report, subproblem, self._x_prev, decision, pairs)
         self._x_prev = decision
         self._slots_seen += 1
         return decision
 
+    def settle(self) -> None:
+        """Complete the last slot's report and record it (idempotent).
+
+        Evaluates the disaggregation error from the inputs ``observe``
+        kept, replaces ``last_reports[-1]`` with the completed report and
+        emits the ``aggregate.*`` telemetry. A no-op when nothing is
+        pending; ``observe``, ``reset`` and ``set_state`` call it first,
+        so no slot is dropped.
+        """
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return
+        report, subproblem, previous, decision, pairs = pending
+        settled = replace(
+            report,
+            disagg_error=self._exact_error(subproblem, previous, decision, pairs),
+        )
+        if self.last_reports and self.last_reports[-1] is report:
+            self.last_reports[-1] = settled
+        self._record(settled)
+
     def _exact_error(
         self,
         subproblem: RegularizedSubproblem,
+        previous: FactoredAllocation,
         decision: FactoredAllocation,
         pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> float | None:
@@ -240,7 +273,7 @@ class AggregatedController:
             self._workloads,
             self._inverse_tau,
             self.algorithm.eps2,
-            self._x_prev,
+            previous,
             decision,
             pairs,
         )
@@ -281,6 +314,7 @@ class AggregatedController:
 
     def reset(self) -> None:
         """Drop state: the next observation starts a fresh horizon."""
+        self.settle()
         self._x_prev = self._zero_allocation()
         self._slots_seen = 0
         self._min_op_price = float("inf")
@@ -311,6 +345,7 @@ class AggregatedController:
         their dense (I, J) ``x*_{t-1}`` restores as the trivial
         factorization.
         """
+        self.settle()
         state = tuple(state)  # type: ignore[arg-type]
         x_prev, slots_seen, min_op_price = state[:3]
         prev_duals = state[-1] if len(state) > 3 else None

@@ -259,37 +259,48 @@ def _city_slot(num_users: int, seed: int):
 
 
 def _fastest_fresh_slot(make: Callable, observation):
-    """``(controller, decision, wall_s)``: the fastest of ``WALL_REPEATS`` slots.
+    """``(controller, decision, wall_s, settle_s)`` over ``WALL_REPEATS`` slots.
 
     Each repeat observes ``observation`` on a fresh controller from
-    ``make()``, so every run does the same work; the controller and the
-    decision returned are the first run's, the wall is the fastest run's.
-    Later repeats record into a throwaway telemetry session, so the suite's
-    counters see the first run only.
+    ``make()`` and then settles it (a controller without ``settle`` has
+    no deferred phase), so every run does the same work. ``wall_s`` is
+    the fastest ``observe`` (the decision path) and ``settle_s`` the
+    fastest ``settle``; the controller and the decision returned are the
+    first run's. Later repeats record into a throwaway telemetry session,
+    so the suite's counters see the first run only.
     """
     first = None
-    fastest = float("inf")
+    fastest = fastest_settle = float("inf")
     for repeat in range(WALL_REPEATS):
         controller = make()
+        settle = getattr(controller, "settle", None)
         with telemetry_session() if repeat else contextlib.nullcontext():
             start = time.perf_counter()
             decision = controller.observe(observation)
-            fastest = min(fastest, time.perf_counter() - start)
+            observed = time.perf_counter()
+            if settle is not None:
+                settle()
+            settled = time.perf_counter()
+        fastest = min(fastest, observed - start)
+        fastest_settle = min(fastest_settle, settled - observed)
         if first is None:
             first = (controller, decision)
-    return (*first, fastest)
+    return (*first, fastest, fastest_settle)
 
 
 def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     """City-scale aggregation: 10k/100k/1M-user slots vs a direct solve.
 
     For each user count, one :class:`repro.aggregate.AggregatedController`
-    slot is timed end to end (cohort build, sharded reduced solve, the
-    factored proportional split); a per-user solve at J=120 provides the
-    wall-clock reference the 1M aggregated slot is compared against in
-    ``diagnostics``. Cohort counts and reduction ratios are deterministic
-    at a fixed seed, so CI gates on them; wall times stay advisory. Counts
-    scale with ``scale.num_users`` so tests can run the suite small.
+    slot's decision path is timed (cohort build, sharded reduced solve, the
+    factored proportional split) as ``agg_wall_s_*``, and its deferred
+    phase (``settle``: the disaggregation error, skipped above
+    ``ERROR_EVAL_LIMIT``, and its records) as ``agg_settle_s_*``; a
+    per-user solve at J=120 provides the wall-clock reference the 1M
+    aggregated slot is compared against in ``diagnostics``. Cohort counts
+    and reduction ratios are deterministic at a fixed seed, so CI gates on
+    them; wall times stay advisory. Counts scale with ``scale.num_users``
+    so tests can run the suite small.
     """
     import numpy as np
 
@@ -308,7 +319,7 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     reports = {}
     for label, num_users in labelled_counts:
         system, observation = _city_slot(num_users, scale.seed)
-        controller, decision, walls[label] = _fastest_fresh_slot(
+        controller, decision, walls[label], settle_s = _fastest_fresh_slot(
             lambda: AggregatedController(
                 system=system,
                 algorithm=OnlineRegularizedAllocator(eps1=scale.eps, eps2=scale.eps),
@@ -326,6 +337,7 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
             float((-x).max()),
         )
         metrics[f"agg_wall_s_{label}"] = _time_metric(walls[label])
+        metrics[f"agg_settle_s_{label}"] = _time_metric(settle_s)
         metrics[f"cohorts_{label}"] = _count_metric(report.cohorts, unit="cohorts")
         metrics[f"reduction_{label}"] = _count_metric(
             report.reduction_ratio, unit="x"
@@ -335,7 +347,7 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     # J=120 (scaled with the suite so tiny test scales stay tiny).
     direct_users = max(6, int(120 * factor))
     system, observation = _city_slot(direct_users, scale.seed)
-    _, _, direct_wall_s = _fastest_fresh_slot(
+    _, _, direct_wall_s, _ = _fastest_fresh_slot(
         lambda: OnlineRegularizedAllocator(
             eps1=scale.eps, eps2=scale.eps
         ).as_controller(system),
@@ -372,7 +384,9 @@ def _suite_service(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
       the budget truncated (``budget_partial_slots_iNN``, gated as
       ``count``), so "cheaper under a deadline" is a measured curve.
 
-    Latency percentiles are wall-clock and therefore advisory.
+    Latency percentiles are wall-clock and therefore advisory, and so are
+    ``deferred_p50_ms`` (a slot's deferred phase, after its reply) and
+    ``cpu_p50_ms`` (server thread CPU over both phases of a slot).
     """
     from ..service import ServiceConfig, run_loadgen
     from ..simulation.observations import (
@@ -392,6 +406,8 @@ def _suite_service(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         "latency_p50_ms": BenchMetric(report.latency_p50_ms, "ms", "time"),
         "latency_p95_ms": BenchMetric(report.latency_p95_ms, "ms", "time"),
         "latency_p99_ms": BenchMetric(report.latency_p99_ms, "ms", "time"),
+        "deferred_p50_ms": BenchMetric(report.deferred_p50_ms, "ms", "time"),
+        "cpu_p50_ms": BenchMetric(report.cpu_p50_ms, "ms", "time"),
         "deadline_misses": _count_metric(report.deadline_misses, unit="misses"),
         "partial_slots": _count_metric(report.partial_slots, unit="slots"),
         "streamed_cost": _cost_metric(report.streamed_cost),

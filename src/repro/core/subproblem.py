@@ -196,22 +196,6 @@ class RegularizedSubproblem:
         )
         return grad.ravel()
 
-    def hessian_factors(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Structured Hessian: (diag, cloud_scale) with
-        H = diag(diag) + sum_i cloud_scale[i] * 1_i 1_i^T,
-        where 1_i is the indicator of cloud i's variables: the structure
-        the interior-point kernel's Woodbury solve exploits (it forms the
-        same factors stacked across lanes)."""
-        x = self._reshape(flat)
-        diag = (
-            np.asarray(self.migration_prices)[:, None]
-            / self.tau[None, :]
-            / _safe(x + self.eps2)
-        ).ravel()
-        cloud_totals = x.sum(axis=1)
-        creg = np.asarray(self.reconfig_prices) / self.eta
-        return diag, creg / _safe(cloud_totals + self.eps1)
-
     # ----- solver entry -------------------------------------------------------
 
     def interior_point(self) -> np.ndarray:

@@ -61,6 +61,10 @@ class LoadgenReport:
         incident_bundles: paths of incident bundles the server wrote.
         slo_active: names of SLO objectives firing at the end of the
             replay (empty when the SLO plane is disabled or healthy).
+        deferred_p50_ms: median server-side wall time of a slot's deferred
+            phase, which runs after its reply (0 when not reported).
+        cpu_p50_ms: median server thread CPU time of a slot's ``step``
+            and ``settle`` together (0 when not reported).
     """
 
     slots: int
@@ -77,6 +81,8 @@ class LoadgenReport:
     flight_snapshots: int = 0
     incident_bundles: tuple = ()
     slo_active: tuple = ()
+    deferred_p50_ms: float = 0.0
+    cpu_p50_ms: float = 0.0
 
     def as_dict(self) -> dict:
         """Plain-dict (JSON-ready) form."""
@@ -95,6 +101,8 @@ class LoadgenReport:
             "flight_snapshots": self.flight_snapshots,
             "incident_bundles": list(self.incident_bundles),
             "slo_active": list(self.slo_active),
+            "deferred_p50_ms": self.deferred_p50_ms,
+            "cpu_p50_ms": self.cpu_p50_ms,
         }
 
     def render(self) -> str:
@@ -104,6 +112,8 @@ class LoadgenReport:
             f"in {self.wall_s:.2f}s",
             f"  slot latency ms     p50 {self.latency_p50_ms:9.2f}   "
             f"p95 {self.latency_p95_ms:9.2f}   p99 {self.latency_p99_ms:9.2f}",
+            f"  server per slot ms  deferred p50 {self.deferred_p50_ms:.2f}   "
+            f"cpu p50 {self.cpu_p50_ms:.2f}",
             f"  deadline misses     {self.deadline_misses}"
             f" ({self.partial_slots} budget-truncated solves)",
             f"  streamed cost       {self.streamed_cost:.6f}",
@@ -295,6 +305,8 @@ def run_loadgen(
         flight_snapshots=int(stats.get("flight_snapshots", 0)),
         incident_bundles=tuple(stats.get("incident_bundles", ()) or ()),
         slo_active=tuple(stats.get("slo_active", ()) or ()),
+        deferred_p50_ms=float(stats.get("deferred_p50_ms", 0.0)),
+        cpu_p50_ms=float(stats.get("cpu_p50_ms", 0.0)),
     )
 
 

@@ -11,9 +11,12 @@ than the solver is downsampled instead of queued unboundedly.
 Solves run in a thread-pool executor under a session lock, so the event
 loop keeps accepting input (and serving ``/metrics`` via
 :class:`repro.telemetry.exporters.MetricsEndpoint`) while the IPM is
-working. :func:`serve_stdio` is the transportless twin: a blocking
-JSON-lines loop over file objects, used by ``repro-edge serve --stdio``
-and by pipelines that feed updates from a file. See docs/SERVING.md.
+working. The reply goes out as soon as the slot's decision path ends; the
+slot's deferred, observation-only phase (``AllocationSession.settle``)
+runs after it, still under the lock. :func:`serve_stdio` is the
+transportless twin: a blocking JSON-lines loop over file objects, used by
+``repro-edge serve --stdio`` and by pipelines that feed updates from a
+file. See docs/SERVING.md.
 """
 
 from __future__ import annotations
@@ -90,7 +93,15 @@ class AllocationServer:
             self._ticker = asyncio.create_task(self._tick_loop())
 
     async def stop(self) -> None:
-        """Close the listener, the ticker, and the metrics endpoint."""
+        """Close the listener, the ticker, and the metrics endpoint.
+
+        A slot whose deferred phase has not run yet is settled first.
+        """
+        if self._lock is not None:
+            async with self._lock:
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self.session.settle
+                )
         if self._ticker is not None:
             self._ticker.cancel()
             try:
@@ -174,15 +185,25 @@ class AllocationServer:
                     },
                 )
             return
-        reply = await self._handle_locked(message)
-        await self._reply(writer, reply)
+        await self._serve_locked(message, writer)
 
-    async def _handle_locked(self, message: dict) -> dict:
-        """Run one session dispatch in the executor, serialized by the lock."""
+    async def _serve_locked(
+        self, message: dict, writer: asyncio.StreamWriter
+    ) -> None:
+        """Handle one message, reply, then settle the slot, under the lock.
+
+        The session's decision path runs in the executor and its reply is
+        written and drained before the slot's deferred phase
+        (``session.settle``) runs, also in the executor. The lock spans
+        all three, so a message that arrives meanwhile waits for the
+        deferred phase and is answered in order.
+        """
         assert self._lock is not None
         loop = asyncio.get_running_loop()
         async with self._lock:
-            return await loop.run_in_executor(None, self.session.handle, message)
+            reply = await loop.run_in_executor(None, self.session.handle, message)
+            await self._reply(writer, reply)
+            await loop.run_in_executor(None, self.session.settle)
 
     async def _tick_loop(self) -> None:
         """Wall-clock slot trigger: solve the freshest buffered update."""
@@ -194,8 +215,7 @@ class AllocationServer:
             if pending is None:
                 continue
             message, writer = pending
-            reply = await self._handle_locked(message)
-            await self._reply(writer, reply)
+            await self._serve_locked(message, writer)
 
     @staticmethod
     async def _reply(writer: asyncio.StreamWriter, reply: dict) -> None:
@@ -238,10 +258,10 @@ def serve_stdio(
 ) -> int:
     """Blocking JSON-lines loop over file objects (stdin/stdout by default).
 
-    Reads one message per line, writes one reply per line, returns the
-    number of slots served when the input stream ends. Protocol errors
-    are answered and the loop continues — a torn line never kills the
-    session.
+    Reads one message per line, writes and flushes one reply per line and
+    then settles the slot, returns the number of slots served when the
+    input stream ends. Protocol errors are answered and the loop
+    continues — a torn line never kills the session.
     """
     in_stream = in_stream if in_stream is not None else sys.stdin
     out_stream = out_stream if out_stream is not None else sys.stdout
@@ -251,4 +271,5 @@ def serve_stdio(
         reply = session.handle_line(line)
         out_stream.write(json.dumps(reply, separators=(",", ":")) + "\n")
         out_stream.flush()
+        session.settle()
     return session.stepper.processed

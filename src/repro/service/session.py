@@ -14,6 +14,12 @@ pieces the batch path already has into a long-running shape:
   *identical* accounting/telemetry/feasibility body as batch
   :func:`~repro.simulation.spine.simulate`.
 
+Each slot runs in two phases. :meth:`AllocationSession.step` (and
+``handle`` for an update) is the decision path that ends in the reply;
+:meth:`AllocationSession.settle` runs the observation-only work after it
+— the disaggregation error, the slot's records, the flight snapshot and
+alert evaluation. The server calls ``settle`` after writing the reply.
+
 Each processed slot is measured and classified: a **deadline miss** is a
 slot whose solve was budget-truncated (any partial solve) or whose wall
 latency exceeded the configured deadline. Misses are counted
@@ -32,6 +38,7 @@ records in the manifest, ``slo.burn.*`` gauges on ``/metrics``.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +59,10 @@ from ..telemetry import (
 )
 from .config import ServiceConfig
 from .protocol import ProtocolError, parse_update
+
+
+#: Slots whose deferred-phase and CPU timings ``stats()`` summarizes.
+_TIMING_WINDOW = 4096
 
 
 def percentile(values, fraction: float) -> float:
@@ -129,6 +140,11 @@ class AllocationSession:
         )
         self.results: list[ServiceSlotResult] = []
         self._deadline_misses = 0
+        # The last stepped slot awaiting settle(), and per-slot timings of
+        # the deferred phase's wall and both phases' thread CPU time.
+        self._pending: tuple[ServiceSlotResult, float] | None = None
+        self._deferred_ms: deque[float] = deque(maxlen=_TIMING_WINDOW)
+        self._cpu_ms: deque[float] = deque(maxlen=_TIMING_WINDOW)
         # Incident plane: the flight recorder snapshots the last K slots
         # (config.flight_slots) and the alert evaluator classifies the
         # slot stream, so alerts trigger bundle dumps even when global
@@ -205,12 +221,16 @@ class AllocationSession:
         *,
         trace: TraceContext | None = None,
     ) -> ServiceSlotResult:
-        """Serve one slot: solve under budget, account, classify the latency.
+        """Serve one slot's decision path: solve under budget, account, classify.
 
         When ``trace`` carries a client's wire context, the whole solve
         runs under it — every span and event the slot records joins the
-        client's trace, and the result echoes the ``trace_id``.
+        client's trace, and the result echoes the ``trace_id``. The slot's
+        observation-only work waits for :meth:`settle`, which the next
+        ``step`` runs first if the caller has not.
         """
+        self.settle()
+        cpu_start = time.thread_time()
         start = time.perf_counter()
         if trace is not None:
             with trace_scope(trace):
@@ -242,9 +262,32 @@ class AllocationSession:
             telemetry.counter("service.deadline.misses").inc()
             if partial:
                 telemetry.counter("service.deadline.partial_solves").inc()
+        self._trim_history()
+        self._pending = (result, time.thread_time() - cpu_start)
+        return result
+
+    def settle(self) -> None:
+        """Run the last served slot's deferred phase (idempotent).
+
+        The stepper's deferred phase (the disaggregation error, the
+        ``aggregate.*``, ``slot`` and ``prof.phases`` records, the flight
+        snapshot) and then the session's own ``service.deadline.miss`` /
+        ``service.slot`` records, alert evaluation and sink flush. The
+        server calls it after writing the slot's reply and before it
+        handles the next message; ``step``, ``reset_session`` and
+        ``stats`` call it first.
+        """
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return
+        result, step_cpu_s = pending
+        cpu_start = time.thread_time()
+        start = time.perf_counter()
+        self.stepper.settle()
+        telemetry = get_registry()
         if telemetry.enabled or self.alerts is not None:
             records = []
-            if miss:
+            if result.deadline_miss:
                 records.append(
                     {
                         "type": "service.deadline.miss",
@@ -255,15 +298,15 @@ class AllocationSession:
                             if self.config.deadline_s is None
                             else self.config.deadline_s * 1000.0
                         ),
-                        "partial": partial,
+                        "partial": result.partial,
                     }
                 )
             record = {
                 "type": "service.slot",
                 "slot": result.slot,
                 "latency_ms": result.latency_ms,
-                "partial": partial,
-                "deadline_miss": miss,
+                "partial": result.partial,
+                "deadline_miss": result.deadline_miss,
                 "total_cost": result.total_cost,
             }
             if result.trace_id is not None:
@@ -276,8 +319,8 @@ class AllocationSession:
                     payload = dict(record)
                     telemetry.event(payload.pop("type"), **payload)
                 telemetry.maybe_flush()
-        self._trim_history()
-        return result
+        self._deferred_ms.append((time.perf_counter() - start) * 1000.0)
+        self._cpu_ms.append((step_cpu_s + time.thread_time() - cpu_start) * 1000.0)
 
     def _raise_alerts(self, records: list[dict], telemetry) -> list[dict]:
         """Evaluate the slot's records; return them with what they raised.
@@ -370,8 +413,11 @@ class AllocationSession:
         decision and capacity duals (``controller.reset``) and the
         stepper's accumulator/residuals (a fresh :class:`SlotStepper`).
         """
+        self.settle()
         self.results = []
         self._deadline_misses = 0
+        self._deferred_ms.clear()
+        self._cpu_ms.clear()
         if self.recorder is not None:
             # Stale snapshots would replay fine (bundles are self-
             # contained) but describe the previous horizon; start clean.
@@ -383,10 +429,14 @@ class AllocationSession:
     def stats(self) -> dict:
         """Session statistics: slots, costs, misses, latency percentiles.
 
-        Always includes the incident-plane counters (zeros / empty when
-        the recorder and alert evaluator are disabled), so operators can see
+        ``deferred_p50_ms`` is the median wall time of a slot's deferred
+        phase (:meth:`settle`) and ``cpu_p50_ms`` the median thread CPU
+        time of its :meth:`step` and :meth:`settle` together. Always
+        includes the incident-plane counters (zeros / empty when the
+        recorder and alert evaluator are disabled), so operators can see
         at a glance whether the plane is armed and what it has captured.
         """
+        self.settle()
         latencies = [r.latency_ms for r in self.results]
         recorder = self.recorder
         return {
@@ -397,6 +447,8 @@ class AllocationSession:
             "latency_p50_ms": percentile(latencies, 0.50),
             "latency_p95_ms": percentile(latencies, 0.95),
             "latency_p99_ms": percentile(latencies, 0.99),
+            "deferred_p50_ms": percentile(self._deferred_ms, 0.50),
+            "cpu_p50_ms": percentile(self._cpu_ms, 0.50),
             "flight_snapshots": 0 if recorder is None else recorder.snapshots_taken,
             "incident_bundles": (
                 [] if recorder is None

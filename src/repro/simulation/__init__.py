@@ -14,7 +14,6 @@ checkpoint/resume, and a memory-bounded mode. See docs/ENGINE.md.
 from .observations import (
     OnlineController,
     SlotObservation,
-    StatefulController,
     SystemDescription,
     iter_observations,
     observations_from_instance,
@@ -68,7 +67,6 @@ __all__ = [
     "SlotObservation",
     "SlotStepper",
     "SolverStatsHook",
-    "StatefulController",
     "SweepCell",
     "SystemDescription",
     "WallTimeHook",

@@ -89,7 +89,19 @@ class SlotObservation:
 
 @runtime_checkable
 class OnlineController(Protocol):
-    """A causal controller: observation in, allocation out, state inside."""
+    """A causal controller: observation in, allocation out, state inside.
+
+    Optional methods the spine uses when present:
+
+    * ``get_state()`` / ``set_state(state)`` — a picklable snapshot of the
+      internal state, for :class:`repro.simulation.spine.SimulationCheckpoint`
+      and resumed runs;
+    * ``settle()`` — the last slot's observation-only work, which no
+      decision reads (the aggregated controller's disaggregation error and
+      its records). :meth:`repro.simulation.spine.SlotStepper.settle` calls
+      it after the slot's decision path, so the service can reply first.
+      It must be idempotent. Direct-path controllers need none.
+    """
 
     def observe(self, observation: SlotObservation) -> np.ndarray:
         """Decide the (I, J) allocation for the observed slot.
@@ -102,23 +114,6 @@ class OnlineController(Protocol):
 
     def reset(self) -> None:
         """Forget all state (start a new run)."""
-        ...
-
-
-@runtime_checkable
-class StatefulController(Protocol):
-    """A controller whose internal state can be checkpointed and restored.
-
-    Every controller shipped with this project implements it; the spine
-    uses it for :class:`repro.simulation.spine.SimulationCheckpoint`.
-    """
-
-    def get_state(self) -> object:
-        """A picklable snapshot of the controller's internal state."""
-        ...
-
-    def set_state(self, state: object) -> None:
-        """Restore a snapshot produced by :meth:`get_state`."""
         ...
 
 

@@ -142,6 +142,12 @@ class SlotStepper:
     :meth:`step` once per observation; :meth:`finish` fires the run-end
     hooks and returns the :class:`SimulationResult`. :meth:`result` and
     :meth:`checkpoint` can be called at any time for a live snapshot.
+
+    A slot runs in two phases: :meth:`step` is the decision path (decide,
+    account, residuals) and :meth:`settle` the deferred, observation-only
+    phase. :func:`simulate` runs them back to back; the service settles
+    after it has replied. Either way each slot's records carry the same
+    values in the same order.
     """
 
     def __init__(
@@ -194,6 +200,8 @@ class SlotStepper:
         self._slots: list[np.ndarray] = []
         self.processed = 0
         self._started = False
+        # The last stepped slot's inputs to its deferred phase, until settle().
+        self._pending: tuple | None = None
 
     def start(self) -> None:
         """Fire the run-start hooks once (idempotent; ``step`` calls it)."""
@@ -207,13 +215,19 @@ class SlotStepper:
     def step(
         self, observation: SlotObservation
     ) -> tuple["np.ndarray | FactoredAllocation", SlotCosts]:
-        """Process one slot: decide, account, observe, track residuals.
+        """Process one slot's decision path: decide, account, track residuals.
 
         Returns the controller's decision as it made it (a
         :class:`FactoredAllocation` on the cohort path) and the slot's
-        costs. The dense (I, J) matrix of a factored decision is built only
-        when ``keep_schedule`` is set or hooks are installed.
+        costs. The slot's observation-only work — the controller's
+        ``settle``, the ``slot``/``prof.phases`` records, the flight
+        recorder's snapshot and the hooks' ``on_slot_end`` — stays pending
+        until :meth:`settle`, which the next ``step`` (and
+        ``checkpoint``/``result``/``finish``) runs first. The dense (I, J)
+        matrix of a factored decision is built only when ``keep_schedule``
+        is set or hooks are installed.
         """
+        self.settle()
         self.start()
         telemetry = get_registry()
         observing = telemetry.enabled
@@ -244,56 +258,92 @@ class SlotStepper:
         slot_ms = 0.0
         if timing:
             slot_ms = (time.perf_counter() - slot_start) * 1000.0
-        if observing:
-            telemetry.histogram("slot.wall_ms").observe(slot_ms)
-            telemetry.event(
-                "slot",
-                slot=observation.slot,
-                wall_ms=slot_ms,
-                op=costs.operation,
-                sq=costs.service_quality,
-                rc=costs.reconfiguration,
-                mg=costs.migration,
-                total=costs.total,
-            )
-            if profile is not None:
-                phases = profile.since(mark)
-                attributed = sum(phases.values())
-                # The remainder keeps per-slot phase sums equal to the
-                # slot wall by construction — honest "none of the named
-                # phases" time instead of silently missing milliseconds.
-                phases["spine.unattributed"] = max(0.0, slot_ms - attributed)
-                telemetry.event(
-                    "prof.phases",
-                    slot=observation.slot,
-                    wall_ms=slot_ms,
-                    phases=phases,
-                )
-                for name in sorted(phases):
-                    telemetry.histogram("prof.phase_ms." + name).observe(
-                        phases[name]
-                    )
-            # A streaming sink flushes every N events; this per-slot
-            # nudge makes its *time* policy effective too, so a
-            # watcher's staleness is bounded by the flush interval
-            # even when slots are slow and events sparse.
-            telemetry.maybe_flush()
-        if recorder is not None:
-            recorder.end_slot(self, observation, costs, slot_ms)
+        phases = None
+        if profile is not None:
+            phases = profile.since(mark)
+            # The remainder keeps per-slot phase sums equal to the slot
+            # wall by construction — honest "none of the named phases"
+            # time instead of silently missing milliseconds.
+            phases["spine.unattributed"] = max(0.0, slot_ms - sum(phases.values()))
         demand, capacity, negativity = _residuals(
             x_t, self._workloads, self._capacities
         )
         self._residual_demand = max(self._residual_demand, demand)
         self._residual_capacity = max(self._residual_capacity, capacity)
         self._residual_negativity = max(self._residual_negativity, negativity)
-        if self.keep_schedule or self.hooks:
+        dense = None
+        if self.keep_schedule:
             dense = x_t.materialize()
-            if self.keep_schedule:
-                self._slots.append(np.array(dense, dtype=float))
-            for hook in self.hooks:
-                hook.on_slot_end(observation, dense, costs)
+            self._slots.append(np.array(dense, dtype=float))
         self.processed += 1
+        self._pending = (
+            observation,
+            x_t,
+            dense,
+            costs,
+            slot_ms,
+            phases,
+            telemetry if observing else None,
+            recorder,
+        )
         return decision, costs
+
+    def settle(self) -> None:
+        """Run the last slot's deferred phase (idempotent).
+
+        Everything here only observes the slot, so the service runs it
+        after writing the reply: the controller's ``settle`` (the
+        aggregated path's disaggregation error and ``aggregate.*``
+        records), then ``slot.wall_ms`` and the ``slot``/``prof.phases``
+        events, the flight recorder's ``end_slot`` and the hooks'
+        ``on_slot_end``, so a slot's records keep one order whether it
+        settles at once (:func:`simulate`) or after a reply.
+        Its wall time is profiled as ``spine.settle``, outside the slot's
+        ``wall_ms`` window.
+        """
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return
+        observation, x_t, dense, costs, slot_ms, phases, telemetry, recorder = pending
+        with phase("spine.settle"):
+            settle = getattr(self.controller, "settle", None)
+            if settle is not None:
+                settle()
+            if telemetry is not None:
+                telemetry.histogram("slot.wall_ms").observe(slot_ms)
+                telemetry.event(
+                    "slot",
+                    slot=observation.slot,
+                    wall_ms=slot_ms,
+                    op=costs.operation,
+                    sq=costs.service_quality,
+                    rc=costs.reconfiguration,
+                    mg=costs.migration,
+                    total=costs.total,
+                )
+                if phases is not None:
+                    telemetry.event(
+                        "prof.phases",
+                        slot=observation.slot,
+                        wall_ms=slot_ms,
+                        phases=phases,
+                    )
+                    for name in sorted(phases):
+                        telemetry.histogram("prof.phase_ms." + name).observe(
+                            phases[name]
+                        )
+                # A streaming sink flushes every N events; this per-slot
+                # nudge makes its *time* policy effective too, so a
+                # watcher's staleness is bounded by the flush interval
+                # even when slots are slow and events sparse.
+                telemetry.maybe_flush()
+            if recorder is not None:
+                recorder.end_slot(self, observation, costs, slot_ms)
+            if self.hooks:
+                if dense is None:
+                    dense = x_t.materialize()
+                for hook in self.hooks:
+                    hook.on_slot_end(observation, dense, costs)
 
     @property
     def residuals(self) -> tuple[float, float, float]:
@@ -306,6 +356,7 @@ class SlotStepper:
 
     def checkpoint(self) -> SimulationCheckpoint:
         """State snapshot sufficient to resume after the last slot."""
+        self.settle()
         with phase("spine.checkpoint"):
             get_state = getattr(self.controller, "get_state", None)
             return SimulationCheckpoint(
@@ -325,6 +376,7 @@ class SlotStepper:
 
     def result(self, wall_time_s: float = 0.0) -> SimulationResult:
         """Build a :class:`SimulationResult` from the current state."""
+        self.settle()
         return SimulationResult(
             schedule=AllocationSchedule.from_slots(self._slots)
             if self._slots
@@ -339,6 +391,7 @@ class SlotStepper:
 
     def finish(self, wall_time_s: float = 0.0) -> SimulationResult:
         """Close the run: require at least one slot, fire run-end hooks."""
+        self.settle()
         if self.accumulator.num_slots == 0:
             raise ValueError("simulate() needs at least one observation")
         for hook in self.hooks:
@@ -417,6 +470,7 @@ def simulate(
             if observation is None:
                 break
             stepper.step(observation)
+            stepper.settle()
     elapsed = time.perf_counter() - start
     return stepper.finish(elapsed)
 

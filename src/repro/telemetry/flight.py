@@ -273,28 +273,36 @@ class FlightRecorder:
         self._context: deque[dict] = deque(maxlen=max(1, context_events))
         self._system = None
         self._controller_info: dict | None = None
-        self._pending: tuple[object, object, float] | None = None
+        self._pending: tuple[object, object, object] | None = None
         self._last_dump_at: dict[str, int] = {}
 
     # ----- spine wiring -------------------------------------------------------
 
     def begin_slot(self, stepper, observation) -> None:
-        """Capture the pre-solve state (called by ``SlotStepper.step``)."""
+        """Capture the pre-solve state (called by ``SlotStepper.step``).
+
+        The active trace context is captured here too: ``end_slot`` runs
+        in the slot's deferred phase, possibly on another thread.
+        """
         if self._system is None:
             self._system = stepper.system
             self._controller_info = _describe_controller(stepper.controller)
-        self._pending = (observation, stepper.checkpoint(), time.perf_counter())
+        self._pending = (observation, stepper.checkpoint(), current_trace())
 
     def end_slot(self, stepper, observation, costs, wall_ms: float) -> None:
-        """Seal the pending snapshot with the slot's recorded outcome."""
+        """Seal the pending snapshot with the slot's recorded outcome.
+
+        Called by ``SlotStepper.settle``: the controller's last report (or
+        result) is still the slot's, since the next ``observe`` runs only
+        after the slot settles.
+        """
         if self._pending is None:
             return
-        pending_observation, checkpoint, _started = self._pending
+        pending_observation, checkpoint, trace = self._pending
         self._pending = None
         if pending_observation is not observation:
             return  # interleaved steppers; keep only matched pairs
         iterations, partial = _solver_stats(stepper.controller)
-        trace = current_trace()
         self.snapshots.append(
             SlotSnapshot(
                 slot=int(observation.slot),
@@ -858,6 +866,7 @@ def _replay_snapshot(system, controller_info: dict, snapshot: dict) -> dict:
         controller, system, keep_schedule=False, resume_from=checkpoint
     )
     _, costs = stepper.step(observation)
+    stepper.settle()
     iterations, partial = _solver_stats(controller)
     return {
         "costs": {

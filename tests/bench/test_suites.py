@@ -65,6 +65,7 @@ class TestAggregateSuite:
         kinds = {n: m.kind for n, m in record.metrics.items()}
         for label in ("10k", "100k", "1m"):
             assert kinds[f"agg_wall_s_{label}"] == "time"
+            assert kinds[f"agg_settle_s_{label}"] == "time"
             assert kinds[f"cohorts_{label}"] == "count"
             assert kinds[f"reduction_{label}"] == "count"
         assert kinds["direct_wall_s_j120"] == "time"
@@ -87,10 +88,11 @@ class TestAggregateSuite:
         assert report.ok
 
     def test_walls_are_the_fastest_of_fresh_controllers(self, monkeypatch):
-        # Three fresh controllers, each timed over its own observe: the
-        # wall is the fastest, the controller, decision and telemetry the
-        # first run's.
-        clock = iter([0.0, 5.0, 10.0, 12.0, 20.0, 23.0])  # walls 5, 2, 3
+        # Three fresh controllers, each timed over its own observe and then
+        # its own settle: each wall is the fastest, the controller,
+        # decision and telemetry the first run's.
+        clock = iter([0.0, 5.0, 6.0, 10.0, 12.0, 16.0, 20.0, 23.0, 24.0])
+        # observe walls 5, 2, 3; settle walls 1, 4, 1
         monkeypatch.setattr(suites.time, "perf_counter", lambda: next(clock))
         made = []
 
@@ -102,14 +104,19 @@ class TestAggregateSuite:
                 get_registry().counter("test.observes").inc()
                 return len(made), observation
 
+            def settle(self):
+                get_registry().counter("test.settles").inc()
+
         with telemetry_session() as registry:
-            controller, decision, wall = suites._fastest_fresh_slot(
+            controller, decision, wall, settle = suites._fastest_fresh_slot(
                 Controller, "slot"
             )
         assert len(made) == suites.WALL_REPEATS == 3
         assert controller is made[0] and decision == (1, "slot")
         assert wall == 2.0
+        assert settle == 1.0
         assert registry.counter("test.observes").value == 1
+        assert registry.counter("test.settles").value == 1
 
 
 class TestSolverSuite:

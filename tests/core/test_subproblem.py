@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 from repro.core.subproblem import RegularizedSubproblem
 from repro.solvers import InteriorPointBackend
 from tests.conftest import make_tiny_instance
-from tests.solvers.trust_constr import constraint_rows, dense_hessian
+from tests.solvers.trust_constr import (
+    constraint_rows,
+    dense_hessian,
+    hessian_factors,
+)
 
 
 def make_subproblem(seed=0, slot=1, eps=1.0, x_prev_scale=0.5):
@@ -64,7 +68,7 @@ class TestDerivatives:
         rng = np.random.default_rng(4)
         n = sub.num_clouds * sub.num_users
         x = rng.uniform(0.1, 1.0, size=n)
-        diag, cloud_scale = sub.hessian_factors(x)
+        diag, cloud_scale = hessian_factors(sub, x)
         dense = np.diag(diag)
         for i in range(sub.num_clouds):
             indicator = (np.arange(n) // sub.num_users == i).astype(float)

@@ -85,6 +85,7 @@ class TestSessionIncidentPlane:
         assert session.alerts.active == ()
         # The session accepts slot 0 again and keeps recording.
         session.step(observations[0])
+        session.settle()
         assert len(session.recorder.snapshots) == 1
 
     def test_memory_only_recorder_keeps_the_ring_without_dumping(

@@ -35,6 +35,8 @@ class TestReplayGates:
         assert report.partial_slots == 0
         assert abs(report.cost_delta) <= 1e-9
         assert report.latency_p99_ms >= report.latency_p50_ms > 0.0
+        # The session's stats reply carries the two phases' timings.
+        assert report.cpu_p50_ms > 0.0 and report.deferred_p50_ms >= 0.0
 
     def test_starved_budget_degrades_every_slot(self, tiny_stream):
         system, observations = tiny_stream

@@ -7,6 +7,10 @@ dependency); every server binds port 0 so tests never collide.
 import asyncio
 import io
 import json
+import sys
+import threading
+
+import pytest
 
 from repro.service import (
     AllocationServer,
@@ -197,6 +201,139 @@ class TestTcpServer:
                 await server.stop()
 
         asyncio.run(scenario())
+
+
+class TestTwoPhaseSlot:
+    """The reply goes out before the slot's deferred phase, which holds the lock."""
+
+    @pytest.mark.parametrize("tick_s", [None, 0.05], ids=["event", "tick"])
+    def test_reply_precedes_a_blocked_settle_and_the_next_update_waits(
+        self, tiny_stream, tick_s
+    ):
+        system, observations = tiny_stream
+        session = AllocationSession(system, ServiceConfig())
+        entered = threading.Event()
+        release = threading.Event()
+        order: list[str] = []
+        observe = session.controller.observe
+
+        def recording_observe(observation):
+            order.append(f"observe {observation.slot}")
+            return observe(observation)
+
+        def blocking_settle():
+            entered.set()
+            release.wait(timeout=30)
+            order.append("settled")
+
+        session.controller.observe = recording_observe
+        session.controller.settle = blocking_settle
+
+        async def scenario():
+            server = AllocationServer(session, tick_s=tick_s)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                other_reader, other_writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                writer.write(encode(observation_to_update(observations[0])))
+                await writer.drain()
+                first = json.loads(
+                    await asyncio.wait_for(reader.readline(), timeout=30)
+                )
+                assert first["type"] == "slot_result" and first["slot"] == 0
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, entered.wait, 30)
+                assert order == ["observe 0"]
+
+                other_writer.write(
+                    encode(observation_to_update(observations[1]))
+                )
+                await other_writer.drain()
+                second = asyncio.ensure_future(other_reader.readline())
+                await asyncio.sleep(0.3)
+                assert not second.done()
+                assert order == ["observe 0"]
+
+                release.set()
+                reply = json.loads(await asyncio.wait_for(second, timeout=30))
+                assert reply["type"] == "slot_result" and reply["slot"] == 1
+                assert order[:3] == ["observe 0", "settled", "observe 1"]
+                writer.close()
+                other_writer.close()
+            finally:
+                release.set()
+                await server.stop()
+
+        asyncio.run(scenario())
+        # stop() settled the last slot too.
+        assert order == ["observe 0", "settled", "observe 1", "settled"]
+
+
+    def test_concurrent_clients_never_interleave_a_slot_with_its_settle(
+        self, tiny_stream
+    ):
+        from repro.aggregate import AggregationConfig
+        from repro.telemetry import MetricsRegistry
+
+        system, observations = tiny_stream
+        config = ServiceConfig(aggregation=AggregationConfig(shards=2))
+        registry = MetricsRegistry()
+
+        async def poll_stats(host, port, stop):
+            reader, writer = await asyncio.open_connection(host, port)
+            seen = []
+            while not stop.is_set():
+                seen.append((await _send(reader, writer, {"type": "stats"}))["slots"])
+            writer.close()
+            return seen
+
+        async def scenario():
+            server = AllocationServer(AllocationSession(system, config))
+            await server.start()
+            stop = asyncio.Event()
+            pollers = [
+                asyncio.ensure_future(poll_stats(server.host, server.port, stop))
+                for _ in range(4)
+            ]
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                for observation in observations:
+                    reply = await _send(
+                        reader, writer, observation_to_update(observation)
+                    )
+                    assert reply["type"] == "slot_result"
+                writer.close()
+                stop.set()
+                return await asyncio.wait_for(asyncio.gather(*pollers), 60)
+            finally:
+                stop.set()
+                await server.stop()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with telemetry_session(registry):
+                polled = asyncio.run(asyncio.wait_for(scenario(), 120))
+        finally:
+            sys.setswitchinterval(interval)
+        slots = list(range(len(observations)))
+        for kind in ("aggregate.slot", "slot", "service.slot"):
+            assert [e["slot"] for e in registry.events if e["type"] == kind] == slots
+        # Each settled slot's records sit together, before the next slot's.
+        kinds = [
+            e["type"]
+            for e in registry.events
+            if e["type"] in ("aggregate.slot", "slot", "service.slot")
+        ]
+        assert kinds == ["aggregate.slot", "slot", "service.slot"] * len(slots)
+        for seen in polled:
+            assert seen == sorted(seen)
 
 
 class TestStdioLoop:

@@ -220,7 +220,46 @@ class TestTracing:
         with telemetry_session(registry):
             session = AllocationSession(system, ServiceConfig())
             session.handle(observation_to_update(observations[0], trace=ctx))
+            session.settle()
         spans = [s for s in registry.spans if s["name"] == "service.slot"]
         assert spans and spans[0]["meta"]["trace_id"] == ctx.trace_id
         events = [e for e in registry.events if e.get("type") == "service.slot"]
         assert events and events[0]["trace_id"] == ctx.trace_id
+
+
+class TestTwoPhaseSlot:
+    def _aggregate_slots(self, registry):
+        return [e["slot"] for e in registry.events if e["type"] == "aggregate.slot"]
+
+    def test_pending_slot_settles_on_stats_next_update_and_reset(
+        self, tiny_stream
+    ):
+        from repro.aggregate import AggregationConfig
+        from repro.telemetry import MetricsRegistry, telemetry_session
+
+        system, observations = tiny_stream
+        registry = MetricsRegistry()
+        config = ServiceConfig(aggregation=AggregationConfig(shards=2))
+        with telemetry_session(registry):
+            session = AllocationSession(system, config)
+            empty = session.stats()
+            assert empty["deferred_p50_ms"] == empty["cpu_p50_ms"] == 0.0
+            reply = session.handle(observation_to_update(observations[0]))
+            assert reply["type"] == "slot_result"
+            # The reply is out; the slot's records wait for settle().
+            assert self._aggregate_slots(registry) == []
+            assert session.controller.last_reports[-1].disagg_error is None
+            stats = session.stats()
+            assert self._aggregate_slots(registry) == [0]
+            assert session.controller.last_reports[-1].disagg_error is not None
+            assert stats["deferred_p50_ms"] > 0.0
+            assert stats["cpu_p50_ms"] > 0.0
+            session.handle(observation_to_update(observations[1]))
+            session.handle(observation_to_update(observations[2]))
+            assert self._aggregate_slots(registry) == [0, 1]
+            session.reset_session()
+            assert self._aggregate_slots(registry) == [0, 1, 2]
+            session.handle(observation_to_update(observations[0]))
+            session.settle()
+        served = [e for e in registry.events if e["type"] == "service.slot"]
+        assert len(self._aggregate_slots(registry)) == len(served) == 4

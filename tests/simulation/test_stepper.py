@@ -107,3 +107,85 @@ class TestStepperLifecycle:
         stepper.step(observations[1])
         assert stepper.result().slots == 2
         assert stepper.result().total_cost > mid.total_cost
+
+
+def _untimed(value):
+    """``value`` without its timing fields (keys ending in ``_ms``)."""
+    if isinstance(value, dict):
+        return {
+            key: _untimed(item)
+            for key, item in value.items()
+            if not key.endswith("_ms")
+        }
+    if isinstance(value, list):
+        return [_untimed(item) for item in value]
+    return value
+
+
+class TestTwoPhaseSlot:
+    @pytest.mark.parametrize("shards", [None, 2], ids=["direct", "aggregated"])
+    def test_served_stream_records_equal_batch_records(self, shards):
+        from repro.aggregate import AggregationConfig
+        from repro.service import AllocationSession, ServiceConfig
+        from repro.service.protocol import observation_to_update
+        from repro.telemetry import MetricsRegistry, telemetry_session
+
+        system, observations = _setup(seed=3)
+        aggregation = None if shards is None else AggregationConfig(shards=shards)
+        config = ServiceConfig(aggregation=aggregation)
+        batch_registry = MetricsRegistry()
+        with telemetry_session(batch_registry):
+            simulate(
+                OnlineRegularizedAllocator(
+                    eps1=config.eps1,
+                    eps2=config.eps2,
+                    tol=config.tol,
+                    aggregation=aggregation,
+                ).as_controller(system),
+                observations,
+                system,
+                keep_schedule=False,
+            )
+        served_registry = MetricsRegistry()
+        with telemetry_session(served_registry):
+            session = AllocationSession(system, config)
+            for observation in observations:
+                reply = session.handle(observation_to_update(observation))
+                assert reply["type"] == "slot_result"
+                session.settle()
+
+        served = [
+            _untimed(event)
+            for event in served_registry.events
+            if not event["type"].startswith("service.")
+        ]
+        batch = [_untimed(event) for event in batch_registry.events]
+        assert [event["type"] for event in served] == [
+            event["type"] for event in batch
+        ]
+        assert served == batch
+        kinds = ["slot"] if shards is None else ["aggregate.slot", "slot"]
+        slot_records = [e["type"] for e in batch if e["type"] in kinds]
+        assert slot_records == kinds * len(observations)
+
+    def test_step_defers_records_until_settle(self):
+        from repro.telemetry import MetricsRegistry, telemetry_session
+
+        system, observations = _setup()
+        registry = MetricsRegistry()
+
+        def settled():
+            return [e["slot"] for e in registry.events if e["type"] == "slot"]
+
+        with telemetry_session(registry):
+            stepper = SlotStepper(_controller(system), system)
+            stepper.step(observations[0])
+            assert settled() == []
+            stepper.settle()
+            stepper.settle()  # idempotent
+            assert settled() == [0]
+            stepper.step(observations[1])
+            stepper.step(observations[2])  # settles slot 1 first
+            assert settled() == [0, 1]
+            stepper.finish()
+        assert settled() == [0, 1, 2]

@@ -6,7 +6,7 @@ independent method on small programs: trust-constr is an interior-point /
 trust-region method that knows nothing of P2's structure. The oracle
 builds its generic inputs from ``program.structure`` here — the demand and
 capacity rows from the workloads and capacities, a dense Hessian from
-``hessian_factors``, the start from ``interior_point()`` — and records no
+:func:`hessian_factors`, the start from ``interior_point()`` — and records no
 telemetry.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, minimize
 
-from repro.core.subproblem import RegularizedSubproblem
+from repro.core.subproblem import RegularizedSubproblem, _safe
 from repro.solvers.base import ConvexProgram, SolverError, SolverResult
 
 #: Iteration cap passed to the optimizer.
@@ -50,9 +50,30 @@ def constraint_rows(sub: RegularizedSubproblem) -> tuple[sparse.csr_matrix, np.n
     return sparse.vstack([demand, capacity]).tocsr(), lower
 
 
+def hessian_factors(
+    sub: RegularizedSubproblem, flat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """P2's structured Hessian at ``flat`` as ``(diag, cloud_scale)``.
+
+    ``H = diag(diag) + sum_i cloud_scale[i] * 1_i 1_i^T``, where ``1_i`` is
+    the indicator of cloud i's variables: the structure the interior-point
+    kernel's Woodbury solve exploits (it forms the same factors stacked
+    across lanes).
+    """
+    x = np.asarray(flat, dtype=float).reshape(sub.num_clouds, sub.num_users)
+    diag = (
+        np.asarray(sub.migration_prices)[:, None]
+        / sub.tau[None, :]
+        / _safe(x + sub.eps2)
+    ).ravel()
+    cloud_totals = x.sum(axis=1)
+    creg = np.asarray(sub.reconfig_prices) / sub.eta
+    return diag, creg / _safe(cloud_totals + sub.eps1)
+
+
 def dense_hessian(sub: RegularizedSubproblem, flat: np.ndarray) -> np.ndarray:
-    """``diag(d) + sum_i s_i 1_i 1_i^T`` from ``hessian_factors``, dense."""
-    diag, cloud_scale = sub.hessian_factors(flat)
+    """``diag(d) + sum_i s_i 1_i 1_i^T`` from :func:`hessian_factors`, dense."""
+    diag, cloud_scale = hessian_factors(sub, flat)
     blocks = np.kron(np.diag(cloud_scale), np.ones((sub.num_users, sub.num_users)))
     return blocks + np.diag(diag)
 

@@ -79,6 +79,7 @@ def _record_run(
     )
     for observation in observations:
         stepper.step(observation)
+    stepper.settle()
 
 
 class TestStateCodec:
@@ -186,6 +187,7 @@ class TestFlightSession:
             stepper = SlotStepper(controller, system, keep_schedule=False)
             for observation in observations:
                 stepper.step(observation)
+            stepper.settle()
         assert recorder.snapshots_taken == len(observations)
         assert len(recorder.snapshots) == 3
 
