@@ -288,6 +288,33 @@ def _fastest_fresh_slot(make: Callable, observation):
     return (*first, fastest, fastest_settle)
 
 
+def _fastest_decode(system, observation) -> float:
+    """Fastest of ``WALL_REPEATS`` wire decodes of ``observation``'s update.
+
+    The line is encoded once, untimed; each repeat times the server's
+    decode layer on it: ``parse_message`` and then ``parse_update``.
+    """
+    from ..service.protocol import (
+        encode,
+        observation_to_update,
+        parse_message,
+        parse_update,
+    )
+
+    line = encode(observation_to_update(observation))
+    fastest = float("inf")
+    for _ in range(WALL_REPEATS):
+        start = time.perf_counter()
+        parse_update(
+            parse_message(line),
+            expected_slot=observation.slot,
+            num_clouds=system.num_clouds,
+            num_users=system.num_users,
+        )
+        fastest = min(fastest, time.perf_counter() - start)
+    return fastest
+
+
 def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     """City-scale aggregation: 10k/100k/1M-user slots vs a direct solve.
 
@@ -295,12 +322,14 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     slot's decision path is timed (cohort build, sharded reduced solve, the
     factored proportional split) as ``agg_wall_s_*``, and its deferred
     phase (``settle``: the disaggregation error, skipped above
-    ``ERROR_EVAL_LIMIT``, and its records) as ``agg_settle_s_*``; a
-    per-user solve at J=120 provides the wall-clock reference the 1M
-    aggregated slot is compared against in ``diagnostics``. Cohort counts
-    and reduction ratios are deterministic at a fixed seed, so CI gates on
-    them; wall times stay advisory. Counts scale with ``scale.num_users``
-    so tests can run the suite small.
+    ``ERROR_EVAL_LIMIT``, and its records) as ``agg_settle_s_*``. The
+    slot's wire decode (its ``update`` line through ``parse_message`` and
+    ``parse_update``) is timed as ``agg_decode_s_*``, also fastest of
+    ``WALL_REPEATS``. A per-user solve at J=120 provides the wall-clock
+    reference the 1M aggregated slot is compared against in
+    ``diagnostics``. Cohort counts and reduction ratios are deterministic
+    at a fixed seed, so CI gates on them; wall times stay advisory. Counts
+    scale with ``scale.num_users`` so tests can run the suite small.
     """
     import numpy as np
 
@@ -338,6 +367,9 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         )
         metrics[f"agg_wall_s_{label}"] = _time_metric(walls[label])
         metrics[f"agg_settle_s_{label}"] = _time_metric(settle_s)
+        metrics[f"agg_decode_s_{label}"] = _time_metric(
+            _fastest_decode(system, observation)
+        )
         metrics[f"cohorts_{label}"] = _count_metric(report.cohorts, unit="cohorts")
         metrics[f"reduction_{label}"] = _count_metric(
             report.reduction_ratio, unit="x"

@@ -17,7 +17,13 @@ One JSON object per line, both directions. Client messages:
 * ``{"type": "stats"}`` — reply ``stats`` with slot counts, cost totals,
   deadline misses, and latency percentiles.
 
-Malformed input — torn JSON, a non-object line, a wrong-shaped array, a
+Client lines are decoded with ``orjson`` (strict RFC 8259: the ``NaN``,
+``Infinity`` and ``-Infinity`` literals, numbers that overflow a double
+and lone surrogates are invalid JSON); replies are encoded with the
+standard library, so their bytes do not depend on the decoder.
+
+Malformed input — torn or invalid JSON, a non-object line, a
+wrong-shaped array, a non-integral or out-of-range attachment entry, a
 *late* update (slot already solved) or a *future* one (slots skipped) —
 raises :class:`ProtocolError`, which the session turns into an ``error``
 reply **without** tearing down the session: the stream continues at the
@@ -26,9 +32,11 @@ same expected slot. See docs/SERVING.md.
 
 from __future__ import annotations
 
+import array
 import json
 
 import numpy as np
+import orjson
 
 from ..simulation.observations import SlotObservation
 from ..telemetry import TraceContext
@@ -46,19 +54,14 @@ def parse_message(line: str | bytes) -> dict:
     """Decode one wire line into a message dict.
 
     Raises:
-        ProtocolError: on torn/invalid JSON or a non-object payload.
+        ProtocolError: on torn/invalid JSON (non-UTF-8 bytes included) or
+            a non-object payload.
     """
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"undecodable line: {exc}") from exc
-    text = line.strip()
-    if not text:
+    if not line.strip():
         raise ProtocolError("empty line")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = orjson.loads(line)
+    except (orjson.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"torn or invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(
@@ -77,17 +80,29 @@ def _vector(payload: dict, key: str, length: int, kind: str) -> np.ndarray:
     raw = payload.get(key)
     if raw is None:
         raise ProtocolError(f"update is missing {key!r}")
-    try:
-        array = np.asarray(raw, dtype=float if kind == "float" else np.int64)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"{key} is not numeric: {exc}") from exc
-    if array.ndim != 1 or array.shape[0] != length:
+    if kind == "int":
+        # array.array refuses what np.asarray(..., np.int64) would
+        # truncate (1.5 becomes 1) or let escape as OverflowError: floats
+        # (orjson decodes integers beyond 64 bits as floats), strings,
+        # None and integers outside int64.
+        try:
+            vector = np.frombuffer(array.array("q", raw), dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ProtocolError(f"{key} entries must be int64 integers: {exc}") from exc
+    else:
+        try:
+            vector = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"{key} is not numeric: {exc}") from exc
+    if vector.ndim != 1 or vector.shape[0] != length:
         raise ProtocolError(
-            f"{key} must be a length-{length} vector, got shape {array.shape}"
+            f"{key} must be a length-{length} vector, got shape {vector.shape}"
         )
-    if kind == "float" and not np.all(np.isfinite(array)):
+    # The wire decoder refuses non-finite literals; in-process callers
+    # hand over dicts that can still carry them.
+    if kind == "float" and not np.all(np.isfinite(vector)):
         raise ProtocolError(f"{key} contains non-finite values")
-    return array
+    return vector
 
 
 def parse_update(

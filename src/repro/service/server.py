@@ -22,7 +22,6 @@ file. See docs/SERVING.md.
 from __future__ import annotations
 
 import asyncio
-import json
 import sys
 from typing import IO
 
@@ -269,7 +268,7 @@ def serve_stdio(
         if not line.strip():
             continue
         reply = session.handle_line(line)
-        out_stream.write(json.dumps(reply, separators=(",", ":")) + "\n")
+        out_stream.write(encode(reply).decode("utf-8"))
         out_stream.flush()
         session.settle()
     return session.stepper.processed

@@ -66,6 +66,7 @@ class TestAggregateSuite:
         for label in ("10k", "100k", "1m"):
             assert kinds[f"agg_wall_s_{label}"] == "time"
             assert kinds[f"agg_settle_s_{label}"] == "time"
+            assert kinds[f"agg_decode_s_{label}"] == "time"
             assert kinds[f"cohorts_{label}"] == "count"
             assert kinds[f"reduction_{label}"] == "count"
         assert kinds["direct_wall_s_j120"] == "time"
@@ -117,6 +118,13 @@ class TestAggregateSuite:
         assert settle == 1.0
         assert registry.counter("test.observes").value == 1
         assert registry.counter("test.settles").value == 1
+
+    def test_decode_is_the_fastest_of_three(self, monkeypatch):
+        system, observation = suites._city_slot(30, seed=7)
+        clock = iter([0.0, 5.0, 10.0, 12.0, 20.0, 23.0])  # decodes 5, 2, 3
+        monkeypatch.setattr(suites.time, "perf_counter", lambda: next(clock))
+        assert suites._fastest_decode(system, observation) == 2.0
+        assert next(clock, None) is None
 
 
 class TestSolverSuite:

@@ -167,6 +167,45 @@ class TestTcpServer:
             asyncio.run(scenario())
         assert registry.counter("service.protocol.rejected").value == 0
 
+    def test_hostile_lines_leave_the_connection_serving(self, tiny_stream):
+        """Each hostile line is one error reply, then the slot is served."""
+        system, observations = tiny_stream
+        updates = [observation_to_update(o) for o in observations[:3]]
+
+        def first_station(update, entry):
+            return encode({**update, "attachment": [entry, *update["attachment"][1:]]})
+
+        hostile = [
+            b"[" * 100_000 + b"]" * 100_000 + b"\n",
+            first_station(updates[1], 2**70),
+            first_station(updates[2], 1.5),
+        ]
+
+        async def scenario():
+            server = AllocationServer(
+                AllocationSession(system, ServiceConfig())
+            )
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                for slot, (line, update) in enumerate(zip(hostile, updates)):
+                    writer.write(line)
+                    await writer.drain()
+                    error = json.loads(await reader.readline())
+                    assert error["type"] == "error"
+                    assert error["expected_slot"] == slot
+                    reply = await _send(reader, writer, update)
+                    assert reply["type"] == "slot_result" and reply["slot"] == slot
+                writer.close()
+            finally:
+                await server.stop()
+
+        with telemetry_session() as registry:
+            asyncio.run(scenario())
+        assert registry.counter("service.protocol.rejected").value == 3
+
     def test_metrics_endpoint_serves_openmetrics(self, tiny_stream):
         system, _ = tiny_stream
 
