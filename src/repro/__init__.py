@@ -18,7 +18,6 @@ from .baselines import (
     OperOpt,
     PerfOpt,
     StatOpt,
-    StaticAllocation,
 )
 from .core import (
     AllocationSchedule,
@@ -67,7 +66,6 @@ __all__ = [
     "RunResult",
     "Scenario",
     "StatOpt",
-    "StaticAllocation",
     "SweepCell",
     "SweepExecutor",
     "aggregate_ratios",

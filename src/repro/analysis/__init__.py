@@ -1,36 +1,15 @@
-"""Post-run analysis: ratio statistics, cost timelines, dual prices,
-and telemetry-manifest consistency checks."""
+"""Post-run analysis: cost timelines, dual prices, and telemetry-manifest
+consistency checks."""
 
-from .manifests import (
-    RunCostCheck,
-    assert_manifest_costs,
-    load_manifest,
-    verify_manifest_costs,
-)
+from .manifests import RunCostCheck, load_manifest, verify_manifest_costs
 from .prices import DualPriceSeries, extract_dual_prices
-from .ratios import (
-    RatioEstimate,
-    paired_improvement,
-    ratio_confidence_interval,
-    ratio_samples,
-    win_rate,
-)
-from .timelines import churn_timeline, cost_shares, cumulative_cost, regret_curve
+from .timelines import churn_timeline
 
 __all__ = [
     "DualPriceSeries",
-    "RatioEstimate",
     "RunCostCheck",
-    "assert_manifest_costs",
     "churn_timeline",
-    "cost_shares",
-    "cumulative_cost",
     "extract_dual_prices",
     "load_manifest",
-    "paired_improvement",
-    "ratio_confidence_interval",
-    "ratio_samples",
-    "regret_curve",
     "verify_manifest_costs",
-    "win_rate",
 ]

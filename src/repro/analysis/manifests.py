@@ -19,6 +19,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..telemetry.manifest import RunRecord, read_manifest
+from ..telemetry.watch import ManifestSummary
+
+#: The ``run_end`` totals' name of each of the fold's short cost keys.
+_COST_NAMES = {
+    "op": "operation",
+    "sq": "service_quality",
+    "rc": "reconfiguration",
+    "mg": "migration",
+    "total": "total",
+}
 
 
 def load_manifest(path: str | Path, *, strict: bool = True) -> RunRecord:
@@ -30,14 +40,6 @@ def load_manifest(path: str | Path, *, strict: bool = True) -> RunRecord:
     reject runs whose ``run_end`` has not been written yet.
     """
     return read_manifest(path, strict=strict)
-
-
-def _run_key(event: dict) -> tuple:
-    """The identity of the run an event belongs to."""
-    cell = event.get("cell")
-    if isinstance(cell, list):  # JSON round-trips tuples as lists
-        cell = tuple(cell)
-    return (cell, event.get("run"))
 
 
 @dataclass(frozen=True)
@@ -76,63 +78,42 @@ class RunCostCheck:
 def verify_manifest_costs(record: RunRecord) -> list[RunCostCheck]:
     """Cross-check every run's slot events against its ``run_end`` totals.
 
-    Returns one :class:`RunCostCheck` per ``run_end`` event in file order.
-    Raises ``ValueError`` when a run has no slot events at all or a slot
-    event points at a run without a ``run_end`` (a truncated manifest).
+    The per-run sums are :class:`repro.telemetry.watch.ManifestSummary`'s,
+    the fold that ``doctor`` and ``watch`` read. Returns one
+    :class:`RunCostCheck` per ``run_end`` event in file order. Raises
+    ``ValueError`` when a run has no slot events at all, when a slot event
+    lacks a cost field, or when a slot event points at a run without a
+    ``run_end`` (a truncated manifest).
     """
-    sums: dict[tuple, dict[str, float]] = {}
-    counts: dict[tuple, int] = {}
-    for event in record.slot_events:
-        key = _run_key(event)
-        entry = sums.setdefault(
-            key,
-            {
-                "operation": 0.0,
-                "service_quality": 0.0,
-                "reconfiguration": 0.0,
-                "migration": 0.0,
-                "total": 0.0,
-            },
-        )
-        entry["operation"] += float(event["op"])
-        entry["service_quality"] += float(event["sq"])
-        entry["reconfiguration"] += float(event["rc"])
-        entry["migration"] += float(event["mg"])
-        entry["total"] += float(event["total"])
-        counts[key] = counts.get(key, 0) + 1
-
+    summary = ManifestSummary()
+    summary.update_all(record.events)
+    ended = [(key, view) for key, view in summary.runs.items() if view.finished]
     checks: list[RunCostCheck] = []
-    seen: set[tuple] = set()
-    for event in record.run_ends:
-        key = _run_key(event)
-        seen.add(key)
-        if key not in sums:
+    for key, view in sorted(ended, key=lambda item: item[1].ended):
+        if view.slots == 0:
             raise ValueError(f"run {key} has a run_end but no slot events")
-        reported = {name: float(value) for name, value in event["totals"].items()}
+        if view.incomplete:
+            raise ValueError(
+                f"run {key} has {view.incomplete} slot event(s) missing a "
+                "cost field"
+            )
         checks.append(
             RunCostCheck(
                 key=key,
-                algorithm=str(event.get("algorithm", "?")),
-                slots=counts[key],
-                summed=sums[key],
-                reported=reported,
+                algorithm=view.algorithm,
+                slots=view.slots,
+                summed={
+                    _COST_NAMES[name]: value for name, value in view.costs.items()
+                },
+                reported={
+                    name: float(value) for name, value in view.reported.items()
+                },
             )
         )
-    orphans = set(sums) - seen
+    orphans = [key for key, view in summary.runs.items() if not view.finished]
     if orphans:
         raise ValueError(
             f"{len(orphans)} run(s) have slot events but no run_end record "
             f"(truncated manifest?): {sorted(orphans)[:5]}"
         )
     return checks
-
-
-def assert_manifest_costs(record: RunRecord, *, tol: float = 1e-9) -> None:
-    """Raise ``AssertionError`` unless every run's costs are consistent."""
-    bad = [check for check in verify_manifest_costs(record) if not check.ok(tol)]
-    if bad:
-        worst = max(bad, key=lambda check: check.deviation)
-        raise AssertionError(
-            f"{len(bad)} run(s) exceed tol={tol}: worst is {worst.algorithm} "
-            f"{worst.key} with deviation {worst.deviation:.3e}"
-        )

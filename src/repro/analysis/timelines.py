@@ -1,49 +1,14 @@
-"""Per-slot cost timelines and regret curves.
+"""Per-slot allocation timelines.
 
-Aggregated ratios hide *when* an online algorithm loses ground. These
-helpers expose the trajectory view: cumulative cost curves, the regret
-curve against offline-opt, and the share each cost family contributes —
-the data behind the kind of time-series plots an evaluation section shows.
+Aggregated ratios hide *when* an online algorithm loses ground; the churn
+timeline shows how much allocation moves in each slot.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.costs import CostBreakdown
 from ..simulation.results import RunResult
-
-
-def cumulative_cost(breakdown: CostBreakdown) -> np.ndarray:
-    """Cumulative weighted total cost after each slot, shape (T,)."""
-    return np.cumsum(breakdown.total_per_slot)
-
-
-def regret_curve(run: RunResult, baseline: RunResult) -> np.ndarray:
-    """Cumulative cost excess of ``run`` over ``baseline`` per slot.
-
-    With ``baseline`` = offline-opt this is the (non-normalized) regret;
-    its final value divided by the baseline total is the empirical ratio
-    minus one.
-    """
-    if run.breakdown.num_slots != baseline.breakdown.num_slots:
-        raise ValueError("runs cover different horizons")
-    return cumulative_cost(run.breakdown) - cumulative_cost(baseline.breakdown)
-
-
-def cost_shares(breakdown: CostBreakdown) -> dict[str, float]:
-    """Fraction of the weighted total contributed by each cost family."""
-    weights = breakdown.weights
-    components = {
-        "operation": weights.static * float(breakdown.operation.sum()),
-        "service_quality": weights.static * float(breakdown.service_quality.sum()),
-        "reconfiguration": weights.dynamic * float(breakdown.reconfiguration.sum()),
-        "migration": weights.dynamic * float(breakdown.migration.sum()),
-    }
-    total = sum(components.values())
-    if total <= 0:
-        return {name: 0.0 for name in components}
-    return {name: value / total for name, value in components.items()}
 
 
 def churn_timeline(run: RunResult) -> np.ndarray:

@@ -5,8 +5,6 @@ from .base import AllocationAlgorithm, weighted_static_prices, windowed_p0_lp
 from .greedy import GreedyController, OnlineGreedy
 from .lookahead import RecedingHorizon
 from .offline import OfflineOptimal
-from .periodic import PeriodicRebalance
-from .static import StaticAllocation
 
 __all__ = [
     "AllocationAlgorithm",
@@ -15,10 +13,8 @@ __all__ = [
     "OnlineGreedy",
     "OperOpt",
     "PerfOpt",
-    "PeriodicRebalance",
     "RecedingHorizon",
     "StatOpt",
-    "StaticAllocation",
     "solve_static_slot",
     "weighted_static_prices",
     "windowed_p0_lp",

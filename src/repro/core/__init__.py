@@ -5,7 +5,6 @@ from .bounds import (
     competitive_ratio_bound,
     eta,
     gamma,
-    ratio_bound_curve,
     suggest_epsilon,
     tau,
 )
@@ -42,12 +41,7 @@ from .rounding import (
 from .subproblem import RegularizedSubproblem
 from .transformation import (
     combined_migration_prices,
-    lemma1_gap,
-    p0_objective,
     p1_migration_cost,
-    p1_objective,
-    per_user_inbound_migration,
-    transformation_constant,
 )
 
 __all__ = [
@@ -71,17 +65,12 @@ __all__ = [
     "eta",
     "gamma",
     "integrality_gap",
-    "lemma1_gap",
     "migration_cost",
     "migration_volumes",
     "operation_cost",
     "p1_value",
-    "p0_objective",
     "p1_migration_cost",
-    "p1_objective",
-    "per_user_inbound_migration",
     "positive_part",
-    "ratio_bound_curve",
     "recover_slot_duals",
     "reconfiguration_cost",
     "repair_capacity",
@@ -93,5 +82,4 @@ __all__ = [
     "suggest_epsilon",
     "tau",
     "total_cost",
-    "transformation_constant",
 ]

@@ -58,20 +58,6 @@ def competitive_ratio_bound(
     return 1.0 + gamma(np.asarray(instance.capacities), eps1, eps2) * instance.num_clouds
 
 
-def ratio_bound_curve(
-    instance: ProblemInstance, eps_values: np.ndarray
-) -> np.ndarray:
-    """r(eps) with eps1 = eps2 = eps, for each eps in ``eps_values``.
-
-    This is the theoretical companion of Figure 4's empirical eps sweep; the
-    Remark after Theorem 2 predicts a monotonically decreasing curve.
-    """
-    eps_values = np.asarray(eps_values, dtype=float)
-    return np.array(
-        [competitive_ratio_bound(instance, float(e), float(e)) for e in eps_values]
-    )
-
-
 def suggest_epsilon(instance: ProblemInstance, *, fraction: float = 0.05) -> float:
     """A practical default for eps1 = eps2.
 

@@ -5,6 +5,7 @@ destination). P1 replaces this with a single *inbound* charge at the
 combined price b_i = b_i^out + b_i^in. Lemma 1 shows the two objectives
 differ by at most the constant sigma = Sum_i b_i^out C_i, so any
 r-competitive algorithm for P1 is r-competitive for P0 (up to r*sigma).
+The test suite states Lemma 1 itself (``tests/core/lemma1.py``).
 """
 
 from __future__ import annotations
@@ -12,14 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .allocation import AllocationSchedule
-from .costs import (
-    cost_breakdown,
-    migration_volumes,
-    operation_cost,
-    positive_part,
-    reconfiguration_cost,
-    service_quality_cost,
-)
+from .costs import migration_volumes
 from .problem import ProblemInstance
 
 
@@ -28,57 +22,7 @@ def combined_migration_prices(instance: ProblemInstance) -> np.ndarray:
     return np.asarray(instance.migration_prices.combined, dtype=float)
 
 
-def transformation_constant(instance: ProblemInstance) -> float:
-    """sigma = Sum_i b_i^out C_i from Lemma 1.
-
-    The additive slack between the P0 and P1 objectives (in unweighted
-    migration-cost units).
-    """
-    return float(
-        np.asarray(instance.migration_prices.out, dtype=float)
-        @ np.asarray(instance.capacities, dtype=float)
-    )
-
-
 def p1_migration_cost(schedule: AllocationSchedule, instance: ProblemInstance) -> np.ndarray:
     """Per-slot P1 migration cost: Sum_i b_i z_{i,t}^in."""
     _, z_in = migration_volumes(schedule)
     return z_in @ combined_migration_prices(instance)
-
-
-def p1_objective(schedule: AllocationSchedule, instance: ProblemInstance) -> float:
-    """The P1 objective: static costs + reconfiguration + inbound-only migration.
-
-    Weighted exactly like P0: static weight on (op + sq), dynamic weight on
-    (rc + combined-price inbound migration).
-    """
-    static = operation_cost(schedule, instance) + service_quality_cost(schedule, instance)
-    dynamic = reconfiguration_cost(schedule, instance) + p1_migration_cost(schedule, instance)
-    return float(
-        instance.weights.static * static.sum() + instance.weights.dynamic * dynamic.sum()
-    )
-
-
-def p0_objective(schedule: AllocationSchedule, instance: ProblemInstance) -> float:
-    """The original P0 objective (same as :func:`repro.core.costs.total_cost`)."""
-    return cost_breakdown(schedule, instance).total
-
-
-def per_user_inbound_migration(schedule: AllocationSchedule) -> np.ndarray:
-    """z_{i,j,t} = (x_{i,j,t} - x_{i,j,t-1})+ (paper eq. 9), shape (T, I, J)."""
-    x, prev = schedule.with_previous()
-    return positive_part(x - prev)
-
-
-def lemma1_gap(schedule: AllocationSchedule, instance: ProblemInstance) -> float:
-    """P0(x) - [P1(x) - w_d * sigma]; Lemma 1 guarantees this is >= 0.
-
-    Useful in tests: for *any* schedule, P1 <= P0 + w_d*sigma, i.e. the
-    returned value is nonnegative (up to numerical noise).
-    """
-    sigma = transformation_constant(instance)
-    return (
-        p0_objective(schedule, instance)
-        - p1_objective(schedule, instance)
-        + instance.weights.dynamic * sigma
-    )

@@ -20,9 +20,7 @@ diagnostics on or off, pinned by ``tests/diagnostics/``.
 
 from .certificates import (
     DEFAULT_GAP_TOL,
-    CertificateHook,
     SlotCertificate,
-    certify_schedule,
     certify_solution,
     duality_gap_bound,
     lp_multipliers,
@@ -32,7 +30,6 @@ from .certificates import (
 )
 from .convergence import (
     ConvergenceSummary,
-    iteration_series,
     summarize_convergence,
     trace_events,
 )
@@ -45,9 +42,7 @@ from .ratio import (
 
 __all__ = [
     "DEFAULT_GAP_TOL",
-    "CertificateHook",
     "SlotCertificate",
-    "certify_schedule",
     "certify_solution",
     "duality_gap_bound",
     "lp_multipliers",
@@ -55,7 +50,6 @@ __all__ = [
     "recover_multipliers",
     "worst_certificate",
     "ConvergenceSummary",
-    "iteration_series",
     "summarize_convergence",
     "trace_events",
     "RatioPoint",

@@ -51,11 +51,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.allocation import AllocationSchedule
 from ..core.duality import recover_multipliers
-from ..core.problem import ProblemInstance
 from ..core.subproblem import RegularizedSubproblem
-from ..simulation.hooks import SlotHook
 from ..solvers.base import SolverResult
 from ..telemetry import get_registry
 
@@ -254,118 +251,6 @@ def record_certificate(certificate: SlotCertificate, registry=None) -> None:
         "source": certificate.source,
     }
     registry.event("diag.certificate", **payload)
-
-
-def certify_schedule(
-    instance: ProblemInstance,
-    schedule: AllocationSchedule,
-    *,
-    eps1: float,
-    eps2: float,
-    solves: Sequence[SolverResult] | None = None,
-) -> list[SlotCertificate]:
-    """Certify every slot of an online trajectory post hoc.
-
-    Rebuilds each slot's P2 subproblem at the trajectory's previous
-    allocation. When ``solves`` (e.g.
-    ``OnlineRegularizedAllocator.last_solves``) is given, certificates are
-    evaluated at the *solver's* points with the solver's multipliers —
-    the raw optima before the exact-feasibility repair; otherwise at the
-    schedule's (repaired) decisions with recovered multipliers.
-    """
-    x, x_prev = schedule.with_previous()
-    num_slots = x.shape[0]
-    if solves is not None and len(solves) != num_slots:
-        raise ValueError(
-            f"got {len(solves)} solver results for {num_slots} slots"
-        )
-    certificates = []
-    for t in range(num_slots):
-        subproblem = RegularizedSubproblem.from_instance(
-            instance, t, x_prev[t], eps1=eps1, eps2=eps2
-        )
-        solution: SolverResult | np.ndarray = (
-            solves[t] if solves is not None else x[t].ravel()
-        )
-        certificates.append(certify_solution(subproblem, solution, slot=t))
-    return certificates
-
-
-class CertificateHook(SlotHook):
-    """A :class:`repro.simulation.hooks.SlotHook` that certifies every slot.
-
-    Plugs into :func:`repro.simulation.spine.simulate` (via
-    ``run_algorithm(..., hooks=[CertificateHook()])``) and works with *any*
-    controller: slots driven by the regularized controller are certified at
-    the solver's own point and multipliers (``controller.last_result``);
-    any other controller's decisions are certified against the P2 optimum
-    with recovered multipliers — which then measures how far that
-    algorithm's choice sits from the regularized one, not solver quality.
-
-    Args:
-        eps1, eps2: regularization parameters defining the P2 each slot is
-            certified against. ``None`` (default) adopts the controller's
-            own ``algorithm.eps1/eps2`` at run start, falling back to the
-            package default.
-        record: also emit each certificate into the active telemetry
-            registry (:func:`record_certificate`).
-    """
-
-    def __init__(
-        self,
-        *,
-        eps1: float | None = None,
-        eps2: float | None = None,
-        record: bool = True,
-    ) -> None:
-        self.certificates: list[SlotCertificate] = []
-        self.eps1 = eps1
-        self.eps2 = eps2
-        self._record = record
-        self._system = None
-        self._controller = None
-        self._x_prev: np.ndarray | None = None
-
-    def on_run_start(self, system, controller) -> None:
-        """Adopt the run's epsilons and reset the trajectory state."""
-        from ..core.regularization import DEFAULT_EPSILON
-
-        self._system = system
-        self._controller = controller
-        self._x_prev = system.zero_allocation()
-        self.certificates = []
-        algorithm = getattr(controller, "algorithm", None)
-        if self.eps1 is None:
-            self.eps1 = getattr(algorithm, "eps1", DEFAULT_EPSILON)
-        if self.eps2 is None:
-            self.eps2 = getattr(algorithm, "eps2", DEFAULT_EPSILON)
-
-    def on_slot_end(self, observation, x_t, costs) -> None:
-        """Certify the slot that just completed."""
-        from ..simulation.observations import single_slot_instance
-
-        instance = single_slot_instance(self._system, observation)
-        subproblem = RegularizedSubproblem.from_instance(
-            instance, 0, self._x_prev, eps1=self.eps1, eps2=self.eps2
-        )
-        result = getattr(self._controller, "last_result", None)
-        solution: SolverResult | np.ndarray = (
-            result
-            if isinstance(result, SolverResult)
-            else np.asarray(x_t, dtype=float).ravel()
-        )
-        certificate = certify_solution(
-            subproblem, solution, slot=len(self.certificates)
-        )
-        self.certificates.append(certificate)
-        if self._record:
-            record_certificate(certificate)
-        self._x_prev = np.asarray(x_t, dtype=float).copy()
-
-    @property
-    def worst(self) -> SlotCertificate | None:
-        """The run's worst certificate by relative gap."""
-        return worst_certificate(self.certificates)
 
 
 def worst_certificate(

@@ -42,7 +42,3 @@ def summarize_convergence(source) -> ConvergenceSummary:
         summary.add(event)
     return summary
 
-
-def iteration_series(source) -> list[int]:
-    """Iterations per solve, in recorded order."""
-    return [int(e.get("iterations", 0)) for e in trace_events(source)]

@@ -2,7 +2,6 @@
 
 from .adversarial import (
     oscillating_price_instance,
-    ping_pong_mobility_instance,
     run_threshold_sweep,
 )
 from .capacity import OVERPROVISION_FACTORS, run_capacity_sweep
@@ -42,7 +41,6 @@ __all__ = [
     "format_table",
     "holistic_algorithms",
     "oscillating_price_instance",
-    "ping_pong_mobility_instance",
     "mobility_suite",
     "ratio_table",
     "robustness_spread",

@@ -1,9 +1,9 @@
 """Adversarial instance families (the paper's "lower bounds" future work).
 
 The Remark after Theorem 2 leaves lower bounds on the competitive ratio as
-future work. These generators build the structured worst cases that drive
-online algorithms to their limits, letting the harness *measure* empirical
-lower bounds:
+future work. This generator builds a structured worst case that drives online
+algorithms to their limits, letting the harness *measure* empirical lower
+bounds:
 
 * :func:`oscillating_price_instance` — two clouds whose operation prices
   swap every ``period`` slots with amplitude A. The one-slot gain from
@@ -12,12 +12,9 @@ lower bounds:
   aggressive at/above when the price keeps flipping), while the regularized
   algorithm hedges fractionally across the threshold.
 
-* :func:`ping_pong_mobility_instance` — one user bouncing between two
-  stations every ``dwell`` slots with delay cost d: the mobility version of
-  the same trap (the paper's Figure 1 example (a), generalized).
-
-Both families are deterministic — no randomness, so measured ratios are
-exact properties of the algorithms.
+The family is deterministic — no randomness, so measured ratios are exact
+properties of the algorithms. Its mobility counterpart, a user bouncing
+between two stations, is a test fixture (``tests/experiments/adversarial.py``).
 """
 
 from __future__ import annotations
@@ -68,44 +65,6 @@ def oscillating_price_instance(
             [[0.0, inter_cloud_delay], [inter_cloud_delay, 0.0]]
         ),
         attachment=np.zeros((num_slots, 1), dtype=np.int64),
-        access_delay=np.zeros((num_slots, 1)),
-        weights=weights or CostWeights(),
-    )
-
-
-def ping_pong_mobility_instance(
-    *,
-    num_slots: int = 24,
-    delay_cost: float = 2.0,
-    dwell: int = 1,
-    op_price: float = 1.0,
-    migration_price: float = 1.0,
-    reconfig_price: float = 1.0,
-    weights: CostWeights | None = None,
-) -> ProblemInstance:
-    """One user bouncing between two stations every ``dwell`` slots.
-
-    Serving the user from the far cloud costs ``delay_cost`` per slot;
-    following it costs ``migration_price + reconfig_price`` per move. This
-    generalizes the paper's Figure 1(a): at ``delay_cost`` slightly above
-    the moving cost with ``dwell = 1``, chasing is a pure loss.
-    """
-    if num_slots < 1:
-        raise ValueError("num_slots must be positive")
-    if dwell < 1:
-        raise ValueError("dwell must be positive")
-    attachment = ((np.arange(num_slots) // dwell) % 2).astype(np.int64)
-    return ProblemInstance(
-        workloads=np.array([1.0]),
-        capacities=np.array([2.0, 2.0]),
-        op_prices=np.full((num_slots, 2), op_price),
-        reconfig_prices=np.full(2, reconfig_price),
-        migration_prices=MigrationPrices(
-            out=np.full(2, migration_price / 2.0),
-            into=np.full(2, migration_price / 2.0),
-        ),
-        inter_cloud_delay=np.array([[0.0, delay_cost], [delay_cost, 0.0]]),
-        attachment=attachment[:, None],
         access_delay=np.zeros((num_slots, 1)),
         weights=weights or CostWeights(),
     )

@@ -3,11 +3,8 @@
 from .figures import load_ratio_points_csv, save_ratio_points_csv
 from .results import (
     comparison_to_dict,
-    load_comparison_summary,
-    load_schedule_npz,
     run_result_to_dict,
     save_comparison_json,
-    save_schedule_npz,
 )
 from .traces import (
     load_trace_csv,
@@ -22,13 +19,10 @@ __all__ = [
     "comparison_to_dict",
     "load_ratio_points_csv",
     "save_ratio_points_csv",
-    "load_comparison_summary",
-    "load_schedule_npz",
     "load_trace_csv",
     "load_trace_json",
     "run_result_to_dict",
     "save_comparison_json",
-    "save_schedule_npz",
     "save_trace_csv",
     "save_trace_json",
     "trace_from_dict",

@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from ..simulation.results import Comparison, RunResult
 
 
@@ -52,19 +50,3 @@ def save_comparison_json(
     Path(path).write_text(
         json.dumps(comparison_to_dict(comparison, include_schedules=include_schedules))
     )
-
-
-def load_comparison_summary(path: str | Path) -> dict:
-    """Read a comparison summary (plain dict; schedules stay as lists)."""
-    return json.loads(Path(path).read_text())
-
-
-def save_schedule_npz(path: str | Path, schedule_x: np.ndarray) -> None:
-    """Persist a raw allocation trajectory compactly (.npz)."""
-    np.savez_compressed(path, x=np.asarray(schedule_x, dtype=float))
-
-
-def load_schedule_npz(path: str | Path) -> np.ndarray:
-    """Load a trajectory written by :func:`save_schedule_npz`."""
-    with np.load(path) as data:
-        return np.asarray(data["x"], dtype=float)

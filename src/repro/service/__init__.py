@@ -20,7 +20,6 @@ from .config import ServiceConfig
 from .loadgen import (
     LoadgenReport,
     batch_reference_cost,
-    observations_from_trace,
     run_loadgen,
 )
 from .protocol import (
@@ -43,7 +42,6 @@ __all__ = [
     "batch_reference_cost",
     "encode",
     "observation_to_update",
-    "observations_from_trace",
     "parse_message",
     "parse_update",
     "percentile",

@@ -308,27 +308,3 @@ def run_loadgen(
         deferred_p50_ms=float(stats.get("deferred_p50_ms", 0.0)),
         cpu_p50_ms=float(stats.get("cpu_p50_ms", 0.0)),
     )
-
-
-def observations_from_trace(trace, op_prices) -> list[SlotObservation]:
-    """Pair a mobility trace with per-slot prices into an observation stream.
-
-    Args:
-        trace: a :class:`repro.mobility.base.MobilityTrace` (e.g. loaded
-            via :mod:`repro.io.traces`).
-        op_prices: (T, I) operation prices, one row per trace slot.
-    """
-    prices = np.asarray(op_prices, dtype=float)
-    if prices.ndim != 2 or prices.shape[0] != trace.num_slots:
-        raise ValueError(
-            f"op_prices must be (T={trace.num_slots}, I), got {prices.shape}"
-        )
-    return [
-        SlotObservation(
-            slot=t,
-            op_prices=prices[t],
-            attachment=trace.attachment[t],
-            access_delay=trace.access_delay[t],
-        )
-        for t in range(trace.num_slots)
-    ]

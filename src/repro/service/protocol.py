@@ -90,9 +90,12 @@ def _vector(payload: dict, key: str, length: int, kind: str) -> np.ndarray:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"{key} entries must be int64 integers: {exc}") from exc
     else:
+        # array.array("d") refuses the numeric strings ("1.5") and nulls
+        # that np.asarray(..., float) would convert; JSON booleans still
+        # pass as 0/1.
         try:
-            vector = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError) as exc:
+            vector = np.frombuffer(array.array("d", raw))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"{key} is not numeric: {exc}") from exc
     if vector.ndim != 1 or vector.shape[0] != length:
         raise ProtocolError(

@@ -172,7 +172,6 @@ class AllocationSession:
             keep_schedule=self.config.keep_schedule,
             recorder=self.recorder,
         )
-        self.stepper.start()
 
     # ----- slot processing ----------------------------------------------------
 

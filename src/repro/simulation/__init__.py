@@ -3,12 +3,12 @@
 Execution is unified on one per-slot loop —
 :func:`repro.simulation.simulate` — that drives any
 :class:`OnlineController` over a :class:`SlotObservation` stream with
-incremental cost accounting (:class:`CostAccumulator`), per-slot hooks,
-checkpoint/resume, and a memory-bounded mode. See docs/ENGINE.md.
+incremental cost accounting (:class:`CostAccumulator`), checkpoint/resume,
+and a memory-bounded mode. See docs/ENGINE.md.
 """
 
 # Import order matters: each module here builds only on the ones before it
-# (observations -> accounting/hooks -> spine -> controllers -> engine ->
+# (observations -> accounting -> spine -> controllers -> engine ->
 # cells), and nothing imports the baselines at module scope — the baselines
 # build on this package.
 from .observations import (
@@ -20,16 +20,8 @@ from .observations import (
     single_slot_instance,
 )
 from .accounting import AccumulatorState, CostAccumulator, SlotCosts
-from .hooks import (
-    FeasibilityHook,
-    ProgressHook,
-    SlotHook,
-    SolverStatsHook,
-    WallTimeHook,
-)
 from .spine import (
     PerSlotController,
-    RecomputeController,
     ScheduleController,
     SimulationCheckpoint,
     SimulationResult,
@@ -50,12 +42,8 @@ __all__ = [
     "AccumulatorState",
     "Comparison",
     "CostAccumulator",
-    "FeasibilityHook",
-    "GreedyController",
     "OnlineController",
     "PerSlotController",
-    "ProgressHook",
-    "RecomputeController",
     "RegularizedController",
     "RunResult",
     "Scenario",
@@ -63,13 +51,10 @@ __all__ = [
     "SimulationCheckpoint",
     "SimulationResult",
     "SlotCosts",
-    "SlotHook",
     "SlotObservation",
     "SlotStepper",
-    "SolverStatsHook",
     "SweepCell",
     "SystemDescription",
-    "WallTimeHook",
     "aggregate_ratios",
     "compare_algorithms",
     "controller_for",
@@ -83,12 +68,3 @@ __all__ = [
     "single_slot_instance",
 ]
 
-
-def __getattr__(name: str):
-    """Lazily re-export :class:`GreedyController` (lives in the baselines
-    layer, which builds on this package)."""
-    if name == "GreedyController":
-        from ..baselines.greedy import GreedyController
-
-        return GreedyController
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,7 +35,8 @@ class RegularizedController:
         default_factory=OnlineRegularizedAllocator
     )
     name: str = "online-approx (streaming)"
-    #: Solver result of the most recent observed slot (for SolverStatsHook).
+    #: Solver result of the most recent observed slot (the flight recorder
+    #: and the serving session read it).
     last_result: SolverResult | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:

@@ -13,12 +13,11 @@ assembles paper-style comparisons normalized by offline-opt.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from ..core.problem import ProblemInstance
 from ..parallel.executor import SweepExecutor
 from ..telemetry import get_registry
-from .hooks import SlotHook
 from .observations import SystemDescription, iter_observations
 from .results import Comparison, RunResult
 from .spine import controller_for, simulate
@@ -33,16 +32,14 @@ def run_algorithm(
     *,
     require_feasible: bool = True,
     feasibility_tol: float = 1e-5,
-    hooks: Iterable[SlotHook] = (),
     keep_schedule: bool = True,
 ) -> RunResult:
     """Run one algorithm on one instance and account its costs.
 
     The algorithm is resolved to its controller form and driven through the
-    streaming spine; ``hooks`` observe every slot, and
-    ``keep_schedule=False`` drops each slot's allocation after accounting
-    (``result.schedule`` is then ``None``) so memory stays bounded on long
-    horizons.
+    streaming spine; ``keep_schedule=False`` drops each slot's allocation
+    after accounting (``result.schedule`` is then ``None``) so memory stays
+    bounded on long horizons.
 
     Raises ValueError when the algorithm returns an infeasible schedule and
     ``require_feasible`` is set (all algorithms in this project are supposed
@@ -62,7 +59,6 @@ def run_algorithm(
             controller,
             iter_observations(instance),
             system,
-            hooks=hooks,
             keep_schedule=keep_schedule,
         )
         elapsed = time.perf_counter() - start

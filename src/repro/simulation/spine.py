@@ -5,17 +5,17 @@ pay the costs, move on. :func:`simulate` is the single implementation of
 that loop: it drives any :class:`OnlineController` over an observation
 stream, accounts all four paper costs incrementally
 (:class:`repro.simulation.accounting.CostAccumulator`), tracks feasibility
-residuals, calls pluggable per-slot hooks, and supports checkpoint/resume
-plus a memory-bounded mode that never materializes the (T, I, J) schedule.
+residuals, and supports checkpoint/resume plus a memory-bounded mode that
+never materializes the (T, I, J) schedule.
 
 Every batch ``run()`` in the project (the paper's algorithm and all
 baselines) is a thin adapter over this spine, so "batch" and "streamed"
 execution are the same code path by construction. The per-slot body
 lives in :class:`SlotStepper` so callers that do not own the observation
 stream — the live allocation service in :mod:`repro.service` — drive the
-identical accounting/hook/telemetry path one slot at a time. Generic
+identical accounting/telemetry path one slot at a time. Generic
 controller adapters (:class:`PerSlotController`,
-:class:`RecomputeController`, :class:`ScheduleController`) live here so
+:class:`ScheduleController`) live here so
 algorithm modules can build their controller forms without import
 cycles; see docs/ENGINE.md and docs/SERVING.md.
 """
@@ -40,7 +40,6 @@ from ..telemetry import (
     trace_span,
 )
 from .accounting import AccumulatorState, CostAccumulator, SlotCosts
-from .hooks import SlotHook
 from .observations import (
     OnlineController,
     SlotObservation,
@@ -132,15 +131,15 @@ class SlotStepper:
 
     A stepper owns everything :func:`simulate`'s loop used to own — the
     controller, the incremental cost accumulator, feasibility-residual
-    maxima, the optional schedule buffer, hooks and per-slot telemetry —
+    maxima, the optional schedule buffer and per-slot telemetry —
     but leaves the *stream* to the caller. :func:`simulate` drives it
     from an iterable; the live service (:mod:`repro.service`) drives it
     from network updates. Both produce identical numbers because this is
     the only implementation of the slot body.
 
     Lifecycle: construct (resets or resumes the controller), then call
-    :meth:`step` once per observation; :meth:`finish` fires the run-end
-    hooks and returns the :class:`SimulationResult`. :meth:`result` and
+    :meth:`step` once per observation; :meth:`finish` returns the
+    :class:`SimulationResult`. :meth:`result` and
     :meth:`checkpoint` can be called at any time for a live snapshot.
 
     A slot runs in two phases: :meth:`step` is the decision path (decide,
@@ -155,7 +154,6 @@ class SlotStepper:
         controller: OnlineController,
         system: SystemDescription,
         *,
-        hooks: Iterable[SlotHook] = (),
         keep_schedule: bool = True,
         resume_from: SimulationCheckpoint | None = None,
         recorder: "object | None" = None,
@@ -173,7 +171,6 @@ class SlotStepper:
         """
         self.controller = controller
         self.system = system
-        self.hooks = tuple(hooks)
         self.keep_schedule = keep_schedule
         self._recorder = recorder
         self.accumulator = CostAccumulator(system)
@@ -199,18 +196,8 @@ class SlotStepper:
         self._capacities = np.asarray(system.capacities, dtype=float)
         self._slots: list[np.ndarray] = []
         self.processed = 0
-        self._started = False
         # The last stepped slot's inputs to its deferred phase, until settle().
         self._pending: tuple | None = None
-
-    def start(self) -> None:
-        """Fire the run-start hooks once (idempotent; ``step`` calls it)."""
-        if self._started:
-            return
-        self._started = True
-        with phase("spine.start"):
-            for hook in self.hooks:
-                hook.on_run_start(self.system, self.controller)
 
     def step(
         self, observation: SlotObservation
@@ -220,21 +207,17 @@ class SlotStepper:
         Returns the controller's decision as it made it (a
         :class:`FactoredAllocation` on the cohort path) and the slot's
         costs. The slot's observation-only work — the controller's
-        ``settle``, the ``slot``/``prof.phases`` records, the flight
-        recorder's snapshot and the hooks' ``on_slot_end`` — stays pending
-        until :meth:`settle`, which the next ``step`` (and
-        ``checkpoint``/``result``/``finish``) runs first. The dense (I, J)
-        matrix of a factored decision is built only when ``keep_schedule``
-        is set or hooks are installed.
+        ``settle``, the ``slot``/``prof.phases`` records and the flight
+        recorder's snapshot — stays pending until :meth:`settle`, which
+        the next ``step`` (and ``checkpoint``/``result``/``finish``) runs
+        first. The dense (I, J) matrix of a factored decision is built
+        only when ``keep_schedule`` is set.
         """
         self.settle()
-        self.start()
         telemetry = get_registry()
         observing = telemetry.enabled
         recorder = self._recorder if self._recorder is not None else active_recorder()
         timing = observing or recorder is not None
-        for hook in self.hooks:
-            hook.on_slot_start(observation)
         # The flight recorder snapshots the *pre-solve* state (x*_{t-1},
         # capacity duals, accumulator totals) before the timed window, so
         # slot.wall_ms keeps meaning "solve + accounting" exactly.
@@ -271,15 +254,11 @@ class SlotStepper:
         self._residual_demand = max(self._residual_demand, demand)
         self._residual_capacity = max(self._residual_capacity, capacity)
         self._residual_negativity = max(self._residual_negativity, negativity)
-        dense = None
         if self.keep_schedule:
-            dense = x_t.materialize()
-            self._slots.append(np.array(dense, dtype=float))
+            self._slots.append(np.array(x_t.materialize(), dtype=float))
         self.processed += 1
         self._pending = (
             observation,
-            x_t,
-            dense,
             costs,
             slot_ms,
             phases,
@@ -295,16 +274,16 @@ class SlotStepper:
         after writing the reply: the controller's ``settle`` (the
         aggregated path's disaggregation error and ``aggregate.*``
         records), then ``slot.wall_ms`` and the ``slot``/``prof.phases``
-        events, the flight recorder's ``end_slot`` and the hooks'
-        ``on_slot_end``, so a slot's records keep one order whether it
-        settles at once (:func:`simulate`) or after a reply.
+        events and the flight recorder's ``end_slot``, so a slot's
+        records keep one order whether it settles at once
+        (:func:`simulate`) or after a reply.
         Its wall time is profiled as ``spine.settle``, outside the slot's
         ``wall_ms`` window.
         """
         pending, self._pending = self._pending, None
         if pending is None:
             return
-        observation, x_t, dense, costs, slot_ms, phases, telemetry, recorder = pending
+        observation, costs, slot_ms, phases, telemetry, recorder = pending
         with phase("spine.settle"):
             settle = getattr(self.controller, "settle", None)
             if settle is not None:
@@ -339,11 +318,6 @@ class SlotStepper:
                 telemetry.maybe_flush()
             if recorder is not None:
                 recorder.end_slot(self, observation, costs, slot_ms)
-            if self.hooks:
-                if dense is None:
-                    dense = x_t.materialize()
-                for hook in self.hooks:
-                    hook.on_slot_end(observation, dense, costs)
 
     @property
     def residuals(self) -> tuple[float, float, float]:
@@ -390,12 +364,10 @@ class SlotStepper:
         )
 
     def finish(self, wall_time_s: float = 0.0) -> SimulationResult:
-        """Close the run: require at least one slot, fire run-end hooks."""
+        """Close the run; it must have accounted at least one slot."""
         self.settle()
         if self.accumulator.num_slots == 0:
             raise ValueError("simulate() needs at least one observation")
-        for hook in self.hooks:
-            hook.on_run_end(self.processed)
         return self.result(wall_time_s)
 
 
@@ -404,7 +376,6 @@ def simulate(
     observations: Iterable[SlotObservation],
     system: SystemDescription,
     *,
-    hooks: Iterable[SlotHook] = (),
     keep_schedule: bool = True,
     resume_from: SimulationCheckpoint | None = None,
     max_slots: int | None = None,
@@ -424,7 +395,6 @@ def simulate(
             memory-bounded runs.
         system: the time-invariant system description (cost prices,
             capacities, weights).
-        hooks: per-slot observers (:class:`SlotHook` instances).
         keep_schedule: when ``False``, each slot's allocation is dropped
             after accounting — memory stays O(I·J) regardless of horizon,
             and ``result.schedule`` is ``None``.
@@ -455,11 +425,9 @@ def simulate(
     stepper = SlotStepper(
         controller,
         system,
-        hooks=hooks,
         keep_schedule=keep_schedule,
         resume_from=resume_from,
     )
-    stepper.start()
     start = time.perf_counter()
     # trace_span == registry.span when no trace context is active (the
     # default); under --trace-context it links this run into the trace.
@@ -511,53 +479,6 @@ class PerSlotController:
     def set_state(self, state: object) -> None:
         """Restore a snapshot produced by :meth:`get_state`."""
         self._x_prev = np.asarray(state, dtype=float).copy()
-
-
-@dataclass
-class RecomputeController:
-    """Adapter for hold-style policies: recompute sometimes, hold otherwise.
-
-    ``solve(observation)`` produces a fresh allocation whenever due —
-    every ``period`` slots, or only on the very first slot when ``period``
-    is ``None`` (the decide-once static policy).
-    """
-
-    system: SystemDescription
-    solve: Callable[[SlotObservation], np.ndarray]
-    period: int | None = None
-    name: str = "recompute"
-
-    def __post_init__(self) -> None:
-        if self.period is not None and self.period < 1:
-            raise ValueError("period must be at least 1")
-        self._current: np.ndarray | None = None
-        self._seen = 0
-
-    def observe(self, observation: SlotObservation) -> np.ndarray:
-        """Recompute when due, otherwise hold the previous allocation."""
-        due = self._current is None or (
-            self.period is not None and self._seen % self.period == 0
-        )
-        if due:
-            self._current = np.asarray(self.solve(observation), dtype=float)
-        self._seen += 1
-        return self._current
-
-    def reset(self) -> None:
-        """Drop state: the next observation recomputes from scratch."""
-        self._current = None
-        self._seen = 0
-
-    def get_state(self) -> tuple[np.ndarray | None, int]:
-        """Snapshot the held allocation and the slot counter."""
-        current = None if self._current is None else self._current.copy()
-        return (current, self._seen)
-
-    def set_state(self, state: object) -> None:
-        """Restore a snapshot produced by :meth:`get_state`."""
-        current, seen = state  # type: ignore[misc]
-        self._current = None if current is None else np.asarray(current, dtype=float)
-        self._seen = int(seen)
 
 
 @dataclass
@@ -653,7 +574,6 @@ def run_on_spine(
     algorithm: object,
     instance: ProblemInstance,
     *,
-    hooks: Iterable[SlotHook] = (),
     keep_schedule: bool = True,
 ) -> SimulationResult:
     """Run an algorithm's controller form over a whole instance.
@@ -667,6 +587,5 @@ def run_on_spine(
         controller,
         iter_observations(instance),
         system,
-        hooks=hooks,
         keep_schedule=keep_schedule,
     )

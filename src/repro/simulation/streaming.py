@@ -6,8 +6,6 @@ re-exports the original names so existing imports keep working:
 * observation model → :mod:`repro.simulation.observations`
 * the execution loop → :mod:`repro.simulation.spine` (:func:`simulate`)
 * the paper algorithm's controller → :mod:`repro.simulation.controllers`
-* the greedy controller → :mod:`repro.baselines.greedy` (lazily re-exported
-  here, because the baselines build on the simulation package)
 
 :func:`replay` remains the one-call way to feed a full instance through a
 controller; it now simply drives the shared spine.
@@ -28,7 +26,6 @@ from .observations import (
 from .spine import simulate
 
 __all__ = [
-    "GreedyController",
     "OnlineController",
     "RegularizedController",
     "SlotObservation",
@@ -47,19 +44,10 @@ def replay(
     The controller never sees more than one slot at a time; the returned
     schedule can be scored by the usual cost model. This is a thin wrapper
     over :func:`repro.simulation.spine.simulate`, which also exposes
-    incremental cost accounting, hooks, and checkpoint/resume.
+    incremental cost accounting and checkpoint/resume.
     """
     system = SystemDescription.from_instance(instance)
     result = simulate(controller, observations_from_instance(instance), system)
     assert result.schedule is not None
     return result.schedule
 
-
-def __getattr__(name: str):
-    """Lazily re-export :class:`GreedyController` from the baselines layer
-    (which builds on this package, so an eager import would be circular)."""
-    if name == "GreedyController":
-        from ..baselines.greedy import GreedyController
-
-        return GreedyController
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

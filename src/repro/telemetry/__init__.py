@@ -122,7 +122,7 @@ from .tracing import (
     trace_span,
     traced_root,
 )
-from .spans import render_spans, span_durations, walk_spans
+from .spans import render_spans, walk_spans
 from .watch import ManifestTail, WatchState, watch
 
 __all__ = [
@@ -179,7 +179,6 @@ __all__ = [
     "set_registry",
     "sketch_upper_edge",
     "span",
-    "span_durations",
     "speedscope_document",
     "streaming_manifest_session",
     "telemetry_enabled",

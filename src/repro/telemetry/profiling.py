@@ -13,7 +13,7 @@ are bit-identical with profiling on or off):
   batched cells don't bleed into each other's per-slot attribution.
   The phase catalog lives in docs/OBSERVABILITY.md §12: ``ipm.assemble``,
   ``ipm.factorize_smw``, ``ipm.line_search``, ``ipm.convergence_check``
-  for the interior-point solver; ``spine.start``, ``spine.account``,
+  for the interior-point solver; ``spine.account`` and
   ``spine.checkpoint`` for the slot body; ``spine.unattributed`` is the
   per-slot remainder (slot wall minus attributed phases) so the per-slot
   sums in ``prof.phases`` events always reconcile with ``slot.wall_ms``.

@@ -3,8 +3,8 @@
 A span is recorded as a plain dict — ``{"name", "duration_ms",
 "children", "meta"?}`` — so trees pickle across process-pool workers and
 serialize straight into the run manifest. This module provides the small
-read-side toolkit: depth-first iteration, per-name aggregation, and an
-indented text rendering for quick inspection.
+read-side toolkit: depth-first iteration and an indented text rendering
+for quick inspection.
 """
 
 from __future__ import annotations
@@ -20,15 +20,6 @@ def walk_spans(spans: Iterable[dict]) -> Iterator[tuple[int, dict]]:
         yield depth, node
         for child in reversed(node.get("children", ())):
             stack.append((depth + 1, child))
-
-
-def span_durations(spans: Iterable[dict]) -> dict[str, tuple[int, float]]:
-    """Aggregate ``name -> (count, total_ms)`` over whole span trees."""
-    totals: dict[str, tuple[int, float]] = {}
-    for _, node in walk_spans(spans):
-        count, total = totals.get(node["name"], (0, 0.0))
-        totals[node["name"]] = (count + 1, total + float(node["duration_ms"]))
-    return totals
 
 
 def render_spans(spans: Iterable[dict], *, min_ms: float = 0.0) -> str:

@@ -175,16 +175,28 @@ class TopN:
 
 
 class _RunView:
-    """Running totals for one ``(cell, run)`` as its slot events stream in."""
+    """Running totals for one ``(cell, run)`` as its slot events stream in.
+
+    ``incomplete`` counts slot records missing a cost field. Once the
+    run's ``run_end`` arrives, ``ended`` is its position among the
+    manifest's ``run_end`` records and ``reported`` its ``totals``.
+    """
 
     def __init__(self, algorithm: str) -> None:
         self.algorithm = algorithm
         self.slots = 0
         self.costs = {"op": 0.0, "sq": 0.0, "rc": 0.0, "mg": 0.0, "total": 0.0}
-        self.finished = False
+        self.incomplete = 0
+        self.ended: int | None = None
+        self.reported: dict | None = None
+
+    @property
+    def finished(self) -> bool:
+        return self.ended is not None
 
     def add_slot(self, record: dict) -> None:
         self.slots += 1
+        self.incomplete += not self.costs.keys() <= record.keys()
         for key in self.costs:
             self.costs[key] += float(record.get(key, 0.0))
 
@@ -281,8 +293,10 @@ class ManifestSummary:
                 self.slowest_slots.add(record)
             self._run(record).add_slot(record)
         elif kind == "run_end":
+            view = self._run(record)
+            view.ended = self.run_ends
+            view.reported = record.get("totals")
             self.run_ends += 1
-            self._run(record).finished = True
         elif kind == "solver.ipm.trace":
             self.convergence.add(record)
             self.unconverged_traces += bool(record.get("unconverged"))

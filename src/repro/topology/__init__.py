@@ -1,7 +1,6 @@
 """Edge-cloud topologies: site locations, adjacency, and delay matrices."""
 
 from .delays import inter_cloud_delay_matrix, validate_delay_matrix
-from .generators import grid_topology, random_geometric_topology, ring_topology
 from .geo import EARTH_RADIUS_KM, GeoPoint, haversine_km, haversine_km_vec, pairwise_distance_km
 from .metro import (
     ROME_METRO_LINE_A,
@@ -18,13 +17,10 @@ __all__ = [
     "ROME_METRO_LINE_B",
     "ROME_METRO_STATIONS",
     "Topology",
-    "grid_topology",
     "haversine_km",
     "haversine_km_vec",
     "inter_cloud_delay_matrix",
     "pairwise_distance_km",
-    "random_geometric_topology",
-    "ring_topology",
     "rome_metro_topology",
     "validate_delay_matrix",
 ]

@@ -29,11 +29,7 @@ from repro.core.regularization import OnlineRegularizedAllocator
 from repro.experiments.fig2 import fig2_scenario
 from repro.experiments.settings import ExperimentScale
 from repro.mobility.random_walk import RandomWalkMobility
-from repro.simulation.observations import (
-    SlotObservation,
-    SystemDescription,
-    iter_observations,
-)
+from repro.simulation.observations import SystemDescription, iter_observations
 from repro.simulation.scenario import Scenario
 from repro.simulation.spine import simulate
 from repro.solvers import InteriorPointBackend

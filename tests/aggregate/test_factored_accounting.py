@@ -3,7 +3,7 @@
 Hypothesis draws small populations (J <= 40 users, I <= 5 clouds), a
 bucket mode, a trajectory with random churn between slots, and random
 cohort columns, then streams the :class:`FactoredAllocation` decisions
-from a zero start through the spine. Three contracts:
+from a zero start through the spine. Four contracts:
 
 * the factored accumulator's four costs equal
   :func:`repro.core.costs.cost_breakdown` of the materialized schedule to
@@ -11,20 +11,23 @@ from a zero start through the spine. Three contracts:
 * pair-aggregating the previous decision under a slot's cohorts equals
   :meth:`CohortMap.aggregate` of the dense previous allocation to 1e-12;
 * a dense decision (the trivial factorization) is accounted bit for bit
-  as the dense per-user formulas, written out here.
+  as the dense per-user formulas, written out here;
+* a memory-bounded aggregated run never splits a cohort decision back to
+  users: with :meth:`CohortMap.disaggregate` disabled it still finishes,
+  at the same costs.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregate import BucketSpec, build_cohorts
-from repro.aggregate.cohorts import FactoredAllocation
+from repro.aggregate import AggregationConfig, BucketSpec, build_cohorts
+from repro.aggregate.cohorts import CohortMap, FactoredAllocation
 from repro.core.allocation import AllocationSchedule
 from repro.core.costs import cost_breakdown, positive_part
 from repro.core.problem import CostWeights, MigrationPrices, ProblemInstance
+from repro.core.regularization import OnlineRegularizedAllocator
 from repro.simulation.accounting import CostAccumulator
-from repro.simulation.hooks import FeasibilityHook
 from repro.simulation.observations import SystemDescription, iter_observations
 from repro.simulation.spine import simulate
 
@@ -112,10 +115,7 @@ def test_factored_costs_equal_the_batch_costs_of_the_split(
     instance = churned_instance(seed, num_users, num_clouds, num_slots, churn)
     system = SystemDescription.from_instance(instance)
     decisions = factored_trajectory(instance, buckets, seed)
-    feasibility = FeasibilityHook()
-    result = simulate(
-        Emit(decisions), iter_observations(instance), system, hooks=[feasibility]
-    )
+    result = simulate(Emit(decisions), iter_observations(instance), system)
     schedule = np.stack([np.asarray(decision) for decision in decisions])
     assert result.schedule.x.tobytes() == schedule.tobytes()
     batch = cost_breakdown(AllocationSchedule(schedule), instance)
@@ -127,16 +127,22 @@ def test_factored_costs_equal_the_batch_costs_of_the_split(
             atol=1e-12,
             err_msg=component,
         )
-    # Residuals from the factors equal the per-user ones.
-    for got, per_slot in zip(
+    # Residuals from the factors equal the per-user ones, clipped at zero.
+    x = result.schedule.x
+    per_user = (
+        (np.asarray(instance.workloads)[None, :] - x.sum(axis=1)).max(),
+        (x.sum(axis=2) - np.asarray(instance.capacities)[None, :]).max(),
+        (-x).max(),
+    )
+    for got, expected in zip(
         (
             result.feasibility.demand_violation,
             result.feasibility.capacity_violation,
             result.feasibility.negativity_violation,
         ),
-        (feasibility.demand, feasibility.capacity, feasibility.negativity),
+        (max(0.0, float(value)) for value in per_user),
     ):
-        assert abs(got - max(per_slot)) <= 1e-12 * max(1.0, max(per_slot))
+        assert abs(got - expected) <= 1e-12 * max(1.0, expected)
 
 
 @given(**trajectories)
@@ -203,3 +209,32 @@ def test_trivial_factorization_is_bit_identical_to_the_dense_formulas(
         x_prev = x_t
     # The dense carried state is the layout every earlier release wrote.
     assert accumulator.get_state().x_prev.tobytes() == decisions[-1].tobytes()
+
+
+def test_memory_bounded_aggregated_run_never_disaggregates(monkeypatch):
+    instance = churned_instance(3, num_users=30, num_clouds=3, num_slots=4, churn=0.5)
+    system = SystemDescription.from_instance(instance)
+
+    def run():
+        return simulate(
+            OnlineRegularizedAllocator().as_controller(system),
+            iter_observations(instance),
+            system,
+            keep_schedule=False,
+            aggregation=AggregationConfig(lambda_buckets=3),
+        )
+
+    reference = run()
+
+    def refuse(self, x_cohorts):
+        raise AssertionError("a factored slot was split back to users")
+
+    monkeypatch.setattr(CohortMap, "disaggregate", refuse)
+    factored = run()
+    assert factored.schedule is None
+    for component in COMPONENTS:
+        assert np.array_equal(
+            getattr(factored.breakdown, component),
+            getattr(reference.breakdown, component),
+        ), component
+    assert factored.feasibility == reference.feasibility

@@ -1,62 +1,19 @@
-"""Tests for cost timelines and regret curves."""
+"""Tests for the per-slot churn timeline."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.analysis.timelines import (
-    churn_timeline,
-    cost_shares,
-    cumulative_cost,
-    regret_curve,
-)
-from repro.baselines import OfflineOptimal, OnlineGreedy
+from repro.analysis.timelines import churn_timeline
+from repro.baselines import OnlineGreedy
+from repro.core.allocation import AllocationSchedule
 from repro.simulation.engine import run_algorithm
 
 
 @pytest.fixture(scope="module")
 def runs(small_instance):
-    return {
-        "offline": run_algorithm(OfflineOptimal(), small_instance),
-        "greedy": run_algorithm(OnlineGreedy(), small_instance),
-    }
-
-
-class TestCumulativeCost:
-    def test_monotone_nondecreasing(self, runs):
-        curve = cumulative_cost(runs["greedy"].breakdown)
-        assert np.all(np.diff(curve) >= -1e-9)
-
-    def test_final_value_is_total(self, runs):
-        curve = cumulative_cost(runs["greedy"].breakdown)
-        assert curve[-1] == pytest.approx(runs["greedy"].total_cost)
-
-
-class TestRegret:
-    def test_final_regret_matches_ratio(self, runs):
-        regret = regret_curve(runs["greedy"], runs["offline"])
-        expected = runs["greedy"].total_cost - runs["offline"].total_cost
-        assert regret[-1] == pytest.approx(expected)
-        assert regret[-1] >= -1e-6  # offline is optimal
-
-    def test_horizon_mismatch(self, runs, tiny_instance):
-        other = run_algorithm(OnlineGreedy(), tiny_instance)
-        with pytest.raises(ValueError):
-            regret_curve(runs["greedy"], other)
-
-
-class TestCostShares:
-    def test_sums_to_one(self, runs):
-        shares = cost_shares(runs["greedy"].breakdown)
-        assert sum(shares.values()) == pytest.approx(1.0)
-        assert all(0.0 <= v <= 1.0 for v in shares.values())
-
-    def test_component_names(self, runs):
-        assert set(cost_shares(runs["greedy"].breakdown)) == {
-            "operation",
-            "service_quality",
-            "reconfiguration",
-            "migration",
-        }
+    return {"greedy": run_algorithm(OnlineGreedy(), small_instance)}
 
 
 class TestChurn:
@@ -67,9 +24,9 @@ class TestChurn:
     def test_nonnegative(self, runs):
         assert np.all(churn_timeline(runs["greedy"]) >= 0.0)
 
-    def test_static_schedule_has_zero_churn_after_start(self, small_instance):
-        from repro.baselines import StaticAllocation
-
-        run = run_algorithm(StaticAllocation(), small_instance)
+    def test_static_schedule_has_zero_churn_after_start(self, runs):
+        x = runs["greedy"].schedule.x
+        held = AllocationSchedule(np.repeat(x[:1], len(x), axis=0))
+        run = dataclasses.replace(runs["greedy"], schedule=held)
         churn = churn_timeline(run)
         assert np.allclose(churn[1:], 0.0)

@@ -12,14 +12,12 @@ from repro.baselines.offline import OfflineOptimal
 from repro.core.costs import total_cost
 from repro.core.problem import CostWeights, ProblemInstance
 from repro.experiments import fig2_scenario
-from repro.experiments.adversarial import (
-    oscillating_price_instance,
-    ping_pong_mobility_instance,
-)
+from repro.experiments.adversarial import oscillating_price_instance
 from repro.experiments.settings import ExperimentScale
 from repro.pricing.bandwidth import MigrationPrices
 from repro.simulation.scenario import Scenario
 from tests.conftest import make_tiny_instance
+from tests.experiments.adversarial import ping_pong_mobility_instance
 
 
 def single_cloud_instance() -> ProblemInstance:

@@ -9,7 +9,6 @@ from repro.core.bounds import (
     competitive_ratio_bound,
     eta,
     gamma,
-    ratio_bound_curve,
     suggest_epsilon,
     tau,
 )
@@ -78,12 +77,8 @@ class TestRatioBound:
 
     def test_curve_monotone(self, tiny_instance):
         eps_values = np.logspace(-3, 3, 13)
-        curve = ratio_bound_curve(tiny_instance, eps_values)
+        curve = [competitive_ratio_bound(tiny_instance, e, e) for e in eps_values]
         assert np.all(np.diff(curve) <= 1e-9)
-
-    def test_curve_shape(self, tiny_instance):
-        curve = ratio_bound_curve(tiny_instance, np.array([0.1, 1.0]))
-        assert curve.shape == (2,)
 
 
 class TestSuggestEpsilon:

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from repro.core.allocation import AllocationSchedule
 from repro.core.costs import migration_volumes
 from repro.core.problem import CostWeights
-from repro.core.transformation import (
-    combined_migration_prices,
+from repro.core.transformation import combined_migration_prices, p1_migration_cost
+from tests.conftest import make_tiny_instance, random_schedule
+from tests.core.lemma1 import (
     lemma1_gap,
     p0_objective,
-    p1_migration_cost,
     p1_objective,
     per_user_inbound_migration,
     transformation_constant,
 )
-from tests.conftest import make_tiny_instance, random_schedule
 
 
 class TestCombinedPrices:

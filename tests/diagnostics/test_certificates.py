@@ -8,8 +8,6 @@ import pytest
 from repro.core.regularization import OnlineRegularizedAllocator
 from repro.core.subproblem import RegularizedSubproblem
 from repro.diagnostics import (
-    CertificateHook,
-    certify_schedule,
     certify_solution,
     duality_gap_bound,
     lp_multipliers,
@@ -17,7 +15,6 @@ from repro.diagnostics import (
     recover_multipliers,
     worst_certificate,
 )
-from repro.simulation.engine import run_algorithm
 from repro.simulation.scenario import Scenario
 from repro.telemetry import telemetry_session
 
@@ -111,68 +108,15 @@ class TestInRunCertification:
         assert len(algorithm.last_certificates) == instance.num_slots
         assert [c.slot for c in algorithm.last_certificates] == [0, 1, 2]
         assert all(c.ok() for c in algorithm.last_certificates)
+        assert worst_certificate(algorithm.last_certificates) is max(
+            algorithm.last_certificates, key=lambda c: c.relative_gap
+        )
 
     def test_certify_off_is_bit_identical(self):
         instance = Scenario(num_users=6, num_slots=3).build(seed=11)
         plain = OnlineRegularizedAllocator(certify=False).run(instance)
         certified = OnlineRegularizedAllocator(certify=True).run(instance)
         assert np.array_equal(plain.x, certified.x)  # exact equality
-
-    def test_post_hoc_matches_in_run(self, small_run):
-        instance, algorithm, schedule = small_run
-        post_hoc = certify_schedule(
-            instance,
-            schedule,
-            eps1=1.0,
-            eps2=1.0,
-            solves=algorithm.last_solves,
-        )
-        assert len(post_hoc) == len(algorithm.last_certificates)
-        for fresh, recorded in zip(post_hoc, algorithm.last_certificates):
-            assert fresh.relative_gap == pytest.approx(
-                recorded.relative_gap, rel=1e-9, abs=1e-15
-            )
-
-    def test_certify_schedule_without_solves(self, small_run):
-        instance, _, schedule = small_run
-        certificates = certify_schedule(instance, schedule, eps1=1.0, eps2=1.0)
-        assert all(c.source == "recovered" for c in certificates)
-        assert all(c.ok() for c in certificates)
-
-    def test_certify_schedule_rejects_mismatched_solves(self, small_run):
-        instance, algorithm, schedule = small_run
-        with pytest.raises(ValueError, match="solver results"):
-            certify_schedule(
-                instance,
-                schedule,
-                eps1=1.0,
-                eps2=1.0,
-                solves=algorithm.last_solves[:-1],
-            )
-
-
-class TestCertificateHook:
-    def test_hook_certifies_every_slot_on_the_spine(self):
-        instance = Scenario(num_users=5, num_slots=3).build(seed=4)
-        hook = CertificateHook()
-        run_algorithm(OnlineRegularizedAllocator(), instance, hooks=[hook])
-        assert len(hook.certificates) == instance.num_slots
-        assert all(c.ok() for c in hook.certificates)
-        assert hook.worst is hook.certificates[
-            max(
-                range(len(hook.certificates)),
-                key=lambda i: hook.certificates[i].relative_gap,
-            )
-        ]
-
-    def test_hook_adopts_controller_epsilons(self):
-        instance = Scenario(num_users=5, num_slots=2).build(seed=4)
-        hook = CertificateHook(record=False)
-        run_algorithm(
-            OnlineRegularizedAllocator(eps1=0.5, eps2=2.0), instance, hooks=[hook]
-        )
-        assert (hook.eps1, hook.eps2) == (0.5, 2.0)
-        assert all(c.ok() for c in hook.certificates)
 
 
 class TestRecording:

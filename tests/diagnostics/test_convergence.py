@@ -3,11 +3,7 @@
 from __future__ import annotations
 
 from repro.core.regularization import OnlineRegularizedAllocator
-from repro.diagnostics import (
-    iteration_series,
-    summarize_convergence,
-    trace_events,
-)
+from repro.diagnostics import summarize_convergence, trace_events
 from repro.simulation.scenario import Scenario
 from repro.telemetry import (
     read_manifest,
@@ -73,11 +69,6 @@ class TestSummaries:
         record = read_manifest(path)
         assert summarize_convergence(record) == summarize_convergence(registry)
 
-    def test_iteration_series_matches_events(self):
-        _, registry = _run_with_traces()
-        series = iteration_series(registry)
-        assert series == [e["iterations"] for e in trace_events(registry)]
-
     def test_summary_of_empty_source(self):
         summary = summarize_convergence([])
         assert summary.solves == 0
@@ -89,4 +80,4 @@ class TestSummaries:
             {"type": "other"},
         ]
         assert len(trace_events(events)) == 1
-        assert iteration_series(events) == [7]
+        assert summarize_convergence(events).total_iterations == 7

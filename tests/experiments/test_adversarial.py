@@ -7,9 +7,9 @@ from repro.baselines import OfflineOptimal, OnlineGreedy
 from repro.core.costs import total_cost
 from repro.experiments.adversarial import (
     oscillating_price_instance,
-    ping_pong_mobility_instance,
     run_threshold_sweep,
 )
+from tests.experiments.adversarial import ping_pong_mobility_instance
 
 
 class TestOscillatingPrices:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.mobility.random_walk import RandomWalkMobility
-from repro.topology.generators import ring_topology
 from repro.topology.metro import rome_metro_topology
+from tests.topology.generators import ring_topology
 
 
 def rng(seed=0):

@@ -15,9 +15,9 @@ from repro.mobility import ReplayMobility
 from repro.service import (
     LoadgenReport,
     ServiceConfig,
-    observations_from_trace,
     run_loadgen,
 )
+from repro.simulation.observations import observations_from_instance
 from repro.simulation.scenario import Scenario
 
 
@@ -96,14 +96,12 @@ class TestTraceReplay:
         )
         assert np.array_equal(replayed.attachment, trace.attachment)
 
-        observations = observations_from_trace(trace, replayed.op_prices)
+        observations = observations_from_instance(replayed)
         assert len(observations) == trace.num_slots
         assert np.array_equal(observations[2].attachment, trace.attachment[2])
 
     def test_shape_mismatches_fail_loudly(self):
         _, trace = _recorded_trace()
-        with pytest.raises(ValueError, match="op_prices must be"):
-            observations_from_trace(trace, np.ones((2, 3)))
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="replay trace has"):
             ReplayMobility(trace).generate(9, 4, rng)

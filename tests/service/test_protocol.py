@@ -187,6 +187,28 @@ class TestParseUpdate:
             with pytest.raises(ProtocolError, match="entries must be int64"):
                 self._parse(candidate)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("op_prices", ["1.5", "2", " 3 "]),
+            ("op_prices", [1.0, "2", 3.0]),
+            ("access_delay", ["0.1", "0.2", "0.3", "0.4"]),
+            ("access_delay", [0.1, 0.2, None, 0.4]),
+        ],
+        ids=[
+            "op-prices-all-strings",
+            "op-prices-one-string",
+            "access-delay-all-strings",
+            "access-delay-null",
+        ],
+    )
+    def test_rejects_numeric_strings_in_float_vectors(self, field, value):
+        message = _update(**{field: value})
+        # In process, and as the wire decoder hands it over.
+        for candidate in (message, parse_message(json.dumps(message))):
+            with pytest.raises(ProtocolError, match=f"{field} is not numeric"):
+                self._parse(candidate)
+
     def test_rejects_out_of_range_attachment(self):
         with pytest.raises(ProtocolError, match="attachment entries"):
             self._parse(_update(attachment=[0, 1, 3, 0]))

@@ -14,9 +14,7 @@ from repro.baselines import (
     OnlineGreedy,
     OperOpt,
     PerfOpt,
-    PeriodicRebalance,
     RecedingHorizon,
-    StaticAllocation,
     StatOpt,
 )
 from repro.core.costs import cost_breakdown
@@ -35,8 +33,6 @@ ALGORITHM_FACTORIES = {
     "perf-opt": PerfOpt,
     "oper-opt": OperOpt,
     "stat-opt": StatOpt,
-    "static": StaticAllocation,
-    "periodic-2": lambda: PeriodicRebalance(period=2),
     "lookahead-2": lambda: RecedingHorizon(window=2),
     "offline-opt": OfflineOptimal,
 }
@@ -76,7 +72,7 @@ def test_replay_equals_batch(name, small_instance):
 def test_causal_controllers_need_no_instance(small_instance):
     """Causal algorithms build controllers from the system description alone."""
     system = SystemDescription.from_instance(small_instance)
-    for factory in (OnlineRegularizedAllocator, OnlineGreedy, PerfOpt, StaticAllocation):
+    for factory in (OnlineRegularizedAllocator, OnlineGreedy, PerfOpt, StatOpt):
         controller = controller_for(factory(), system=system)
         assert isinstance(controller, OnlineController)
 

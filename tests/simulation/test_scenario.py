@@ -6,8 +6,8 @@ import pytest
 from repro.core.problem import CostWeights
 from repro.mobility.random_walk import RandomWalkMobility
 from repro.simulation.scenario import Scenario
-from repro.topology.generators import ring_topology
 from repro.topology.metro import rome_metro_topology
+from tests.topology.generators import ring_topology
 
 
 class TestScenarioBuild:

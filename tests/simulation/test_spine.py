@@ -1,4 +1,4 @@
-"""The streaming spine: hooks, checkpoint/resume, and memory-bounded mode."""
+"""The streaming spine: checkpoint/resume, adapters, and memory-bounded mode."""
 
 import tracemalloc
 
@@ -8,19 +8,13 @@ import pytest
 from repro.baselines import OnlineGreedy
 from repro.core.regularization import OnlineRegularizedAllocator
 from repro.pricing.bandwidth import MigrationPrices
-from repro.simulation.hooks import (
-    FeasibilityHook,
-    ProgressHook,
-    SolverStatsHook,
-    WallTimeHook,
-)
 from repro.simulation.observations import (
     SlotObservation,
     SystemDescription,
     iter_observations,
 )
 from repro.simulation.spine import (
-    RecomputeController,
+    PerSlotController,
     ScheduleController,
     controller_for,
     simulate,
@@ -119,34 +113,6 @@ class TestCheckpointResume:
             )
 
 
-class TestHooks:
-    def test_hooks_observe_every_slot(self, tiny_instance):
-        system = SystemDescription.from_instance(tiny_instance)
-        algorithm = OnlineRegularizedAllocator()
-        wall = WallTimeHook()
-        solver = SolverStatsHook()
-        feasibility = FeasibilityHook()
-        ticks = []
-        progress = ProgressHook(lambda done, costs: ticks.append(done), every=2)
-        simulate(
-            algorithm.as_controller(system),
-            iter_observations(tiny_instance),
-            system,
-            hooks=[wall, solver, feasibility, progress],
-        )
-        n = tiny_instance.num_slots
-        assert len(wall.per_slot_s) == n and wall.total_s > 0
-        assert len(solver.iterations) == n
-        assert solver.total_iterations == algorithm.total_solver_iterations
-        assert len(feasibility.demand) == n
-        assert feasibility.worst() < 1e-5
-        assert ticks == [2, 4]
-
-    def test_progress_hook_validates_every(self):
-        with pytest.raises(ValueError):
-            ProgressHook(lambda done, costs: None, every=0)
-
-
 class TestAdapters:
     def test_schedule_controller_exhaustion(self, tiny_instance):
         system = SystemDescription.from_instance(tiny_instance)
@@ -157,13 +123,6 @@ class TestAdapters:
     def test_schedule_controller_validates_shape(self):
         with pytest.raises(ValueError):
             ScheduleController(plan=np.zeros((3, 4)))
-
-    def test_recompute_controller_validates_period(self, tiny_instance):
-        system = SystemDescription.from_instance(tiny_instance)
-        with pytest.raises(ValueError):
-            RecomputeController(
-                system=system, solve=lambda observation: None, period=0
-            )
 
 
 class TestMemoryBoundedMode:
@@ -182,8 +141,8 @@ class TestMemoryBoundedMode:
         )
         allocation = np.zeros((num_clouds, num_users))
         allocation[0] = 1.0  # everyone at cloud 0: feasible, cheap to emit
-        controller = RecomputeController(
-            system=system, solve=lambda observation: allocation, period=None
+        controller = PerSlotController(
+            system=system, solve=lambda observation, x_prev: allocation
         )
 
         op_prices = np.ones(num_clouds)

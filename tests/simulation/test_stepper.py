@@ -3,8 +3,8 @@
 ``simulate()`` is now a thin driver over :class:`SlotStepper`; these
 tests pin the refactor's contract — driving the stepper one observation
 at a time (the live service's mode) produces bit-identical numbers to
-the batch call, and lifecycle edges (idempotent start, empty finish,
-mid-stream snapshots) behave.
+the batch call, and lifecycle edges (empty finish, mid-stream snapshots)
+behave.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.simulation.observations import (
     SystemDescription,
     observations_from_instance,
 )
-from repro.simulation.hooks import SlotHook
 from repro.simulation.spine import SlotStepper, simulate
 from tests.conftest import make_tiny_instance
 
@@ -37,7 +36,6 @@ class TestStepperEqualsSimulate:
         batch = simulate(_controller(system), observations, system)
 
         stepper = SlotStepper(_controller(system), system)
-        stepper.start()
         for observation in observations:
             stepper.step(observation)
         streamed = stepper.finish()
@@ -82,21 +80,6 @@ class TestStepperLifecycle:
         stepper = SlotStepper(_controller(system), system)
         with pytest.raises(ValueError, match="at least one observation"):
             stepper.finish()
-
-    def test_start_is_idempotent(self):
-        system, observations = _setup()
-
-        class CountingHook(SlotHook):
-            starts = 0
-
-            def on_run_start(self, system, controller):
-                CountingHook.starts += 1
-
-        stepper = SlotStepper(_controller(system), system, hooks=[CountingHook()])
-        stepper.start()
-        stepper.start()
-        stepper.step(observations[0])
-        assert CountingHook.starts == 1
 
     def test_result_is_a_live_snapshot(self):
         system, observations = _setup()

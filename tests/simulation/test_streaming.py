@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines.greedy import OnlineGreedy
+from repro.baselines.greedy import GreedyController, OnlineGreedy
 from repro.core.costs import total_cost
 from repro.core.regularization import OnlineRegularizedAllocator
 from repro.simulation.streaming import (
-    GreedyController,
     RegularizedController,
     SlotObservation,
     SystemDescription,

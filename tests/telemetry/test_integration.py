@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import assert_manifest_costs, load_manifest, verify_manifest_costs
+from repro.analysis import load_manifest, verify_manifest_costs
 from repro.baselines import OfflineOptimal, OnlineGreedy
 from repro.cli import main
 from repro.core.regularization import OnlineRegularizedAllocator
@@ -153,7 +153,6 @@ class TestCliManifest:
         for check in checks:
             assert check.slots == 2
             assert check.ok(tol=1e-9), (check.key, check.deviation)
-        assert_manifest_costs(record, tol=1e-9)
 
     def test_metrics_summary_appended(self, capsys):
         argv = [

@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.telemetry import AlertEvaluator, Rule, default_slos
-from tests.telemetry.alert_streams import service_slots, slots
+from tests.telemetry.alert_streams import service_slots
 
 SMALL = dict(budget=0.5, window=4, slow_window=8, fast_burn=1.5, slow_burn=1.0,
              min_samples=2)

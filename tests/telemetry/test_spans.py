@@ -6,7 +6,6 @@ from repro.telemetry import (
     MetricsRegistry,
     render_spans,
     span,
-    span_durations,
     telemetry_session,
     walk_spans,
 )
@@ -91,12 +90,6 @@ class TestReadSide:
             (0, "run"),
         ]
 
-    def test_span_durations_aggregates_by_name(self):
-        durations = span_durations(_tree())
-        assert durations["run"] == (2, 15.0)
-        assert durations["simulate"] == (1, 8.0)
-        assert durations["slot"] == (1, 1.0)
-
     def test_render_indents_and_formats(self):
         text = render_spans(_tree())
         lines = text.splitlines()
@@ -121,7 +114,6 @@ class TestReadSide:
 class TestEdgeCases:
     def test_empty_tree_walks_and_aggregates_to_nothing(self):
         assert list(walk_spans([])) == []
-        assert span_durations([]) == {}
 
     def test_unclosed_span_is_visible_with_zero_duration(self):
         # A crash inside a span leaves the node recorded (duration 0.0
@@ -131,7 +123,6 @@ class TestEdgeCases:
         cm.__enter__()
         assert [s["name"] for s in registry.spans] == ["never-exited"]
         assert registry.spans[0]["duration_ms"] == 0.0
-        assert span_durations(registry.spans)["never-exited"] == (1, 0.0)
         assert render_spans(registry.spans).startswith("never-exited: 0.000 ms")
 
     def test_deep_nesting_walks_iteratively(self):
@@ -146,8 +137,6 @@ class TestEdgeCases:
         assert walked[0][0] == 0
         assert walked[-1] == (depth - 1, {"name": "leaf", "duration_ms": 1.0,
                                           "children": []})
-        counts = span_durations([node])
-        assert counts["leaf"] == (1, 1.0)
         assert len(render_spans([node]).splitlines()) == depth
 
     def test_deeply_nested_live_spans_round_trip(self):

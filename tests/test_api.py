@@ -53,7 +53,6 @@ class TestPublicApi:
             repro.PerfOpt(),
             repro.OperOpt(),
             repro.StatOpt(),
-            repro.StaticAllocation(),
         ):
             assert isinstance(algorithm, AllocationAlgorithm)
             assert isinstance(algorithm.name, str)

@@ -18,7 +18,8 @@ from repro import (
     total_cost,
 )
 from repro.mobility import RandomWalkMobility, TaxiMobility
-from repro.topology import grid_topology, ring_topology, rome_metro_topology
+from repro.topology import rome_metro_topology
+from tests.topology.generators import grid_topology, ring_topology
 
 
 @st.composite

@@ -23,15 +23,14 @@ from repro import (
     PerfOpt,
     Scenario,
     StatOpt,
-    StaticAllocation,
     compare_algorithms,
     competitive_ratio_bound,
     total_cost,
 )
-from repro.baselines import PeriodicRebalance, RecedingHorizon
-from repro.core.transformation import lemma1_gap
+from repro.baselines import RecedingHorizon
 from repro.mobility import RandomWalkMobility
 from repro.topology import rome_metro_topology
+from tests.core.lemma1 import lemma1_gap
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +58,7 @@ ALL_ALGORITHMS = [
     PerfOpt(),
     OperOpt(),
     StatOpt(),
-    StaticAllocation(),
     RecedingHorizon(window=2),
-    PeriodicRebalance(period=2),
 ]
 
 
@@ -135,12 +132,6 @@ class TestCrossAlgorithmIdentities:
             RecedingHorizon(window=instance.num_slots).run(instance), instance
         )
         assert offline == pytest.approx(lookahead, rel=1e-6)
-
-    def test_periodic_one_equals_statopt(self, instances):
-        instance = instances["taxi"]
-        stat = total_cost(StatOpt().run(instance), instance)
-        periodic = total_cost(PeriodicRebalance(period=1).run(instance), instance)
-        assert stat == pytest.approx(periodic, rel=1e-6)
 
 
 class TestMobilityRobustness:

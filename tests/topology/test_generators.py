@@ -1,13 +1,9 @@
-"""Tests for synthetic topology generators."""
+"""Tests for the synthetic grid and ring topologies other tests build on."""
 
 import networkx as nx
 import pytest
 
-from repro.topology.generators import (
-    grid_topology,
-    random_geometric_topology,
-    ring_topology,
-)
+from tests.topology.generators import grid_topology, ring_topology
 
 
 class TestGrid:
@@ -62,37 +58,3 @@ class TestRing:
         small = ring_topology(4, radius_km=1.0).distance_matrix_km().max()
         large = ring_topology(4, radius_km=3.0).distance_matrix_km().max()
         assert large == pytest.approx(3.0 * small, rel=0.05)
-
-
-class TestRandomGeometric:
-    def test_deterministic_per_seed(self):
-        a = random_geometric_topology(10, seed=42)
-        b = random_geometric_topology(10, seed=42)
-        assert [p.lat for p in a.points] == [p.lat for p in b.points]
-        assert set(a.graph.edges) == set(b.graph.edges)
-
-    def test_different_seeds_differ(self):
-        a = random_geometric_topology(10, seed=1)
-        b = random_geometric_topology(10, seed=2)
-        assert [p.lat for p in a.points] != [p.lat for p in b.points]
-
-    def test_always_connected(self):
-        # Even with a tiny connect radius the stitching pass connects it.
-        topo = random_geometric_topology(12, seed=3, connect_radius_km=0.01)
-        assert nx.is_connected(topo.graph)
-
-    def test_points_in_bbox(self):
-        bbox = (41.0, 41.2, 12.0, 12.3)
-        topo = random_geometric_topology(20, seed=5, bbox=bbox)
-        for p in topo.points:
-            assert bbox[0] <= p.lat <= bbox[1]
-            assert bbox[2] <= p.lon <= bbox[3]
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            random_geometric_topology(0, seed=1)
-
-    def test_single_site(self):
-        topo = random_geometric_topology(1, seed=1)
-        assert topo.num_sites == 1
-        assert nx.is_connected(topo.graph)
