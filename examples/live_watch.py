@@ -16,10 +16,11 @@ Afterwards the finalized manifest is read back, its cost accounting is
 verified, and the span tree is exported as a Chrome ``trace_event`` file
 (load it in ``chrome://tracing`` or https://ui.perfetto.dev).
 
-In real use the two sides are separate processes::
+In real use the two sides are separate processes (``--telemetry``
+always streams, through the same session)::
 
-    repro-edge fig2 --telemetry run.jsonl --stream --watchdog   # terminal 1
-    repro-edge watch run.jsonl --strict                         # terminal 2
+    repro-edge fig2 --telemetry run.jsonl --watchdog   # terminal 1
+    repro-edge watch run.jsonl --strict                # terminal 2
 
 Run:  python examples/live_watch.py
 """

@@ -46,8 +46,6 @@ ALLOWLIST = {
     "format that the fig drivers write",
     "RingSink": "telemetry/sinks.py; the in-memory sink that tests "
     "substitute for a file sink",
-    "validate_delay_matrix": "topology/delays.py; an input check with no "
-    "caller yet",
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

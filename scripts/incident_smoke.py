@@ -4,10 +4,13 @@ Drives the full incident path end to end, the way an operator would hit
 it:
 
 1. serve a small stream through the live service with a 1-iteration
-   budget (every solve is truncated → every slot misses its deadline →
-   the deadline-miss storm rule and the deadline-miss SLO both fire);
-2. assert the session's flight recorder dumped at least one incident
-   bundle into the incident directory;
+   budget, under the sink chain ``repro-edge --flight 6 --slo`` builds
+   (``streaming_manifest_session`` with the default rules and SLOs and a
+   flight recorder): every solve is truncated → every slot misses its
+   deadline → the deadline-miss storm rule and the deadline-miss SLO
+   both fire;
+2. assert the flight recorder dumped at least one incident bundle into
+   the incident directory;
 3. replay every bundle through ``repro-edge incident replay`` and
    require exit code 0 — the recorded costs, iteration counts, and
    partial flags must reproduce **bit-for-bit**;
@@ -77,7 +80,14 @@ def main(argv: list[str] | None = None) -> int:
         SystemDescription,
         observations_from_instance,
     )
-    from repro.telemetry import read_bundle, read_manifest, streaming_manifest_session
+    from repro.telemetry import (
+        FlightRecorder,
+        default_rules,
+        default_slos,
+        read_bundle,
+        read_manifest,
+        streaming_manifest_session,
+    )
 
     instance = Scenario(
         num_users=args.users, num_slots=args.slots
@@ -89,19 +99,23 @@ def main(argv: list[str] | None = None) -> int:
     manifest_dir = Path(tempfile.mkdtemp(prefix="incident_smoke_manifests_"))
     failures: list[str] = []
 
+    def armed(manifest, bundle_dir, aggregation=None):
+        """Serve the storm under the chain ``--flight 6 --slo`` builds."""
+        with streaming_manifest_session(
+            manifest,
+            rules=default_rules() + default_slos(),
+            recorder=FlightRecorder(6, incident_dir=bundle_dir),
+        ):
+            return run_loadgen(
+                system,
+                observations,
+                ServiceConfig(aggregation=aggregation, max_iterations=1),
+                speed=0,
+                batch_reference=False,
+            )
+
     # Leg 1-2: the storm must dump bundles.
-    report = run_loadgen(
-        system,
-        observations,
-        ServiceConfig(
-            max_iterations=1,
-            flight_slots=6,
-            incident_dir=str(incident_dir),
-            slo=True,
-        ),
-        speed=0,
-        batch_reference=False,
-    )
+    report = armed(None, incident_dir)
     if report.deadline_misses != args.slots:
         failures.append(
             f"expected every slot to miss under max_iterations=1, got "
@@ -194,19 +208,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # Leg 7: telemetry on → the storm's alerts and burn land in the manifest.
     manifest = manifest_dir / "storm.jsonl"
-    with streaming_manifest_session(manifest):
-        run_loadgen(
-            system,
-            observations,
-            ServiceConfig(
-                max_iterations=1,
-                flight_slots=6,
-                incident_dir=str(manifest_dir / "bundles"),
-                slo=True,
-            ),
-            speed=0,
-            batch_reference=False,
-        )
+    armed(manifest, manifest_dir / "bundles")
     record = read_manifest(manifest)
     rules = [alert.get("rule") for alert in record.events_of_type("alert")]
     for rule in ("deadline-miss", "slo:deadline-miss"):
@@ -251,19 +253,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # Leg 8: the aggregated recorder's bundles replay bit-for-bit too.
     aggregated_dir = incident_dir / "aggregated"
-    aggregated = run_loadgen(
-        system,
-        observations,
-        ServiceConfig(
-            aggregation=AggregationConfig(),
-            max_iterations=1,
-            flight_slots=6,
-            incident_dir=str(aggregated_dir),
-            slo=True,
-        ),
-        speed=0,
-        batch_reference=False,
-    )
+    aggregated = armed(None, aggregated_dir, AggregationConfig())
     aggregated_bundles = [Path(p) for p in aggregated.incident_bundles]
     if not aggregated_bundles:
         failures.append("the aggregated miss storm wrote no incident bundle")

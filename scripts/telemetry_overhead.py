@@ -78,7 +78,6 @@ def run_once(
         FlightRecorder,
         default_rules,
         default_slos,
-        flight_session,
         profiling_session,
         streaming_manifest_session,
     )
@@ -100,12 +99,7 @@ def run_once(
                 if profile
                 else contextlib.nullcontext()
             )
-            flight_scope = (
-                flight_session(recorder)
-                if recorder is not None
-                else contextlib.nullcontext()
-            )
-            with scope, flight_scope:
+            with scope:
                 comparison = compare_algorithms(algorithms, instance)
     wall = time.perf_counter() - start
     costs = {

@@ -13,7 +13,7 @@ Examples::
     repro-edge certify              # eq. 12 chain + per-slot certificates
     repro-edge bench --suite smoke --out new.json --compare BENCH_smoke.json
     repro-edge doctor run.jsonl     # post-mortem of a recorded run
-    repro-edge fig2 --telemetry run.jsonl --stream --watchdog
+    repro-edge fig2 --telemetry run.jsonl --watchdog
     repro-edge watch run.jsonl --strict   # live dashboard (second terminal)
     repro-edge export run.jsonl --trace trace.json --openmetrics run.prom
     repro-edge serve --deadline-ms 250 --metrics-port 9464
@@ -138,25 +138,11 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         "--telemetry",
         metavar="PATH",
         default=None,
-        help="record metrics, spans, and per-slot cost events and write them "
-        "as a JSON-lines run manifest to PATH (docs/OBSERVABILITY.md); "
-        "results are bit-identical with or without",
-    )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="write the --telemetry manifest incrementally (live-tailable "
-        "with 'repro-edge watch'; memory-bounded: events go to disk, not "
-        "RAM); final costs are bit-identical to the buffered writer",
-    )
-    parser.add_argument(
-        "--ring-events",
-        type=int,
-        default=None,
-        metavar="N",
-        help="keep at most N telemetry events in memory (oldest evicted, "
-        "evictions counted in telemetry.events.dropped); bounds memory on "
-        "long horizons like --drop-schedules does for schedules",
+        help="record metrics, spans, and per-slot cost events and stream "
+        "them as a JSON-lines run manifest to PATH while the run goes "
+        "(live-tailable with 'repro-edge watch'; events go to disk, not "
+        "RAM; docs/OBSERVABILITY.md); results are bit-identical with or "
+        "without",
     )
     parser.add_argument(
         "--watchdog",
@@ -164,8 +150,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         help="evaluate the default alert rules (solver stall, certificate "
         "gap, ratio over bound, deadline-miss storm) live "
         "over the telemetry stream; alerts land in the manifest as 'alert' "
-        "events. serve/loadgen with --flight or --slo evaluate them in the "
-        "session instead, once per slot",
+        "events",
     )
     parser.add_argument(
         "--metrics-summary",
@@ -614,31 +599,11 @@ def _service_setup(args: argparse.Namespace):
         eps1=scale.eps,
         eps2=scale.eps,
         aggregation=aggregation_config(scale),
-        flight_slots=getattr(args, "flight", None) or 0,
-        incident_dir=getattr(args, "incident_dir", None),
-        slo=getattr(args, "slo", False),
     )
     return system, observations, config
 
 
 def _cmd_serve(args: argparse.Namespace) -> str:
-    import contextlib
-
-    from .telemetry import MetricsRegistry, telemetry_enabled, telemetry_session
-
-    # The service counters (and the --metrics-port endpoint) read the
-    # active registry; without --telemetry that is the null registry, so
-    # install a memory-bounded live one for the lifetime of the server.
-    scope = (
-        contextlib.nullcontext()
-        if telemetry_enabled()
-        else telemetry_session(MetricsRegistry(max_events=0))
-    )
-    with scope:
-        return _serve_with_registry(args)
-
-
-def _serve_with_registry(args: argparse.Namespace) -> str:
     import asyncio
 
     from .service import AllocationServer, AllocationSession, serve_stdio
@@ -1150,50 +1115,42 @@ def _run_command(args: argparse.Namespace) -> str:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    ``--telemetry PATH`` runs the command inside a telemetry session and
-    writes the session's JSON-lines run manifest to ``PATH`` — buffered
-    by default, incrementally with ``--stream`` (tail it live with
-    ``repro-edge watch PATH``). ``--ring-events N`` bounds the in-memory
-    event buffer, ``--watchdog`` evaluates the default alert rules over
-    the stream, and ``--metrics-summary`` appends the metrics table to
-    the report. All of it observes only — the reported numbers are
-    identical either way.
+    ``--telemetry PATH`` runs the command inside a telemetry session that
+    streams its JSON-lines run manifest to ``PATH`` (tail it live with
+    ``repro-edge watch PATH``), ``--watchdog``/``--slo``/``--flight`` arm
+    the alert rules and the flight recorder on that session's sink chain,
+    and ``--metrics-summary`` appends the metrics table to the report.
+    ``serve`` always runs under a live registry, which ``/metrics``
+    reads. All of it observes only — the reported numbers are identical
+    either way.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     manifest_path = getattr(args, "telemetry", None)
     want_summary = getattr(args, "metrics_summary", False)
-    stream = getattr(args, "stream", False)
-    ring = getattr(args, "ring_events", None)
-    if stream and manifest_path is None:
-        parser.error("--stream requires --telemetry PATH (the file to stream to)")
-    # One alert evaluator per process. serve/loadgen arm theirs in the
-    # session (ServiceConfig.flight_slots/slo), which evaluates its own slot
-    # stream; every other command hosts the recorder and the rules on the
-    # telemetry sink chain. --flight and --slo imply --watchdog.
-    want_watchdog = getattr(args, "watchdog", False)
+    # --flight and --slo imply --watchdog.
     want_slo = getattr(args, "slo", False)
     flight = getattr(args, "flight", None)
     recorder = None
-    if args.command in ("serve", "loadgen"):
-        want_watchdog = want_watchdog and not (flight or want_slo)
-        want_slo = False
-    elif flight:
+    if flight:
         from .telemetry import FlightRecorder
 
         recorder = FlightRecorder(
             flight, incident_dir=getattr(args, "incident_dir", None)
         )
     rules = ()
-    if want_watchdog or want_slo or recorder is not None:
+    if getattr(args, "watchdog", False) or want_slo or recorder is not None:
         from .telemetry import default_rules, default_slos
 
-        rules = default_rules() + (default_slos() if want_slo else ())
+        deadline_ms = getattr(args, "deadline_ms", None)
+        rules = default_rules() + (
+            default_slos(deadline_ms=deadline_ms) if want_slo else ()
+        )
     wants_telemetry = (
         manifest_path is not None
         or want_summary
-        or ring is not None
         or rules
+        or args.command == "serve"
         or getattr(args, "trace_context", False)
         or getattr(args, "profile", False)
     )
@@ -1208,6 +1165,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         return 0
 
+    from .telemetry import streaming_manifest_session
+
     config = {
         "command": args.command,
         **{
@@ -1216,33 +1175,10 @@ def main(argv: list[str] | None = None) -> int:
             if key not in ("func", "command") and not callable(value)
         },
     }
-    import contextlib
-
-    from .telemetry import flight_session
-
-    flight_scope = (
-        flight_session(recorder) if recorder is not None
-        else contextlib.nullcontext()
-    )
-    if stream:
-        from .telemetry import streaming_manifest_session
-
-        with streaming_manifest_session(
-            manifest_path,
-            config=config,
-            max_events=ring if ring is not None else 0,
-            rules=rules,
-            recorder=recorder,
-        ) as registry, flight_scope:
-            output = _run_command(args)
-    else:
-        from .telemetry import alerting_registry, telemetry_session, write_manifest
-
-        registry = alerting_registry(rules=rules, recorder=recorder, max_events=ring)
-        with telemetry_session(registry), flight_scope:
-            output = _run_command(args)
-        if manifest_path is not None:
-            write_manifest(manifest_path, registry, config=config)
+    with streaming_manifest_session(
+        manifest_path, config=config, rules=rules, recorder=recorder
+    ) as registry:
+        output = _run_command(args)
     if want_summary:
         output = f"{output}\n\n{registry.summary_table()}"
     print(output)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..pricing.bandwidth import MigrationPrices
+from ..topology.delays import validate_delay_matrix
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,23 @@ class ProblemInstance:
         attachment = np.asarray(self.attachment)
         access = np.asarray(self.access_delay, dtype=float)
 
+        for name, values in (
+            ("workloads", workloads),
+            ("capacities", capacities),
+            ("operation prices", op_prices),
+            ("reconfig_prices", reconfig),
+            ("migration_prices", self.migration_prices.combined),
+            ("access_delay", access),
+        ):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if workloads.ndim != 1 or workloads.size == 0:
             raise ValueError("workloads must be a nonempty (J,) array")
-        if np.any(workloads <= 0):
+        if (workloads <= 0).any():
             raise ValueError("workloads must be strictly positive")
         if capacities.ndim != 1 or capacities.size == 0:
             raise ValueError("capacities must be a nonempty (I,) array")
-        if np.any(capacities <= 0):
+        if (capacities <= 0).any():
             raise ValueError("capacities must be strictly positive")
         num_clouds = capacities.size
         num_users = workloads.size
@@ -105,23 +116,22 @@ class ProblemInstance:
         num_slots = op_prices.shape[0]
         if num_slots == 0:
             raise ValueError("need at least one time slot")
-        if np.any(op_prices < 0):
+        if (op_prices < 0).any():
             raise ValueError("operation prices must be nonnegative")
-        if reconfig.shape != (num_clouds,) or np.any(reconfig < 0):
+        if reconfig.shape != (num_clouds,) or (reconfig < 0).any():
             raise ValueError("reconfig_prices must be a nonnegative (I,) array")
         if self.migration_prices.out.shape != (num_clouds,):
             raise ValueError("migration_prices must cover every cloud")
         if delay.shape != (num_clouds, num_clouds):
             raise ValueError("inter_cloud_delay must have shape (I, I)")
-        if np.any(delay < 0) or np.any(np.abs(np.diag(delay)) > 1e-12):
-            raise ValueError("inter_cloud_delay must be nonnegative with zero diagonal")
+        validate_delay_matrix(delay)
         if attachment.shape != (num_slots, num_users):
             raise ValueError(f"attachment must have shape ({num_slots}, {num_users})")
         if not np.issubdtype(attachment.dtype, np.integer):
             raise ValueError("attachment must be an integer array")
         if attachment.min() < 0 or attachment.max() >= num_clouds:
             raise ValueError("attachment entries must index a cloud")
-        if access.shape != (num_slots, num_users) or np.any(access < 0):
+        if access.shape != (num_slots, num_users) or (access < 0).any():
             raise ValueError("access_delay must be a nonnegative (T, J) array")
         total_workload = workloads.sum()
         if capacities.sum() < total_workload - 1e-9:

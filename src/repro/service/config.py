@@ -42,18 +42,6 @@ class ServiceConfig:
         history: how many recent solver results / aggregation reports the
             session retains for diagnostics (older entries are dropped so
             an unbounded stream cannot grow memory).
-        flight_slots: capacity K of the session's incident flight
-            recorder (:mod:`repro.telemetry.flight`) — the last K slots
-            stay replayable; 0 (the default) disables the recorder
-            entirely, leaving the serving path byte-identical to pre-
-            recorder behavior.
-        incident_dir: directory incident bundles are dumped into when an
-            alert fires mid-serve. ``None`` keeps the ring in memory only
-            (explicit ``dump(path)`` still works).
-        slo: evaluate the default SLO objectives
-            (:func:`repro.telemetry.alerting.default_slos`) over the
-            session's slot stream with burn-rate alerting, alongside the
-            default alert rules a recorder also arms.
     """
 
     deadline_s: float | None = None
@@ -64,9 +52,6 @@ class ServiceConfig:
     aggregation: AggregationConfig | None = None
     keep_schedule: bool = False
     history: int = 16
-    flight_slots: int = 0
-    incident_dir: str | None = None
-    slo: bool = False
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and self.deadline_s < 0:
@@ -75,8 +60,6 @@ class ServiceConfig:
             raise ValueError("max_iterations must be at least 1 or None")
         if self.history < 1:
             raise ValueError("history must be at least 1")
-        if self.flight_slots < 0:
-            raise ValueError("flight_slots must be >= 0 (0 disables)")
 
     def budget(self) -> SolveBudget | None:
         """The :class:`SolveBudget` this config implies (``None`` = off)."""

@@ -32,7 +32,7 @@ import numpy as np
 from ..core.regularization import OnlineRegularizedAllocator
 from ..simulation.observations import SlotObservation, SystemDescription
 from ..simulation.spine import simulate
-from ..telemetry import TraceContext, current_trace
+from ..telemetry import TraceContext, current_trace, flight_session
 from .config import ServiceConfig
 from .protocol import ProtocolError, encode, observation_to_update
 from .server import AllocationServer
@@ -205,7 +205,9 @@ def batch_reference_cost(
     """The unbudgeted batch cost of the same stream (the comparison target).
 
     Identical allocator settings minus the budget: what the service
-    *would* have paid with unlimited solve time per slot.
+    *would* have paid with unlimited solve time per slot. It runs outside
+    the flight recorder, so an armed run's ring and bundles hold only the
+    served slots.
     """
     allocator = OnlineRegularizedAllocator(
         eps1=config.eps1,
@@ -213,12 +215,13 @@ def batch_reference_cost(
         tol=config.tol,
         aggregation=config.aggregation,
     )
-    result = simulate(
-        allocator.as_controller(system),
-        observations,
-        system,
-        keep_schedule=False,
-    )
+    with flight_session(None):
+        result = simulate(
+            allocator.as_controller(system),
+            observations,
+            system,
+            keep_schedule=False,
+        )
     return result.total_cost
 
 

@@ -26,13 +26,14 @@ latency exceeded the configured deadline. Misses are counted
 (``service.deadline.misses``), recorded as ``service.deadline.miss``
 events, and surfaced in every ``slot_result`` reply.
 
-With the incident plane armed (``flight_slots`` or ``slo``), the session
-feeds its real ``service.deadline.miss``/``service.slot`` records to one
-:class:`~repro.telemetry.alerting.AlertEvaluator` — the default rules
-(whose ``deadline-miss`` storm watches those misses) plus, with ``slo``,
-the burn-rate objectives. What it raises reaches the flight recorder and,
-when telemetry is enabled, the registry: ``alert`` and ``slo.burn``
-records in the manifest, ``slo.burn.*`` gauges on ``/metrics``.
+The session hosts no incident plane of its own. Its records go to the
+active registry, whose sink chain carries the alert rules and the flight
+recorder for every command alike
+(:func:`~repro.telemetry.sinks.streaming_manifest_session`, armed from
+the CLI by ``--watchdog``/``--slo``/``--flight``): the default
+``deadline-miss`` storm watches the ``service.deadline.miss`` records,
+and what the rules raise dumps the recorder's bundles and lands in the
+manifest and on ``/metrics``.
 """
 
 from __future__ import annotations
@@ -48,11 +49,9 @@ from ..simulation.accounting import SlotCosts
 from ..simulation.observations import SlotObservation, SystemDescription
 from ..simulation.spine import SlotStepper
 from ..telemetry import (
-    AlertEvaluator,
-    FlightRecorder,
     TraceContext,
-    default_rules,
-    default_slos,
+    active_recorder,
+    firing_objectives,
     get_registry,
     trace_scope,
     trace_span,
@@ -145,32 +144,12 @@ class AllocationSession:
         self._pending: tuple[ServiceSlotResult, float] | None = None
         self._deferred_ms: deque[float] = deque(maxlen=_TIMING_WINDOW)
         self._cpu_ms: deque[float] = deque(maxlen=_TIMING_WINDOW)
-        # Incident plane: the flight recorder snapshots the last K slots
-        # (config.flight_slots) and the alert evaluator classifies the
-        # slot stream, so alerts trigger bundle dumps even when global
-        # telemetry is off. Both are None when disabled — the serving
-        # path is then exactly the pre-recorder code.
-        self.recorder: FlightRecorder | None = None
-        if config.flight_slots > 0:
-            self.recorder = FlightRecorder(
-                config.flight_slots, incident_dir=config.incident_dir
-            )
-        self.alerts: AlertEvaluator | None = None
-        if self.recorder is not None or config.slo:
-            deadline_ms = (
-                None if config.deadline_s is None else config.deadline_s * 1000.0
-            )
-            slos = default_slos(deadline_ms=deadline_ms) if config.slo else ()
-            self.alerts = AlertEvaluator(default_rules() + slos)
         self._start_stepper()
 
     def _start_stepper(self) -> None:
         self.controller = self._allocator.as_controller(self.system)
         self.stepper = SlotStepper(
-            self.controller,
-            self.system,
-            keep_schedule=self.config.keep_schedule,
-            recorder=self.recorder,
+            self.controller, self.system, keep_schedule=self.config.keep_schedule
         )
 
     # ----- slot processing ----------------------------------------------------
@@ -270,11 +249,11 @@ class AllocationSession:
 
         The stepper's deferred phase (the disaggregation error, the
         ``aggregate.*``, ``slot`` and ``prof.phases`` records, the flight
-        snapshot) and then the session's own ``service.deadline.miss`` /
-        ``service.slot`` records, alert evaluation and sink flush. The
-        server calls it after writing the slot's reply and before it
-        handles the next message; ``step``, ``reset_session`` and
-        ``stats`` call it first.
+        snapshot) and then, when telemetry is enabled, the session's own
+        ``service.deadline.miss`` / ``service.slot`` records and the sink
+        flush. The server calls it after writing the slot's reply and
+        before it handles the next message; ``step``, ``reset_session``
+        and ``stats`` call it first.
         """
         pending, self._pending = self._pending, None
         if pending is None:
@@ -284,58 +263,32 @@ class AllocationSession:
         start = time.perf_counter()
         self.stepper.settle()
         telemetry = get_registry()
-        if telemetry.enabled or self.alerts is not None:
-            records = []
+        if telemetry.enabled:
             if result.deadline_miss:
-                records.append(
-                    {
-                        "type": "service.deadline.miss",
-                        "slot": result.slot,
-                        "latency_ms": result.latency_ms,
-                        "deadline_ms": (
-                            None
-                            if self.config.deadline_s is None
-                            else self.config.deadline_s * 1000.0
-                        ),
-                        "partial": result.partial,
-                    }
+                telemetry.event(
+                    "service.deadline.miss",
+                    slot=result.slot,
+                    latency_ms=result.latency_ms,
+                    deadline_ms=(
+                        None
+                        if self.config.deadline_s is None
+                        else self.config.deadline_s * 1000.0
+                    ),
+                    partial=result.partial,
                 )
-            record = {
-                "type": "service.slot",
-                "slot": result.slot,
-                "latency_ms": result.latency_ms,
-                "partial": result.partial,
-                "deadline_miss": result.deadline_miss,
-                "total_cost": result.total_cost,
-            }
-            if result.trace_id is not None:
-                record["trace_id"] = result.trace_id
-            records.append(record)
-            if self.alerts is not None:
-                records = self._raise_alerts(records, telemetry)
-            if telemetry.enabled:
-                for record in records:
-                    payload = dict(record)
-                    telemetry.event(payload.pop("type"), **payload)
-                telemetry.maybe_flush()
+            trace = {} if result.trace_id is None else {"trace_id": result.trace_id}
+            telemetry.event(
+                "service.slot",
+                slot=result.slot,
+                latency_ms=result.latency_ms,
+                partial=result.partial,
+                deadline_miss=result.deadline_miss,
+                total_cost=result.total_cost,
+                **trace,
+            )
+            telemetry.maybe_flush()
         self._deferred_ms.append((time.perf_counter() - start) * 1000.0)
         self._cpu_ms.append((step_cpu_s + time.thread_time() - cpu_start) * 1000.0)
-
-    def _raise_alerts(self, records: list[dict], telemetry) -> list[dict]:
-        """Evaluate the slot's records; return them with what they raised.
-
-        Raised ``alert``/``slo.burn`` records follow the record that
-        raised them. The flight recorder observes the whole sequence, so
-        an alert dumps a bundle whether or not telemetry is enabled.
-        """
-        out = []
-        for record in records:
-            out.append(record)
-            out += self.alerts.observe(record, telemetry)
-        if self.recorder is not None:
-            for record in out:
-                self.recorder.observe_event(record)
-        return out
 
     # ----- message dispatch ---------------------------------------------------
 
@@ -408,21 +361,17 @@ class AllocationSession:
     def reset_session(self) -> None:
         """Start a fresh horizon: slot 0, cold caches.
 
-        Clears *every* layer of cross-slot state: the controller's carried
-        decision and capacity duals (``controller.reset``) and the
-        stepper's accumulator/residuals (a fresh :class:`SlotStepper`).
+        Clears *every* layer of the session's cross-slot state: the
+        controller's carried decision and capacity duals
+        (``controller.reset``) and the stepper's accumulator/residuals (a
+        fresh :class:`SlotStepper`). The process-wide alert rules and
+        flight recorder belong to the registry chain and keep their state.
         """
         self.settle()
         self.results = []
         self._deadline_misses = 0
         self._deferred_ms.clear()
         self._cpu_ms.clear()
-        if self.recorder is not None:
-            # Stale snapshots would replay fine (bundles are self-
-            # contained) but describe the previous horizon; start clean.
-            self.recorder.snapshots.clear()
-        if self.alerts is not None:
-            self.alerts = AlertEvaluator(self.alerts.rules)
         self._start_stepper()
 
     def stats(self) -> dict:
@@ -431,13 +380,14 @@ class AllocationSession:
         ``deferred_p50_ms`` is the median wall time of a slot's deferred
         phase (:meth:`settle`) and ``cpu_p50_ms`` the median thread CPU
         time of its :meth:`step` and :meth:`settle` together. Always
-        includes the incident-plane counters (zeros / empty when the
-        recorder and alert evaluator are disabled), so operators can see
-        at a glance whether the plane is armed and what it has captured.
+        includes the incident-plane counters of the process-wide flight
+        recorder and alert host (zeros / empty when none is installed),
+        so operators can see at a glance whether the plane is armed and
+        what it has captured.
         """
         self.settle()
         latencies = [r.latency_ms for r in self.results]
-        recorder = self.recorder
+        recorder = active_recorder()
         return {
             "slots": self.stepper.processed,
             "expected_slot": self.expected_slot,
@@ -453,5 +403,5 @@ class AllocationSession:
                 [] if recorder is None
                 else [str(path) for path in recorder.bundles_written]
             ),
-            "slo_active": [] if self.alerts is None else list(self.alerts.active),
+            "slo_active": list(firing_objectives()),
         }

@@ -156,23 +156,15 @@ class SlotStepper:
         *,
         keep_schedule: bool = True,
         resume_from: SimulationCheckpoint | None = None,
-        recorder: "object | None" = None,
     ) -> None:
         """Create the stepper (see the class docstring for the lifecycle).
 
-        Args:
-            recorder: an explicit
-                :class:`repro.telemetry.flight.FlightRecorder` this
-                stepper snapshots into. When ``None`` (the default) the
-                process-wide recorder installed by
-                :func:`repro.telemetry.flight.flight_session` is used,
-                if any — so batch runs opt in via the CLI without
-                threading the recorder through every layer.
+        Each step snapshots into the process-wide flight recorder that
+        :func:`repro.telemetry.flight.flight_session` installs, if any.
         """
         self.controller = controller
         self.system = system
         self.keep_schedule = keep_schedule
-        self._recorder = recorder
         self.accumulator = CostAccumulator(system)
         if resume_from is None:
             controller.reset()
@@ -216,7 +208,7 @@ class SlotStepper:
         self.settle()
         telemetry = get_registry()
         observing = telemetry.enabled
-        recorder = self._recorder if self._recorder is not None else active_recorder()
+        recorder = active_recorder()
         timing = observing or recorder is not None
         # The flight recorder snapshots the *pre-solve* state (x*_{t-1},
         # capacity duals, accumulator totals) before the timed window, so

@@ -56,6 +56,7 @@ from .alerting import (
     alerting_registry,
     default_rules,
     default_slos,
+    firing_objectives,
 )
 from .exporters import (
     MetricsEndpoint,
@@ -165,6 +166,7 @@ __all__ = [
     "default_rules",
     "default_slos",
     "environment_fingerprint",
+    "firing_objectives",
     "flight_session",
     "get_registry",
     "merge_folded",

@@ -18,12 +18,13 @@ samples. The window decides the shape:
   ``slo:<name>`` alert.
 
 One :class:`AlertEvaluator` folds records, applies the per-rule alert
-cooldown and keeps the burn rates. It is hosted once per process: by
-:class:`AlertSink` on a registry's sink chain (built by
-:func:`alerting_registry`, which ``repro-edge --watchdog/--slo/--flight``
-and :func:`repro.telemetry.sinks.streaming_manifest_session` use), or
-fed directly by a serving session (:mod:`repro.service.session`).
-``repro-edge watch`` replays manifests through the same evaluator. The
+cooldown and keeps the burn rates. It is hosted once per process, by
+:class:`AlertSink` on the active registry's sink chain (built by
+:func:`alerting_registry` inside
+:func:`repro.telemetry.sinks.streaming_manifest_session`, which
+``repro-edge --watchdog/--slo/--flight`` uses for every command, the
+serving ones included). ``repro-edge watch`` replays manifests through
+the same evaluator. The
 evaluator never re-evaluates ``alert`` or ``slo.burn`` records, so a
 manifest that already holds alerts cannot cascade.
 """
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 from .flight import FlightRecorderSink
-from .metrics import Histogram, MetricsRegistry
+from .metrics import Histogram, MetricsRegistry, get_registry
 from .sinks import EventSink, NullSink
 
 #: Default relative duality-gap tolerance (mirrors
@@ -285,8 +286,8 @@ class AlertEvaluator:
     """Evaluate rules over an event stream: alerts, cooldown, burn rates.
 
     The slot clock advances once per slot: on a ``slot`` record, or on a
-    ``service.slot`` record no ``slot`` record announced (a serving
-    session feeding the evaluator directly). Storm windows, the cooldown
+    ``service.slot`` record no ``slot`` record announced (a stream of
+    service records alone). Storm windows, the cooldown
     and the stall baseline all count slots on that clock.
 
     Attributes:
@@ -524,3 +525,15 @@ def alerting_registry(
     if host is not None:
         host.bind(registry)
     return registry
+
+
+def firing_objectives() -> tuple[str, ...]:
+    """Burn-rate rules firing on the active registry's alert host.
+
+    Walks the registry's sink chain to its :class:`AlertSink`; ``()``
+    when the chain hosts none.
+    """
+    sink = getattr(get_registry(), "sink", None)
+    while sink is not None and not isinstance(sink, AlertSink):
+        sink = getattr(sink, "inner", None)
+    return () if sink is None else sink.evaluator.active

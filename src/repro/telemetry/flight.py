@@ -12,6 +12,10 @@ fingerprint (:mod:`repro.telemetry.environment`). On any alert
 — or an explicit :meth:`FlightRecorder.dump` — it writes an **incident
 bundle**: a JSON-lines file in the ``repro.incident/1`` schema holding
 the triggering alert, the K snapshots, and the surrounding event window.
+One recorder serves the whole process: it sits next to the alert rules
+on the active registry's sink chain
+(:func:`~repro.telemetry.sinks.streaming_manifest_session`), so batch
+runs and the serving session snapshot into it alike.
 
 The loop closes with :func:`replay_bundle` (``repro-edge incident
 replay``): each captured slot is rebuilt through a fresh
@@ -237,11 +241,13 @@ class SlotSnapshot:
 class FlightRecorder:
     """Bounded ring of replayable slot snapshots, dumped on alerts.
 
-    Wire one into the spine via :class:`~repro.simulation.spine.SlotStepper`'s
-    ``recorder=`` argument or process-wide via :func:`flight_session`; feed
-    it the live event stream via :class:`FlightRecorderSink` (or
-    :meth:`observe_event`) so ``alert`` records trigger automatic bundle
-    dumps into ``incident_dir``.
+    :func:`~repro.telemetry.sinks.streaming_manifest_session` (what
+    ``repro-edge --flight`` uses for every command, ``serve`` included)
+    installs one process-wide via :func:`flight_session`, so every
+    :class:`~repro.simulation.spine.SlotStepper` step snapshots into it,
+    and tees the live event stream into it via :class:`FlightRecorderSink`,
+    so ``alert`` records trigger automatic bundle dumps into
+    ``incident_dir``.
 
     Attributes:
         capacity: K — the ring size (oldest snapshots evicted beyond it).
@@ -522,9 +528,9 @@ def flight_session(recorder: FlightRecorder | None) -> Iterator[FlightRecorder |
     """Install ``recorder`` as the process-wide one for the ``with`` block.
 
     Every :class:`~repro.simulation.spine.SlotStepper` step inside the
-    block snapshots into it (steppers constructed with an explicit
-    ``recorder=`` keep their own). ``None`` disables recording for the
-    block — :func:`replay_bundle` uses that so replays never re-record.
+    block snapshots into it. ``None`` disables recording for the block —
+    :func:`replay_bundle` and the loadgen batch reference use that so
+    their slots never enter the ring.
     """
     global _ACTIVE_RECORDER
     previous = _ACTIVE_RECORDER

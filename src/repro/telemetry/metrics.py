@@ -234,7 +234,8 @@ class MetricsRegistry:
                 unbounded-list behavior; ``N`` keeps only the newest ``N``
                 (a ring buffer), counting evictions in the
                 ``telemetry.events.dropped`` counter; ``0`` keeps nothing
-                in memory — the memory-bounded streaming mode.
+                in memory and counts nothing — the memory-bounded
+                streaming mode.
         """
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
@@ -295,10 +296,10 @@ class MetricsRegistry:
     def _append_event(self, record: dict) -> None:
         """Buffer one event record, honoring the ``max_events`` bound."""
         cap = self.max_events
+        if cap == 0:
+            return  # streaming mode: the sink holds the stream, nothing is dropped
         if cap is not None and len(self.events) >= cap:
             self.counter("telemetry.events.dropped").inc()
-            if cap == 0:
-                return
         self.events.append(record)
 
     def flush(self) -> None:

@@ -249,7 +249,7 @@ class StreamingManifestWriter(EventSink):
 
 @contextmanager
 def streaming_manifest_session(
-    path: str | Path,
+    path: str | Path | None,
     *,
     config: dict | None = None,
     max_events: int = 0,
@@ -260,7 +260,8 @@ def streaming_manifest_session(
 ) -> Iterator[MetricsRegistry]:
     """Run a block under a registry that streams its events to a manifest.
 
-    The one-call form of the streaming stack::
+    The one-call form of the streaming stack, and the one place a run's
+    sink chain is built — every CLI command runs under it::
 
         with streaming_manifest_session("run.jsonl", config=cfg) as registry:
             run_fig2(scale)             # events appear in run.jsonl live
@@ -274,7 +275,8 @@ def streaming_manifest_session(
     a crashed block still leaves every streamed event on disk).
 
     Args:
-        path: the manifest file to stream into.
+        path: the manifest file to stream into; ``None`` writes no file
+            (the chain still hosts the rules and the recorder).
         config: JSON-able run configuration for ``manifest_start``.
         max_events: in-memory event bound for the registry — default 0
             (keep nothing in memory; the manifest holds the stream), the
@@ -286,21 +288,29 @@ def streaming_manifest_session(
             ``default_rules() + default_slos()``); empty evaluates none.
         recorder: optional :class:`repro.telemetry.flight.FlightRecorder`
             — the stream is teed into it (outermost, so emitted alerts
-            trigger incident dumps).
+            trigger incident dumps), and it is installed process-wide
+            (:func:`repro.telemetry.flight.flight_session`) for the block,
+            so every slot stepped inside it is snapshotted.
     """
-    from .alerting import alerting_registry  # lazy: alerting builds on sinks
+    # lazy: alerting and flight build on sinks
+    from .alerting import alerting_registry
+    from .flight import active_recorder, flight_session
 
-    writer = StreamingManifestWriter(
-        path,
-        config=config,
-        flush_every=flush_every,
-        flush_interval_s=flush_interval_s,
-    )
+    writer = None
+    if path is not None:
+        writer = StreamingManifestWriter(
+            path,
+            config=config,
+            flush_every=flush_every,
+            flush_interval_s=flush_interval_s,
+        )
     registry = alerting_registry(
         writer, rules=rules, recorder=recorder, max_events=max_events
     )
+    installed = recorder if recorder is not None else active_recorder()
     try:
-        with telemetry_session(registry):
+        with telemetry_session(registry), flight_session(installed):
             yield registry
     finally:
-        writer.finalize(registry)
+        if writer is not None:
+            writer.finalize(registry)

@@ -1,7 +1,7 @@
 """``repro-edge watch``, and the manifest fold it shares with ``doctor``.
 
 A run started with a :class:`repro.telemetry.sinks.StreamingManifestWriter`
-(e.g. ``repro-edge fig2 --telemetry run.jsonl --stream``) appends one
+(e.g. ``repro-edge fig2 --telemetry run.jsonl``) appends one
 JSON line per event as it happens. This module follows such a file the
 way ``tail -f`` would — :class:`ManifestTail` reads only the bytes added
 since the last poll and never trips over a torn (mid-write) trailing

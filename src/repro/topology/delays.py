@@ -35,11 +35,12 @@ def validate_delay_matrix(delay: np.ndarray) -> None:
     delay = np.asarray(delay)
     if delay.ndim != 2 or delay.shape[0] != delay.shape[1]:
         raise ValueError(f"delay matrix must be square, got shape {delay.shape}")
-    if not np.all(np.isfinite(delay)):
+    if not np.isfinite(delay).all():
         raise ValueError("delay matrix has non-finite entries")
-    if np.any(delay < 0):
+    if (delay < 0).any():
         raise ValueError("delay matrix has negative entries")
-    if np.any(np.abs(np.diag(delay)) > 1e-12):
+    if (np.abs(delay.diagonal()) > 1e-12).any():
         raise ValueError("delay matrix diagonal must be zero (d(i,i)=0)")
-    if not np.allclose(delay, delay.T, atol=1e-9):
+    # np.allclose(delay, delay.T, atol=1e-9) without its call overhead.
+    if (np.abs(delay - delay.T) > 1e-9 + 1e-5 * delay.T).any():
         raise ValueError("delay matrix must be symmetric")

@@ -103,6 +103,42 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="access_delay"):
             ProblemInstance(**self._fields(access_delay=np.full((5, 4), -1.0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "name, match",
+        [
+            ("workloads", "workloads"),
+            ("capacities", "capacities"),
+            ("op_prices", "[Oo]peration"),
+            ("reconfig_prices", "reconfig"),
+            ("access_delay", "access_delay"),
+        ],
+    )
+    def test_non_finite_input(self, name, match, bad):
+        values = np.array(getattr(make_tiny_instance(), name), dtype=float)
+        values.flat[1] = bad
+        with pytest.raises(ValueError, match=match):
+            ProblemInstance(**self._fields(**{name: values}))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_migration_price(self, bad):
+        prices = MigrationPrices(out=np.array([1.0, bad, 1.0]), into=np.ones(3))
+        with pytest.raises(ValueError, match="migration"):
+            ProblemInstance(**self._fields(migration_prices=prices))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_delay(self, bad):
+        delay = np.array(make_tiny_instance().inter_cloud_delay, dtype=float)
+        delay[0, 1] = delay[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ProblemInstance(**self._fields(inter_cloud_delay=delay))
+
+    def test_asymmetric_delay(self):
+        delay = np.array(make_tiny_instance().inter_cloud_delay, dtype=float)
+        delay[0, 1] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            ProblemInstance(**self._fields(inter_cloud_delay=delay))
+
     def test_infeasible_capacity(self):
         with pytest.raises(ValueError, match="infeasible"):
             ProblemInstance(**self._fields(capacities=np.array([3.0, 3.0, 3.0])))

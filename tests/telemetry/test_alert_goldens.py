@@ -39,6 +39,7 @@ from repro.telemetry import (
     default_rules,
     default_slos,
     read_bundle,
+    streaming_manifest_session,
 )
 from tests.conftest import make_tiny_instance
 from tests.telemetry.alert_streams import BURN_STREAMS, ENGINE_STREAMS, SINK_STREAMS
@@ -322,22 +323,23 @@ def test_serving_storm_matches_the_golden(case, tmp_path, monkeypatch):
         instance = make_tiny_instance(num_slots=12 if case == "long-storm" else 5)
     system = SystemDescription.from_instance(instance)
     observations = observations_from_instance(instance)
-    config = ServiceConfig(
-        max_iterations=1,
-        flight_slots=6 if case == "incident-smoke" else 4,
-        incident_dir=str(tmp_path),
-        slo=True,
+    config = ServiceConfig(max_iterations=1)
+    recorder = FlightRecorder(
+        6 if case == "incident-smoke" else 4, incident_dir=tmp_path
     )
-    if case == "incident-smoke":
-        report = run_loadgen(
-            system, observations, config, speed=0, batch_reference=False
-        )
-        bundles = report.incident_bundles
-    else:
-        session = AllocationSession(system, config)
-        for observation in observations:
-            session.step(observation)
-        bundles = session.recorder.bundles_written
+    with streaming_manifest_session(
+        None, rules=default_rules() + default_slos(), recorder=recorder
+    ):
+        if case == "incident-smoke":
+            report = run_loadgen(
+                system, observations, config, speed=0, batch_reference=False
+            )
+            bundles = report.incident_bundles
+        else:
+            session = AllocationSession(system, config)
+            for observation in observations:
+                session.step(observation)
+            bundles = recorder.bundles_written
     assert fed == golden_alerts
     assert [read_bundle(path).reason for path in bundles] == golden_reasons
     assert [Path(path).name for path in bundles] == [

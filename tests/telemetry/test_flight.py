@@ -74,12 +74,11 @@ def _record_run(
     system, observations, controller = _tiny_setup(
         num_slots, budget, aggregation, dynamic_prices
     )
-    stepper = SlotStepper(
-        controller, system, keep_schedule=False, recorder=recorder
-    )
-    for observation in observations:
-        stepper.step(observation)
-    stepper.settle()
+    stepper = SlotStepper(controller, system, keep_schedule=False)
+    with flight_session(recorder):
+        for observation in observations:
+            stepper.step(observation)
+        stepper.settle()
 
 
 class TestStateCodec:

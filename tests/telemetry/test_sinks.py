@@ -69,6 +69,7 @@ class TestRegistryEventBounds:
         registry = MetricsRegistry(max_events=0)
         registry.event("slot", slot=0)
         assert list(registry.events) == []
+        assert "telemetry.events.dropped" not in registry.snapshot()["counters"]
 
     def test_default_is_unbounded_without_drop_counter(self):
         registry = MetricsRegistry()
@@ -192,8 +193,12 @@ class TestCliStreaming:
         argv = ["fig2", *TINY, "--workers", workers]
         buffered = tmp_path / "buffered.jsonl"
         streamed = tmp_path / "streamed.jsonl"
-        assert main(argv + ["--telemetry", str(buffered)]) == 0
-        assert main(argv + ["--telemetry", str(streamed), "--stream"]) == 0
+        # Without telemetry flags the command records into the active
+        # registry, which write_manifest then writes in one go.
+        with telemetry_session() as registry:
+            assert main(argv) == 0
+        write_manifest(buffered, registry)
+        assert main(argv + ["--telemetry", str(streamed)]) == 0
         capsys.readouterr()
 
         a, b = load_manifest(buffered), load_manifest(streamed)
@@ -207,17 +212,10 @@ class TestCliStreaming:
         for check in verify_manifest_costs(b):
             assert check.ok(tol=1e-9), (check.key, check.deviation)
 
-    def test_stream_requires_telemetry(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fig2", *TINY, "--stream"])
-        assert excinfo.value.code == 2
-        assert "--telemetry" in capsys.readouterr().err
-
-    def test_ring_events_flag_bounds_memory(self, tmp_path, capsys):
+    def test_cli_manifest_always_streams(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
-        argv = ["fig2", *TINY, "--telemetry", str(path), "--stream",
-                "--ring-events", "0"]
-        assert main(argv) == 0
+        assert main(["fig2", *TINY, "--telemetry", str(path)]) == 0
         capsys.readouterr()
-        record = load_manifest(path)
-        assert record.slot_events  # streamed to disk regardless
+        first = json.loads(path.read_text().splitlines()[0])
+        assert first["streaming"] is True
+        assert load_manifest(path).slot_events

@@ -105,16 +105,6 @@ class TestAggregationScale:
         # shard solves stay serial.
         assert config.workers == 1
 
-    def test_streaming_flags(self):
-        args = build_parser().parse_args(
-            ["fig2", "--telemetry", "run.jsonl", "--stream",
-             "--ring-events", "128", "--watchdog"]
-        )
-        assert args.telemetry == "run.jsonl"
-        assert args.stream is True
-        assert args.ring_events == 128
-        assert args.watchdog is True
-
     def test_watch_arguments(self):
         args = build_parser().parse_args(
             ["watch", "run.jsonl", "--interval", "0.1", "--once", "--strict",
@@ -189,7 +179,7 @@ class TestTelemetryModes:
 
         path = tmp_path / "run.jsonl"
         argv = ["certify", "--users", "3", "--slots", "2", "--seed", "4",
-                "--telemetry", str(path), "--stream"]
+                "--telemetry", str(path)]
         assert main(argv) == 0
         capsys.readouterr()
         record = read_manifest(path)
