@@ -12,70 +12,47 @@ Public API quick tour:
 See README.md for a quickstart and DESIGN.md for the full system inventory.
 """
 
-from .baselines import (
-    OfflineOptimal,
-    OnlineGreedy,
-    OperOpt,
-    PerfOpt,
-    StatOpt,
-)
-from .core import (
-    AllocationSchedule,
-    CostBreakdown,
-    CostWeights,
-    OnlineRegularizedAllocator,
-    ProblemInstance,
-    RegularizedSubproblem,
-    competitive_ratio_bound,
-    cost_breakdown,
-    total_cost,
-)
-from .parallel import SweepCell, SweepExecutor
-from .simulation import (
-    Comparison,
-    RunResult,
-    Scenario,
-    aggregate_ratios,
-    compare_algorithms,
-    run_algorithm,
-)
-from .telemetry import (
-    MetricsRegistry,
-    RunRecord,
-    read_manifest,
-    telemetry_session,
-    write_manifest,
+from ._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".baselines": (
+            "OfflineOptimal",
+            "OnlineGreedy",
+            "OperOpt",
+            "PerfOpt",
+            "StatOpt",
+        ),
+        ".core": (
+            "AllocationSchedule",
+            "CostBreakdown",
+            "CostWeights",
+            "OnlineRegularizedAllocator",
+            "ProblemInstance",
+            "RegularizedSubproblem",
+            "competitive_ratio_bound",
+            "cost_breakdown",
+            "total_cost",
+        ),
+        ".parallel": ("SweepCell", "SweepExecutor"),
+        ".simulation": (
+            "Comparison",
+            "RunResult",
+            "Scenario",
+            "aggregate_ratios",
+            "compare_algorithms",
+            "run_algorithm",
+        ),
+        ".telemetry": (
+            "MetricsRegistry",
+            "RunRecord",
+            "read_manifest",
+            "telemetry_session",
+            "write_manifest",
+        ),
+    },
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AllocationSchedule",
-    "Comparison",
-    "CostBreakdown",
-    "CostWeights",
-    "MetricsRegistry",
-    "OfflineOptimal",
-    "OnlineGreedy",
-    "OnlineRegularizedAllocator",
-    "OperOpt",
-    "PerfOpt",
-    "ProblemInstance",
-    "RegularizedSubproblem",
-    "RunRecord",
-    "RunResult",
-    "Scenario",
-    "StatOpt",
-    "SweepCell",
-    "SweepExecutor",
-    "aggregate_ratios",
-    "compare_algorithms",
-    "competitive_ratio_bound",
-    "cost_breakdown",
-    "read_manifest",
-    "run_algorithm",
-    "telemetry_session",
-    "total_cost",
-    "write_manifest",
-    "__version__",
-]
+__all__.append("__version__")

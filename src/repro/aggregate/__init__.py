@@ -14,27 +14,19 @@ Layer map (docs/SCALING.md walks the math):
   it all into ``simulate`` plus ``aggregate.*`` telemetry.
 """
 
-from .config import AggregationConfig
-from .cohorts import BucketSpec, CohortMap, FactoredAllocation, build_cohorts
-from .controller import (
-    ERROR_EVAL_LIMIT,
-    AggregatedController,
-    SlotAggregationReport,
-)
-from .reduced import aggregation_error_bound, reduced_subproblem
-from .sharding import make_shard_tasks, solve_sharded
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ERROR_EVAL_LIMIT",
-    "AggregatedController",
-    "AggregationConfig",
-    "BucketSpec",
-    "CohortMap",
-    "FactoredAllocation",
-    "SlotAggregationReport",
-    "aggregation_error_bound",
-    "build_cohorts",
-    "make_shard_tasks",
-    "reduced_subproblem",
-    "solve_sharded",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("AggregationConfig",),
+        ".cohorts": ("BucketSpec", "CohortMap", "FactoredAllocation", "build_cohorts"),
+        ".controller": (
+            "ERROR_EVAL_LIMIT",
+            "AggregatedController",
+            "SlotAggregationReport",
+        ),
+        ".reduced": ("aggregation_error_bound", "reduced_subproblem"),
+        ".sharding": ("make_shard_tasks", "solve_sharded"),
+    },
+)

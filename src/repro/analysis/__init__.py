@@ -1,15 +1,13 @@
 """Post-run analysis: cost timelines, dual prices, and telemetry-manifest
 consistency checks."""
 
-from .manifests import RunCostCheck, load_manifest, verify_manifest_costs
-from .prices import DualPriceSeries, extract_dual_prices
-from .timelines import churn_timeline
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DualPriceSeries",
-    "RunCostCheck",
-    "churn_timeline",
-    "extract_dual_prices",
-    "load_manifest",
-    "verify_manifest_costs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".manifests": ("RunCostCheck", "load_manifest", "verify_manifest_costs"),
+        ".prices": ("DualPriceSeries", "extract_dual_prices"),
+        ".timelines": ("churn_timeline",),
+    },
+)

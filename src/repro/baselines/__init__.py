@@ -1,21 +1,14 @@
 """Comparison algorithms: the atomistic and holistic groups of Section V-B."""
 
-from .atomistic import OperOpt, PerfOpt, StatOpt, solve_static_slot
-from .base import AllocationAlgorithm, weighted_static_prices, windowed_p0_lp
-from .greedy import GreedyController, OnlineGreedy
-from .lookahead import RecedingHorizon
-from .offline import OfflineOptimal
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllocationAlgorithm",
-    "GreedyController",
-    "OfflineOptimal",
-    "OnlineGreedy",
-    "OperOpt",
-    "PerfOpt",
-    "RecedingHorizon",
-    "StatOpt",
-    "solve_static_slot",
-    "weighted_static_prices",
-    "windowed_p0_lp",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".atomistic": ("OperOpt", "PerfOpt", "StatOpt", "solve_static_slot"),
+        ".base": ("AllocationAlgorithm", "weighted_static_prices", "windowed_p0_lp"),
+        ".greedy": ("GreedyController", "OnlineGreedy"),
+        ".lookahead": ("RecedingHorizon",),
+        ".offline": ("OfflineOptimal",),
+    },
+)

@@ -16,40 +16,28 @@ Three pieces (see docs/DIAGNOSTICS.md for the workflow):
   including torn ones (``repro-edge doctor MANIFEST.jsonl``).
 """
 
-from .compare import (
-    DEFAULT_COST_RTOL,
-    DEFAULT_COUNT_RTOL,
-    DEFAULT_TIME_THRESHOLD,
-    CompareReport,
-    MetricDelta,
-    compare_records,
-)
-from .doctor import doctor_report, resolve_manifest_path
-from .records import (
-    BENCH_FORMAT,
-    BenchMetric,
-    BenchRecord,
-    current_git_commit,
-    read_record,
-    write_record,
-)
-from .suites import SUITES, run_suite
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BENCH_FORMAT",
-    "BenchMetric",
-    "BenchRecord",
-    "CompareReport",
-    "DEFAULT_COST_RTOL",
-    "DEFAULT_COUNT_RTOL",
-    "DEFAULT_TIME_THRESHOLD",
-    "MetricDelta",
-    "SUITES",
-    "compare_records",
-    "current_git_commit",
-    "doctor_report",
-    "read_record",
-    "resolve_manifest_path",
-    "run_suite",
-    "write_record",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".compare": (
+            "DEFAULT_COST_RTOL",
+            "DEFAULT_COUNT_RTOL",
+            "DEFAULT_TIME_THRESHOLD",
+            "CompareReport",
+            "MetricDelta",
+            "compare_records",
+        ),
+        ".doctor": ("doctor_report", "resolve_manifest_path"),
+        ".records": (
+            "BENCH_FORMAT",
+            "BenchMetric",
+            "BenchRecord",
+            "current_git_commit",
+            "read_record",
+            "write_record",
+        ),
+        ".suites": ("SUITES", "run_suite"),
+    },
+)

@@ -28,24 +28,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from .experiments import (
-    ExperimentScale,
-    fig2_report,
-    fig3_report,
-    fig4_report,
-    fig5_report,
-    format_table,
-    run_eps_sweep,
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    run_fig5,
-    run_mu_sweep,
-    run_threshold_sweep,
-    theoretical_bounds,
-)
+if TYPE_CHECKING:
+    from .experiments.settings import ExperimentScale
 
 
 def _int_at_least(minimum: int):
@@ -213,6 +199,8 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
+    from .experiments.settings import ExperimentScale
+
     scale = ExperimentScale.paper() if args.paper_scale else ExperimentScale()
     overrides = {}
     if args.users is not None:
@@ -247,6 +235,8 @@ def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
 
 
 def _cmd_fig1(_args: argparse.Namespace) -> str:
+    from .experiments.fig1 import run_fig1
+
     lines = ["Figure 1 - greedy vs optimal on the Section II-E examples", ""]
     for name, result in run_fig1().items():
         lines.append(
@@ -258,14 +248,25 @@ def _cmd_fig1(_args: argparse.Namespace) -> str:
 
 
 def _cmd_fig2(args: argparse.Namespace) -> str:
+    from .experiments.fig2 import fig2_report, run_fig2
+
     return fig2_report(run_fig2(_scale_from_args(args)))
 
 
 def _cmd_fig3(args: argparse.Namespace) -> str:
+    from .experiments.fig3 import fig3_report, run_fig3
+
     return fig3_report(run_fig3(_scale_from_args(args)))
 
 
 def _cmd_fig4(args: argparse.Namespace) -> str:
+    from .experiments.fig4 import (
+        fig4_report,
+        run_eps_sweep,
+        run_mu_sweep,
+        theoretical_bounds,
+    )
+
     scale = _scale_from_args(args)
     eps_points = run_eps_sweep(scale)
     mu_points = run_mu_sweep(scale)
@@ -274,6 +275,8 @@ def _cmd_fig4(args: argparse.Namespace) -> str:
 
 
 def _cmd_fig5(args: argparse.Namespace) -> str:
+    from .experiments.fig5 import fig5_report, run_fig5
+
     scale = _scale_from_args(args)
     return fig5_report(
         run_fig5(
@@ -285,6 +288,9 @@ def _cmd_fig5(args: argparse.Namespace) -> str:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> str:
+    from .experiments.adversarial import run_threshold_sweep
+    from .experiments.report import format_table
+
     scale = _scale_from_args(args)
     sweep = run_threshold_sweep(num_slots=2 * scale.num_slots)
     rows = [
@@ -304,6 +310,7 @@ def _cmd_lookahead(args: argparse.Namespace) -> str:
     from .baselines import OfflineOptimal, RecedingHorizon
     from .core.costs import total_cost
     from .core.regularization import OnlineRegularizedAllocator
+    from .experiments.report import format_table
     from .simulation.scenario import Scenario
 
     scale = _scale_from_args(args)
@@ -738,7 +745,7 @@ def _cmd_incident(args: argparse.Namespace) -> str:
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> str:
-    # Deferred import: the quickstart pulls in the whole public API.
+    # Deferred import: the baselines pull in the LP machinery.
     from . import (
         OfflineOptimal,
         OnlineGreedy,
@@ -1181,7 +1188,8 @@ def main(argv: list[str] | None = None) -> int:
         output = _run_command(args)
     if want_summary:
         output = f"{output}\n\n{registry.summary_table()}"
-    print(output)
+    # serve --stdio answers on stdout, so its report goes to stderr.
+    print(output, file=sys.stderr if getattr(args, "stdio", False) else sys.stdout)
     return 0
 
 

@@ -18,42 +18,27 @@ Everything observes; nothing feeds back. Runs are bit-identical with
 diagnostics on or off, pinned by ``tests/diagnostics/``.
 """
 
-from .certificates import (
-    DEFAULT_GAP_TOL,
-    SlotCertificate,
-    certify_solution,
-    duality_gap_bound,
-    lp_multipliers,
-    record_certificate,
-    recover_multipliers,
-    worst_certificate,
-)
-from .convergence import (
-    ConvergenceSummary,
-    summarize_convergence,
-    trace_events,
-)
-from .ratio import (
-    RatioPoint,
-    RatioTrace,
-    competitive_ratio_trace,
-    record_ratio_trace,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_GAP_TOL",
-    "SlotCertificate",
-    "certify_solution",
-    "duality_gap_bound",
-    "lp_multipliers",
-    "record_certificate",
-    "recover_multipliers",
-    "worst_certificate",
-    "ConvergenceSummary",
-    "summarize_convergence",
-    "trace_events",
-    "RatioPoint",
-    "RatioTrace",
-    "competitive_ratio_trace",
-    "record_ratio_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".certificates": (
+            "DEFAULT_GAP_TOL",
+            "SlotCertificate",
+            "certify_solution",
+            "duality_gap_bound",
+            "lp_multipliers",
+            "record_certificate",
+            "recover_multipliers",
+            "worst_certificate",
+        ),
+        ".convergence": ("ConvergenceSummary", "summarize_convergence", "trace_events"),
+        ".ratio": (
+            "RatioPoint",
+            "RatioTrace",
+            "competitive_ratio_trace",
+            "record_ratio_trace",
+        ),
+    },
+)

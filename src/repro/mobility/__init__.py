@@ -1,37 +1,25 @@
 """User mobility models, traces, and trace statistics."""
 
-from .attachment import nearest_cloud_attachment
-from .base import MobilityModel, MobilityTrace
-from .levy import LevyFlightMobility
-from .markov import MarkovMobility, lazy_random_walk_matrix
-from .random_walk import RandomWalkMobility
-from .replay import ReplayMobility
-from .stats import (
-    TraceStats,
-    dwell_lengths,
-    mean_dwell,
-    occupancy_distribution,
-    occupancy_entropy,
-    switch_rate,
-    trace_stats,
-)
-from .taxi import TaxiMobility
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LevyFlightMobility",
-    "MarkovMobility",
-    "MobilityModel",
-    "MobilityTrace",
-    "RandomWalkMobility",
-    "ReplayMobility",
-    "TaxiMobility",
-    "TraceStats",
-    "dwell_lengths",
-    "lazy_random_walk_matrix",
-    "mean_dwell",
-    "nearest_cloud_attachment",
-    "occupancy_distribution",
-    "occupancy_entropy",
-    "switch_rate",
-    "trace_stats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".attachment": ("nearest_cloud_attachment",),
+        ".base": ("MobilityModel", "MobilityTrace"),
+        ".levy": ("LevyFlightMobility",),
+        ".markov": ("MarkovMobility", "lazy_random_walk_matrix"),
+        ".random_walk": ("RandomWalkMobility",),
+        ".replay": ("ReplayMobility",),
+        ".stats": (
+            "TraceStats",
+            "dwell_lengths",
+            "mean_dwell",
+            "occupancy_distribution",
+            "occupancy_entropy",
+            "switch_rate",
+            "trace_stats",
+        ),
+        ".taxi": ("TaxiMobility",),
+    },
+)

@@ -8,10 +8,14 @@ nearest edge cloud.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..topology.geo import haversine_km_vec
-from ..topology.metro import Topology
+
+if TYPE_CHECKING:
+    from ..topology.metro import Topology
 
 
 def nearest_cloud_attachment(

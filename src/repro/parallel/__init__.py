@@ -7,32 +7,22 @@ to serial ones. See docs/PARALLEL.md.
 
 The executor itself is a generic dependency leaf; the simulation-specific
 :class:`SweepCell` lives in :mod:`repro.simulation.cells` and is re-exported
-here lazily for backwards compatibility.
+here, lazily like every package re-export (:mod:`repro._lazy`), for
+backwards compatibility.
 """
 
-from .executor import (
-    CellResult,
-    SweepError,
-    SweepExecutor,
-    comparisons_or_raise,
-    resolve_workers,
+from .._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".executor": (
+            "CellResult",
+            "SweepError",
+            "SweepExecutor",
+            "comparisons_or_raise",
+            "resolve_workers",
+        ),
+        "..simulation.cells": ("SweepCell",),
+    },
 )
-
-__all__ = [
-    "CellResult",
-    "SweepCell",
-    "SweepError",
-    "SweepExecutor",
-    "comparisons_or_raise",
-    "resolve_workers",
-]
-
-
-def __getattr__(name: str):
-    """Lazily re-export :class:`SweepCell` without importing the simulation
-    layer (which builds on this package) at module scope."""
-    if name == "SweepCell":
-        from ..simulation.cells import SweepCell
-
-        return SweepCell
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

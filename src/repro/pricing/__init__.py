@@ -1,24 +1,22 @@
 """Price and capacity generators reproducing the paper's evaluation setup."""
 
-from .bandwidth import (
-    ISP_RATES,
-    MigrationPrices,
-    isp_cluster_assignment,
-    isp_migration_prices,
-)
-from .capacity import DEFAULT_OVERPROVISION, attachment_frequency, provision_capacities
-from .operation import base_operation_prices, gaussian_operation_prices
-from .reconfiguration import gaussian_reconfiguration_prices
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_OVERPROVISION",
-    "ISP_RATES",
-    "MigrationPrices",
-    "attachment_frequency",
-    "base_operation_prices",
-    "gaussian_operation_prices",
-    "gaussian_reconfiguration_prices",
-    "isp_cluster_assignment",
-    "isp_migration_prices",
-    "provision_capacities",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".bandwidth": (
+            "ISP_RATES",
+            "MigrationPrices",
+            "isp_cluster_assignment",
+            "isp_migration_prices",
+        ),
+        ".capacity": (
+            "DEFAULT_OVERPROVISION",
+            "attachment_frequency",
+            "provision_capacities",
+        ),
+        ".operation": ("base_operation_prices", "gaussian_operation_prices"),
+        ".reconfiguration": ("gaussian_reconfiguration_prices",),
+    },
+)

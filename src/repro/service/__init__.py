@@ -16,35 +16,21 @@ Entry points: ``repro-edge serve`` / ``repro-edge loadgen``; the full
 architecture and the degradation ladder are in docs/SERVING.md.
 """
 
-from .config import ServiceConfig
-from .loadgen import (
-    LoadgenReport,
-    batch_reference_cost,
-    run_loadgen,
-)
-from .protocol import (
-    ProtocolError,
-    encode,
-    observation_to_update,
-    parse_message,
-    parse_update,
-)
-from .server import AllocationServer, serve_stdio
-from .session import AllocationSession, ServiceSlotResult, percentile
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllocationServer",
-    "AllocationSession",
-    "LoadgenReport",
-    "ProtocolError",
-    "ServiceConfig",
-    "ServiceSlotResult",
-    "batch_reference_cost",
-    "encode",
-    "observation_to_update",
-    "parse_message",
-    "parse_update",
-    "percentile",
-    "run_loadgen",
-    "serve_stdio",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("ServiceConfig",),
+        ".loadgen": ("LoadgenReport", "batch_reference_cost", "run_loadgen"),
+        ".protocol": (
+            "ProtocolError",
+            "encode",
+            "observation_to_update",
+            "parse_message",
+            "parse_update",
+        ),
+        ".server": ("AllocationServer", "serve_stdio"),
+        ".session": ("AllocationSession", "ServiceSlotResult", "percentile"),
+    },
+)

@@ -71,6 +71,8 @@ class AllocationServer:
         self._server: asyncio.AbstractServer | None = None
         self._lock: asyncio.Lock | None = None
         self._ticker: asyncio.Task | None = None
+        # Connection handlers still running, cancelled by stop().
+        self._clients: set[asyncio.Task] = set()
         # Latest buffered (message, writer) awaiting the next tick.
         self._pending: tuple[dict, asyncio.StreamWriter] | None = None
 
@@ -92,24 +94,29 @@ class AllocationServer:
             self._ticker = asyncio.create_task(self._tick_loop())
 
     async def stop(self) -> None:
-        """Close the listener, the ticker, and the metrics endpoint.
+        """Close the listener, the connections, the ticker and the metrics
+        endpoint.
 
-        A slot whose deferred phase has not run yet is settled first.
+        A slot whose deferred phase has not run yet is settled first. The
+        connection handlers and the ticker are cancelled while the session
+        lock is held, so none of them is interrupted inside a slot.
         """
+        if self._server is not None:
+            self._server.close()
+        tasks: set[asyncio.Task] = set()
         if self._lock is not None:
             async with self._lock:
                 await asyncio.get_running_loop().run_in_executor(
                     None, self.session.settle
                 )
-        if self._ticker is not None:
-            self._ticker.cancel()
-            try:
-                await self._ticker
-            except asyncio.CancelledError:
-                pass
-            self._ticker = None
+                tasks = set(self._clients)
+                if self._ticker is not None:
+                    tasks.add(self._ticker)
+                for task in tasks:
+                    task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._ticker = None
         if self._server is not None:
-            self._server.close()
             await self._server.wait_closed()
             self._server = None
         if self.metrics_endpoint is not None:
@@ -129,6 +136,8 @@ class AllocationServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._clients.add(task)
         try:
             while True:
                 line = await _read_line(reader)
@@ -150,7 +159,13 @@ class AllocationServer:
                 await self._dispatch(line, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            # stop() (or loop shutdown) ends the connection. Returning
+            # normally keeps the stream protocol's done-callback, which
+            # calls task.exception() on Python 3.11, from logging it.
+            pass
         finally:
+            self._clients.discard(task)
             # close() is enough here: awaiting wait_closed() in a handler
             # races loop shutdown (asyncio.run cancels handlers mid-await).
             writer.close()

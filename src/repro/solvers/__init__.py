@@ -1,22 +1,18 @@
 """LP and convex solver substrate (replaces the paper's GLPK/Pyomo/IPOPT)."""
 
-from .base import (
-    ConvexBackend,
-    ConvexProgram,
-    SolveBudget,
-    SolverError,
-    SolverResult,
-)
-from .interior_point import InteriorPointBackend
-from .linear import LinearProgramBuilder, VariableBlock
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ConvexBackend",
-    "ConvexProgram",
-    "InteriorPointBackend",
-    "LinearProgramBuilder",
-    "SolveBudget",
-    "SolverError",
-    "SolverResult",
-    "VariableBlock",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": (
+            "ConvexBackend",
+            "ConvexProgram",
+            "SolveBudget",
+            "SolverError",
+            "SolverResult",
+        ),
+        ".interior_point": ("InteriorPointBackend",),
+        ".linear": ("LinearProgramBuilder", "VariableBlock"),
+    },
+)

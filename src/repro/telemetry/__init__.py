@@ -48,152 +48,97 @@ deterministically on join, so metric aggregates are identical at any
 worker count.
 """
 
-from .alerting import (
-    Alert,
-    AlertEvaluator,
-    AlertSink,
-    Rule,
-    alerting_registry,
-    default_rules,
-    default_slos,
-    firing_objectives,
-)
-from .exporters import (
-    MetricsEndpoint,
-    chrome_trace,
-    openmetrics,
-    write_chrome_trace,
-    write_openmetrics,
-)
-from .environment import environment_fingerprint
-from .flight import (
-    INCIDENT_FORMAT,
-    FlightRecorder,
-    FlightRecorderSink,
-    IncidentBundle,
-    ReplayDiff,
-    ReplayReport,
-    SlotSnapshot,
-    active_recorder,
-    flight_session,
-    read_bundle,
-    replay_bundle,
-)
-from .manifest import MANIFEST_FORMAT, RunRecord, read_manifest, write_manifest
-from .metrics import (
-    MAX_SPAN_CHILDREN,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    get_registry,
-    set_registry,
-    sketch_upper_edge,
-    span,
-    telemetry_enabled,
-    telemetry_session,
-    thread_registry,
-)
-from .profiling import (
-    PhaseAccumulator,
-    ProfileHandle,
-    SamplingProfiler,
-    active_profile,
-    merge_folded,
-    phase,
-    profiling_session,
-    speedscope_document,
-    write_collapsed,
-    write_speedscope,
-)
-from .sinks import (
-    EventSink,
-    NullSink,
-    RingSink,
-    StreamingManifestWriter,
-    streaming_manifest_session,
-)
-from .tracing import (
-    TraceContext,
-    current_trace,
-    new_trace,
-    trace_scope,
-    trace_span,
-    traced_root,
-)
-from .spans import render_spans, walk_spans
-from .watch import ManifestTail, WatchState, watch
+from .._lazy import lazy_exports
 
-__all__ = [
-    "INCIDENT_FORMAT",
-    "MANIFEST_FORMAT",
-    "MAX_SPAN_CHILDREN",
-    "NULL_REGISTRY",
-    "Alert",
-    "AlertEvaluator",
-    "AlertSink",
-    "Counter",
-    "EventSink",
-    "FlightRecorder",
-    "FlightRecorderSink",
-    "Gauge",
-    "Histogram",
-    "IncidentBundle",
-    "ManifestTail",
-    "MetricsEndpoint",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NullSink",
-    "PhaseAccumulator",
-    "ProfileHandle",
-    "ReplayDiff",
-    "ReplayReport",
-    "RingSink",
-    "Rule",
-    "RunRecord",
-    "SamplingProfiler",
-    "SlotSnapshot",
-    "StreamingManifestWriter",
-    "TraceContext",
-    "WatchState",
-    "active_profile",
-    "active_recorder",
-    "alerting_registry",
-    "chrome_trace",
-    "current_trace",
-    "default_rules",
-    "default_slos",
-    "environment_fingerprint",
-    "firing_objectives",
-    "flight_session",
-    "get_registry",
-    "merge_folded",
-    "new_trace",
-    "openmetrics",
-    "phase",
-    "profiling_session",
-    "read_bundle",
-    "read_manifest",
-    "render_spans",
-    "replay_bundle",
-    "set_registry",
-    "sketch_upper_edge",
-    "span",
-    "speedscope_document",
-    "streaming_manifest_session",
-    "telemetry_enabled",
-    "telemetry_session",
-    "thread_registry",
-    "trace_scope",
-    "trace_span",
-    "traced_root",
-    "walk_spans",
-    "watch",
-    "write_chrome_trace",
-    "write_collapsed",
-    "write_manifest",
-    "write_openmetrics",
-    "write_speedscope",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".alerting": (
+            "Alert",
+            "AlertEvaluator",
+            "AlertSink",
+            "Rule",
+            "alerting_registry",
+            "default_rules",
+            "default_slos",
+            "firing_objectives",
+        ),
+        ".exporters": (
+            "MetricsEndpoint",
+            "chrome_trace",
+            "openmetrics",
+            "write_chrome_trace",
+            "write_openmetrics",
+        ),
+        ".environment": ("environment_fingerprint",),
+        ".flight": (
+            "INCIDENT_FORMAT",
+            "FlightRecorder",
+            "FlightRecorderSink",
+            "IncidentBundle",
+            "ReplayDiff",
+            "ReplayReport",
+            "SlotSnapshot",
+            "active_recorder",
+            "flight_session",
+            "read_bundle",
+            "replay_bundle",
+        ),
+        ".manifest": (
+            "MANIFEST_FORMAT",
+            "RunRecord",
+            "read_manifest",
+            "write_manifest",
+        ),
+        ".metrics": (
+            "MAX_SPAN_CHILDREN",
+            "NULL_REGISTRY",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "NullRegistry",
+            "get_registry",
+            "set_registry",
+            "sketch_upper_edge",
+            "span",
+            "telemetry_enabled",
+            "telemetry_session",
+            "thread_registry",
+        ),
+        ".profiling": (
+            "PhaseAccumulator",
+            "ProfileHandle",
+            "SamplingProfiler",
+            "active_profile",
+            "merge_folded",
+            "phase",
+            "profiling_session",
+            "speedscope_document",
+            "write_collapsed",
+            "write_speedscope",
+        ),
+        ".sinks": (
+            "EventSink",
+            "NullSink",
+            "RingSink",
+            "StreamingManifestWriter",
+            "streaming_manifest_session",
+        ),
+        ".tracing": (
+            "TraceContext",
+            "current_trace",
+            "new_trace",
+            "trace_scope",
+            "trace_span",
+            "traced_root",
+        ),
+        ".spans": ("render_spans", "walk_spans"),
+        ".watch": ("ManifestTail", "WatchState", "watch"),
+    },
+)
+
+# ``watch`` names both a submodule and the function it defines. Binding the
+# function now keeps a later ``import repro.telemetry.watch`` from leaving
+# the submodule on the package under that name.
+from .watch import watch  # noqa: E402

@@ -10,9 +10,12 @@ kilometers into service-quality cost units.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .metro import Topology
+if TYPE_CHECKING:
+    from .metro import Topology
 
 
 def inter_cloud_delay_matrix(topology: Topology, *, price_per_km: float = 1.0) -> np.ndarray:

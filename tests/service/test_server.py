@@ -7,6 +7,7 @@ dependency); every server binds port 0 so tests never collide.
 import asyncio
 import io
 import json
+import logging
 import sys
 import threading
 
@@ -73,6 +74,27 @@ class TestTcpServer:
                 await server.stop()
 
         asyncio.run(scenario())
+
+    def test_stop_with_a_client_still_connected_logs_nothing(
+        self, tiny_stream, caplog
+    ):
+        system, _ = tiny_stream
+
+        async def scenario():
+            server = AllocationServer(AllocationSession(system, ServiceConfig()))
+            await server.start()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            welcome = await _send(reader, writer, {"type": "hello"})
+            assert welcome["type"] == "welcome"
+            await server.stop()
+            # stop() closed the server's end of the held connection.
+            assert await asyncio.wait_for(reader.read(), timeout=10) == b""
+            writer.close()
+
+        with caplog.at_level(logging.ERROR):
+            asyncio.run(scenario())
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert not errors, [r.getMessage() for r in errors]
 
     def test_tick_mode_supersedes_stale_updates(self, tiny_stream):
         system, observations = tiny_stream

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import io
+import json
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -169,6 +173,28 @@ class TestExecution:
         )
         assert code == 0
         assert "Figure 5" in capsys.readouterr().out
+
+
+    def test_serve_stdio_writes_only_json_replies_to_stdout(
+        self, monkeypatch, capsys
+    ):
+        from repro.experiments.fig2 import fig2_scenario
+        from repro.experiments.settings import ExperimentScale
+        from repro.service import encode, observation_to_update
+        from repro.simulation.observations import observations_from_instance
+
+        scale = ExperimentScale(num_users=3, num_slots=2)
+        instance = fig2_scenario(scale).build(seed=scale.seed)
+        lines = [encode({"type": "hello"}), b'{"type": "upda\n'] + [
+            encode(observation_to_update(observation))
+            for observation in observations_from_instance(instance)
+        ]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(b"".join(lines).decode()))
+        assert main(["serve", "--stdio", "--users", "3", "--slots", "2"]) == 0
+        captured = capsys.readouterr()
+        kinds = [json.loads(line)["type"] for line in captured.out.splitlines()]
+        assert kinds == ["welcome", "error", "slot_result", "slot_result"]
+        assert "served 2 slot(s) over stdio" in captured.err
 
 
 class TestTelemetryModes:
