@@ -37,6 +37,7 @@ Variables are flattened cloud-major: ``flat[i * J + j] = x[i, j]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,15 +144,28 @@ class RegularizedSubproblem:
     def num_users(self) -> int:
         return int(np.asarray(self.static_prices).shape[1])
 
-    @property
+    @cached_property
     def eta(self) -> np.ndarray:
         """eta_i = ln(1 + C_i/eps1)."""
         return eta_fn(np.asarray(self.capacities), self.eps1)
 
-    @property
+    @cached_property
     def tau(self) -> np.ndarray:
         """tau_j = ln(1 + lambda_j/eps2) (the paper's tau_{i,j} is j-only)."""
         return tau_fn(np.asarray(self.workloads), self.eps2)
+
+    @cached_property
+    def reconfig_weights(self) -> np.ndarray:
+        """(I,) c_i/eta_i: the reconfiguration entropy's weight per cloud."""
+        return np.asarray(self.reconfig_prices, dtype=float) / self.eta
+
+    @cached_property
+    def migration_weights(self) -> np.ndarray:
+        """(I, J) b_i/tau_j: the migration entropy's weight per variable."""
+        return (
+            np.asarray(self.migration_prices, dtype=float)[:, None]
+            / self.tau[None, :]
+        )
 
     def _reshape(self, flat: np.ndarray) -> np.ndarray:
         return np.asarray(flat, dtype=float).reshape(self.num_clouds, self.num_users)
@@ -164,7 +178,7 @@ class RegularizedSubproblem:
         total = float(np.sum(np.asarray(self.static_prices) * x))
         cloud_totals = x.sum(axis=1)
         prev_totals = np.asarray(self.x_prev).sum(axis=1)
-        creg = np.asarray(self.reconfig_prices) / self.eta
+        creg = self.reconfig_weights
         shifted = _safe(cloud_totals + self.eps1)
         prev_shifted = prev_totals + self.eps1
         total += float(
@@ -175,10 +189,9 @@ class RegularizedSubproblem:
 
     def migration_entropy(self, x: np.ndarray) -> float:
         """The P2 migration regularizer at an (I, J) allocation."""
-        bmig = (np.asarray(self.migration_prices)[:, None] / self.tau[None, :])
         xs = _safe(x + self.eps2)
         terms = xs * np.log(xs / (np.asarray(self.x_prev) + self.eps2)) - x
-        return float(np.sum(bmig * terms))
+        return float(np.sum(self.migration_weights * terms))
 
     def gradient(self, flat: np.ndarray) -> np.ndarray:
         """Analytic gradient of P2(t) (flattened, cloud-major)."""
@@ -186,12 +199,11 @@ class RegularizedSubproblem:
         grad = np.asarray(self.static_prices, dtype=float).copy()
         cloud_totals = x.sum(axis=1)
         prev_totals = np.asarray(self.x_prev).sum(axis=1)
-        creg = np.asarray(self.reconfig_prices) / self.eta
+        creg = self.reconfig_weights
         grad += (
             creg * np.log(_safe(cloud_totals + self.eps1) / (prev_totals + self.eps1))
         )[:, None]
-        bmig = np.asarray(self.migration_prices)[:, None] / self.tau[None, :]
-        grad += bmig * np.log(
+        grad += self.migration_weights * np.log(
             _safe(x + self.eps2) / (np.asarray(self.x_prev) + self.eps2)
         )
         return grad.ravel()

@@ -24,7 +24,7 @@ A solve of B same-shape P2 instances ("lanes") stacks them into contiguous
 ``(B, I, J)`` arrays and runs **one** lockstep iteration over all of them:
 every NumPy call advances B solves, and the Schur complements become a
 single batched ``np.linalg.inv`` over a ``(B, I, I)`` stack. At fig2 scale each
-step is a few dozen microsecond-sized NumPy calls, so stacking amortizes
+step is about 150 microsecond-sized NumPy calls, so stacking amortizes
 the Python dispatch that dominates a lone solve.
 :class:`repro.solvers.interior_point.InteriorPointBackend` is the B = 1 case
 of the same kernel; :func:`solve_batch` is the stacked entry point.
@@ -34,19 +34,23 @@ objective, iteration count, duals, partial flag — do not depend on
 its batch-mates, on the batch size, or on when finished lanes are compacted
 away. A lane solved in a batch is therefore bit-identical to the same
 program solved alone through ``InteriorPointBackend`` (pinned by
-``tests/solvers/test_batched.py``). The reductions this relies on:
+``tests/solvers/test_batched.py``, serving shapes and 16-lane stacks
+included). The reductions this relies on:
 
 * last-axis sums (``(B,I,J).sum(axis=2)``) use NumPy's pairwise summation
   per contiguous row — the same per lane for any B;
 * non-last-axis sums (``sum(axis=1)``) accumulate sequentially in index
   order within each lane;
-* full-lane sums and minima reduce the raveled lane
-  (``reshape(B, -1).sum(axis=1)``), one row per lane;
-* masked minima and maxima are order-insensitive, so ``where(...)+min``
-  never mixes lanes;
+* per-lane dot products (``np.vecdot`` over a lane's raveled row) and the
+  stacked matmuls of the Schur complement and the Woodbury solves loop
+  over the stack and call BLAS once per lane, on that lane's matrices
+  with the same shapes and strides whatever B is; which of a stack's
+  lanes a call sees, or where the stack's memory starts, does not change
+  a lane's arithmetic;
+* minima (the ratio test, the gap's dual-infeasibility term) are
+  order-insensitive and reduce one lane's row at a time;
 * the batched ``np.linalg.inv`` runs the same LAPACK ``gesv`` on each
-  stacked matrix, and the inverse is applied as a product reduced over the
-  last axis rather than a batched matmul.
+  stacked matrix.
 
 Instances converge at different speeds; finished lanes are dropped from
 the stack (compaction by fancy indexing), so late stragglers do not pay for
@@ -59,6 +63,7 @@ stacking layout and the measured wins.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -126,7 +131,9 @@ class _Lane:
         self.tol = tol
         self.registry = registry
         self.budget = program.budget
-        self.trace: list[dict] | None = [] if registry.enabled else None
+        # The per-step fingerprint only travels in a solver.ipm.trace event,
+        # so it is built only where events are kept or streamed.
+        self.trace: list[dict] | None = [] if registry.keeps_events else None
         # The distributed-trace context of the *submitting* cell (captured
         # at submit time), not of whichever thread runs the flush — so the
         # lane's deferred telemetry stays attributed to its originator.
@@ -173,16 +180,23 @@ class _Lane:
             )
 
 
-def _lane_sum(values: np.ndarray) -> np.ndarray:
-    """Per-lane sum of a stacked array (one raveled row per lane)."""
-    return values.reshape(values.shape[0], -1).sum(axis=1)
+def _stack(arrays, shape: tuple[int, ...]) -> np.ndarray:
+    """Stack per-lane arrays (or scalars, broadcast) into one float array."""
+    out = np.empty((len(arrays), *shape))
+    for pos, values in enumerate(arrays):
+        out[pos] = values
+    return out
 
 
-def _max_step(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Per-lane largest alpha keeping every ``values + alpha * steps > 0``."""
-    ratios = np.full_like(values, np.inf)
-    np.divide(values, -steps, out=ratios, where=steps < 0)
-    return ratios.min(axis=1)
+def _step_length(pairs: np.ndarray, steps: np.ndarray, fraction: float) -> np.ndarray:
+    """Per-lane ``min(1, fraction * alpha_max)`` for ``pairs + alpha * steps``.
+
+    ``alpha_max = 1 / max(-steps / pairs)`` is the largest alpha keeping
+    every (strictly positive) pair positive, infinite when no step is
+    negative; starting the minimum ratio at ``-fraction`` folds the
+    ``min(1, .)`` in without dividing by zero.
+    """
+    return -fraction / (steps / pairs).min(axis=1, initial=-fraction)
 
 
 class _GroupSolve:
@@ -195,7 +209,9 @@ class _GroupSolve:
     Complementarity pairs live in "pair space": a lane's ``m`` primal
     values ``[x (I*J, cloud-major), demand slacks (J), capacity slacks
     (I)]`` line up with its duals ``[z, y_demand, y_capacity]``, so
-    products, ratio tests and dual updates are single ``(B, m)`` calls.
+    products and dual updates are single ``(B, m)`` calls, and a step
+    direction is one ``(B, 2m)`` row ``[d_primal, d_duals]`` per lane that
+    the ratio test reads against ``[primal, duals]``.
     """
 
     def __init__(self, lanes: list[_Lane], *, name: str = BATCHED_BACKEND_NAME):
@@ -206,51 +222,37 @@ class _GroupSolve:
         self.num_users = sub.num_users
         self.n = self.num_clouds * self.num_users
         self.num_constraints = self.n + self.num_users + self.num_clouds
+        self._demand = slice(self.n, self.n + self.num_users)
+        self._capacity = slice(self.n + self.num_users, self.num_constraints)
 
     # -- stacked constants (built once per group) -----------------------------
 
-    def _stack_constants(self, lanes: list[_Lane]) -> None:
-        subs = [lane.sub for lane in lanes]
-        self.prices = np.stack(
-            [np.asarray(s.static_prices, dtype=float) for s in subs]
+    def _stack_constants(self, subs: list) -> None:
+        table, clouds, users = (
+            (self.num_clouds, self.num_users),
+            (self.num_clouds,),
+            (self.num_users,),
         )
-        # creg/bmig replicate the objective's own per-call expressions; they
-        # are pure functions of the (immutable) subproblem data, so hoisting
-        # them out of the loop changes nothing.
-        self.creg = np.stack(
-            [np.asarray(s.reconfig_prices, dtype=float) / s.eta for s in subs]
-        )
-        self.bmig = np.stack(
-            [
-                np.asarray(s.migration_prices, dtype=float)[:, None]
-                / s.tau[None, :]
-                for s in subs
-            ]
-        )
-        self.eps1 = np.array([float(s.eps1) for s in subs])
-        self.eps2 = np.stack(
-            [
-                np.broadcast_to(
-                    np.asarray(s.eps2, dtype=float), (self.num_users,)
-                ).astype(float)
-                for s in subs
-            ]
-        )[:, None, :]
-        x_prev = np.stack([np.asarray(s.x_prev, dtype=float) for s in subs])
-        self.prev_shifted = x_prev.sum(axis=2) + self.eps1[:, None]
+        self.prices = _stack([s.static_prices for s in subs], table)
+        self.creg = _stack([s.reconfig_weights for s in subs], clouds)
+        self.bmig = _stack([s.migration_weights for s in subs], table)
+        # The objective is ``sum(xs * migration) + sum(cloud * shifted) +
+        # sum(x * linear)``: the entropies' ``-x`` terms join the prices.
+        self.linear = self.prices - self.bmig - self.creg[:, :, None]
+        self.eps1 = _stack([s.eps1 for s in subs], (1,))
+        self.eps2 = _stack([s.eps2 for s in subs], (1, self.num_users))
+        x_prev = _stack([s.x_prev for s in subs], table)
+        self.prev_shifted = x_prev.sum(axis=2) + self.eps1
         self.prev_mig = x_prev + self.eps2
-        self.workloads = np.stack(
-            [np.asarray(s.workloads, dtype=float) for s in subs]
-        )
-        self.capacities = np.stack(
-            [np.asarray(s.capacities, dtype=float) for s in subs]
-        )
+        self.workloads = _stack([s.workloads for s in subs], users)
+        self.capacities = _stack([s.capacities for s in subs], clouds)
 
     #: Every per-lane stacked array, compacted together when lanes retire.
     _STACKED = (
         "prices",
         "creg",
         "bmig",
+        "linear",
         "eps1",
         "eps2",
         "prev_shifted",
@@ -259,6 +261,7 @@ class _GroupSolve:
         "capacities",
         "tol",
         "x",
+        "totals",
         "primal",
         "duals",
         "iterations",
@@ -270,56 +273,46 @@ class _GroupSolve:
         for attr in self._STACKED:
             setattr(self, attr, getattr(self, attr)[keep])
 
-    def _split(self, pairs: np.ndarray):
-        """A pair-space array as its (x-table, demand, capacity) views."""
-        n, nu = self.n, self.num_users
-        return (
-            pairs[:, :n].reshape(-1, self.num_clouds, nu),
-            pairs[:, n : n + nu],
-            pairs[:, n + nu :],
-        )
-
     # -- stacked P2 arithmetic ------------------------------------------------
 
-    def _primal_pairs(self, x: np.ndarray) -> np.ndarray:
-        """``[x, demand slacks, capacity slacks]`` per lane."""
+    def _primal_pairs(self, x: np.ndarray, totals: np.ndarray) -> np.ndarray:
+        """``[x, demand slacks, capacity slacks]`` per lane (``totals`` are
+        the cloud row sums of ``x``)."""
         return np.concatenate(
             [
                 x.reshape(x.shape[0], -1),
                 x.sum(axis=1) - self.workloads,
-                self.capacities - x.sum(axis=2),
+                self.capacities - totals,
             ],
             axis=1,
         )
 
-    def _objective_and_gradient(
-        self, x: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _objective_and_gradient(self, x: np.ndarray, totals: np.ndarray):
         """Stacked P2 objective (one value per lane) and gradient.
 
-        The objective reuses the gradient's logarithms; it only sets the
-        scale of the stop rule, so it need not match
-        ``RegularizedSubproblem.objective`` to the last bit (results report
-        that one).
+        Also returns the floored shifted totals ``X_i + eps1`` and entries
+        ``x_ij + eps2`` the Newton matrix reuses. The objective shares the
+        gradient's logarithms and products, and its sums are per-lane dot
+        products, so it equals ``RegularizedSubproblem.objective`` to
+        rounding, not bit for bit.
         """
-        cloud_totals = x.sum(axis=2)
-        shifted = np.maximum(cloud_totals + self.eps1[:, None], 1e-12)
-        cloud_log = np.log(shifted / self.prev_shifted)
+        batch = x.shape[0]
+        shifted = np.maximum(totals + self.eps1, 1e-12)
+        cloud = self.creg * np.log(shifted / self.prev_shifted)
         xs = np.maximum(x + self.eps2, 1e-12)
-        user_log = np.log(xs / self.prev_mig)
-        grad = self.prices + (self.creg * cloud_log)[:, :, None]
-        grad = grad + self.bmig * user_log
+        migration = self.bmig * np.log(xs / self.prev_mig)
+        grad = self.prices + cloud[:, :, None]
+        grad += migration
         value = (
-            _lane_sum(self.prices * x + self.bmig * (xs * user_log - x))
-            + (self.creg * (shifted * cloud_log - cloud_totals)).sum(axis=1)
+            np.vecdot(xs.reshape(batch, -1), migration.reshape(batch, -1))
+            + np.vecdot(x.reshape(batch, -1), self.linear.reshape(batch, -1))
+            + np.vecdot(cloud, shifted)
         )
-        return value, grad
+        return value, grad, xs, shifted
 
     # -- the Woodbury-structured Newton system --------------------------------
 
-    def _factorize(
-        self, x: np.ndarray, primal: np.ndarray
-    ) -> tuple[tuple, np.ndarray]:
+    def _factorize(self, primal, duals, xs, shifted) -> tuple[tuple, np.ndarray | None]:
         """Factor the primal-dual Newton matrix once for this iteration.
 
         The matrix is ``M = D + U W U^T``: ``D = diag(f_diag + z/x)`` plus
@@ -329,30 +322,28 @@ class _GroupSolve:
         has a diagonal cloud block, a diagonal user block and ``D^-1`` as
         the cross block, so eliminating the users leaves the dense
         ``I x I`` Schur complement ``S = diag(rowsum(D^-1) + 1/w_cloud) -
-        D^-1 diag(g) D^-T`` with ``g = 1/(colsum(D^-1) + 1/w_user)``. ``S``
-        is inverted once and applied to both the predictor and the
-        corrector. Returns the factor tuple (with the pair-space ``duals /
-        primal`` ratios) and a per-lane singular mask.
+        D^-1 diag(g) D^-T`` with ``g = 1/(colsum(D^-1) + 1/w_user)``. The
+        user gains are kept negated (``gain = -g``), so ``S``'s dense part
+        is one stacked matmul ``(D^-1 * gain) @ D^-T``. ``S`` is inverted
+        once and applied to both the predictor and the corrector. Returns
+        the factor tuple and a per-lane singular mask (``None`` when every
+        lane inverted).
         """
-        batch = x.shape[0]
-        ratio = self.duals / primal
-        z_ratio, _, capacity_ratio = self._split(ratio)
-        _, demand, _ = self._split(primal)
-        _, y_demand, _ = self._split(self.duals)
-        cloud_scale = self.creg / np.maximum(
-            x.sum(axis=2) + self.eps1[:, None], 1e-12
-        )
-        dinv = 1.0 / (self.bmig / np.maximum(x + self.eps2, 1e-12) + z_ratio)
+        batch = xs.shape[0]
+        ratio = duals / primal
+        z_ratio = ratio[:, : self.n]
+        dinv = 1.0 / (self.bmig / xs + z_ratio.reshape(xs.shape))
         # Inverse dyad weights: user weights y/d reach ~1e12 at binding
         # demand rows, their inverses d/y stay tame.
-        cloud_inv_w = 1.0 / (cloud_scale + capacity_ratio)
-        user_gain = 1.0 / (dinv.sum(axis=1) + demand / y_demand)
-        schur = -(
-            (dinv * user_gain[:, None, :])[:, :, None, :] * dinv[:, None, :, :]
-        ).sum(axis=3)
+        cloud_inv_w = 1.0 / (self.creg / shifted + ratio[:, self._capacity])
+        gain = -1.0 / (
+            dinv.sum(axis=1, keepdims=True)
+            + primal[:, None, self._demand] / duals[:, None, self._demand]
+        )
+        schur = (dinv * gain) @ dinv.transpose(0, 2, 1)
         diagonal = schur.reshape(batch, -1)[:, :: self.num_clouds + 1]
         diagonal += dinv.sum(axis=2) + cloud_inv_w
-        singular = np.zeros(batch, dtype=bool)
+        singular = None
         try:
             inverse = np.linalg.inv(schur)
         except np.linalg.LinAlgError:
@@ -361,50 +352,52 @@ class _GroupSolve:
             # so surviving lanes get identical floats) and flag the bad
             # ones — they stall exactly as they would alone.
             inverse = np.zeros_like(schur)
+            singular = np.zeros(batch, dtype=bool)
             for k in range(batch):
                 try:
                     inverse[k] = np.linalg.inv(schur[k])
                 except np.linalg.LinAlgError:
                     singular[k] = True
-        return (dinv, cloud_inv_w, user_gain, inverse, ratio), singular
+        capacity_coupling = (ratio[:, self._capacity] * cloud_inv_w)[:, :, None]
+        return (dinv, gain, inverse, z_ratio, capacity_coupling), singular
 
-    def _directions(self, factors: tuple, rhs: np.ndarray):
-        """Solve ``M dx = rhs``; returns ``dx`` and the pair-space steps.
+    def _directions(self, factors: tuple, rhs: np.ndarray, neg_duals: tuple):
+        """Solve ``M dx = rhs``; returns ``dx`` and the ``(B, 2m)`` step.
 
         ``q = W U^T dx`` solves the Woodbury core system by block
-        elimination (clouds through the Schur inverse, then users). The
-        dual steps (before the complementarity targets, which the caller
-        adds as ``t / primal``) eliminate through ``q``: ``dy_demand =
-        -y_demand - q_user`` and ``dy_capacity = -y_capacity +
-        (y_capacity/capacity) * q_cloud / w``. Re-forming ``(y/d) *
+        elimination (clouds through the Schur inverse, then users); the
+        core contractions ``D^-1 u``, ``S^-1 r`` and ``q^T D^-1`` are
+        stacked matmuls, one BLAS call per lane on that lane's own
+        matrices. The dual steps (before the complementarity targets,
+        which the caller adds as ``t / primal``) eliminate through ``q``:
+        ``dy_demand = -y_demand - q_user`` and ``dy_capacity = -y_capacity
+        + (y_capacity/capacity) * q_cloud / w``. Re-forming ``(y/d) *
         colsum(dx)`` instead would amplify the rounding of ``colsum(dx)``
         by the ~1e12 weights of binding demand rows into the multipliers.
-        Core products are elementwise products reduced over the last axis
-        — per-lane pairwise sums, identical for any batch size — rather
-        than batched matmuls whose BLAS kernel choice could depend on the
-        stack.
         """
-        dinv, cloud_inv_w, user_gain, inverse, ratio = factors
-        batch = rhs.shape[0]
+        dinv, gain, inverse, z_ratio, capacity_coupling = factors
         scaled = dinv * rhs
-        user_part = user_gain * scaled.sum(axis=1)
-        cloud_rhs = scaled.sum(axis=2) - (dinv * user_part[:, None, :]).sum(axis=2)
-        q_cloud = (inverse * cloud_rhs[:, None, :]).sum(axis=2)
-        q_user = user_part - user_gain * (dinv * q_cloud[:, :, None]).sum(axis=1)
-        dx = dinv * (rhs - (q_cloud[:, :, None] + q_user[:, None, :]))
-        flat = dx.reshape(batch, -1)
-        d_primal = np.concatenate(
-            [flat, dx.sum(axis=1), -dx.sum(axis=2)], axis=1
+        # ``user_part`` is -g * colsum(scaled); the gain carries the sign.
+        user_part = gain * scaled.sum(axis=1, keepdims=True)
+        q_cloud = inverse @ (
+            scaled.sum(axis=2, keepdims=True) + dinv @ user_part.transpose(0, 2, 1)
         )
-        coupling = np.concatenate(
+        q_user = gain * (q_cloud.transpose(0, 2, 1) @ dinv) - user_part
+        dx = dinv * (rhs - (q_cloud + q_user))
+        flat = dx.reshape(dx.shape[0], -1)
+        neg_z, neg_demand, neg_capacity = neg_duals
+        step = np.concatenate(
             [
-                ratio[:, : self.n] * flat,
-                q_user,
-                -ratio[:, self.n + self.num_users :] * cloud_inv_w * q_cloud,
+                flat,
+                dx.sum(axis=1),
+                -dx.sum(axis=2),
+                neg_z - z_ratio * flat,
+                neg_demand - q_user[:, 0],
+                neg_capacity + (capacity_coupling * q_cloud)[:, :, 0],
             ],
             axis=1,
         )
-        return dx, d_primal, -self.duals - coupling
+        return dx, step
 
     # -- setup ----------------------------------------------------------------
 
@@ -420,108 +413,90 @@ class _GroupSolve:
         """
         ready: list[_Lane] = []
         starts: list[np.ndarray] = []
-        mus: list[float] = []
-        shape = (self.num_clouds, self.num_users)
         for lane in self.lanes:
             try:
-                x = lane.sub.interior_point().reshape(shape)
-                if not self._strictly_feasible_one(lane.sub, x):
-                    raise SolverError(f"{self.name}: no strictly feasible start")
-                scale = max(1.0, abs(lane.sub.objective(x.ravel())))
+                starts.append(lane.sub.interior_point())
             except Exception as exc:  # noqa: BLE001 - delivered per lane
                 lane.outcome = exc
                 continue
             ready.append(lane)
-            starts.append(x)
-            mus.append(scale / self.num_constraints)
         self.lanes = ready
         if not ready:
             return
-        self._stack_constants(ready)
-        batch = len(ready)
+        self._stack_constants([lane.sub for lane in ready])
+        x = _stack(starts, (self.n,)).reshape(-1, self.num_clouds, self.num_users)
+        totals = x.sum(axis=2)
+        primal = self._primal_pairs(x, totals)
+        interior = primal.min(axis=1) > 0
+        if not interior.all():
+            # Rare: fail the boundary starts, then set up the rest again.
+            for lane in itertools.compress(ready, ~interior):
+                lane.outcome = SolverError(f"{self.name}: no strictly feasible start")
+            self.lanes = list(itertools.compress(ready, interior))
+            if self.lanes:
+                self._setup()
+            return
+        value = self._objective_and_gradient(x, totals)[0]
+        mu0 = np.maximum(1.0, np.abs(value)) / self.num_constraints
+        self.x, self.totals, self.primal = x, totals, primal
+        self.duals = mu0[:, None] / primal
         self.tol = np.array([max(lane.tol, _MIN_TOL) for lane in ready])
-        self.x = np.stack(starts)
-        self.primal = self._primal_pairs(self.x)
-        self.duals = np.array(mus)[:, None] / self.primal
-        self.iterations = np.zeros(batch, dtype=np.int64)
-        self.stalled = np.zeros(batch, dtype=bool)
-
-    @staticmethod
-    def _strictly_feasible_one(sub, x: np.ndarray) -> bool:
-        demand = x.sum(axis=0) - np.asarray(sub.workloads, dtype=float)
-        capacity = np.asarray(sub.capacities, dtype=float) - x.sum(axis=1)
-        return x.min() > 0 and demand.min() > 0 and capacity.min() > 0
+        self.iterations = np.zeros(len(ready), dtype=np.int64)
+        self.stalled = np.zeros(len(ready), dtype=bool)
 
     # -- lane retirement ------------------------------------------------------
 
-    def _finish_lane(
-        self,
-        pos: int,
-        mu: float,
-        relative_gap: float,
-        target: float,
-        partial: bool,
-        unconverged: bool,
-    ) -> None:
-        """Build the lane's SolverResult from its stacked state.
+    def _retire(self, done, certified, fired, gap, scale, target, mu, value) -> None:
+        """Finish the flagged lanes, then compact the stacked state.
+
+        A lane converged if its gap certified, or if it stalled within
+        ``_STALL_GAP``; a fired budget makes an uncertified lane a
+        truncated partial result, and any other finished lane stopped
+        unconverged. (A budget that fires on an already certified iterate
+        changes nothing: the lane finishes as a normal result.)
 
         Iterates are strictly interior by construction, so a partial x —
         budget-truncated or unconverged — is always feasible: degraded in
         cost, never in constraints (Theorem 1 survives the cutoff). The
         duals are the iterate's own multipliers, so certificates re-derive
-        the same gap bound the stop rule used.
+        the same gap bound the stop rule used. The reported objective is
+        the one the stop rule scaled by, evaluated at the same iterate.
         """
-        lane = self.lanes[pos]
-        x = self.x[pos].copy()
-        iterations = int(self.iterations[pos])
-        lane.final = {
-            "backend": self.name,
-            "iterations": iterations,
-            "mu": mu,
-            "gap": relative_gap,
-            "gap_target": target,
-            "partial": partial,
-            "unconverged": unconverged,
-        }
-        z, y_demand, y_capacity = self._split(self.duals[pos : pos + 1].copy())
-        duals = {
-            "demand": y_demand[0],
-            "capacity": y_capacity[0],
-            "nonnegativity": z[0].ravel(),
-            "mu": mu,
-        }
-        flat = x.ravel()
-        lane.outcome = SolverResult(
-            x=flat,
-            objective=float(lane.sub.objective(flat)),
-            iterations=iterations,
-            backend=self.name,
-            duals=duals,
-            partial=partial,
-            gap=relative_gap,
-        )
-
-    def _retire(
-        self,
-        done: np.ndarray,
-        partial: np.ndarray,
-        unconverged: np.ndarray,
-        mu: np.ndarray,
-        relative_gap: np.ndarray,
-        target: np.ndarray,
-    ) -> None:
-        """Finish the flagged lanes, then compact the stacked state."""
-        for pos in np.nonzero(done)[0]:
-            self._finish_lane(
-                int(pos),
-                float(mu[pos]),
-                float(relative_gap[pos]),
-                float(target[pos]),
-                bool(partial[pos]),
-                bool(unconverged[pos]),
+        converged = certified | (self.stalled & (gap <= _STALL_GAP * scale))
+        unconverged = ~(fired | converged)
+        partial = (fired & ~certified) | unconverged
+        relative_gap = gap / scale
+        for pos in np.flatnonzero(done).tolist():
+            lane = self.lanes[pos]
+            iterations = int(self.iterations[pos])
+            lane_mu = float(mu[pos])
+            lane_gap = float(relative_gap[pos])
+            lane.final = {
+                "backend": self.name,
+                "iterations": iterations,
+                "mu": lane_mu,
+                "gap": lane_gap,
+                "gap_target": float(target[pos]),
+                "partial": bool(partial[pos]),
+                "unconverged": bool(unconverged[pos]),
+            }
+            duals = self.duals[pos].copy()
+            lane.outcome = SolverResult(
+                x=self.x[pos].ravel().copy(),
+                objective=float(value[pos]),
+                iterations=iterations,
+                backend=self.name,
+                duals={
+                    "demand": duals[self._demand],
+                    "capacity": duals[self._capacity],
+                    "nonnegativity": duals[: self.n],
+                    "mu": lane_mu,
+                },
+                partial=lane.final["partial"],
+                gap=lane_gap,
             )
         keep = ~done
-        self.lanes = [lane for pos, lane in enumerate(self.lanes) if keep[pos]]
+        self.lanes = list(itertools.compress(self.lanes, keep))
         if self.lanes:
             self._take(keep)
 
@@ -529,11 +504,108 @@ class _GroupSolve:
 
     def run(self, started: float | None = None) -> None:
         """Drive every lane to completion (outcomes land on the lanes);
-        deadlines run from ``started`` (:func:`solve_batch`'s one clock)."""
+        deadlines run from ``started`` (:func:`solve_batch`'s one clock).
+
+        Each pass of the loop is one predictor-corrector step for every
+        active lane. The iterate is assembled and certified first; lanes
+        whose certified gap met the target, whose budget fired, or that
+        cannot certify (stalled, non-finite gap, out of steps) retire with
+        the current point, and the survivors take one Mehrotra step on one
+        factorization. The affine (predictor) direction aims at zero
+        complementarity; its step length sets the centring ``sigma =
+        (mu_aff / mu)^3``, floored so the target never drops below
+        ``_FLOOR_SHARE * target / m`` (deeper centring pushes the binding
+        slacks under rounding). The corrector adds the predictor's
+        second-order complementarity term. Both share one step length for
+        primal and dual variables.
+
+        The ``phase`` blocks are the profiling plane's phase timers
+        (docs/OBSERVABILITY.md §12): free no-op context managers unless a
+        profile is active, and purely observational either way — the
+        floating-point operation sequence is identical with profiling on
+        or off. They tile the loop, so together they account for the
+        solve's wall time.
+        """
         self._budget_start = time.perf_counter() if started is None else started
-        self._setup()
+        with phase("ipm.setup"):
+            self._setup()
+        m = self.num_constraints
         while self.lanes:
-            self._macro_step()
+            with phase("ipm.assemble"):
+                x, primal, duals = self.x, self.primal, self.duals
+                value, grad, xs, shifted = self._objective_and_gradient(x, self.totals)
+                reduced = (
+                    grad - duals[:, None, self._demand] + duals[:, self._capacity, None]
+                )
+                mu = np.vecdot(primal, duals) / m
+            with phase("ipm.convergence_check"):
+                fired = self._budget_fired()
+                # The certificate's closed-form bound on f(x) - min P2 (see
+                # diagnostics/certificates.py): reduced·x + y_demand·demand +
+                # y_capacity·capacity + sum_i C_i max_j (-reduced_ij)+.
+                paired = np.concatenate(
+                    [reduced.reshape(len(x), -1), duals[:, self.n :]], axis=1
+                )
+                gap = np.vecdot(primal, paired) - np.vecdot(
+                    self.capacities, reduced.min(axis=2, initial=0.0)
+                )
+                scale = np.maximum(1.0, np.abs(value))
+                target = self.tol * scale
+                certified = gap <= _GAP_SHARE * target
+                # Lanes that cannot step on (stalled, non-finite gap, out of
+                # steps) finish too; _retire sorts out which converged.
+                done = (
+                    certified
+                    | fired
+                    | self.stalled
+                    | ~np.isfinite(gap)
+                    | (self.iterations >= _MAX_ITERATIONS)
+                )
+                finishing = done.any()
+            if finishing:
+                with phase("ipm.finish"):
+                    self._retire(done, certified, fired, gap, scale, target, mu, value)
+                    if not self.lanes:
+                        break
+                    keep = ~done
+                    x, primal, duals = self.x, self.primal, self.duals
+                    grad, reduced, mu, target, xs, shifted = (
+                        array[keep]
+                        for array in (grad, reduced, mu, target, xs, shifted)
+                    )
+            with phase("ipm.factorize_smw"):
+                factors, singular = self._factorize(primal, duals, xs, shifted)
+                neg_grad = -grad
+                negated = -duals
+                neg_duals = (
+                    negated[:, : self.n],
+                    negated[:, self._demand],
+                    negated[:, self._capacity],
+                )
+                dx, step = self._directions(factors, neg_grad, neg_duals)
+            with phase("ipm.line_search"):
+                pairs = np.concatenate([primal, duals], axis=1)
+                alpha = _step_length(pairs, step, 1.0)
+                trial = pairs + alpha[:, None] * step
+                mu_affine = np.vecdot(trial[:, :m], trial[:, m:]) / m
+                sigma = np.minimum(1.0, mu_affine / mu) ** _CENTERING_POWER
+                centre = np.maximum(sigma * mu, _FLOOR_SHARE * target / m)
+            with phase("ipm.factorize_smw"):
+                # Corrector targets t = sigma*mu - d_primal_aff * d_duals_aff,
+                # entering the right-hand side (and the dual steps) as t/primal.
+                scaled_targets = (centre[:, None] - step[:, :m] * step[:, m:]) / primal
+                rhs = (
+                    scaled_targets[:, : self.n].reshape(x.shape)
+                    + neg_grad
+                    + scaled_targets[:, None, self._demand]
+                    - scaled_targets[:, self._capacity, None]
+                )
+                dx, step = self._directions(factors, rhs, neg_duals)
+                step[:, m:] += scaled_targets
+            with phase("ipm.line_search"):
+                alpha = _step_length(pairs, step, _BOUNDARY_FRACTION)
+                stepped = self._advance(alpha, dx, step[:, m:], singular)
+                self._record_trace(centre, mu, reduced, duals, alpha, stepped)
 
     def _budget_fired(self) -> np.ndarray:
         """Per-lane budget check, at the top of every iteration.
@@ -557,130 +629,32 @@ class _GroupSolve:
             )
         return fired
 
-    def _macro_step(self) -> None:
-        """One predictor-corrector step for every active lane.
+    def _advance(self, alpha, dx, d_duals, singular) -> np.ndarray:
+        """Move every lane ``alpha`` along its step; returns the lanes that moved.
 
-        The iterate is assembled and certified first; lanes whose certified
-        gap met the target, whose budget fired, or that cannot certify
-        (stalled, non-finite gap, out of steps) retire with the current
-        point, and the survivors take one step. The ``phase`` blocks are
-        the profiling plane's phase timers (docs/OBSERVABILITY.md §12):
-        free no-op context managers unless a profile is active, and purely
-        observational either way — the floating-point operation sequence
-        is identical with profiling on or off.
+        Recomputed slacks sum_i x_ij - lambda_j can round to <= 0 once
+        they are within a few ulps of their row totals (tight tolerances
+        on large workloads). Such a lane keeps its last interior iterate
+        and is marked stalled, as is a singular one; the next convergence
+        check retires it.
         """
-        fired = self._budget_fired()
-        x, primal = self.x, self.primal
-        with phase("ipm.assemble"):
-            value, grad = self._objective_and_gradient(x)
-            _, y_demand, y_capacity = self._split(self.duals)
-            reduced = grad - y_demand[:, None, :] + y_capacity[:, :, None]
-            mu = (primal * self.duals).sum(axis=1) / self.num_constraints
-        with phase("ipm.convergence_check"):
-            # The certificate's closed-form bound on f(x) - min P2 (see
-            # diagnostics/certificates.py): reduced·x + y_demand·demand +
-            # y_capacity·capacity + sum_i C_i max_j (-reduced_ij)+.
-            batch = x.shape[0]
-            paired = np.concatenate(
-                [reduced.reshape(batch, -1), y_demand, y_capacity], axis=1
-            )
-            worst_row = np.maximum(-reduced, 0.0).max(axis=2)
-            gap = (primal * paired).sum(axis=1) + (
-                self.capacities * worst_row
-            ).sum(axis=1)
-            scale = np.maximum(1.0, np.abs(value))
-            target = self.tol * scale
-            certified = gap <= _GAP_SHARE * target
-            converged = certified | (self.stalled & (gap <= _STALL_GAP * scale))
-            # A budget that fires on an already certified iterate changes
-            # nothing: the lane finishes as a normal, non-partial result.
-            truncated = fired & ~certified
-            unconverged = (
-                ~fired
-                & ~converged
-                & (
-                    self.stalled
-                    | ~np.isfinite(gap)
-                    | (self.iterations >= _MAX_ITERATIONS)
-                )
-            )
-            done = fired | converged | unconverged
-        if done.any():
-            self._retire(
-                done, truncated | unconverged, unconverged, mu, gap / scale, target
-            )
-            if not self.lanes:
-                return
-            keep = ~done
-            grad, reduced, primal, mu, target = (
-                array[keep] for array in (grad, reduced, primal, mu, target)
-            )
-        self._step(grad, reduced, primal, mu, target)
-
-    def _step(self, grad, reduced, primal, mu, target) -> None:
-        """Mehrotra predictor-corrector step on one factorization.
-
-        The affine (predictor) direction aims at zero complementarity; its
-        step length sets the centring ``sigma = (mu_aff / mu)^3``, floored
-        so the target never drops below ``_FLOOR_SHARE * target / m``
-        (deeper centring pushes the binding slacks under rounding). The
-        corrector adds the predictor's second-order complementarity term.
-        Both share one step length for primal and dual variables. A lane
-        whose Woodbury system is singular, or whose step would round a
-        slack to zero, keeps its iterate and is marked stalled; the next
-        convergence check retires it.
-        """
-        m = self.num_constraints
-        x, duals = self.x, self.duals
-        with phase("ipm.factorize_smw"):
-            factors, singular = self._factorize(x, primal)
-            dx, d_primal, d_duals = self._directions(factors, -grad)
-        with phase("ipm.line_search"):
-            pairs = np.concatenate([primal, duals], axis=1)
-            alpha = np.minimum(
-                1.0, _max_step(pairs, np.concatenate([d_primal, d_duals], axis=1))
-            )[:, None]
-            mu_affine = (
-                (primal + alpha * d_primal) * (duals + alpha * d_duals)
-            ).sum(axis=1) / m
-            sigma = np.minimum(1.0, mu_affine / mu) ** _CENTERING_POWER
-            centre = np.maximum(sigma * mu, _FLOOR_SHARE * target / m)
-        with phase("ipm.factorize_smw"):
-            # Corrector targets t = sigma*mu - d_primal_aff * d_duals_aff,
-            # entering the right-hand side (and the dual steps) as t/primal.
-            scaled_targets = (centre[:, None] - d_primal * d_duals) / primal
-            t_x, t_demand, t_capacity = self._split(scaled_targets)
-            rhs = (
-                t_x
-                - grad
-                + t_demand[:, None, :]
-                - t_capacity[:, :, None]
-            )
-            dx, d_primal, d_duals = self._directions(factors, rhs)
-            d_duals = d_duals + scaled_targets
-        with phase("ipm.line_search"):
-            alpha = np.minimum(
-                1.0,
-                _BOUNDARY_FRACTION
-                * _max_step(pairs, np.concatenate([d_primal, d_duals], axis=1)),
-            )
-            x_next = x + alpha[:, None, None] * dx
-            duals_next = duals + alpha[:, None] * d_duals
-            primal_next = self._primal_pairs(x_next)
-            # Recomputed slacks sum_i x_ij - lambda_j can round to <= 0
-            # once they are within a few ulps of their row totals (tight
-            # tolerances on large workloads). Such a lane keeps its last
-            # interior iterate and is marked stalled, as is a singular one.
-            stuck = singular | ~(primal_next.min(axis=1) > 0)
-            if stuck.any():
-                x_next = np.where(stuck[:, None, None], x, x_next)
-                duals_next = np.where(stuck[:, None], duals, duals_next)
-                primal_next = np.where(stuck[:, None], primal, primal_next)
-                self.stalled = self.stalled | stuck
-            self.x, self.duals, self.primal = x_next, duals_next, primal_next
-            stepped = ~stuck
-            self.iterations = self.iterations + stepped
-        self._record_trace(centre, mu, reduced, duals, alpha, stepped)
+        x_next = self.x + alpha[:, None, None] * dx
+        duals_next = self.duals + alpha[:, None] * d_duals
+        totals_next = x_next.sum(axis=2)
+        primal_next = self._primal_pairs(x_next, totals_next)
+        stepped = primal_next.min(axis=1) > 0
+        if singular is not None:
+            stepped &= ~singular
+        if not stepped.all():
+            x_next = np.where(stepped[:, None, None], x_next, self.x)
+            totals_next = np.where(stepped[:, None], totals_next, self.totals)
+            duals_next = np.where(stepped[:, None], duals_next, self.duals)
+            primal_next = np.where(stepped[:, None], primal_next, self.primal)
+            self.stalled = self.stalled | ~stepped
+        self.x, self.totals = x_next, totals_next
+        self.duals, self.primal = duals_next, primal_next
+        self.iterations = self.iterations + stepped
+        return stepped
 
     def _record_trace(self, centre, mu, reduced, duals, alpha, stepped) -> None:
         """Append one entry per stepped lane to its convergence fingerprint.
@@ -688,7 +662,7 @@ class _GroupSolve:
         The (centring target, complementarity, dual residual, step length)
         series is persisted to the manifest, so behavioural regressions
         show even when wall time does not (docs/DIAGNOSTICS.md). Lanes only
-        keep it under a real registry. ``reduced`` and ``duals`` are the
+        keep it under a registry that keeps or streams events. ``reduced`` and ``duals`` are the
         pre-step ``grad - y_demand + y_capacity`` and pair-space duals, so
         ``reduced - z`` is the dual residual the step started from.
         """

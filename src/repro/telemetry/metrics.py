@@ -252,6 +252,15 @@ class MetricsRegistry:
         self._context: dict = {}
         self._run_counter = 0
 
+    @property
+    def keeps_events(self) -> bool:
+        """Whether an :meth:`event` lands anywhere: in memory or in a sink.
+
+        With ``max_events=0`` and no sink every event is discarded, so
+        instrumentation can skip building one.
+        """
+        return self.enabled and (self.sink is not None or self.max_events != 0)
+
     # ----- metric accessors ---------------------------------------------------
 
     def counter(self, name: str) -> Counter:

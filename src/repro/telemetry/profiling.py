@@ -167,20 +167,28 @@ _NOOP_TIMER = _NoopTimer()
 
 
 class _PhaseTimer:
-    __slots__ = ("profile", "name", "start")
+    """Times one ``with phase(...)`` block into the thread's totals.
 
-    def __init__(self, profile: PhaseAccumulator, name: str) -> None:
-        self.profile = profile
+    The clock runs from the timer's construction (after the per-thread
+    totals lookup) to the first line of ``__exit__``, so between two
+    back-to-back phases falls only that lookup, the totals update and the
+    ``with`` statement's own calls.
+    """
+
+    __slots__ = ("totals", "name", "start")
+
+    def __init__(self, totals: dict[str, float], name: str) -> None:
+        self.totals = totals
         self.name = name
+        self.start = time.perf_counter()
 
     def __enter__(self) -> "_PhaseTimer":
-        self.start = time.perf_counter()
         return self
 
     def __exit__(self, *_exc: object) -> bool:
-        self.profile.add(
-            self.name, (time.perf_counter() - self.start) * 1000.0
-        )
+        elapsed_ms = (time.perf_counter() - self.start) * 1000.0
+        totals = self.totals
+        totals[self.name] = totals.get(self.name, 0.0) + elapsed_ms
         return False
 
 
@@ -193,7 +201,7 @@ def phase(name: str) -> Any:
     profile = _active_profile
     if profile is None:
         return _NOOP_TIMER
-    return _PhaseTimer(profile, name)
+    return _PhaseTimer(profile._totals(), name)
 
 
 # ----- sampling profiler ------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.service import (
     parse_message,
     parse_update,
 )
+from repro.service.protocol import _has_boolean_literal
 from repro.simulation.observations import SlotObservation
 from repro.telemetry import telemetry_session
 
@@ -35,11 +36,14 @@ def _update(slot=0, num_clouds=3, num_users=4, **overrides):
 #: Lines that once escaped ``AllocationSession.handle_line`` as an
 #: exception or were silently truncated: nesting past the recursion
 #: limit, an attachment entry beyond int64 (``orjson`` decodes it as a
-#: float) and a fractional one (``np.asarray`` truncated 1.5 to 1).
+#: float) and a fractional one (``np.asarray`` truncated 1.5 to 1), and
+#: JSON booleans, which ``array.array`` took as 1/0.
 HOSTILE_LINES = {
     "deep-nesting": "[" * 100_000 + "]" * 100_000,
     "attachment-beyond-int64": json.dumps(_update(attachment=[2**70, 0, 0, 0])),
     "attachment-fractional": json.dumps(_update(attachment=[1.5, 0, 0, 0])),
+    "attachment-boolean": json.dumps(_update(attachment=[1, False, 0, 0])),
+    "access-delay-boolean": json.dumps(_update(access_delay=[0.1, True, 0.1, 0.1])),
 }
 
 def _with_price(literal: str) -> str:
@@ -100,6 +104,34 @@ class TestParseMessage:
     def test_rejects_malformed_lines(self, line):
         with pytest.raises(ProtocolError):
             parse_message(line)
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("op_prices", [1.0, True, 1.0]),
+            ("attachment", [0, 1, False, 2]),
+            ("access_delay", [0.1, 0.2, 0.3, True]),
+            ("access_delay", [False, 0.2, 0.3, 0.4]),
+        ],
+    )
+    def test_refuses_json_booleans_in_vectors(self, field, values):
+        line = encode(_update(**{field: values}))
+        with pytest.raises(ProtocolError, match=f"{field} entries must be numbers"):
+            parse_message(line)
+        with pytest.raises(ProtocolError, match="not JSON booleans"):
+            parse_message(line.decode("utf-8"))
+
+    def test_booleans_outside_the_vectors_are_left_alone(self):
+        # The literal gates the entry check; the vectors themselves pass.
+        message = _update(client={"verbose": True, "dry_run": False})
+        assert parse_message(encode(message)) == message
+
+    @given(text=st.text(alphabet="truefals_u0f,[]", max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_boolean_literal_scan_matches_substring_search(self, text):
+        want = "true" in text or "false" in text
+        assert _has_boolean_literal(text) is want
+        assert _has_boolean_literal(text.encode("utf-8")) is want
 
     @pytest.mark.parametrize("literal", sorted(REFUSED_LITERALS))
     def test_refuses_literals_the_stdlib_accepted(self, literal, tiny_stream):

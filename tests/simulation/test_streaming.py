@@ -1,5 +1,7 @@
 """Tests for the streaming (slot-by-slot) online interface."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.simulation.streaming import (
     SystemDescription,
     observations_from_instance,
     replay,
+    single_slot_instance,
 )
 
 
@@ -21,6 +24,48 @@ class TestSystemDescription:
         assert system.num_clouds == tiny_instance.num_clouds
         assert system.num_users == tiny_instance.num_users
         assert np.array_equal(system.capacities, tiny_instance.capacities)
+
+
+class TestSingleSlotInstance:
+    def test_matches_the_full_instance_at_each_slot(self, tiny_instance):
+        system = SystemDescription.from_instance(tiny_instance)
+        for t, obs in enumerate(observations_from_instance(tiny_instance)):
+            wrapped = single_slot_instance(system, obs)
+            full = tiny_instance.slice_slots(t, t + 1)
+            for field in fields(full):
+                got, want = getattr(wrapped, field.name), getattr(full, field.name)
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want), field.name
+                else:
+                    assert got == want, field.name
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"op_prices": [-1.0, 1.0, 1.0]}, "operation prices must be nonnegative"),
+            ({"attachment": [0, 1, 2, 3]}, "attachment entries must index a cloud"),
+            ({"access_delay": [0.0, np.nan, 0.0, 0.0]}, "access_delay must be finite"),
+        ],
+    )
+    def test_checks_every_slot_of_a_checked_system(
+        self, tiny_instance, change, message
+    ):
+        system = SystemDescription.from_instance(tiny_instance)
+        good, *_ = observations_from_instance(tiny_instance)
+        single_slot_instance(system, good)
+        bad = replace(good, **{k: np.asarray(v) for k, v in change.items()})
+        with pytest.raises(ValueError, match=message):
+            single_slot_instance(system, bad)
+
+    def test_refuses_a_bad_system_on_every_slot(self, tiny_instance):
+        delay = np.array(tiny_instance.inter_cloud_delay, dtype=float)
+        delay[0, 1] += 1.0
+        system = replace(
+            SystemDescription.from_instance(tiny_instance), inter_cloud_delay=delay
+        )
+        for obs in observations_from_instance(tiny_instance)[:2]:
+            with pytest.raises(ValueError, match="symmetric"):
+                single_slot_instance(system, obs)
 
 
 class TestObservations:

@@ -7,12 +7,15 @@ objective, iteration count, duals, partial flag, failure — must not depend
 on its batch-mates or on when finished lanes are compacted away, so every
 instance of a batch matches its solve alone bit for bit. The cases cover
 single-instance and mixed-shape batches, failing lanes (a slot with no
-strict interior), budget-truncated lanes next to unbudgeted ones, and a
-lane that stops unconverged.
+strict interior), budget-truncated lanes next to unbudgeted ones, a
+lane that stops unconverged, and the shapes the service solves (fig2's
+15 clouds x 24 users, the city cohorts' 4 lanes x 30 columns, 16-lane
+stacks, user counts that are not a multiple of 8).
 They pin the reduction-order analysis in the kernel's module docstring.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from repro.solvers.base import SolveBudget
 from repro.solvers.batched import BatchCoordinator, DeferringBackend, solve_batch
 from repro.solvers.interior_point import InteriorPointBackend
 from repro.telemetry import MetricsRegistry, profiling_session, telemetry_session
+from repro.telemetry.sinks import RingSink
 from tests.conftest import make_tiny_instance
 
 
@@ -214,6 +218,68 @@ class TestBitIdentity:
         assert not isinstance(outcomes[2], Exception)
 
 
+class TestServingShapes:
+    """Bit identity at the shapes the service and the sweep solve.
+
+    The Schur contractions are stacked matmuls: BLAS runs once per lane
+    on that lane's matrices, so a lane's floats must not depend on where
+    in the stack it sits or on how the stack's memory is laid out after
+    compaction.
+    """
+
+    def test_fig2_slot_alone(self):
+        solve_both([random_subproblem(11, 15, 24).build_program()])
+
+    def test_city_cohort_lanes(self):
+        programs = [
+            random_subproblem(20 + k, 15, 30, eps_vector=True).build_program()
+            for k in range(4)
+        ]
+        solve_both(programs)
+
+    def test_sixteen_lanes(self):
+        programs = [
+            random_subproblem(40 + k, 15, 24).build_program() for k in range(16)
+        ]
+        solve_both(programs)
+
+    @pytest.mark.parametrize("num_users", [13, 37])
+    def test_user_counts_off_the_simd_width(self, num_users):
+        programs = [
+            random_subproblem(60 + k, 15, num_users).build_program()
+            for k in range(3)
+        ]
+        solve_both(programs)
+
+    @pytest.mark.parametrize("budget", [None, 3])
+    def test_reported_objective_is_p2_at_the_point_to_rounding(self, budget):
+        # The kernel reports its own stacked objective, whose sums are
+        # per-lane dot products: RegularizedSubproblem.objective at the
+        # returned x to rounding, not bit for bit.
+        subs = [random_subproblem(90 + k, 15, 24) for k in range(3)]
+        programs = [sub.build_program() for sub in subs]
+        for program in programs:
+            if budget is not None:
+                program.budget = SolveBudget(max_iterations=budget)
+        for sub, result in zip(subs, solve_batch(programs)):
+            assert result.partial == (budget is not None)
+            assert result.objective == pytest.approx(
+                sub.objective(result.x), rel=1e-13, abs=1e-13
+            )
+
+    def test_truncated_lane_compacted_away_mid_solve(self):
+        # The middle lane's budget retires it after 3 steps; the stack is
+        # then compacted by fancy indexing and its neighbours keep going.
+        programs = [
+            random_subproblem(80 + k, 15, 24).build_program() for k in range(3)
+        ]
+        programs[1].budget = SolveBudget(max_iterations=3)
+        results = solve_both(programs)
+        assert results[1].partial and results[1].iterations == 3
+        assert min(results[0].iterations, results[2].iterations) > 3
+        assert not results[0].partial and not results[2].partial
+
+
 class TestTelemetryParity:
     def test_solver_counters_match_sequential(self):
         programs = [random_subproblem(k, 3, 4).build_program() for k in range(4)]
@@ -236,6 +302,25 @@ class TestTelemetryParity:
         assert [t["trace"] for t in bat_traces] == [t["trace"] for t in seq_traces]
         assert bat["counters"]["solver.batched.instances"] == 4
 
+    def test_trace_is_built_only_where_events_land(self):
+        # A registry that keeps no events and streams none would drop the
+        # solver.ipm.trace event, so its lanes skip the per-step entries;
+        # the counters and the result are unchanged.
+        program = random_subproblem(5, 3, 4).build_program()
+        sink = RingSink()
+        registries = [
+            MetricsRegistry(max_events=0),
+            MetricsRegistry(sink=sink, max_events=0),
+        ]
+        dropped, streamed = (
+            solve_batch([program], registries=[registry])[0] for registry in registries
+        )
+        assert_identical(dropped, streamed)
+        for registry in registries:
+            assert registry.counter("solver.ipm.solves").value == 1
+        (event,) = [r for r in sink.records if r["type"] == "solver.ipm.trace"]
+        assert len(event["trace"]) == streamed.iterations
+
     def test_per_instance_registries(self):
         programs = [random_subproblem(k, 2, 3).build_program() for k in range(2)]
         registries = [MetricsRegistry(), MetricsRegistry()]
@@ -247,18 +332,31 @@ class TestTelemetryParity:
 
 class TestPhaseTimers:
     PHASES = (
+        "ipm.setup",
         "ipm.assemble",
         "ipm.factorize_smw",
         "ipm.convergence_check",
         "ipm.line_search",
+        "ipm.finish",
     )
 
     def test_one_lane_solve_credits_every_phase(self):
-        program = random_subproblem(4, 3, 4).build_program()
+        programs = [random_subproblem(k, 15, 24).build_program() for k in range(20)]
+        backend = InteriorPointBackend()
         with profiling_session(hz=0.0, emit=False) as handle:
-            InteriorPointBackend().solve(program, tol=1e-8)
+            started = time.perf_counter()
+            for program in programs:
+                backend.solve(program, tol=1e-8)
+            wall_ms = (time.perf_counter() - started) * 1000.0
         for name in self.PHASES:
             assert handle.phase_folded.get(name, 0.0) > 0.0, name
+        # The phases tile the solve: what they leave out is the timers' own
+        # bookkeeping and the lane set-up and telemetry around the kernel
+        # loop, a few percent of the wall time.
+        phases_ms = sum(
+            ms for name, ms in handle.phase_folded.items() if name.startswith("ipm.")
+        )
+        assert 0.95 * wall_ms <= phases_ms <= wall_ms
 
     def test_stacked_solve_credits_every_phase(self):
         programs = [random_subproblem(k, 3, 4).build_program() for k in range(3)]
