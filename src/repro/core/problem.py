@@ -83,21 +83,21 @@ class ProblemInstance:
     weights: CostWeights = field(default_factory=CostWeights)
 
     def __post_init__(self) -> None:
-        self._check_system()
-        self._check_slots()
-
-    def _check_system(self) -> None:
-        """Check the time-invariant inputs: users, clouds, prices, delays."""
         workloads = np.asarray(self.workloads, dtype=float)
         capacities = np.asarray(self.capacities, dtype=float)
+        op_prices = np.asarray(self.op_prices, dtype=float)
         reconfig = np.asarray(self.reconfig_prices, dtype=float)
         delay = np.asarray(self.inter_cloud_delay, dtype=float)
+        attachment = np.asarray(self.attachment)
+        access = np.asarray(self.access_delay, dtype=float)
 
         for name, values in (
             ("workloads", workloads),
             ("capacities", capacities),
+            ("operation prices", op_prices),
             ("reconfig_prices", reconfig),
             ("migration_prices", self.migration_prices.combined),
+            ("access_delay", access),
         ):
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} must be finite")
@@ -110,30 +110,7 @@ class ProblemInstance:
         if (capacities <= 0).any():
             raise ValueError("capacities must be strictly positive")
         num_clouds = capacities.size
-        if reconfig.shape != (num_clouds,) or (reconfig < 0).any():
-            raise ValueError("reconfig_prices must be a nonnegative (I,) array")
-        if self.migration_prices.out.shape != (num_clouds,):
-            raise ValueError("migration_prices must cover every cloud")
-        if delay.shape != (num_clouds, num_clouds):
-            raise ValueError("inter_cloud_delay must have shape (I, I)")
-        validate_delay_matrix(delay)
-        total_workload = workloads.sum()
-        if capacities.sum() < total_workload - 1e-9:
-            raise ValueError(
-                "infeasible instance: total capacity "
-                f"{capacities.sum():.6g} < total workload {total_workload:.6g}"
-            )
-
-    def _check_slots(self) -> None:
-        """Check the per-slot inputs against the system's sizes."""
-        op_prices = np.asarray(self.op_prices, dtype=float)
-        attachment = np.asarray(self.attachment)
-        access = np.asarray(self.access_delay, dtype=float)
-        for name, values in (("operation prices", op_prices), ("access_delay", access)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} must be finite")
-        num_clouds = np.asarray(self.capacities).size
-        num_users = np.asarray(self.workloads).size
+        num_users = workloads.size
         if op_prices.ndim != 2 or op_prices.shape[1] != num_clouds:
             raise ValueError(f"op_prices must have shape (T, {num_clouds})")
         num_slots = op_prices.shape[0]
@@ -141,6 +118,13 @@ class ProblemInstance:
             raise ValueError("need at least one time slot")
         if (op_prices < 0).any():
             raise ValueError("operation prices must be nonnegative")
+        if reconfig.shape != (num_clouds,) or (reconfig < 0).any():
+            raise ValueError("reconfig_prices must be a nonnegative (I,) array")
+        if self.migration_prices.out.shape != (num_clouds,):
+            raise ValueError("migration_prices must cover every cloud")
+        if delay.shape != (num_clouds, num_clouds):
+            raise ValueError("inter_cloud_delay must have shape (I, I)")
+        validate_delay_matrix(delay)
         if attachment.shape != (num_slots, num_users):
             raise ValueError(f"attachment must have shape ({num_slots}, {num_users})")
         if not np.issubdtype(attachment.dtype, np.integer):
@@ -149,25 +133,12 @@ class ProblemInstance:
             raise ValueError("attachment entries must index a cloud")
         if access.shape != (num_slots, num_users) or (access < 0).any():
             raise ValueError("access_delay must be a nonnegative (T, J) array")
-
-    def with_slot_inputs(
-        self, op_prices: np.ndarray, attachment: np.ndarray, access_delay: np.ndarray
-    ) -> "ProblemInstance":
-        """This instance's system with other per-slot inputs.
-
-        Only the new per-slot arrays are checked: the time-invariant ones
-        were checked when this instance was built, so a controller that
-        wraps every observation of one system pays for those checks once.
-        """
-        instance = object.__new__(ProblemInstance)
-        instance.__dict__.update(
-            self.__dict__,
-            op_prices=op_prices,
-            attachment=attachment,
-            access_delay=access_delay,
-        )
-        instance._check_slots()
-        return instance
+        total_workload = workloads.sum()
+        if capacities.sum() < total_workload - 1e-9:
+            raise ValueError(
+                "infeasible instance: total capacity "
+                f"{capacities.sum():.6g} < total workload {total_workload:.6g}"
+            )
 
     @property
     def num_clouds(self) -> int:

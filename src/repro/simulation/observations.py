@@ -18,7 +18,6 @@ so that both the algorithm layer (:mod:`repro.baselines`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
@@ -63,23 +62,6 @@ class SystemDescription:
     def zero_allocation(self) -> np.ndarray:
         """The paper's all-zero slot-0 baseline x_{i,j,0} = 0, shape (I, J)."""
         return np.zeros((self.num_clouds, self.num_users))
-
-    @cached_property
-    def _checked_instance(self) -> ProblemInstance:
-        """A one-slot instance of this system (zero prices and delays, every
-        user at cloud 0), built once, so its time-invariant inputs are
-        checked once; :func:`single_slot_instance` swaps in each slot's."""
-        return ProblemInstance(
-            workloads=self.workloads,
-            capacities=self.capacities,
-            op_prices=np.zeros((1, self.num_clouds)),
-            reconfig_prices=self.reconfig_prices,
-            migration_prices=self.migration_prices,
-            inter_cloud_delay=self.inter_cloud_delay,
-            attachment=np.zeros((1, self.num_users), dtype=np.int64),
-            access_delay=np.zeros((1, self.num_users)),
-            weights=self.weights,
-        )
 
 
 @dataclass(frozen=True)
@@ -144,13 +126,18 @@ def single_slot_instance(
     axis prepended, so any slot-indexed computation on the wrapped instance
     (static prices, subproblem construction, per-slot LPs) produces
     bit-identical numbers to the same computation on the full instance at
-    the observed slot. The system's time-invariant inputs are checked on
-    its first slot; every slot's own arrays are checked each time.
+    the observed slot.
     """
-    return system._checked_instance.with_slot_inputs(
+    return ProblemInstance(
+        workloads=system.workloads,
+        capacities=system.capacities,
         op_prices=np.asarray(observation.op_prices, dtype=float)[None, :],
+        reconfig_prices=system.reconfig_prices,
+        migration_prices=system.migration_prices,
+        inter_cloud_delay=system.inter_cloud_delay,
         attachment=np.asarray(observation.attachment)[None, :],
         access_delay=np.asarray(observation.access_delay, dtype=float)[None, :],
+        weights=system.weights,
     )
 
 

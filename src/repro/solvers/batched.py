@@ -608,9 +608,11 @@ class _GroupSolve:
                 self._record_trace(centre, mu, reduced, duals, alpha, stepped)
 
     def _budget_fired(self) -> np.ndarray:
-        """Per-lane budget check, at the top of every iteration.
+        """Per-lane budget check, once per pass, after the iterate is assembled.
 
-        A fired budget turns the lane into a partial result instead of an
+        A deadline therefore reads its clock after that pass's objective,
+        gradient and ``mu``; an iteration budget sees the same count
+        before or after assembly. A fired budget turns the lane into a partial result instead of an
         error (docs/SERVING.md). Wall-clock budgets share the batch's
         clock — a deadline measures real time, and lanes progress together
         in real time — while iteration budgets count each lane's own

@@ -167,18 +167,17 @@ _NOOP_TIMER = _NoopTimer()
 
 
 class _PhaseTimer:
-    """Times one ``with phase(...)`` block into the thread's totals.
+    """Times one ``with phase(...)`` block into the active profile.
 
-    The clock runs from the timer's construction (after the per-thread
-    totals lookup) to the first line of ``__exit__``, so between two
-    back-to-back phases falls only that lookup, the totals update and the
-    ``with`` statement's own calls.
+    The clock starts when the timer is built, so between two back-to-back
+    phases falls only the credit to the profile and the ``with``
+    statement's own calls.
     """
 
-    __slots__ = ("totals", "name", "start")
+    __slots__ = ("profile", "name", "start")
 
-    def __init__(self, totals: dict[str, float], name: str) -> None:
-        self.totals = totals
+    def __init__(self, profile: PhaseAccumulator, name: str) -> None:
+        self.profile = profile
         self.name = name
         self.start = time.perf_counter()
 
@@ -186,9 +185,7 @@ class _PhaseTimer:
         return self
 
     def __exit__(self, *_exc: object) -> bool:
-        elapsed_ms = (time.perf_counter() - self.start) * 1000.0
-        totals = self.totals
-        totals[self.name] = totals.get(self.name, 0.0) + elapsed_ms
+        self.profile.add(self.name, (time.perf_counter() - self.start) * 1000.0)
         return False
 
 
@@ -201,7 +198,7 @@ def phase(name: str) -> Any:
     profile = _active_profile
     if profile is None:
         return _NOOP_TIMER
-    return _PhaseTimer(profile._totals(), name)
+    return _PhaseTimer(profile, name)
 
 
 # ----- sampling profiler ------------------------------------------------------
