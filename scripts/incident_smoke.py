@@ -31,8 +31,8 @@ it:
    ``FIRING [deadline-miss]`` and the ``deadline-miss`` alert — and
    ``repro-edge doctor BUNDLE`` to exit 2 (a bundle is not a manifest);
 8. run the storm through the cohort-aggregated controller and require
-   it to dump bundles that all replay under the bit-for-bit contract as
-   well (the replay report names the contract it applied).
+   it to dump bundles that all replay bit-for-bit as well (the replay
+   report reads ``REPRODUCED bit-for-bit``).
 
 Exit code 0 on success, 1 with a diagnostic on any mismatch.
 

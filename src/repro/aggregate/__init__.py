@@ -7,9 +7,7 @@ Layer map (docs/SCALING.md walks the math):
   proportional split of a solution factored (:class:`FactoredAllocation`)
   and fold it into the next slot's cohorts pair by pair;
 * :mod:`reduced` — the cohort-reduced P2 (exact for workload-uniform
-  cohorts) and its a-priori cost error bound;
-* :mod:`sharding` — partition the reduced solve into cohort blocks solved
-  as the lanes of one lockstep call, merged in input order;
+  cohorts), its one-lane joint solve and its a-priori cost error bound;
 * :mod:`controller` — the streaming :class:`AggregatedController` wiring
   it all into ``simulate`` plus ``aggregate.*`` telemetry.
 """
@@ -26,7 +24,10 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "AggregatedController",
             "SlotAggregationReport",
         ),
-        ".reduced": ("aggregation_error_bound", "reduced_subproblem"),
-        ".sharding": ("make_shard_tasks", "solve_sharded"),
+        ".reduced": (
+            "aggregation_error_bound",
+            "reduced_subproblem",
+            "solve_sharded",
+        ),
     },
 )

@@ -12,20 +12,19 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class AggregationConfig:
-    """How to cluster users into cohorts and shard the reduced solves.
+    """How to cluster users into cohorts.
+
+    Every aggregated slot solves its cohort-reduced P2 jointly, as one
+    program (docs/SCALING.md §4).
 
     Attributes:
         lambda_buckets: number of geometric workload buckets per station.
             ``None`` or ``0`` buckets users by *exact* workload value
             (zero within-cohort spread, zero aggregation cost error).
-        shards: how many contiguous cohort blocks the reduced subproblem
-            is partitioned into (1 = one joint solve). Sharding changes
-            the decision boundedly (each shard gets a price-aware capacity
-            slice and its own regularizer coupling); ``shards=1`` is
-            exactly the unsharded solve. A slot's shards are solved
-            in-process as one lockstep batched-IPM call.
-        workers: must be 1 — shard solves run in-process. Kept only so
-            existing ``AggregationConfig(..., workers=1)`` callers work.
+        shards: has no effect; must be at least 1. Kept only so existing
+            ``AggregationConfig(..., shards=K)`` callers work.
+        workers: has no effect; must be 1. Kept only so existing
+            ``AggregationConfig(..., workers=1)`` callers work.
     """
 
     lambda_buckets: int | None = 8
@@ -39,6 +38,6 @@ class AggregationConfig:
             raise ValueError("shards must be at least 1")
         if self.workers != 1:
             raise ValueError(
-                f"workers must be 1, got {self.workers!r}: shard solves run "
-                "in-process as one lockstep call per slot"
+                f"workers must be 1, got {self.workers!r}: the reduced "
+                "solve runs in-process"
             )

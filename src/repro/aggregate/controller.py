@@ -5,8 +5,8 @@ carries the *per-user* previous decision as a
 :class:`~repro.aggregate.cohorts.FactoredAllocation` (so cohort
 membership churn as users move is handled by re-aggregating it under each
 slot's fresh cohorts, pair by pair), solves the cohort-reduced P2 of
-:mod:`repro.aggregate.reduced` with the structured IPM — optionally
-sharded into lockstep lanes — and returns the proportional split of the
+:mod:`repro.aggregate.reduced` jointly with the structured IPM — one
+program per slot — and returns the proportional split of the
 solution, still factored: the dense (I, J) matrix is never built unless
 a caller materializes it.
 
@@ -31,8 +31,7 @@ from ..simulation.observations import SlotObservation, SystemDescription
 from ..telemetry import get_registry
 from .cohorts import BucketSpec, FactoredAllocation, build_cohorts, pair_map
 from .config import AggregationConfig
-from .reduced import aggregation_error_bound, reduced_subproblem
-from .sharding import solve_sharded
+from .reduced import aggregation_error_bound, reduced_subproblem, solve_sharded
 
 #: Largest I*J for which the exact per-slot disaggregation error (reduced
 #: objective vs the true per-user objective at the split) is evaluated;
@@ -50,7 +49,6 @@ class SlotAggregationReport:
         slot: the observed slot index.
         users: J, columns of the full problem.
         cohorts: G, columns actually solved.
-        shards: shard count used for the reduced solve.
         spread: worst within-cohort relative workload spread.
         error_bound: epsilon such that the aggregated cost is within
             ``(1 + epsilon)`` of the direct cost (docs/SCALING.md).
@@ -58,15 +56,14 @@ class SlotAggregationReport:
             model and the per-user model at the disaggregated point, or
             ``None`` when the slot exceeds ``ERROR_EVAL_LIMIT`` (or is not
             settled yet: :meth:`AggregatedController.settle`).
-        iterations: summed solver iterations across shards.
-        partial_solves: shard solves truncated by a deadline budget this
-            slot (0 without budgets; docs/SERVING.md).
+        iterations: Newton iterations of the slot's reduced solve.
+        partial_solves: 1 when that solve ended partial (its budget fired,
+            or it could not certify; docs/SERVING.md), else 0.
     """
 
     slot: int
     users: int
     cohorts: int
-    shards: int
     spread: float
     error_bound: float
     disagg_error: float | None
@@ -161,7 +158,6 @@ class AggregatedController:
         self._x_prev = self._zero_allocation()
         self._slots_seen = 0
         self._min_op_price = float("inf")
-        self._prev_capacity_duals: np.ndarray | None = None
         # The last slot's report and its error's inputs, until settle().
         self._pending: tuple | None = None
 
@@ -185,21 +181,18 @@ class AggregatedController:
             eps1=self.algorithm.eps1,
             eps2=self.algorithm.eps2,
         )
-        shards = max(1, min(self.config.shards, cohorts.num_cohorts))
+        # Called through the module global, so a profiler can wrap it.
         solve = solve_sharded(
-            subproblem,
-            shards=shards,
-            tol=self.algorithm.tol,
-            capacity_duals=self._prev_capacity_duals,
-            budget=self.algorithm.budget,
+            subproblem, tol=self.algorithm.tol, budget=self.algorithm.budget
         )
-        y, iterations = solve.x, solve.iterations
+        y = np.asarray(solve.x, dtype=float).reshape(
+            subproblem.num_clouds, subproblem.num_users
+        )
         decision = FactoredAllocation(
             repair_feasibility(y, cohorts.workloads, cohorts.stations),
             cohorts,
             pairs=(self._x_prev.cohort_of, pairs),
         )
-        self._prev_capacity_duals = solve.capacity_duals
 
         self._min_op_price = min(
             self._min_op_price, float(np.min(np.asarray(observation.op_prices)))
@@ -211,12 +204,11 @@ class AggregatedController:
             slot=int(observation.slot),
             users=cohorts.num_users,
             cohorts=cohorts.num_cohorts,
-            shards=shards,
             spread=cohorts.spread,
             error_bound=bound,
             disagg_error=None,
-            iterations=iterations,
-            partial_solves=solve.partial_solves,
+            iterations=int(solve.iterations),
+            partial_solves=int(bool(solve.partial)),
         )
         self.last_reports.append(report)
         self._pending = (report, subproblem, self._x_prev, decision, pairs)
@@ -300,7 +292,6 @@ class AggregatedController:
             slot=report.slot,
             users=report.users,
             cohorts=report.cohorts,
-            shards=report.shards,
             reduction=report.reduction_ratio,
             spread=report.spread,
             bound=report.error_bound,
@@ -319,39 +310,24 @@ class AggregatedController:
         self._slots_seen = 0
         self._min_op_price = float("inf")
         self.last_reports = []
-        self._prev_capacity_duals = None
 
     def get_state(self) -> tuple:
-        """Snapshot ``(x*_{t-1}, slots seen, min op price, capacity duals)``.
+        """Snapshot ``(x*_{t-1}, slots seen, min op price)``.
 
-        ``x*_{t-1}`` is in :meth:`FactoredAllocation.state` form. The duals
-        seed the next slot's price-aware shard slices, so a resumed run
-        stays bit-identical to the uninterrupted one.
+        ``x*_{t-1}`` is in :meth:`FactoredAllocation.state` form.
         """
-        return (
-            self._x_prev.state(),
-            self._slots_seen,
-            self._min_op_price,
-            None
-            if self._prev_capacity_duals is None
-            else self._prev_capacity_duals.copy(),
-        )
+        return (self._x_prev.state(), self._slots_seen, self._min_op_price)
 
     def set_state(self, state: object) -> None:
         """Restore a snapshot produced by :meth:`get_state`.
 
-        Older releases' 3-element (no duals) and 6-element (two retired
-        cache entries before the duals) snapshots restore the same way;
-        their dense (I, J) ``x*_{t-1}`` restores as the trivial
-        factorization.
+        Older releases' 4-element (capacity duals last) and 6-element (two
+        retired cache entries, then the duals) snapshots restore the same
+        way, their trailing entries ignored; a dense (I, J) ``x*_{t-1}``
+        restores as the trivial factorization.
         """
         self.settle()
-        state = tuple(state)  # type: ignore[arg-type]
-        x_prev, slots_seen, min_op_price = state[:3]
-        prev_duals = state[-1] if len(state) > 3 else None
+        x_prev, slots_seen, min_op_price = tuple(state)[:3]  # type: ignore[arg-type]
         self._x_prev = FactoredAllocation.from_state(x_prev)
         self._slots_seen = int(slots_seen)
         self._min_op_price = float(min_op_price)
-        self._prev_capacity_duals = (
-            None if prev_duals is None else np.asarray(prev_duals, dtype=float).copy()
-        )

@@ -1,4 +1,4 @@
-"""The cohort-reduced P2 and its cost error bound.
+"""The cohort-reduced P2, its one-lane solve and its cost error bound.
 
 The reduced subproblem is *not* ``RegularizedSubproblem.from_instance`` on
 a shrunken instance — three substitutions make the reduction exact for
@@ -14,6 +14,9 @@ workload-uniform cohorts (docs/SCALING.md derives each):
   members' own tau;
 * the reconfiguration term needs no change at all (it depends only on
   per-cloud totals, which aggregation preserves).
+
+A slot solves its reduced P2 jointly, as one program, bit-identical to
+the per-user path's one-lane structured-IPM solve (:func:`solve_sharded`).
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import numpy as np
 
 from ..core.subproblem import RegularizedSubproblem
 from ..simulation.observations import SlotObservation, SystemDescription
+from ..solvers.base import ConvexProgram, SolveBudget, SolverResult
+from ..solvers.batched import solve_batch
 from .cohorts import CohortMap
 
 #: Floor for the static price scale in the error bound's denominator.
@@ -73,6 +78,31 @@ def reduced_subproblem(
         eps1=eps1,
         eps2=np.asarray(cohorts.sizes, dtype=float) * eps2,
     )
+
+
+def solve_sharded(
+    subproblem: RegularizedSubproblem,
+    *,
+    tol: float = 1e-8,
+    budget: SolveBudget | None = None,
+) -> SolverResult:
+    """Solve a slot's reduced P2 as one program under the slot's budget.
+
+    A one-program :func:`~repro.solvers.batched.solve_batch` call, whose
+    lane is bit-identical to the per-user path's one-lane
+    ``InteriorPointBackend`` solve. The name is kept for profilers that
+    wrap this call by name; the program is not split.
+
+    Raises:
+        ValueError: when the slot has no strict interior (total capacity
+            at most total workload), as the direct path's solve does.
+    """
+    (outcome,) = solve_batch(
+        [ConvexProgram(structure=subproblem, budget=budget)], tol=tol
+    )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def aggregation_error_bound(

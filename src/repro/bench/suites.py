@@ -319,7 +319,7 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     """City-scale aggregation: 10k/100k/1M-user slots vs a direct solve.
 
     For each user count, one :class:`repro.aggregate.AggregatedController`
-    slot's decision path is timed (cohort build, sharded reduced solve, the
+    slot's decision path is timed (cohort build, joint reduced solve, the
     factored proportional split) as ``agg_wall_s_*``, and its deferred
     phase (``settle``: the disaggregation error, skipped above
     ``ERROR_EVAL_LIMIT``, and its records) as ``agg_settle_s_*``. The
@@ -341,7 +341,7 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
         (label, max(30, int(n * factor)))
         for label, n in (("10k", 10_000), ("100k", 100_000), ("1m", 1_000_000))
     ]
-    config = AggregationConfig(lambda_buckets=8, shards=4)
+    config = AggregationConfig(lambda_buckets=8)
     metrics: dict[str, BenchMetric] = {}
     walls: dict[str, float] = {}
     worst_residual = 0.0
@@ -391,7 +391,6 @@ def _suite_aggregate(scale: ExperimentScale, registry: MetricsRegistry) -> dict:
     diagnostics = {
         "user_counts": {label: count for label, count in labelled_counts},
         "direct_users": direct_users,
-        "shards": config.shards,
         "lambda_buckets": config.lambda_buckets,
         "wall_ratio_1m_vs_direct": walls["1m"] / max(direct_wall_s, 1e-9),
         "spread_1m": reports["1m"].spread,

@@ -95,14 +95,6 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         "0 = bucket by exact workload value, zero aggregation error)",
     )
     parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        metavar="K",
-        help="split each aggregated solve into K cohort blocks "
-        "(default 1 = one joint solve)",
-    )
-    parser.add_argument(
         "--batch-solves",
         action="store_true",
         help="stack concurrent cells' per-slot P2 solves into lockstep "
@@ -223,9 +215,6 @@ def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
     if getattr(args, "lambda_buckets", None) is not None:
         # 0 = exact-value buckets, which AggregationConfig spells as None.
         overrides["lambda_buckets"] = args.lambda_buckets or None
-        overrides["aggregate"] = True
-    if getattr(args, "shards", None) is not None:
-        overrides["shards"] = args.shards
         overrides["aggregate"] = True
     if getattr(args, "batch_solves", False):
         overrides["batch_solves"] = True
@@ -1013,10 +1002,9 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=("replay", "show"),
         help="'replay' rebuilds every captured slot through the solver and "
-        "verifies costs/iterations/partial flags reproduce under the "
-        "contract it names: bit-for-bit, or costs to 1e-12 relative for "
-        "aggregated bundles of releases that carried a dense x*_{t-1} "
-        "(exit 1 with a per-field diff on divergence); 'show' prints the "
+        "verifies costs/iterations/partial flags reproduce bit-for-bit "
+        "(exit 1 with a per-field diff on divergence, or with a one-line "
+        "message naming what it cannot reproduce); 'show' prints the "
         "bundle header",
     )
     incident.add_argument(

@@ -86,9 +86,9 @@ class OnlineRegularizedAllocator:
         aggregation: when set, :meth:`as_controller` returns the
             cohort-aggregated controller (:mod:`repro.aggregate`) instead
             of the per-user one: users are clustered by (station,
-            workload bucket), the reduced P2 is solved — optionally as
-            shard lanes of one lockstep solve — and the solution is split
-            back to users. ``None`` (the default) keeps the exact per-user solve.
+            workload bucket), one reduced P2 is solved per slot, and the
+            solution is split back to users. ``None`` (the default) keeps
+            the exact per-user solve.
         budget: optional per-solve :class:`SolveBudget` (deadline and/or
             iteration cap) for live serving. When the budget fires the
             backend returns its last strictly feasible iterate;

@@ -54,7 +54,6 @@ class ExperimentScale:
     #: of per-user columns (docs/SCALING.md); baselines are unaffected.
     aggregate: bool = False
     lambda_buckets: int | None = 8
-    shards: int = 1
     #: Stack concurrent cells' per-slot P2 solves into lockstep batched
     #: interior-point iterations (docs/PERFORMANCE.md); results are bit-identical.
     batch_solves: bool = False
@@ -75,7 +74,7 @@ def aggregation_config(scale: ExperimentScale):
         return None
     from ..aggregate.config import AggregationConfig
 
-    return AggregationConfig(lambda_buckets=scale.lambda_buckets, shards=scale.shards)
+    return AggregationConfig(lambda_buckets=scale.lambda_buckets)
 
 
 def holistic_algorithms(

@@ -56,9 +56,9 @@ def _prepare_cell(cell: Any, coordinator: BatchCoordinator) -> Any:
     Each cell gets *deep copies* of its allocators — the same isolation the
     process pool provides by pickling — so concurrent cells never share
     mutable allocator state. Algorithms that never call a backend (the
-    baselines, and aggregated allocators, which solve through the shard
-    path) never enter the rendezvous as solvers, only as participants that
-    eventually finish.
+    baselines, and aggregated allocators, which solve their reduced P2
+    with their own one-program call) never enter the rendezvous as solvers,
+    only as participants that eventually finish.
     """
     algorithms = []
     swapped = False

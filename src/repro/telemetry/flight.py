@@ -5,8 +5,8 @@ run went wrong; this module captures *what the solver actually saw* so
 the offending slots can be re-run offline, deterministically. A
 :class:`FlightRecorder` keeps a bounded ring of the last K slots' full
 solve input state — the :class:`~repro.simulation.observations.SlotObservation`,
-the controller state carried into the slot (x*_{t-1} and capacity
-duals, via the spine's checkpoint machinery), the solver/aggregation
+the controller state carried into the slot (x*_{t-1}, via the spine's
+checkpoint machinery), the solver/aggregation
 configuration and budget, the active trace ids, and an environment
 fingerprint (:mod:`repro.telemetry.environment`). On any alert
 — or an explicit :meth:`FlightRecorder.dump` — it writes an **incident
@@ -21,15 +21,15 @@ The loop closes with :func:`replay_bundle` (``repro-edge incident
 replay``): each captured slot is rebuilt through a fresh
 :class:`~repro.simulation.spine.SlotStepper` from its recorded pre-slot
 state and the recorded costs, iteration count, and partial flag must
-reproduce **bit-for-bit**. The one exception is named in every report:
-aggregated bundles from releases that carried x*_{t-1} as a dense
-(I, J) matrix replay with exact iterations and partial flags but costs
-to ``DENSE_AGGREGATED_RTOL`` relative, since this release sums cohort
-columns where those releases summed users. A budget-truncated solve
-replays under an iteration cap equal to the recorded iteration count —
-the interior-point method checks wall-clock and iteration budgets at the
-same point between Newton iterations, so the deadline truncation is
-reproduced exactly without a wall clock.
+reproduce **bit-for-bit**. A bundle replay cannot hold to that is
+refused by name, never replayed under a looser contract: a retired
+solver, sharded aggregation (``shards > 1``), or an aggregated x*_{t-1}
+in the dense (I, J) layout of releases before factored allocations. A
+budget-truncated solve, per-user or aggregated, replays under an
+iteration cap equal to the recorded iteration count — the interior-point
+method checks wall-clock and iteration budgets at the same point between
+Newton iterations, so the deadline truncation is reproduced exactly
+without a wall clock.
 
 Everything here is observe-only: with no recorder attached the spine's
 slot body does not change, and recorder-on runs compute bit-identical
@@ -188,10 +188,7 @@ def _describe_controller(controller) -> dict:
     config = getattr(controller, "config", None)
     if config is not None and hasattr(config, "lambda_buckets"):
         info["kind"] = "aggregated"
-        info["aggregation"] = {
-            "lambda_buckets": config.lambda_buckets,
-            "shards": int(config.shards),
-        }
+        info["aggregation"] = {"lambda_buckets": config.lambda_buckets}
     return info
 
 
@@ -218,7 +215,7 @@ class SlotSnapshot:
         slot: the observed slot index.
         observation: the slot's observation (arrays copied at capture).
         checkpoint: the spine checkpoint taken *before* the solve — the
-            controller state (x*_{t-1}, capacity duals), accumulator state,
+            controller state (x*_{t-1}), accumulator state,
             and residual maxima that make the slot reproducible.
         costs: the four paper costs plus the weighted total the slot paid.
         iterations: solver Newton iterations the slot's solve performed.
@@ -661,46 +658,30 @@ class ReplayDiff:
         )
 
 
-#: The replay contract of per-user bundles and of every bundle this
-#: release writes.
-BIT_FOR_BIT = "bit-for-bit"
-
-#: Cost tolerance for aggregated bundles whose x*_{t-1} is a dense (I, J)
-#: matrix (every release before factored allocations). Their replay folds
-#: the same per-user state into the same reduced solve, so iterations and
-#: partial flags are exact; the operation, service-quality and
-#: reconfiguration costs now sum cohort columns instead of users.
-DENSE_AGGREGATED_RTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class ReplayReport:
     """Outcome of :func:`replay_bundle` over every captured slot.
 
     Attributes:
         slots: snapshots replayed.
-        diffs: every per-field divergence from the contract (empty = the
-            bundle reproduced).
-        contract: what "reproduced" meant for this bundle —
-            :data:`BIT_FOR_BIT`, or the cost tolerance of a dense-layout
-            aggregated bundle.
+        diffs: every recorded field that did not reproduce bit-for-bit
+            (empty = the bundle reproduced).
     """
 
     slots: int
     diffs: tuple[ReplayDiff, ...] = ()
-    contract: str = BIT_FOR_BIT
 
     @property
     def ok(self) -> bool:
-        """Whether every recorded field reproduced under the contract."""
+        """Whether every recorded field reproduced bit-for-bit."""
         return not self.diffs
 
     def render(self) -> str:
         """Human-readable per-slot verdict plus the per-field diff."""
         verdict = (
-            f"REPRODUCED {self.contract}"
+            "REPRODUCED bit-for-bit"
             if self.ok
-            else f"DIVERGED in {len(self.diffs)} field(s) ({self.contract})"
+            else f"DIVERGED in {len(self.diffs)} field(s) (bit-for-bit)"
         )
         lines = [f"Replay of {self.slots} snapshot(s): {verdict}"]
         for diff in self.diffs:
@@ -718,45 +699,22 @@ _COST_FIELDS = (
 )
 
 
-def _dense_aggregated(controller_info: dict, snapshot: dict) -> bool:
-    """Whether an aggregated snapshot carries x*_{t-1} in the dense layout."""
-    if controller_info.get("kind") != "aggregated":
-        return False
-    x_prev = snapshot["controller_state"][_TUPLE_TAG][0]
-    return _ND_TAG in x_prev
-
-
 def _replay_budget(controller_info: dict, snapshot: dict):
     """The deterministic budget a snapshot replays under.
 
-    A partial per-user solve replays with ``max_iterations`` equal to
-    the recorded iteration count — the IPM checks both limits at the
-    same point between Newton iterations, so a wall-clock truncation is
-    reproduced exactly, and an unconverged solve (which keeps the iterate
-    it stopped at) stops at the same iterate. Non-partial solves replay
-    with the recorded iteration cap (if the budget had one) or
-    unbudgeted, and so do partial aggregated solves without a deadline;
-    a wall-clock-truncated *aggregated* solve has no recorded per-shard
-    iteration counts and cannot be replayed deterministically.
+    A partial solve — per-user or aggregated, which is one reduced solve
+    per slot — replays with ``max_iterations`` equal to the recorded
+    iteration count: the IPM checks both limits at the same point between
+    Newton iterations, so a wall-clock truncation is reproduced exactly,
+    and an unconverged solve (which keeps the iterate it stopped at)
+    stops at the same iterate. Non-partial solves replay with the
+    recorded iteration cap (if the budget had one) or unbudgeted.
     """
     from ..solvers.base import SolveBudget
 
     recorded = snapshot.get("recorded", {})
     budget = controller_info.get("budget") or {}
     if recorded.get("partial"):
-        if controller_info.get("kind") == "aggregated":
-            if budget.get("max_iterations"):
-                return SolveBudget(max_iterations=budget["max_iterations"])
-            if budget.get("deadline_s") is not None:
-                raise ValueError(
-                    "cannot deterministically replay a wall-clock-truncated "
-                    "aggregated solve (no per-shard iteration counts "
-                    "recorded); re-record with max_iterations for "
-                    "replayable truncation"
-                )
-            # Unbudgeted: the partial shards stopped unconverged, which a
-            # plain re-solve reproduces.
-            return None
         # max_iterations=0 is meaningful: the deadline fired before the
         # first Newton iteration, and the cap reproduces exactly that.
         return SolveBudget(max_iterations=int(recorded["iterations"]))
@@ -766,13 +724,15 @@ def _replay_budget(controller_info: dict, snapshot: dict):
 
 
 #: Aggregation keys older bundles record that no longer exist; replay drops
-#: them. None changed an unbudgeted or iteration-capped solve, except a
-#: ``shard_slicing`` other than ``"price"``, which replay refuses.
+#: them. None changed an unbudgeted or iteration-capped solve, except
+#: ``shards`` above 1 and a ``shard_slicing`` other than ``"price"``,
+#: which replay refuses.
 _RETIRED_AGGREGATION_KEYS = (
     "warm_cohorts",
     "backend",
     "batch_solves",
     "workers",
+    "shards",
     "shard_slicing",
 )
 
@@ -814,7 +774,14 @@ def _aggregation_config(recorded: dict):
     if slicing != "price":
         raise ValueError(
             f"bundle records shard_slicing {slicing!r}: that slicing was "
-            "retired, and replay cuts shard capacity slices by price only"
+            "retired, and replay solves each slot's reduced P2 as one joint "
+            "program"
+        )
+    shards = recorded.get("shards", 1)
+    if shards != 1:
+        raise ValueError(
+            f"bundle records shards {shards!r}: sharding was retired, and "
+            "replay solves each slot's reduced P2 as one joint program"
         )
     settings = {
         k: v for k, v in recorded.items() if k not in _RETIRED_AGGREGATION_KEYS
@@ -836,11 +803,19 @@ def _replay_snapshot(system, controller_info: dict, snapshot: dict) -> dict:
     aggregation = controller_info.get("aggregation")
     if aggregation is not None:
         _check_backend(str(aggregation.get("backend", "auto")))
+        aggregation = _aggregation_config(aggregation)
+        if _ND_TAG in snapshot["controller_state"][_TUPLE_TAG][0]:
+            raise ValueError(
+                "bundle carries the aggregated x*_{t-1} as a dense (I, J) "
+                "matrix, the layout of releases before factored allocations; "
+                "this release sums cohort columns where they summed users, "
+                "so its costs cannot reproduce bit-for-bit"
+            )
     allocator = OnlineRegularizedAllocator(
         eps1=float(controller_info["eps1"]),
         eps2=float(controller_info["eps2"]),
         tol=float(controller_info["tol"]),
-        aggregation=None if aggregation is None else _aggregation_config(aggregation),
+        aggregation=aggregation,
         budget=_replay_budget(controller_info, snapshot),
     )
     accumulator = snapshot["accumulator_state"]
@@ -894,16 +869,15 @@ def replay_bundle(bundle: IncidentBundle | str | Path) -> ReplayReport:
     :class:`~repro.simulation.spine.SlotStepper` from its recorded
     pre-slot checkpoint, steps the recorded observation, and compares
     the slot's five cost components, solver iteration count, and partial
-    flag. The contract is exact equality (floats round-trip bit-exactly
-    through the bundle's JSON), except for aggregated bundles that carry
-    x*_{t-1} densely, whose costs must match to
-    :data:`DENSE_AGGREGATED_RTOL` relative. Returns a
-    :class:`ReplayReport` naming the contract applied, whose ``diffs``
-    name every field that failed it.
+    flag. The contract is exact equality: floats round-trip bit-exactly
+    through the bundle's JSON. Returns a :class:`ReplayReport` whose
+    ``diffs`` name every field that failed it.
 
     Raises ``ValueError`` for truncated (salvaged) bundles, bundles with
-    no recorded system, and non-replayable controllers or snapshots —
-    replay refuses to make a claim it cannot check.
+    no recorded system, non-replayable controllers or snapshots, and
+    bundles this release cannot reproduce bit-for-bit (a retired solver,
+    sharded aggregation, or an aggregated x*_{t-1} in the dense layout)
+    — replay refuses to make a claim it cannot check.
     """
     if not isinstance(bundle, IncidentBundle):
         bundle = read_bundle(bundle, strict=True)
@@ -925,7 +899,6 @@ def replay_bundle(bundle: IncidentBundle | str | Path) -> ReplayReport:
         raise ValueError(f"{bundle.path}: bundle holds no snapshots")
     system = _decode_system(bundle.system)
     diffs: list[ReplayDiff] = []
-    contract = BIT_FOR_BIT
     with flight_session(None):  # replays never re-record
         for snapshot in bundle.snapshots:
             slot = int(snapshot.get("slot", -1))
@@ -934,19 +907,12 @@ def replay_bundle(bundle: IncidentBundle | str | Path) -> ReplayReport:
                     f"{bundle.path}: snapshot for slot {slot} is not "
                     f"replayable: {snapshot.get('replay_error', 'unknown state')}"
                 )
-            rtol = 0.0
-            if _dense_aggregated(controller_info, snapshot):
-                rtol = DENSE_AGGREGATED_RTOL
-                contract = (
-                    f"costs to {rtol:g} relative, iterations and partial "
-                    "exact (dense-layout aggregated bundle)"
-                )
             recorded = snapshot["recorded"]
             replayed = _replay_snapshot(system, controller_info, snapshot)
             for name in _COST_FIELDS:
                 want = float(recorded["costs"][name])
                 got = float(replayed["costs"][name])
-                if abs(want - got) > rtol * abs(want):
+                if want != got:
                     diffs.append(
                         ReplayDiff(slot, f"costs.{name}", want, got)
                     )
@@ -968,6 +934,4 @@ def replay_bundle(bundle: IncidentBundle | str | Path) -> ReplayReport:
                         bool(replayed["partial"]),
                     )
                 )
-    return ReplayReport(
-        slots=len(bundle.snapshots), diffs=tuple(diffs), contract=contract
-    )
+    return ReplayReport(slots=len(bundle.snapshots), diffs=tuple(diffs))

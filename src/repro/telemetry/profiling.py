@@ -303,7 +303,7 @@ def profiling_session(
     At exit the handle is populated and — when ``emit`` is true and a
     telemetry registry is active — one ``prof.profile`` event per
     instrument is recorded, each carrying a merge-associative ``folded``
-    mapping, so manifests from sharded runs aggregate by addition.
+    mapping, so manifests from parallel runs aggregate by addition.
     """
     global _active_profile
     phases = PhaseAccumulator()

@@ -1,8 +1,8 @@
 """Aggregated-controller snapshots: every layout restores through one path.
 
-``get_state`` is ``(x*_{t-1}, slots seen, min op price, capacity duals)``
-with ``x*_{t-1}`` factored. Three-element snapshots (no duals),
-six-element ones (two retired cache entries before the duals) and a dense
+``get_state`` is ``(x*_{t-1}, slots seen, min op price)`` with
+``x*_{t-1}`` factored. Four-element snapshots (capacity duals last),
+six-element ones (two retired cache entries, then the duals) and a dense
 (I, J) ``x*_{t-1}`` come from older releases and must still restore.
 """
 
@@ -37,58 +37,54 @@ def _resumed_slot(make, observations, state) -> np.ndarray:
 
 
 class TestCheckpointRoundTrip:
-    def test_four_tuple_state_carries_the_capacity_duals(self):
-        observations, make = _setup(seed=3, shards=2)
+    def test_state_is_a_three_tuple_that_resumes_bit_identically(self):
+        observations, make = _setup(seed=3)
         controller = make()
         controller.observe(observations[0])
         controller.observe(observations[1])
         state = controller.get_state()
-        assert len(state) == 4
-        assert state[3] is not None
+        assert len(state) == 3
 
         resumed = _resumed_slot(make, observations, state)
         expected = np.asarray(controller.observe(observations[2]))
         assert resumed.tobytes() == expected.tobytes()
 
-    def test_legacy_three_tuple_state_restores_without_duals(self):
+    def test_four_tuple_state_of_earlier_releases_resumes_bit_identically(self):
+        # Earlier releases appended the previous slot's capacity duals,
+        # which seeded shard capacity slices; the joint solve ignores them.
         observations, make = _setup(seed=3)
         controller = make()
         controller.observe(observations[0])
         controller.observe(observations[1])
-        restored = make()
-        restored.set_state(controller.get_state()[:3])
-        assert restored.get_state()[3] is None
-        # One shard takes the whole capacity, so the duals cannot matter.
-        resumed = np.asarray(restored.observe(observations[2]))
+        duals = np.array([0.5, 2.0, 1.25])
+        state = (*controller.get_state(), duals)
+
+        resumed = _resumed_slot(make, observations, state)
         expected = np.asarray(controller.observe(observations[2]))
         assert resumed.tobytes() == expected.tobytes()
 
-    def test_six_tuple_state_restores_its_last_element_as_the_duals(self):
-        observations, make = _setup(seed=3, shards=2)
+    def test_six_tuple_state_of_earlier_releases_resumes_bit_identically(self):
+        observations, make = _setup(seed=3)
         controller = make()
         controller.observe(observations[0])
         controller.observe(observations[1])
-        x_prev, slots_seen, min_op_price, duals = controller.get_state()
         retired = (np.ones((3, 2)), (b"\x01", b"\x02", b"\x03"))
-        state = (x_prev, slots_seen, min_op_price, *retired, duals)
+        state = (*controller.get_state(), *retired, np.ones(3))
 
-        restored = make()
-        restored.set_state(state)
-        assert np.array_equal(restored.get_state()[3], duals)
-        resumed = np.asarray(restored.observe(observations[2]))
+        resumed = _resumed_slot(make, observations, state)
         expected = np.asarray(controller.observe(observations[2]))
         assert resumed.tobytes() == expected.tobytes()
 
     def test_dense_x_prev_restores_as_the_trivial_factorization(self):
-        observations, make = _setup(seed=3, shards=2)
+        observations, make = _setup(seed=3)
         controller = make()
         controller.observe(observations[0])
         decision = controller.observe(observations[1])
-        x_prev, slots_seen, min_op_price, duals = controller.get_state()
+        x_prev, slots_seen, min_op_price = controller.get_state()
         assert isinstance(x_prev, tuple)
 
         restored = make()
-        restored.set_state((np.asarray(decision), slots_seen, min_op_price, duals))
+        restored.set_state((np.asarray(decision), slots_seen, min_op_price))
         assert restored.get_state()[0].tobytes() == np.asarray(decision).tobytes()
         resumed = np.asarray(restored.observe(observations[2]))
         expected = np.asarray(controller.observe(observations[2]))

@@ -236,6 +236,9 @@ def test_get_state_set_state_resume_matches_uninterrupted_run():
         {"lambda_buckets": -1},
         {"shards": 0},
         {"workers": -2},
+        {"workers": 2},
+        {"workers": None},
+        {"workers": 0},
     ],
 )
 def test_aggregation_config_rejects_bad_values(kwargs):

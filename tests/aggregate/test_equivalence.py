@@ -9,9 +9,7 @@ Two layers of guarantee, both pinned here:
   the fig2 (taxi) and fig5 (random-walk) scenarios so a regression in the
   reduction shows up as a failed pin, not a silently looser bound.
 
-Sharding contracts: worker count never changes the solution (bit-for-bit),
-``shards=1`` is exactly the unsharded solve, and shard count perturbs the
-decision only boundedly.
+The reduced P2 is solved jointly, with the per-user path's one-lane call.
 """
 
 import numpy as np
@@ -140,33 +138,9 @@ def _reduced_for_test(num_users: int = 30, seed: int = 5):
 
 
 def test_one_shard_is_exactly_the_unsharded_solve():
+    # The aggregated path's reduced solve is the direct path's one-lane call.
     subproblem = _reduced_for_test()
-    sharded = solve_sharded(subproblem, shards=1).x
+    joint = solve_sharded(subproblem)
     result = InteriorPointBackend().solve(subproblem.build_program(), tol=1e-8)
-    direct = np.asarray(result.x).reshape(sharded.shape)
-    assert np.array_equal(sharded, direct)
-
-
-def test_shard_count_changes_the_solution_only_boundedly():
-    """Shards trade optimality for parallel wall-clock — boundedly.
-
-    Capacity slicing keeps every shard feasible with a share of the
-    joint problem's headroom, but it limits how far shards can
-    *concentrate* onto the cheapest clouds; measured degradation at shards=4 is
-    ~20-34% on paper-shaped instances (docs/SCALING.md quantifies this
-    and when the trade is worth it). The pin catches both a blow-up and
-    a silent change in the slicing semantics.
-    """
-    instance = fig2_scenario(SCALE).build(seed=SCALE.seed)
-    system = SystemDescription.from_instance(instance)
-    costs = {}
-    for shards in (1, 4):
-        controller = AggregatedController(
-            system=system,
-            config=AggregationConfig(lambda_buckets=8, shards=shards),
-        )
-        result = simulate(controller, iter_observations(instance), system)
-        assert result.feasibility.demand_violation <= 1e-8
-        assert result.feasibility.capacity_violation <= 1e-8
-        costs[shards] = result.total_cost
-    assert costs[1] <= costs[4] <= 1.35 * costs[1]
+    assert np.array_equal(np.asarray(joint.x), np.asarray(result.x))
+    assert (joint.iterations, joint.partial) == (result.iterations, result.partial)

@@ -38,7 +38,7 @@ def _controller(cls, system):
     return cls(
         system=system,
         algorithm=OnlineRegularizedAllocator(),
-        config=AggregationConfig(lambda_buckets=3, shards=2),
+        config=AggregationConfig(lambda_buckets=3),
     )
 
 

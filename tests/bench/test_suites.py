@@ -80,7 +80,6 @@ class TestAggregateSuite:
         # User counts scale with the suite scale but the labels persist.
         assert set(diagnostics["user_counts"]) == {"10k", "100k", "1m"}
         assert diagnostics["user_counts"]["1m"] > diagnostics["user_counts"]["10k"]
-        assert diagnostics["shards"] == 4
         assert diagnostics["wall_ratio_1m_vs_direct"] > 0
         assert diagnostics["error_bound_1m"] >= diagnostics["spread_1m"] >= 0
 

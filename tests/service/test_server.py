@@ -341,7 +341,7 @@ class TestTwoPhaseSlot:
         from repro.telemetry import MetricsRegistry
 
         system, observations = tiny_stream
-        config = ServiceConfig(aggregation=AggregationConfig(shards=2))
+        config = ServiceConfig(aggregation=AggregationConfig())
         registry = MetricsRegistry()
 
         async def poll_stats(host, port, stop):

@@ -239,7 +239,7 @@ class TestTwoPhaseSlot:
 
         system, observations = tiny_stream
         registry = MetricsRegistry()
-        config = ServiceConfig(aggregation=AggregationConfig(shards=2))
+        config = ServiceConfig(aggregation=AggregationConfig())
         with telemetry_session(registry):
             session = AllocationSession(system, config)
             empty = session.stats()

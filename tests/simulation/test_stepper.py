@@ -106,15 +106,15 @@ def _untimed(value):
 
 
 class TestTwoPhaseSlot:
-    @pytest.mark.parametrize("shards", [None, 2], ids=["direct", "aggregated"])
-    def test_served_stream_records_equal_batch_records(self, shards):
+    @pytest.mark.parametrize("aggregated", [False, True], ids=["direct", "aggregated"])
+    def test_served_stream_records_equal_batch_records(self, aggregated):
         from repro.aggregate import AggregationConfig
         from repro.service import AllocationSession, ServiceConfig
         from repro.service.protocol import observation_to_update
         from repro.telemetry import MetricsRegistry, telemetry_session
 
         system, observations = _setup(seed=3)
-        aggregation = None if shards is None else AggregationConfig(shards=shards)
+        aggregation = AggregationConfig() if aggregated else None
         config = ServiceConfig(aggregation=aggregation)
         batch_registry = MetricsRegistry()
         with telemetry_session(batch_registry):
@@ -147,7 +147,7 @@ class TestTwoPhaseSlot:
             event["type"] for event in batch
         ]
         assert served == batch
-        kinds = ["slot"] if shards is None else ["aggregate.slot", "slot"]
+        kinds = ["aggregate.slot", "slot"] if aggregated else ["slot"]
         slot_records = [e["type"] for e in batch if e["type"] in kinds]
         assert slot_records == kinds * len(observations)
 

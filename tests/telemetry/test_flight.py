@@ -37,17 +37,12 @@ from repro.telemetry import (
     read_bundle,
     replay_bundle,
 )
-from repro.telemetry.flight import (
-    BIT_FOR_BIT,
-    DENSE_AGGREGATED_RTOL,
-    decode_state,
-    encode_state,
-)
+from repro.telemetry.flight import decode_state, encode_state
 from tests.conftest import make_tiny_instance
 
 #: An aggregated bundle (lambda_buckets=1, shards=2, max_iterations=14,
-#: five slots, two of them budget-truncated) written by the release whose
-#: aggregated controller carried x*_{t-1} as a dense (I, J) matrix.
+#: five slots, two of them budget-truncated) written by a release that
+#: sharded the reduced solve and carried x*_{t-1} as a dense (I, J) matrix.
 DENSE_LAYOUT_BUNDLE = Path(__file__).parent / "data" / "aggregated_dense_bundle.jsonl"
 
 
@@ -301,7 +296,7 @@ class TestTornBundles:
 
 class TestReplay:
     @pytest.mark.parametrize(
-        "aggregation", [None, AggregationConfig(shards=2)], ids=["direct", "sharded"]
+        "aggregation", [None, AggregationConfig()], ids=["direct", "aggregated"]
     )
     def test_unconverged_slots_reproduce_bit_for_bit(self, tmp_path, aggregation):
         recorder = FlightRecorder(5, incident_dir=tmp_path)
@@ -311,7 +306,7 @@ class TestReplay:
         report = replay_bundle(bundle)
         assert report.ok, report.render()
         assert report.slots == 5
-        assert report.contract == BIT_FOR_BIT
+        assert "REPRODUCED bit-for-bit" in report.render()
 
     @pytest.mark.parametrize(
         "name", ["auto", "ipm", "structured-ipm+scipy-trust-constr"]
@@ -340,7 +335,7 @@ class TestReplay:
         scipy_bundle = tmp_path / "scipy.jsonl"
         recorder = FlightRecorder(4, incident_dir=tmp_path)
         _record_run(
-            recorder, aggregation=AggregationConfig(shards=2) if aggregated else None
+            recorder, aggregation=AggregationConfig() if aggregated else None
         )
         _rewrite_bundle(recorder.dump(), scipy_bundle, to_scipy)
         with pytest.raises(ValueError, match="SciPy trust-constr solver was retired"):
@@ -435,12 +430,13 @@ def _as_older_release(record: dict) -> None:
     Those releases recorded ``warm_start``, ``aggregation.warm_cohorts``,
     ``aggregation.batch_solves``, ``aggregation.workers`` (a process
     count, which never changed an unbudgeted or iteration-capped solve),
-    ``aggregation.shard_slicing`` and the backend by registry name
-    (``auto``, at both levels), and the
-    aggregated controller state was a 6-tuple: the two entries
-    before the capacity duals held the previous reduced solution (I, G)
-    and the cohort-map signature (a tuple of bytes). I is the system's:
-    this release's ``x*_{t-1}`` is factored, not an (I, J) array.
+    ``aggregation.shard_slicing``, ``aggregation.shards`` and the backend
+    by registry name (``auto``, at both levels), and the aggregated
+    controller state was a 6-tuple: the two entries after the minimum
+    operation price held the previous reduced solution (I, G) and the
+    cohort-map signature (a tuple of bytes), and the last the capacity
+    duals. I is the system's: this release's ``x*_{t-1}`` is factored,
+    not an (I, J) array.
     """
     if record["type"] == "incident_start":
         record["controller"]["warm_start"] = True
@@ -449,35 +445,62 @@ def _as_older_release(record: dict) -> None:
         record["controller"]["aggregation"]["batch_solves"] = True
         record["controller"]["aggregation"]["workers"] = 2
         record["controller"]["aggregation"]["shard_slicing"] = "price"
+        record["controller"]["aggregation"]["shards"] = 1
         record["controller"]["aggregation"]["backend"] = "auto"
     elif record["type"] == "snapshot":
-        x_prev, slots_seen, min_op_price, duals = decode_state(
-            record["controller_state"]
-        )
         signature = (b"\x00\x01", b"\x02", b"\xff")
         num_clouds = _tiny_setup()[0].num_clouds
         retired = (np.full((num_clouds, 2), 0.5), signature)
+        duals = np.linspace(0.5, 2.0, num_clouds)
         record["controller_state"] = encode_state(
-            (x_prev, slots_seen, min_op_price, *retired, duals)
+            (*decode_state(record["controller_state"]), *retired, duals)
         )
 
 
 class TestAggregatedReplay:
-    AGGREGATION = AggregationConfig(shards=2)
+    AGGREGATION = AggregationConfig()
 
     def _bundle(self, tmp_path):
         recorder = FlightRecorder(4, incident_dir=tmp_path)
         _record_run(recorder, aggregation=self.AGGREGATION)
         return recorder.dump()
 
-    def test_sharded_run_reproduces_bit_for_bit(self, tmp_path):
+    def test_aggregated_run_reproduces_bit_for_bit(self, tmp_path):
         bundle = read_bundle(self._bundle(tmp_path))
         assert bundle.controller["kind"] == "aggregated"
         report = replay_bundle(bundle)
         assert report.ok, report.render()
         assert report.slots == 4
-        assert report.contract == BIT_FOR_BIT
         assert "REPRODUCED bit-for-bit" in report.render()
+
+    def test_deadline_truncated_run_reproduces_bit_for_bit(
+        self, tmp_path, monkeypatch
+    ):
+        # A clock that advances 1 s per read makes the 4.5 s deadline fire
+        # mid-solve, deterministically: one lane's solve has one count.
+        from repro.solvers import batched
+
+        class SteppingClock:
+            now = 0.0
+
+            def perf_counter(self):
+                self.now += 1.0
+                return self.now
+
+        monkeypatch.setattr(batched, "time", SteppingClock())
+        recorder = FlightRecorder(4, incident_dir=tmp_path)
+        _record_run(
+            recorder,
+            budget=SolveBudget(deadline_s=4.5),
+            aggregation=self.AGGREGATION,
+        )
+        monkeypatch.undo()
+        bundle = read_bundle(recorder.dump())
+        assert bundle.controller["budget"]["deadline_s"] == 4.5
+        assert any(s["recorded"]["partial"] for s in bundle.snapshots)
+        report = replay_bundle(bundle)
+        assert report.ok, report.render()
+        assert report.slots == 4
 
     def test_snapshots_carry_x_prev_factored(self, tmp_path):
         system = _tiny_setup()[0]
@@ -490,34 +513,31 @@ class TestAggregatedReplay:
                 assert y.shape[0] == system.num_clouds
                 assert cohort_of.shape == (system.num_users,)
 
-    def test_dense_layout_bundle_replays_under_its_named_contract(self):
+    def test_sharded_dense_layout_bundle_is_refused_by_name(self, capsys):
         bundle = read_bundle(DENSE_LAYOUT_BUNDLE)
+        assert bundle.controller["aggregation"]["shards"] == 2
         assert all(
             decode_state(s["controller_state"])[0].ndim == 2
             for s in bundle.snapshots
         )
-        assert [s["recorded"]["partial"] for s in bundle.snapshots].count(True) == 2
-        report = replay_bundle(bundle)
-        assert report.ok, report.render()
-        assert report.slots == 5
-        assert report.contract != BIT_FOR_BIT
-        assert f"{DENSE_AGGREGATED_RTOL:g} relative" in report.render()
-        assert "bit-for-bit" not in report.render()
+        with pytest.raises(ValueError, match="bundle records shards 2"):
+            replay_bundle(bundle)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["incident", "replay", str(DENSE_LAYOUT_BUNDLE)])
+        message = str(exit_info.value.code)
+        assert message.startswith("incident: ")
+        assert "shards" in message and "retired" in message
+        assert "Traceback" not in message + capsys.readouterr().err
 
-    def test_dense_layout_bundle_still_catches_divergence(self, tmp_path):
-        def tamper(record):
-            if record["type"] == "snapshot" and record["slot"] == 2:
-                record["recorded"]["costs"]["migration"] *= 1 + 1e-10
-            if record["type"] == "snapshot" and record["slot"] == 3:
-                record["recorded"]["iterations"] += 1
+    def test_dense_layout_bundle_is_refused_by_name(self, tmp_path):
+        def unshard(record):
+            if record["type"] == "incident_start":
+                record["controller"]["aggregation"]["shards"] = 1
 
-        tampered = tmp_path / "tampered.jsonl"
-        _rewrite_bundle(DENSE_LAYOUT_BUNDLE, tampered, tamper)
-        report = replay_bundle(tampered)
-        assert [(d.slot, d.field) for d in report.diffs] == [
-            (2, "costs.migration"),
-            (3, "iterations"),
-        ]
+        dense = tmp_path / "dense.jsonl"
+        _rewrite_bundle(DENSE_LAYOUT_BUNDLE, dense, unshard)
+        with pytest.raises(ValueError, match=r"dense \(I, J\) matrix"):
+            replay_bundle(dense)
 
     def test_older_release_bundle_reproduces_bit_for_bit(self, tmp_path):
         older = tmp_path / "older.jsonl"
@@ -531,7 +551,7 @@ class TestAggregatedReplay:
 
     def test_bundles_record_no_retired_aggregation_keys(self, tmp_path):
         bundle = read_bundle(self._bundle(tmp_path))
-        assert set(bundle.controller["aggregation"]) == {"lambda_buckets", "shards"}
+        assert set(bundle.controller["aggregation"]) == {"lambda_buckets"}
 
     def test_proportional_slicing_bundle_is_refused_by_name(self, tmp_path, capsys):
         def to_proportional(record):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from repro.aggregate import AggregationConfig
 from repro.cli import build_parser, main
 
 
@@ -40,17 +41,22 @@ class TestParser:
 
     def test_aggregation_flags(self):
         args = build_parser().parse_args(
-            ["fig2", "--aggregate", "--lambda-buckets", "16", "--shards", "4"]
+            ["fig2", "--aggregate", "--lambda-buckets", "16"]
         )
         assert args.aggregate is True
         assert args.lambda_buckets == 16
-        assert args.shards == 4
 
     def test_aggregation_flags_default_off(self):
         args = build_parser().parse_args(["fig2"])
         assert args.aggregate is False
         assert args.lambda_buckets is None
-        assert args.shards is None
+
+    def test_shards_is_an_unknown_argument(self, capsys):
+        # Sharding was retired: every aggregated slot is one joint solve.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["fig2", "--aggregate", "--shards", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -60,7 +66,6 @@ class TestParser:
             ("--repetitions", "0"),
             ("--users", "0"),
             ("--slots", "0"),
-            ("--shards", "0"),
         ],
     )
     def test_out_of_range_scale_argument_exits_2(self, flag, value, capsys):
@@ -81,9 +86,8 @@ class TestAggregationScale:
         assert scale.aggregate is True
         assert scale.lambda_buckets == 8  # default bucket count
 
-    def test_bucket_or_shard_flags_imply_aggregate(self):
+    def test_bucket_flag_implies_aggregate(self):
         assert self._scale(["fig2", "--lambda-buckets", "4"]).aggregate is True
-        assert self._scale(["fig2", "--shards", "2"]).aggregate is True
 
     def test_zero_buckets_maps_to_exact_mode(self):
         scale = self._scale(["fig2", "--lambda-buckets", "0"])
@@ -100,14 +104,9 @@ class TestAggregationScale:
     def test_scale_maps_to_aggregation_config(self):
         from repro.experiments.settings import aggregation_config
 
-        scale = self._scale(["fig2", "--lambda-buckets", "16", "--shards", "4"])
+        scale = self._scale(["fig2", "--lambda-buckets", "16"])
         config = aggregation_config(scale)
-        assert config is not None
-        assert config.lambda_buckets == 16
-        assert config.shards == 4
-        # Experiment drivers already pool across repetitions; the nested
-        # shard solves stay serial.
-        assert config.workers == 1
+        assert config == AggregationConfig(lambda_buckets=16)
 
     def test_watch_arguments(self):
         args = build_parser().parse_args(

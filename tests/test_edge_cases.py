@@ -139,7 +139,7 @@ class TestMinimalSystems:
 
     @pytest.mark.parametrize(
         "aggregation",
-        [None, AggregationConfig(shards=2)],
+        [None, AggregationConfig()],
         ids=["direct", "aggregated"],
     )
     def test_exact_capacity_is_refused_by_the_online_algorithm(self, aggregation):
