@@ -31,7 +31,7 @@ import sys
 from typing import TYPE_CHECKING, NoReturn
 
 if TYPE_CHECKING:
-    from .experiments.settings import ExperimentScale
+    from .experiments.scale import ExperimentScale
 
 
 def _int_at_least(minimum: int):
@@ -191,7 +191,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
-    from .experiments.settings import ExperimentScale
+    from .experiments.scale import ExperimentScale
 
     scale = ExperimentScale.paper() if args.paper_scale else ExperimentScale()
     overrides = {}
@@ -562,8 +562,7 @@ def _cmd_profile(args: argparse.Namespace) -> str:
 
 def _service_setup(args: argparse.Namespace):
     """(system, observations, ServiceConfig) for serve/loadgen commands."""
-    from .experiments.fig2 import fig2_scenario
-    from .experiments.settings import aggregation_config
+    from .experiments.scale import aggregation_config, fig2_scenario
     from .service import ServiceConfig
     from .simulation.observations import (
         SystemDescription,
@@ -743,7 +742,7 @@ def _cmd_quickstart(args: argparse.Namespace) -> str:
         compare_algorithms,
     )
 
-    from .experiments import aggregation_config
+    from .experiments.scale import aggregation_config
 
     scale = _scale_from_args(args)
     scenario = Scenario(num_users=scale.num_users, num_slots=scale.num_slots)

@@ -15,12 +15,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "run_example",
             "run_fig1",
         ),
-        ".fig2": (
-            "fig2_report",
-            "fig2_scenario",
-            "run_fig2",
-            "run_fig2_continuous_day",
-        ),
+        ".fig2": ("fig2_report", "run_fig2", "run_fig2_continuous_day"),
         ".fig3": ("fig3_report", "run_fig3"),
         ".fig4": ("fig4_report", "run_eps_sweep", "run_mu_sweep", "theoretical_bounds"),
         ".fig5": ("fig5_report", "run_fig5"),
@@ -31,9 +26,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "run_mobility_robustness",
         ),
         ".runner": ("RatioPoint", "ratio_table", "run_ratio_point", "run_ratio_sweep"),
+        ".scale": ("ExperimentScale", "aggregation_config", "fig2_scenario"),
         ".settings": (
-            "ExperimentScale",
-            "aggregation_config",
             "all_paper_algorithms",
             "atomistic_algorithms",
             "holistic_algorithms",

@@ -17,19 +17,11 @@ from __future__ import annotations
 
 from ..simulation.scenario import Scenario
 from .runner import RatioPoint, ratio_table, run_ratio_sweep
-from .settings import ExperimentScale, aggregation_config, all_paper_algorithms
+from .scale import ExperimentScale, aggregation_config, fig2_scenario
+from .settings import all_paper_algorithms
 
 #: The six hourly test cases of the paper.
 HOURS = ("3pm", "4pm", "5pm", "6pm", "7pm", "8pm")
-
-
-def fig2_scenario(scale: ExperimentScale) -> Scenario:
-    """The Figure 2 scenario: Rome metro topology, taxi mobility, power workload."""
-    return Scenario(
-        num_users=scale.num_users,
-        num_slots=scale.num_slots,
-        workload_distribution="power",
-    )
 
 
 def run_fig2(

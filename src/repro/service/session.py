@@ -362,10 +362,10 @@ class AllocationSession:
         """Start a fresh horizon: slot 0, cold caches.
 
         Clears *every* layer of the session's cross-slot state: the
-        controller's carried decision and capacity duals
-        (``controller.reset``) and the stepper's accumulator/residuals (a
-        fresh :class:`SlotStepper`). The process-wide alert rules and
-        flight recorder belong to the registry chain and keep their state.
+        controller's carried decision (``controller.reset``) and the
+        stepper's accumulator/residuals (a fresh :class:`SlotStepper`).
+        The process-wide alert rules and flight recorder belong to the
+        registry chain and keep their state.
         """
         self.settle()
         self.results = []

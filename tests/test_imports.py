@@ -41,6 +41,16 @@ def test_serving_imports_leave_out_the_lp_and_topology_stack():
     assert _heavy_after(code) == []
 
 
+def test_serve_setup_leaves_out_the_lp_stack():
+    # ``repro-edge serve`` builds its scenario before it listens. The
+    # metro topology still loads networkx; the LP stack must stay out.
+    code = (
+        "from repro.cli import _service_setup, build_parser\n"
+        "_service_setup(build_parser().parse_args(['serve', '--stdio']))"
+    )
+    assert [m for m in _heavy_after(code) if m != "networkx"] == []
+
+
 def test_the_sweep_roster_still_imports_the_lp_stack():
     # The sweep process imports its roster before it forks pool workers,
     # which then inherit scipy.optimize instead of importing it per sweep.
