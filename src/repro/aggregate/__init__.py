@@ -3,7 +3,8 @@
 Layer map (docs/SCALING.md walks the math):
 
 * :mod:`config` — :class:`AggregationConfig`, the import-light knob bundle;
-* :mod:`cohorts` — bucket users into weighted aggregate columns, keep the
+* :mod:`cohorts` — bucket users into weighted aggregate columns, derive
+  each slot's cohorts from the last slot's and the movers, keep the
   proportional split of a solution factored (:class:`FactoredAllocation`)
   and fold it into the next slot's cohorts pair by pair;
 * :mod:`reduced` — the cohort-reduced P2 (exact for workload-uniform
